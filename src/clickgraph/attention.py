@@ -4,10 +4,16 @@ How strongly clicks concentrate on few links: the transition-count
 distribution, out-degree comparison between the full link network and the
 used subnetwork, per-article Gini coefficients, and maximum-likelihood fits
 of candidate count distributions compared by AIC.
+
+The truncated power-law and log-normal normalisers sum the first 20,000
+terms of the discrete series exactly, over a support grid cached per xmin,
+and add the rest as a tail term: a midpoint-corrected integral for the
+truncated power law, a closed-form Gaussian tail for the log-normal.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -165,20 +171,52 @@ def _log_norm_pl(alpha: float, xmin: int) -> float:
     return float(np.log(special.zeta(alpha, xmin)))
 
 
+@functools.lru_cache(maxsize=8)
+def _grid(xmin: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exact-head support ``x = xmin .. xmin + _NORM_EXACT_TERMS - 1`` and
+    its ``log x``, read-only and shared by every optimiser step."""
+    x = np.arange(xmin, xmin + _NORM_EXACT_TERMS, dtype=np.float64)
+    lx = np.log(x)
+    x.flags.writeable = False
+    lx.flags.writeable = False
+    return x, lx
+
+
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """``scipy.special.logsumexp(a)`` for a non-empty 1-D float64 array.
+
+    The same arithmetic, step for step, without the array-API dispatch: the
+    tied maxima are split out of the shifted sum and added back as
+    ``log(m)``. A non-finite maximum is returned at once: it is scipy's
+    answer (NaN, +inf, or -inf when every term is -inf), and the shifted
+    sum would only add invalid-value warnings.
+    """
+    a_max = a.max()
+    if not np.isfinite(a_max):
+        return a_max
+    tied = a == a_max
+    m = np.float64(np.count_nonzero(tied))
+    shifted = a - a_max
+    shifted[tied] = -np.inf
+    s = np.exp(shifted).sum()
+    if s != 0:
+        s = s / m
+    return np.log1p(s) + np.log(m) + a_max
+
+
 def _log_norm_tpl(alpha: float, lam: float, xmin: int) -> float:
     # Z = sum_{x >= xmin} x^-alpha e^(-lam x): exact head plus midpoint tail.
     upper = xmin + _NORM_EXACT_TERMS
-    x = np.arange(xmin, upper, dtype=np.float64)
-    head = special.logsumexp(-alpha * np.log(x) - lam * x)
+    x, lx = _grid(xmin)
+    head = _logsumexp(-alpha * lx - lam * x)
     tail = _tail_integral(lambda t: -alpha * math.log(t) - lam * t, upper - 0.5)
     return float(np.logaddexp(head, np.log(tail) if tail > 0 else -np.inf))
 
 
 def _log_norm_lognormal(mu: float, sigma: float, xmin: int) -> float:
     upper = xmin + _NORM_EXACT_TERMS
-    x = np.arange(xmin, upper, dtype=np.float64)
-    lx = np.log(x)
-    head = special.logsumexp(-lx - 0.5 * ((lx - mu) / sigma) ** 2)
+    _x, lx = _grid(xmin)
+    head = _logsumexp(-lx - 0.5 * ((lx - mu) / sigma) ** 2)
     # Closed-form Gaussian tail: integral of (1/t) exp(-(ln t - mu)^2 / 2 s^2).
     z = (math.log(upper - 0.5) - mu) / sigma
     tail = math.sqrt(2.0 * math.pi) * sigma * special.ndtr(-z)
@@ -226,7 +264,7 @@ def _fit_power_law(x: np.ndarray, xmin: int) -> FamilyFit:
     res = optimize.minimize_scalar(nll, bounds=(1.0001, 20.0), method="bounded")
     params = {"alpha": float(res.x)}
     ll = -float(res.fun)
-    return FamilyFit("power_law", params, ll, 2 * 1 - 2 * ll, 1, bool(res.success))
+    return FamilyFit("power_law", params, ll, 2 * 1 - 2 * ll, 1, bool(res.success), str(res.message))
 
 
 def _fit_truncated_power_law(x: np.ndarray, xmin: int) -> FamilyFit:
@@ -253,7 +291,9 @@ def _fit_truncated_power_law(x: np.ndarray, xmin: int) -> FamilyFit:
     alpha, lam = float(best.x[0]), float(max(math.exp(best.x[1]), 1e-9))
     params = {"alpha": max(alpha, 0.0), "lambda": lam}
     ll = -float(best.fun)
-    return FamilyFit("truncated_power_law", params, ll, 2 * 2 - 2 * ll, 2, bool(best.success))
+    return FamilyFit(
+        "truncated_power_law", params, ll, 2 * 2 - 2 * ll, 2, bool(best.success), str(best.message)
+    )
 
 
 def _fit_lognormal(x: np.ndarray, xmin: int) -> FamilyFit:
@@ -275,7 +315,7 @@ def _fit_lognormal(x: np.ndarray, xmin: int) -> FamilyFit:
     )
     params = {"mu": float(res.x[0]), "sigma": float(math.exp(res.x[1]))}
     ll = -float(res.fun)
-    return FamilyFit("lognormal", params, ll, 2 * 2 - 2 * ll, 2, bool(res.success))
+    return FamilyFit("lognormal", params, ll, 2 * 2 - 2 * ll, 2, bool(res.success), str(res.message))
 
 
 def _fit_exponential(x: np.ndarray, xmin: int) -> FamilyFit:

@@ -293,15 +293,20 @@ def fit_ztnb(design: DesignMatrix, theta_init: float = 1.0, max_iter: int = 500)
     x0[-1] = math.log(theta_init)
 
     trace: list[float] = []
+    # The last evaluated point and its objective: L-BFGS-B reports the point
+    # it has just evaluated, so the trace reuses that value.
+    last_key, last_value = None, 0.0
 
     def objective(params):
-        return -ztnb_loglik(params, X, y)
+        nonlocal last_key, last_value
+        last_key, last_value = params.tobytes(), -ztnb_loglik(params, X, y)
+        return last_value
 
     def grad(params):
         return -ztnb_gradient(params, X, y)
 
     def record(params):
-        trace.append(ztnb_loglik(params, X, y))
+        trace.append(-last_value if params.tobytes() == last_key else ztnb_loglik(params, X, y))
 
     res = optimize.minimize(
         objective, x0, jac=grad, method="L-BFGS-B",

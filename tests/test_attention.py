@@ -1,9 +1,13 @@
 """Concentration statistics, Gini coefficients, and distribution fitting."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import special
 
 from clickgraph import attention as A
 from clickgraph import graph as G
@@ -196,6 +200,15 @@ class TestFitDistributions:
             assert np.isfinite(fit.loglik)
             assert again == pytest.approx(fit.loglik, abs=1e-6)
 
+    def test_failed_fit_names_its_cause(self):
+        # Zipf(1.6) counts above 10: the lognormal mu drifts towards -inf
+        # until Nelder-Mead runs out of iterations.
+        rng = np.random.default_rng(1)
+        samples = np.minimum(rng.zipf(1.6, 300) + 8, 10**7)
+        fit = A.fit_distributions(samples, xmin=10).fits["lognormal"]
+        assert not fit.converged
+        assert "iterations" in fit.message
+
     def test_winner_has_smallest_aic(self):
         rng = np.random.default_rng(14)
         samples = rng.geometric(0.4, size=5_000)
@@ -205,3 +218,75 @@ class TestFitDistributions:
         )
         assert report.fits[report.winner].aic == best
         assert report.delta_aic[report.winner] == 0.0
+
+
+def _same_float(a, b) -> bool:
+    """Bit-identical, or both NaN."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes() or (np.isnan(a) and np.isnan(b))
+
+
+def _brute_log_norm(log_term, xmin: int, upper: int, chunk: int = 1_000_000) -> float:
+    """log sum_{x=xmin}^{upper-1} exp(log_term(x)) for a term decreasing in x."""
+    shift = log_term(np.array([float(xmin)]))[0]
+    parts = []
+    for lo in range(xmin, upper, chunk):
+        x = np.arange(lo, min(lo + chunk, upper), dtype=np.float64)
+        parts.append(math.fsum(np.exp(log_term(x) - shift)))
+    return shift + math.log(math.fsum(parts))
+
+
+class TestNormaliser:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [2.0, 2.0, 2.0],
+            [1.0, 3.0, 3.0, -4.0],
+            [0.0, -np.inf, 2.5],
+            [-np.inf, -np.inf],
+            [np.inf, 1.0],
+            [np.inf, -np.inf, 0.0],
+            [np.nan, 1.0],
+            [np.inf, np.nan],
+            [3.25],
+            [-np.inf],
+            [-0.0],
+            [1e308, 1e308, -1e300],
+        ],
+    )
+    def test_logsumexp_matches_scipy(self, values):
+        a = np.array(values, dtype=np.float64)
+        assert _same_float(A._logsumexp(a), special.logsumexp(a))
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 40),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_logsumexp_matches_scipy_on_finite_arrays(self, a):
+        with np.errstate(over="ignore"):
+            assert _same_float(A._logsumexp(a), special.logsumexp(a))
+
+    def test_logsumexp_leaves_its_input_alone(self):
+        a = np.array([1.0, 5.0, 5.0])
+        A._logsumexp(a)
+        assert a.tolist() == [1.0, 5.0, 5.0]
+
+    @pytest.mark.parametrize("xmin", [1, 10])
+    @pytest.mark.parametrize("alpha, lam", [(1.5, 3e-5), (2.5, 1e-3)])
+    def test_truncated_power_law_matches_long_sum(self, xmin, alpha, lam):
+        brute = _brute_log_norm(lambda x: -alpha * np.log(x) - lam * x, xmin, 1_500_000)
+        assert A._log_norm_tpl(alpha, lam, xmin) == pytest.approx(brute, abs=1e-9, rel=0)
+
+    @pytest.mark.parametrize("xmin", [1, 10])
+    @pytest.mark.parametrize("mu, sigma", [(1.0, 2.0), (0.5, 0.8)])
+    def test_lognormal_matches_long_sum(self, xmin, mu, sigma):
+        brute = _brute_log_norm(
+            lambda x: -np.log(x) - 0.5 * ((np.log(x) - mu) / sigma) ** 2, xmin, 3_000_000
+        )
+        assert A._log_norm_lognormal(mu, sigma, xmin) == pytest.approx(brute, abs=1e-9, rel=0)
+
+    def test_grid_is_read_only(self):
+        x, lx = A._grid(3)
+        assert x[0] == 3.0 and lx[0] == math.log(3.0)
+        with pytest.raises(ValueError):
+            x[0] = 1.0
+        with pytest.raises(ValueError):
+            lx[0] = 0.0

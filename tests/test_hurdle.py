@@ -163,6 +163,30 @@ class TestFitZtnb:
         fit = H.fit_ztnb(H.make_design(x, y, "x", standardize=True))
         assert (np.diff(fit.ll_trace) >= -1e-9).all()
 
+    def test_trace_reuses_the_evaluated_objective(self, monkeypatch):
+        # The likelihood and the gradient are evaluated at the same points;
+        # the iteration trace adds no likelihood calls of its own.
+        calls = {"loglik": 0, "gradient": 0}
+        loglik, gradient = H.ztnb_loglik, H.ztnb_gradient
+
+        def counted_loglik(*args):
+            calls["loglik"] += 1
+            return loglik(*args)
+
+        def counted_gradient(*args):
+            calls["gradient"] += 1
+            return gradient(*args)
+
+        monkeypatch.setattr(H, "ztnb_loglik", counted_loglik)
+        monkeypatch.setattr(H, "ztnb_gradient", counted_gradient)
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=800)
+        y = sample_ztnb(rng, np.exp(1.0 + 0.3 * x), theta=1.2)
+        fit = H.fit_ztnb(H.make_design(x, y, "x", standardize=True))
+        assert len(fit.ll_trace) == fit.iterations
+        assert fit.ll_trace[-1] == fit.loglik
+        assert calls["loglik"] == calls["gradient"]
+
     def test_standardization_invariance(self):
         rng = np.random.default_rng(14)
         x = 5.0 + 2.0 * rng.normal(size=3_000)
