@@ -302,6 +302,8 @@ def _fit_lognormal(x: np.ndarray, xmin: int) -> FamilyFit:
 
     def nll(p: np.ndarray) -> float:
         mu, sigma = p[0], math.exp(p[1])
+        if sigma == 0.0:  # exp underflow; the step would score NaN or raise
+            return math.inf
         return float(
             (lx + 0.5 * ((lx - mu) / sigma) ** 2).sum()
             + n * _log_norm_lognormal(mu, sigma, xmin)

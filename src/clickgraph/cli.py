@@ -1,9 +1,13 @@
 """Pipeline orchestrator.
 
 Every analysis stage is a subcommand writing plot-ready delimited files into
-one output directory.  Writes are atomic (temp file + rename), a manifest
-records config and input hashes so unchanged reruns are skipped, and every
-output starts with a header naming the tool version, config hash, and seeds.
+one output directory.  One table, ``STAGES``, names each stage's body, the
+inputs its cache key hashes, the artifacts it reads and the ones it writes;
+``run_stage`` does the rest for all of them.  Writes are atomic (temp file +
+rename), a manifest records config and input hashes so unchanged reruns are
+skipped, and every output starts with a header naming the tool version,
+config hash, and seeds.  The cache is checked before any input is loaded, so
+a rerun on an unchanged directory parses nothing.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, asdict, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -123,22 +128,21 @@ def _validate_inputs(cfg: RunConfig, required: tuple[str, ...]) -> None:
         raise ConfigError("; ".join(problems))
 
 
-def _require_artifact(cfg: RunConfig, key: str, producer: str) -> str:
-    path = os.path.join(cfg.out, ARTIFACTS[key])
-    if not os.path.exists(path):
-        raise DependencyError(
-            f"missing {ARTIFACTS[key]} in {cfg.out}; run `clickgraph {producer}` first"
-        )
-    return path
+def _atomic_write(path: str, content) -> None:
+    """Write ``path`` through a temp file and a rename.
 
-
-def _atomic_write(path: str, lines) -> None:
+    ``content`` is an iterable of lines, or a function that writes the file
+    at the path it is given.
+    """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines:
-                fh.write(line)
+        if callable(content):
+            os.close(fd)
+            content(tmp)
+        else:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(content)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -185,12 +189,17 @@ def _load_manifest(outdir: str) -> dict:
         return json.load(fh)
 
 
-def _stage_key(cfg: RunConfig, inputs: tuple[str, ...]) -> dict:
+def _artifact_path(cfg: RunConfig, key: str) -> str:
+    return os.path.join(cfg.out, ARTIFACTS[key])
+
+
+def _stage_key(cfg: RunConfig, keys: tuple[str, ...]) -> dict:
     # Artifacts inside the output directory are keyed by their relative name
     # so manifests stay identical across runs into different directories.
     out = os.path.abspath(cfg.out)
     keyed = {}
-    for p in inputs:
+    for k in keys:
+        p = _artifact_path(cfg, k) if k in ARTIFACTS else getattr(cfg, k)
         if not p or not os.path.exists(p):
             continue
         ap = os.path.abspath(p)
@@ -199,26 +208,11 @@ def _stage_key(cfg: RunConfig, inputs: tuple[str, ...]) -> dict:
     return {"config": cfg.hash(), "inputs": keyed}
 
 
-def _cache_hit(manifest: dict, stage: str, key: dict, cfg: RunConfig) -> bool:
-    entry = manifest["stages"].get(stage)
-    if entry is None or entry.get("key") != key:
-        return False
-    return all(os.path.exists(os.path.join(cfg.out, f)) for f in entry.get("outputs", []))
-
-
-def _record_stage(manifest: dict, stage: str, key: dict, outputs: list[str], cfg: RunConfig) -> None:
-    manifest["stages"][stage] = {"key": key, "outputs": outputs}
-    path = os.path.join(cfg.out, MANIFEST)
-    _atomic_write(path, [json.dumps(manifest, sort_keys=True, indent=1) + "\n"])
-
-
 def _load_graph_and_log(cfg: RunConfig):
-    gpath = _require_artifact(cfg, "graph", "build")
-    tpath = _require_artifact(cfg, "transitions", "build")
-    g = graphmod.load_graph(gpath)
+    g = graphmod.load_graph(_artifact_path(cfg, "graph"))
     name_to_id = g.name_to_id() if g.labels else None
     src, trg, count = [], [], []
-    with open(tpath, "r", encoding="utf-8") as fh:
+    with open(_artifact_path(cfg, "transitions"), "r", encoding="utf-8") as fh:
         for raw in fh:
             if raw.startswith("#") or not raw.strip():
                 continue
@@ -234,26 +228,12 @@ def _load_graph_and_log(cfg: RunConfig):
     return g, log
 
 
-def _load_features(cfg: RunConfig, g, log) -> ingest.LinkFeatureTable:
-    path = _require_artifact(cfg, "features", "features")
-    with open(path, "r", encoding="utf-8") as fh:
-        table, _report = ingest.load_feature_table(fh, g, log)
-    return table
-
-
 # ---------------------------------------------------------------------------
-# Stage commands
+# Stage bodies: each returns ({artifact: lines}, summary line, *stderr lines)
 # ---------------------------------------------------------------------------
 
 
-def cmd_build(cfg: RunConfig) -> int:
-    _validate_inputs(cfg, ("edges", "clickstream"))
-    manifest = _load_manifest(cfg.out)
-    key = _stage_key(cfg, (cfg.edges, cfg.clickstream))
-    if _cache_hit(manifest, "build", key, cfg):
-        print("build: cache hit, outputs unchanged")
-        return 0
-
+def _build(cfg: RunConfig):
     with open(cfg.edges, "r", encoding="utf-8") as fh:
         edges, name_to_id = ingest.parse_edge_list(fh)
     labels = [""] * len(name_to_id)
@@ -266,34 +246,24 @@ def cmd_build(cfg: RunConfig) -> int:
             fh, name_to_id, g, threshold=cfg.threshold, fail_fast=cfg.fail_fast
         )
 
-    gpath = os.path.join(cfg.out, ARTIFACTS["graph"])
-    os.makedirs(cfg.out, exist_ok=True)
-    tmp = gpath + ".tmp"
-    graphmod.save_graph(
-        g, tmp,
-        header_lines=[f"clickgraph {__version__}", f"stage=build config={cfg.hash()} seed={cfg.seed}"],
-    )
-    os.replace(tmp, gpath)
-
+    graph_notes = [f"clickgraph {__version__}", f"stage=build config={cfg.hash()} seed={cfg.seed}"]
     stat_notes = (
         f"threshold={cfg.threshold}",
         f"lines={stats.lines} malformed={stats.malformed} external={stats.external} "
         f"non_edge={stats.non_edge} below_threshold_pairs={stats.below_threshold_pairs}",
         f"kept_pairs={stats.kept_pairs} kept_transitions={stats.kept_count}",
     )
-    body = ingest.transition_lines(log, g.labels)
-    _atomic_write(
-        os.path.join(cfg.out, ARTIFACTS["transitions"]),
-        [*_header(cfg, "build", stat_notes), *body],
-    )
-    _record_stage(manifest, "build", key, [ARTIFACTS["graph"], ARTIFACTS["transitions"]], cfg)
-    print(
+    outputs = {
+        "graph": lambda path: graphmod.save_graph(g, path, header_lines=graph_notes),
+        "transitions": [*_header(cfg, "build", stat_notes), *ingest.transition_lines(log, g.labels)],
+    }
+    summary = (
         f"build: {g.n_nodes} articles, {g.n_edges} links "
         f"({g.self_loops} self-loops); kept {stats.kept_pairs} transition pairs"
     )
     if stats.parse_errors:
-        print(f"build: skipped {len(stats.parse_errors)} malformed lines", file=sys.stderr)
-    return 0
+        return outputs, summary, f"build: skipped {len(stats.parse_errors)} malformed lines"
+    return outputs, summary
 
 
 def _read_visual_file(path: str, g) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
@@ -341,21 +311,9 @@ def _read_visual_file(path: str, g) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return x, y, region, covered, non_edge
 
 
-def cmd_features(cfg: RunConfig) -> int:
-    g, log = _load_graph_and_log(cfg)
-    manifest = _load_manifest(cfg.out)
-    inputs = [os.path.join(cfg.out, ARTIFACTS["graph"]), os.path.join(cfg.out, ARTIFACTS["transitions"])]
-    for p in (cfg.feature_file, cfg.corpus, cfg.categories, cfg.visual):
-        if p:
-            inputs.append(p)
-    key = _stage_key(cfg, tuple(inputs))
-    if _cache_hit(manifest, "features", key, cfg):
-        print("features: cache hit, outputs unchanged")
-        return 0
-
+def _features(cfg: RunConfig, g, log):
     report_lines: list[str] = []
     if cfg.feature_file:
-        _validate_inputs(cfg, ("feature_file",))
         with open(cfg.feature_file, "r", encoding="utf-8") as fh:
             table, report = ingest.load_feature_table(
                 fh, g, log, recompute_network=cfg.recompute_network_features
@@ -369,7 +327,6 @@ def cmd_features(cfg: RunConfig) -> int:
             )
         notes = (f"source=feature_file rows={len(table)}",)
     else:
-        _validate_inputs(cfg, ("corpus", "categories", "visual"))
         with open(cfg.corpus, "r", encoding="utf-8") as tok_fh, \
                 open(cfg.categories, "r", encoding="utf-8") as cat_fh:
             corpus = semmod.corpus_from_lines(tok_fh, cat_fh)
@@ -392,34 +349,14 @@ def cmd_features(cfg: RunConfig) -> int:
             f"source=computed projection_dim={cfg.projection_dim} damping={cfg.damping}",
             f"rows={len(table)}",
         )
-
-    _atomic_write(
-        os.path.join(cfg.out, ARTIFACTS["features"]),
-        [*_header(cfg, "features", notes), *ingest.feature_table_lines(table)],
-    )
-    _atomic_write(
-        os.path.join(cfg.out, ARTIFACTS["features_report"]),
-        [*_header(cfg, "features"), *report_lines],
-    )
-    _record_stage(
-        manifest, "features", key,
-        [ARTIFACTS["features"], ARTIFACTS["features_report"]], cfg,
-    )
-    print(f"features: {len(table)} link records written")
-    return 0
+    outputs = {
+        "features": [*_header(cfg, "features", notes), *ingest.feature_table_lines(table)],
+        "features_report": [*_header(cfg, "features"), *report_lines],
+    }
+    return outputs, f"features: {len(table)} link records written"
 
 
-def cmd_sample(cfg: RunConfig) -> int:
-    g, log = _load_graph_and_log(cfg)
-    fpath = _require_artifact(cfg, "features", "features")
-    manifest = _load_manifest(cfg.out)
-    key = _stage_key(cfg, (os.path.join(cfg.out, ARTIFACTS["graph"]),
-                           os.path.join(cfg.out, ARTIFACTS["transitions"]), fpath))
-    if _cache_hit(manifest, "sample", key, cfg):
-        print("sample: cache hit, outputs unchanged")
-        return 0
-    table = _load_features(cfg, g, log)
-
+def _sample(cfg: RunConfig, g, log, table):
     eligible = np.unique(log.src)  # sources with at least one outgoing transition
     if cfg.sample_size > len(eligible):
         raise ClickgraphError(
@@ -435,24 +372,12 @@ def cmd_sample(cfg: RunConfig) -> int:
         labels=table.labels,
     )
     notes = (f"sample_size={cfg.sample_size} eligible={len(eligible)} rows={len(sub)}",)
-    _atomic_write(
-        os.path.join(cfg.out, ARTIFACTS["sample"]),
-        [*_header(cfg, "sample", notes), *ingest.feature_table_lines(sub)],
-    )
-    _record_stage(manifest, "sample", key, [ARTIFACTS["sample"]], cfg)
-    print(f"sample: {cfg.sample_size} articles, {len(sub)} link records")
-    return 0
+    outputs = {"sample": [*_header(cfg, "sample", notes), *ingest.feature_table_lines(sub)]}
+    return outputs, f"sample: {cfg.sample_size} articles, {len(sub)} link records"
 
 
-def cmd_attention(cfg: RunConfig) -> int:
-    g, log = _load_graph_and_log(cfg)
-    manifest = _load_manifest(cfg.out)
-    key = _stage_key(cfg, (os.path.join(cfg.out, ARTIFACTS["graph"]),
-                           os.path.join(cfg.out, ARTIFACTS["transitions"])))
-    if _cache_hit(manifest, "attention", key, cfg):
-        print("attention: cache hit, outputs unchanged")
-        return 0
-
+def _attention(cfg: RunConfig, g, log):
+    outputs = {}
     hist, conc = attmod.transition_histogram(log)
     lines = _header(
         cfg, "attention",
@@ -461,14 +386,14 @@ def cmd_attention(cfg: RunConfig) -> int:
     )
     lines.append("count\tfrequency\n")
     lines.extend(f"{c}\t{f}\n" for c, f in sorted(hist.items()))
-    _atomic_write(os.path.join(cfg.out, ARTIFACTS["attention_transitions"]), lines)
+    outputs["attention_transitions"] = lines
 
     wiki, trans = attmod.outdegree_comparison(g, log)
     lines = _header(cfg, "attention", (f"restriction={wiki.restriction}",))
     lines.append("network\tout_degree\tfrequency\n")
     for dist in (wiki, trans):
         lines.extend(f"{dist.source}\t{d}\t{f}\n" for d, f in sorted(dist.histogram.items()))
-    _atomic_write(os.path.join(cfg.out, ARTIFACTS["attention_outdegree"]), lines)
+    outputs["attention_outdegree"] = lines
 
     ginis, skipped = attmod.per_article_gini(g, log)
     edges_bins = np.linspace(0.0, 1.0, 21)
@@ -481,7 +406,7 @@ def cmd_attention(cfg: RunConfig) -> int:
     lines.extend(
         f"{_fmt(edges_bins[i])}\t{_fmt(edges_bins[i + 1])}\t{freq[i]}\n" for i in range(20)
     )
-    _atomic_write(os.path.join(cfg.out, ARTIFACTS["attention_gini"]), lines)
+    outputs["attention_gini"] = lines
 
     wiki_out = g.out_degrees()
     trans_out = np.bincount(log.src, minlength=g.n_nodes) if len(log) else np.zeros(g.n_nodes, dtype=np.int64)
@@ -514,27 +439,11 @@ def cmd_attention(cfg: RunConfig) -> int:
                 f"  {fam}: {pars} loglik={_fmt(fit.loglik)} aic={_fmt(fit.aic)} "
                 f"delta_aic={_fmt(rep.delta_aic[fam])}\n"
             )
-    _atomic_write(os.path.join(cfg.out, ARTIFACTS["attention_fits"]), lines)
-
-    _record_stage(
-        manifest, "attention", key,
-        [ARTIFACTS["attention_transitions"], ARTIFACTS["attention_outdegree"],
-         ARTIFACTS["attention_gini"], ARTIFACTS["attention_fits"]], cfg,
-    )
-    print(f"attention: {len(ginis)} article Gini values, {skipped} excluded")
-    return 0
+    outputs["attention_fits"] = lines
+    return outputs, f"attention: {len(ginis)} article Gini values, {skipped} excluded"
 
 
-def cmd_hurdle(cfg: RunConfig) -> int:
-    g, log = _load_graph_and_log(cfg)
-    fpath = _require_artifact(cfg, "features", "features")
-    manifest = _load_manifest(cfg.out)
-    key = _stage_key(cfg, (fpath,))
-    if _cache_hit(manifest, "hurdle", key, cfg):
-        print("hurdle: cache hit, outputs unchanged")
-        return 0
-    table = _load_features(cfg, g, log)
-
+def _hurdle(cfg: RunConfig, g, log, table):
     rows = hurdlemod.feature_battery(table, threshold=cfg.threshold)
     lines = _header(
         cfg, "hurdle",
@@ -556,11 +465,8 @@ def cmd_hurdle(cfg: RunConfig) -> int:
                 r.ztnb_error or "-",
             ]) + "\n"
         )
-    _atomic_write(os.path.join(cfg.out, ARTIFACTS["hurdle"]), lines)
-    _record_stage(manifest, "hurdle", key, [ARTIFACTS["hurdle"]], cfg)
     fitted = sum(1 for r in rows if r.binomial_coef is not None or r.ztnb_coef is not None)
-    print(f"hurdle: {fitted}/{len(rows)} features fitted")
-    return 0
+    return {"hurdle": lines}, f"hurdle: {fitted}/{len(rows)} features fitted"
 
 
 def _build_hypotheses(cfg: RunConfig, g, table) -> list:
@@ -582,17 +488,7 @@ def _build_hypotheses(cfg: RunConfig, g, table) -> list:
     return singles + combos
 
 
-def cmd_hyptrails(cfg: RunConfig) -> int:
-    g, log = _load_graph_and_log(cfg)
-    fpath = _require_artifact(cfg, "features", "features")
-    manifest = _load_manifest(cfg.out)
-    key = _stage_key(cfg, (os.path.join(cfg.out, ARTIFACTS["graph"]),
-                           os.path.join(cfg.out, ARTIFACTS["transitions"]), fpath))
-    if _cache_hit(manifest, "hyptrails", key, cfg):
-        print("hyptrails: cache hit, outputs unchanged")
-        return 0
-    table = _load_features(cfg, g, log)
-
+def _hyptrails(cfg: RunConfig, g, log, table):
     baseline = evmod.structural_hypothesis(g)
     hyps = _build_hypotheses(cfg, g, table)
     grid = evmod.default_kappa_grid(g, cfg.kappa_multipliers, log_spaced=cfg.log_spaced)
@@ -612,24 +508,12 @@ def cmd_hyptrails(cfg: RunConfig) -> int:
                 f"{curve.hypothesis}\t{_fmt(k)}\t{_fmt(curve.log_evidence[i])}\t"
                 f"{_fmt(curve.log_bayes_factor[i])}\t{curve.verdicts[i]}\n"
             )
-    _atomic_write(os.path.join(cfg.out, ARTIFACTS["hyptrails"]), lines)
-    _record_stage(manifest, "hyptrails", key, [ARTIFACTS["hyptrails"]], cfg)
     best = max(curves, key=lambda c: c.log_bayes_factor[-1])
-    print(f"hyptrails: {len(curves)} hypotheses; best at largest kappa: {best.hypothesis}")
-    return 0
+    summary = f"hyptrails: {len(curves)} hypotheses; best at largest kappa: {best.hypothesis}"
+    return {"hyptrails": lines}, summary
 
 
-def cmd_pagerank(cfg: RunConfig) -> int:
-    g, log = _load_graph_and_log(cfg)
-    fpath = _require_artifact(cfg, "features", "features")
-    manifest = _load_manifest(cfg.out)
-    key = _stage_key(cfg, (os.path.join(cfg.out, ARTIFACTS["graph"]),
-                           os.path.join(cfg.out, ARTIFACTS["transitions"]), fpath))
-    if _cache_hit(manifest, "pagerank", key, cfg):
-        print("pagerank: cache hit, outputs unchanged")
-        return 0
-    table = _load_features(cfg, g, log)
-
+def _pagerank(cfg: RunConfig, g, log, table):
     hyps = _build_hypotheses(cfg, g, table)
     evals = rankmod.evaluate_all(
         g, hyps, log, alphas=cfg.alphas,
@@ -647,10 +531,89 @@ def cmd_pagerank(cfg: RunConfig) -> int:
             f"{r.hypothesis}\t{_fmt(r.alpha)}\t{_fmt(r.rho)}\t{_fmt(r.p)}\t"
             f"{_fmt(r.steiger_z)}\t{_fmt(r.steiger_p)}\t{_fmt(r.improved)}\n"
         )
-    _atomic_write(os.path.join(cfg.out, ARTIFACTS["pagerank"]), lines)
-    _record_stage(manifest, "pagerank", key, [ARTIFACTS["pagerank"]], cfg)
     best = max((r for r in evals if r.hypothesis != "baseline"), key=lambda r: r.rho)
-    print(f"pagerank: best hypothesis {best.hypothesis} (rho={best.rho:.3f} at alpha={best.alpha})")
+    summary = f"pagerank: best hypothesis {best.hypothesis} (rho={best.rho:.3f} at alpha={best.alpha})"
+    return {"pagerank": lines}, summary
+
+
+# ---------------------------------------------------------------------------
+# Stage table and driver
+# ---------------------------------------------------------------------------
+
+
+class Stage(NamedTuple):
+    body: Callable[..., tuple]
+    keys: tuple[str, ...]    # what the cache key hashes: RunConfig input paths (when set), artifacts
+    reads: tuple[str, ...]   # earlier artifacts the stage needs, checked in this order
+    writes: tuple[str, ...]  # artifacts the body returns, written in this order
+
+
+_GRAPH = ("graph", "transitions")
+_TABLE = (*_GRAPH, "features")
+
+STAGES = {
+    "build": Stage(_build, ("edges", "clickstream"), (), _GRAPH),
+    "features": Stage(_features, (*_GRAPH, "feature_file", "corpus", "categories", "visual"),
+                      _GRAPH, ("features", "features_report")),
+    "sample": Stage(_sample, _TABLE, _TABLE, ("sample",)),
+    "attention": Stage(_attention, _GRAPH, _GRAPH, ("attention_transitions", "attention_outdegree",
+                                                     "attention_gini", "attention_fits")),
+    "hurdle": Stage(_hurdle, ("features",), _TABLE, ("hurdle",)),
+    "hyptrails": Stage(_hyptrails, _TABLE, _TABLE, ("hyptrails",)),
+    "pagerank": Stage(_pagerank, _TABLE, _TABLE, ("pagerank",)),
+}
+
+_PRODUCER = {artifact: name for name, stage in STAGES.items() for artifact in stage.writes}
+
+
+def _required_inputs(cfg: RunConfig, keys: tuple[str, ...]) -> tuple[str, ...]:
+    inputs = tuple(k for k in keys if k not in ARTIFACTS)
+    # A precomputed feature table stands in for the files it would be computed from.
+    if "feature_file" in inputs and cfg.feature_file:
+        return ("feature_file",)
+    return tuple(k for k in inputs if k != "feature_file")
+
+
+def run_stage(name: str, cfg: RunConfig) -> int:
+    """Run one stage, or report a cache hit without loading any input.
+
+    The cache key hashes the config and the files in ``STAGES[name].keys``.
+    On a miss, a stage that reads earlier artifacts gets graph and log (and
+    the feature table if it reads one); every artifact the body returns is
+    written atomically, then the key is recorded in the manifest.
+    """
+    stage = STAGES[name]
+    for artifact in stage.reads:
+        if not os.path.exists(_artifact_path(cfg, artifact)):
+            raise DependencyError(
+                f"missing {ARTIFACTS[artifact]} in {cfg.out}; "
+                f"run `clickgraph {_PRODUCER[artifact]}` first"
+            )
+    _validate_inputs(cfg, _required_inputs(cfg, stage.keys))
+    manifest = _load_manifest(cfg.out)
+    key = _stage_key(cfg, stage.keys)
+    entry = manifest["stages"].get(name)
+    if entry is not None and entry.get("key") == key and all(
+        os.path.exists(os.path.join(cfg.out, f)) for f in entry.get("outputs", [])
+    ):
+        print(f"{name}: cache hit, outputs unchanged")
+        return 0
+
+    loaded: tuple = ()
+    if stage.reads:
+        loaded = _load_graph_and_log(cfg)
+    if "features" in stage.reads:
+        with open(_artifact_path(cfg, "features"), "r", encoding="utf-8") as fh:
+            loaded += (ingest.load_feature_table(fh, *loaded)[0],)
+    outputs, summary, *warnings = stage.body(cfg, *loaded)
+    for artifact in stage.writes:
+        _atomic_write(_artifact_path(cfg, artifact), outputs[artifact])
+    manifest["stages"][name] = {"key": key, "outputs": [ARTIFACTS[a] for a in stage.writes]}
+    _atomic_write(os.path.join(cfg.out, MANIFEST),
+                  [json.dumps(manifest, sort_keys=True, indent=1) + "\n"])
+    print(summary)
+    for line in warnings:
+        print(line, file=sys.stderr)
     return 0
 
 
@@ -684,7 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clickstream", help="referrer/resource/count transition rows")
     p.add_argument("--fail-fast", action="store_true", dest="fail_fast", default=None,
                    help="abort on the first malformed clickstream line")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("features", help="assemble the per-link feature table")
     _add_common(p)
@@ -699,36 +661,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recompute-network-features", dest="recompute_network_features",
                    action="store_true", default=None,
                    help="recompute network columns from the graph and report mismatches")
-    p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("sample", help="seeded article sample of the feature table")
     _add_common(p)
     p.add_argument("--sample-size", dest="sample_size", type=int)
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("attention", help="concentration statistics and distribution fits")
     _add_common(p)
     p.add_argument("--xmin-degrees", dest="xmin_degrees", type=int)
     p.add_argument("--xmin-transitions", dest="xmin_transitions", type=int)
-    p.set_defaults(func=cmd_attention)
 
     p = sub.add_parser("hurdle", help="two-stage regression battery over link features")
     _add_common(p)
-    p.set_defaults(func=cmd_hurdle)
 
     p = sub.add_parser("hyptrails", help="Bayesian evidence curves for navigation hypotheses")
     _add_common(p)
     p.add_argument("--kappa-multipliers", dest="kappa_multipliers", type=_csv_floats,
                    help="comma-separated multiples of the mean out-degree")
     p.add_argument("--log-spaced", dest="log_spaced", action="store_true", default=None)
-    p.set_defaults(func=cmd_hyptrails)
 
     p = sub.add_parser("pagerank", help="weighted pagerank evaluation against views")
     _add_common(p)
     p.add_argument("--alphas", type=_csv_floats, help="comma-separated damping factors")
     p.add_argument("--viewed-only", dest="restrict_to_viewed", action="store_true", default=None,
                    help="correlate only over articles with at least one view")
-    p.set_defaults(func=cmd_pagerank)
 
     return parser
 
@@ -738,7 +694,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args)
-        return args.func(cfg)
+        return run_stage(args.command, cfg)
     except ClickgraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

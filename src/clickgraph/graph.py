@@ -230,6 +230,29 @@ def pagerank(
     nodes.  Iteration stops when the L1 change drops to ``tol``; failure to
     converge raises :class:`ConvergenceError` carrying the last iterate.
     """
+    outdeg = g.out_degrees().astype(np.float64)
+    inv_out = np.zeros(g.n_nodes)
+    nonzero = outdeg > 0
+    inv_out[nonzero] = 1.0 / outdeg[nonzero]
+    return power_iteration(g, inv_out[g.edge_sources], ~nonzero, alpha, tol, max_iter, "pagerank")
+
+
+def power_iteration(
+    g: LinkGraph,
+    prob: np.ndarray,
+    uniform: np.ndarray,
+    alpha: float,
+    tol: float,
+    max_iter: int,
+    name: str,
+) -> CentralityVector:
+    """The PageRank kernel shared by classic and weighted PageRank.
+
+    Mass moves along edge slot e with probability ``prob[e]`` (aligned to
+    ``out_indices``); nodes flagged in ``uniform`` spread theirs over all
+    nodes.  ``name`` labels the :class:`ConvergenceError` raised when the L1
+    change stays above ``tol`` after ``max_iter`` steps.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if tol <= 0.0:
@@ -240,22 +263,16 @@ def pagerank(
 
     src = g.edge_sources
     trg = g.out_indices
-    outdeg = g.out_degrees().astype(np.float64)
-    inv_out = np.zeros(n)
-    nonzero = outdeg > 0
-    inv_out[nonzero] = 1.0 / outdeg[nonzero]
-    dangling = ~nonzero
-
     pr = np.full(n, 1.0 / n)
     for _ in range(max_iter):
-        spread = np.bincount(trg, weights=pr[src] * inv_out[src], minlength=n)
-        new = (1.0 - alpha) / n + alpha * (spread + pr[dangling].sum() / n)
+        spread = np.bincount(trg, weights=pr[src] * prob, minlength=n)
+        new = (1.0 - alpha) / n + alpha * (spread + pr[uniform].sum() / n)
         delta = float(np.abs(new - pr).sum())
         pr = new
         if delta <= tol:
             return CentralityVector("pagerank", pr / pr.sum())
     raise ConvergenceError(
-        f"pagerank did not converge within {max_iter} iterations (last L1 change {delta:.3e})",
+        f"{name} did not converge within {max_iter} iterations (last L1 change {delta:.3e})",
         last=pr,
         iterations=max_iter,
     )

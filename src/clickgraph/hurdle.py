@@ -48,14 +48,12 @@ class DesignMatrix:
 
     Continuous predictors are z-scored over the fitted rows (binary
     indicators are left as is); ``scaling`` records the (mean, sd) applied to
-    each scaled column.  ``groups`` keeps the source article of every row for
-    reporting.
+    each scaled column.
     """
 
     X: np.ndarray
     y: np.ndarray
     columns: tuple[str, ...]
-    groups: np.ndarray | None = None
     scaling: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     @property
@@ -68,7 +66,6 @@ def make_design(
     y: np.ndarray,
     name: str,
     standardize: bool,
-    groups: np.ndarray | None = None,
 ) -> DesignMatrix:
     """Intercept + one predictor, optionally z-scored over these rows."""
     x = np.asarray(feature, dtype=np.float64)
@@ -82,12 +79,12 @@ def make_design(
         scaling[name] = (mean, sd)
     X = np.column_stack([np.ones(len(x)), x])
     return DesignMatrix(X=X, y=np.asarray(y, dtype=np.float64),
-                        columns=("intercept", name), groups=groups, scaling=scaling)
+                        columns=("intercept", name), scaling=scaling)
 
 
-def intercept_design(y: np.ndarray, groups: np.ndarray | None = None) -> DesignMatrix:
+def intercept_design(y: np.ndarray) -> DesignMatrix:
     y = np.asarray(y, dtype=np.float64)
-    return DesignMatrix(X=np.ones((len(y), 1)), y=y, columns=("intercept",), groups=groups)
+    return DesignMatrix(X=np.ones((len(y), 1)), y=y, columns=("intercept",))
 
 
 @dataclass(frozen=True)
@@ -129,10 +126,6 @@ class HurdleFit:
     @property
     def aic(self) -> float:
         return 2 * self.n_params - 2 * self.loglik
-
-    @property
-    def bic(self) -> float:
-        return self.n_params * math.log(max(self.n_rows, 1)) - 2 * self.loglik
 
 
 def _check_collinearity(X: np.ndarray, columns: tuple[str, ...]) -> None:
@@ -389,19 +382,18 @@ def feature_battery(
     recorded in the row rather than aborting the battery.
     """
     split = split_hurdle(table, threshold)
-    groups = table.src
     rows: list[BatteryRow] = []
 
     reduced_bin, reduced_bin_err = None, ""
     try:
-        reduced_bin = fit_logistic(intercept_design(split.binary_y, groups))
+        reduced_bin = fit_logistic(intercept_design(split.binary_y))
     except Exception as exc:
         reduced_bin_err = f"{type(exc).__name__}: {exc}"
     reduced_cnt, reduced_cnt_err = None, ""
     try:
         if not len(split.count_rows):
             raise PreconditionError("no links reach the count stage")
-        reduced_cnt = fit_ztnb(intercept_design(split.count_y, groups[split.count_rows]))
+        reduced_cnt = fit_ztnb(intercept_design(split.count_y))
     except Exception as exc:
         reduced_cnt_err = f"{type(exc).__name__}: {exc}"
 
@@ -411,7 +403,7 @@ def feature_battery(
         try:
             if reduced_bin is None:
                 raise SeparationError(reduced_bin_err or "no baseline binomial fit")
-            design = make_design(values, split.binary_y, spec, transform == "scale", groups)
+            design = make_design(values, split.binary_y, spec, transform == "scale")
             fit = fit_logistic(design)
             comp = lrt(fit, reduced_bin)
             kw.update(binomial_coef=float(fit.coef[1]), binomial_lrt=comp.statistic, binomial_p=comp.p)
@@ -421,8 +413,7 @@ def feature_battery(
             if reduced_cnt is None:
                 raise PreconditionError(reduced_cnt_err or "no baseline count fit")
             sub = values[split.count_rows]
-            design = make_design(sub, split.count_y, spec, transform == "scale",
-                                 groups[split.count_rows])
+            design = make_design(sub, split.count_y, spec, transform == "scale")
             fit = fit_ztnb(design)
             comp = lrt(fit, reduced_cnt)
             kw.update(ztnb_coef=float(fit.coef[1]), ztnb_lrt=comp.statistic, ztnb_p=comp.p)

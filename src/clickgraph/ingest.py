@@ -133,15 +133,20 @@ def parse_edge_list(lines: Iterable[str]) -> tuple[list[tuple[int, int]], dict[s
 
     Names are interned to dense ids in first-seen order.  Duplicate lines are
     passed through untouched; deduplication happens in :func:`graph.build_graph`.
+    A name that is empty or starts with ``#`` raises :class:`LineError`: every
+    artifact written later reads such a line as a comment, and MediaWiki
+    titles cannot contain ``#``.
     """
     name_to_id: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
 
     def intern(name: str, line_no: int) -> int:
-        if not name:
-            raise LineError(line_no, "empty article name")
         idx = name_to_id.get(name)
         if idx is None:
+            if not name:
+                raise LineError(line_no, "empty article name")
+            if name.startswith("#"):
+                raise LineError(line_no, f"article name {name!r} starts with '#'")
             idx = len(name_to_id)
             name_to_id[name] = idx
         return idx
@@ -301,9 +306,8 @@ def compute_network_features(g: LinkGraph, alpha: float = 0.85) -> dict[str, np.
 def _node_feature_columns(per_node: dict[str, np.ndarray], src: np.ndarray, trg: np.ndarray) -> dict[str, np.ndarray]:
     cols: dict[str, np.ndarray] = {}
     for base, vec in per_node.items():
-        name = "pagerank" if base == "pagerank" else base
-        cols[f"src_{name}"] = vec[src]
-        cols[f"trg_{name}"] = vec[trg]
+        cols[f"src_{base}"] = vec[src]
+        cols[f"trg_{base}"] = vec[trg]
     return cols
 
 

@@ -18,7 +18,6 @@ from scipy import special
 from . import graph as graphmod
 from .errors import (
     AlignmentError,
-    ConvergenceError,
     DegenerateInputError,
     PreconditionError,
 )
@@ -42,39 +41,15 @@ def weighted_pagerank(
     Rows whose beliefs sum to zero (dangling nodes included) teleport
     uniformly, matching the unweighted algorithm's dangling rule.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     if not graphmod.same_structure(h.graph, g):
         raise AlignmentError("hypothesis is defined on a different graph")
-    n = g.n_nodes
-    if n == 0:
-        return CentralityVector("pagerank", np.zeros(0))
-
     src = g.edge_sources
-    trg = g.out_indices
-    row_sum = np.bincount(src, weights=h.values, minlength=n)
+    row_sum = np.bincount(src, weights=h.values, minlength=g.n_nodes)
     live = row_sum > 0
     prob = np.zeros(g.n_edges)
     mask = live[src]
     prob[mask] = h.values[mask] / row_sum[src[mask]]
-    uniform = ~live  # dangling or all-zero belief rows
-
-    pr = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        spread = np.bincount(trg, weights=pr[src] * prob, minlength=n)
-        new = (1.0 - alpha) / n + alpha * (spread + pr[uniform].sum() / n)
-        delta = float(np.abs(new - pr).sum())
-        pr = new
-        if delta <= tol:
-            return CentralityVector("pagerank", pr / pr.sum())
-    raise ConvergenceError(
-        f"weighted pagerank did not converge within {max_iter} iterations "
-        f"(last L1 change {delta:.3e})",
-        last=pr,
-        iterations=max_iter,
-    )
+    return graphmod.power_iteration(g, prob, ~live, alpha, tol, max_iter, "weighted pagerank")
 
 
 def incoming_transition_sums(log: TransitionLog, n_nodes: int) -> np.ndarray:

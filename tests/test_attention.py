@@ -209,6 +209,22 @@ class TestFitDistributions:
         assert not fit.converged
         assert "iterations" in fit.message
 
+    def test_lognormal_step_with_underflowing_sigma_is_rejected(self, monkeypatch):
+        # exp(-800) is 0.0: such a Nelder-Mead step must cost +inf, not NaN or an error.
+        probes = []
+        minimize = A.optimize.minimize
+
+        def probing_minimize(fun, x0, **kwargs):
+            probes.append(fun(np.array([x0[0], -800.0])))
+            return minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(A.optimize, "minimize", probing_minimize)
+        rng = np.random.default_rng(3)
+        samples = np.round(rng.lognormal(2.0, 0.7, 2_000))
+        fit = A._fit_lognormal(samples[samples >= 1], 1)
+        assert probes == [math.inf]
+        assert fit.converged and fit.params["sigma"] > 0
+
     def test_winner_has_smallest_aic(self):
         rng = np.random.default_rng(14)
         samples = rng.geometric(0.4, size=5_000)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from clickgraph import __version__, ingest
+from clickgraph import __version__, graph, ingest
 from clickgraph import attention as A
 from clickgraph.cli import main
 
@@ -72,6 +72,30 @@ class TestPipeline:
         after = {f: open(os.path.join(out, f), "rb").read() for f in os.listdir(out)}
         assert before == after
 
+    def test_rerun_on_unchanged_directory_loads_nothing(self, toy_inputs, tmp_path, capsys,
+                                                       monkeypatch):
+        out = str(tmp_path / "out")
+        args = ["--out", out, "--threshold", "10"]
+        run_pipeline(toy_inputs, out)
+        assert main(["sample", "--sample-size", "5", *args]) == 0
+        capsys.readouterr()
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a cache-hit rerun loaded an input")
+
+        monkeypatch.setattr(graph, "load_graph", refuse)
+        monkeypatch.setattr(ingest, "load_feature_table", refuse)
+        monkeypatch.setattr(ingest.TransitionLog, "from_pairs", refuse)
+        reruns = {
+            "build": ["--edges", toy_inputs["edges"], "--clickstream", toy_inputs["clickstream"]],
+            "features": ["--corpus", toy_inputs["corpus"], "--categories", toy_inputs["categories"],
+                         "--visual", toy_inputs["visual"], "--projection-dim", "64"],
+            "sample": ["--sample-size", "5"],
+        }
+        for stage in ("build", "features", "sample", "attention", "hurdle", "hyptrails", "pagerank"):
+            assert main([stage, *reruns.get(stage, []), *args]) == 0
+            assert capsys.readouterr().out == f"{stage}: cache hit, outputs unchanged\n"
+
     def test_stage_reruns_when_config_changes(self, toy_inputs, tmp_path, capsys):
         out = str(tmp_path / "out")
         run_pipeline(toy_inputs, out)
@@ -82,11 +106,13 @@ class TestPipeline:
 
 
 class TestDependencies:
-    def test_hyptrails_without_build_names_producer(self, tmp_path, capsys):
-        rc = main(["hyptrails", "--out", str(tmp_path / "empty")])
+    @pytest.mark.parametrize(
+        "stage", ["features", "sample", "attention", "hurdle", "hyptrails", "pagerank"]
+    )
+    def test_stage_without_build_names_producer(self, stage, tmp_path, capsys):
+        rc = main([stage, "--out", str(tmp_path / "empty")])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert "build" in err
+        assert "run `clickgraph build` first" in capsys.readouterr().err
 
     def test_hurdle_without_features_names_producer(self, toy_inputs, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -210,6 +236,20 @@ class TestSample:
         report = A.fit_distributions(outdeg, xmin=1)
         assert report.winner in ("power_law", "truncated_power_law")
         assert report.fits["power_law"].params["alpha"] == pytest.approx(2.2, abs=0.25)
+
+
+class TestBuildInput:
+    def test_article_name_starting_with_hash_is_rejected(self, tmp_path, capsys):
+        # Later stages would read the row for '#C' as a comment and silently drop it.
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("A\tB\nB\tC\n#C\tA\nC\tA\n")
+        clicks = tmp_path / "clicks.tsv"
+        clicks.write_text("A\tB\t40\nB\tC\t30\n#C\tA\t70\nC\tA\t50\n")
+        rc = main(["build", "--edges", str(edges), "--clickstream", str(clicks),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "'#C'" in err
 
 
 class TestFailFast:
