@@ -144,7 +144,6 @@ class FamilyFit:
     params: dict[str, float]
     loglik: float
     aic: float
-    n_params: int
     converged: bool
     message: str = ""
 
@@ -156,7 +155,6 @@ class FitReport:
     fits: dict[str, FamilyFit]
     winner: str
     delta_aic: dict[str, float]
-    selection_rule: str = "AIC (2k - 2 lnL); smallest wins"
 
 
 def _tail_integral(log_f, a: float) -> float:
@@ -264,7 +262,7 @@ def _fit_power_law(x: np.ndarray, xmin: int) -> FamilyFit:
     res = optimize.minimize_scalar(nll, bounds=(1.0001, 20.0), method="bounded")
     params = {"alpha": float(res.x)}
     ll = -float(res.fun)
-    return FamilyFit("power_law", params, ll, 2 * 1 - 2 * ll, 1, bool(res.success), str(res.message))
+    return FamilyFit("power_law", params, ll, 2 * 1 - 2 * ll, bool(res.success), str(res.message))
 
 
 def _fit_truncated_power_law(x: np.ndarray, xmin: int) -> FamilyFit:
@@ -292,7 +290,7 @@ def _fit_truncated_power_law(x: np.ndarray, xmin: int) -> FamilyFit:
     params = {"alpha": max(alpha, 0.0), "lambda": lam}
     ll = -float(best.fun)
     return FamilyFit(
-        "truncated_power_law", params, ll, 2 * 2 - 2 * ll, 2, bool(best.success), str(best.message)
+        "truncated_power_law", params, ll, 2 * 2 - 2 * ll, bool(best.success), str(best.message)
     )
 
 
@@ -317,7 +315,7 @@ def _fit_lognormal(x: np.ndarray, xmin: int) -> FamilyFit:
     )
     params = {"mu": float(res.x[0]), "sigma": float(math.exp(res.x[1]))}
     ll = -float(res.fun)
-    return FamilyFit("lognormal", params, ll, 2 * 2 - 2 * ll, 2, bool(res.success), str(res.message))
+    return FamilyFit("lognormal", params, ll, 2 * 2 - 2 * ll, bool(res.success), str(res.message))
 
 
 def _fit_exponential(x: np.ndarray, xmin: int) -> FamilyFit:
@@ -326,7 +324,7 @@ def _fit_exponential(x: np.ndarray, xmin: int) -> FamilyFit:
     lam = math.log((1.0 + m) / m)
     params = {"lambda": lam}
     ll = family_loglik("exponential", params, x, xmin)
-    return FamilyFit("exponential", params, ll, 2 * 1 - 2 * ll, 1, True)
+    return FamilyFit("exponential", params, ll, 2 * 1 - 2 * ll, True)
 
 
 def fit_distributions(samples, xmin: int = 1) -> FitReport:
@@ -352,7 +350,7 @@ def fit_distributions(samples, xmin: int = 1) -> FitReport:
         try:
             fits[family] = fitter(x, xmin)
         except Exception as exc:  # per-family failure; comparison proceeds
-            fits[family] = FamilyFit(family, {}, math.nan, math.inf, 0, False, str(exc))
+            fits[family] = FamilyFit(family, {}, math.nan, math.inf, False, str(exc))
 
     converged = {f: fit for f, fit in fits.items() if fit.converged and math.isfinite(fit.aic)}
     if not converged:

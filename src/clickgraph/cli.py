@@ -3,9 +3,10 @@
 Every analysis stage is a subcommand writing plot-ready delimited files into
 one output directory.  One table, ``STAGES``, names each stage's body, the
 inputs its cache key hashes, the artifacts it reads and the ones it writes;
-``run_stage`` does the rest for all of them.  Writes are atomic (temp file +
-rename), a manifest records config and input hashes so unchanged reruns are
-skipped, and every output starts with a header naming the tool version,
+``run_stage`` does the rest for all of them, and it alone writes into the
+output directory.  Writes are atomic (temp file + rename), a manifest records
+config and input hashes so unchanged reruns are skipped (it is the only
+cache), and every output starts with a header naming the tool version,
 config hash, and seeds.  The cache is checked before any input is loaded, so
 a rerun on an unchanged directory parses nothing.
 """
@@ -18,7 +19,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, asdict, fields
 from typing import Callable, NamedTuple
 
@@ -38,6 +38,7 @@ from .errors import (
     DegenerateInputError,
     DependencyError,
     InsufficientDataError,
+    LineError,
 )
 
 ARTIFACTS = {
@@ -132,10 +133,13 @@ def _atomic_write(path: str, content) -> None:
     """Write ``path`` through a temp file and a rename.
 
     ``content`` is an iterable of lines, or a function that writes the file
-    at the path it is given.
+    at the path it is given.  The temp file is created with mode 0o666 less
+    the umask, as ``open`` would create ``path`` itself.
     """
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         if callable(content):
             os.close(fd)
@@ -261,9 +265,20 @@ def _build(cfg: RunConfig):
         f"build: {g.n_nodes} articles, {g.n_edges} links "
         f"({g.self_loops} self-loops); kept {stats.kept_pairs} transition pairs"
     )
-    if stats.parse_errors:
-        return outputs, summary, f"build: skipped {len(stats.parse_errors)} malformed lines"
+    if stats.malformed:
+        return outputs, summary, f"build: skipped {stats.malformed} malformed lines"
     return outputs, summary
+
+
+def _numbers(kind, fields_: list[str], pos: dict[str, int], cols: tuple[str, ...], line_no: int) -> list:
+    """``kind`` applied to the named columns of one row; a bad value raises LineError."""
+    out = []
+    for col in cols:
+        try:
+            out.append(kind(fields_[pos[col]]))
+        except ValueError:
+            raise LineError(line_no, f"non-numeric {col} {fields_[pos[col]]!r}") from None
+    return out
 
 
 def _read_visual_file(path: str, g) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
@@ -272,7 +287,7 @@ def _read_visual_file(path: str, g) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     rows: list[tuple[int, int, float, float, str]] = []
     with open(path, "r", encoding="utf-8") as fh:
         header = None
-        for raw in fh:
+        for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
@@ -284,14 +299,16 @@ def _read_visual_file(path: str, g) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                         raise ClickgraphError(f"visual file missing column {col}")
                 continue
             fields_ = line.split("\t")
-            s_name, t_name = fields_[pos["src"]], fields_[pos["trg"]]
+            if len(fields_) != len(header):
+                raise LineError(line_no, f"expected {len(header)} tab-separated fields, "
+                                         f"got {len(fields_)}")
             if name_to_id is not None:
-                s = name_to_id.get(s_name, -1)
-                t = name_to_id.get(t_name, -1)
+                s = name_to_id.get(fields_[pos["src"]], -1)
+                t = name_to_id.get(fields_[pos["trg"]], -1)
             else:
-                s, t = int(s_name), int(t_name)
-            rows.append((s, t, float(fields_[pos["x_coord"]]),
-                         float(fields_[pos["y_coord"]]), fields_[pos["region"]]))
+                s, t = _numbers(int, fields_, pos, ("src", "trg"), line_no)
+            x, y = _numbers(float, fields_, pos, ("x_coord", "y_coord"), line_no)
+            rows.append((s, t, x, y, fields_[pos["region"]]))
 
     x = np.zeros(g.n_edges)
     y = np.zeros(g.n_edges)
@@ -301,7 +318,7 @@ def _read_visual_file(path: str, g) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     if rows:
         src = np.asarray([r[0] for r in rows], dtype=np.int64)
         trg = np.asarray([r[1] for r in rows], dtype=np.int64)
-        slots = np.where((src >= 0) & (trg >= 0), g.edge_slots(src, trg), -1)
+        slots = g.edge_slots(src, trg)
         for row, slot in zip(rows, slots):
             if slot < 0:
                 non_edge += 1
@@ -330,13 +347,8 @@ def _features(cfg: RunConfig, g, log):
         with open(cfg.corpus, "r", encoding="utf-8") as tok_fh, \
                 open(cfg.categories, "r", encoding="utf-8") as cat_fh:
             corpus = semmod.corpus_from_lines(tok_fh, cat_fh)
-        digest = semmod.corpus_digest(corpus)
-        cache_prefix = os.path.join(cfg.out, "projection")
-        proj = semmod.load_projection(cache_prefix, cfg.projection_dim, cfg.projection_seed, digest)
-        if proj is None:
-            vectors = semmod.tfidf(corpus)
-            proj = semmod.project(vectors, corpus, dim=cfg.projection_dim, seed=cfg.projection_seed)
-            semmod.save_projection(proj, cache_prefix, digest)
+        proj = semmod.project(semmod.tfidf(corpus), corpus,
+                              dim=cfg.projection_dim, seed=cfg.projection_seed)
         text_sim, topic_sim, missing = semmod.edge_similarities(g, proj, corpus)
         x, y, region, covered, non_edge = _read_visual_file(cfg.visual, g)
         table = ingest.build_feature_table(

@@ -36,7 +36,6 @@ class HypothesisMatrix:
     name: str
     graph: LinkGraph
     values: np.ndarray
-    smoothed: bool = False
     filled: int = 0  # edges whose belief was missing and filled with 0
 
     def __post_init__(self):
@@ -63,7 +62,7 @@ def kcore_hypothesis(g: LinkGraph, kcore: CentralityVector, smooth: bool = True)
     values = 1.0 / np.sqrt(np.maximum(cores[g.out_indices], 1.0))
     if smooth:
         values = values + SMOOTHING_WEIGHT
-    return HypothesisMatrix("kcore", g, values, smoothed=smooth)
+    return HypothesisMatrix("kcore", g, values)
 
 
 def textsim_hypothesis(g: LinkGraph, sims: np.ndarray, smooth: bool = True) -> HypothesisMatrix:
@@ -81,7 +80,7 @@ def textsim_hypothesis(g: LinkGraph, sims: np.ndarray, smooth: bool = True) -> H
         raise ValueError("similarities must lie in [0, 1]")
     if smooth:
         values = values + SMOOTHING_WEIGHT
-    return HypothesisMatrix("text_sim", g, values, smoothed=smooth, filled=int(missing.sum()))
+    return HypothesisMatrix("text_sim", g, values, filled=int(missing.sum()))
 
 
 def visual_hypothesis(g: LinkGraph, regions: np.ndarray, smooth: bool = True) -> HypothesisMatrix:
@@ -104,7 +103,7 @@ def visual_hypothesis(g: LinkGraph, regions: np.ndarray, smooth: bool = True) ->
             raise SchemaError(f"unknown region label {label!r}")
     if smooth:
         values = values + SMOOTHING_WEIGHT
-    return HypothesisMatrix("visual", g, values, smoothed=smooth, filled=filled)
+    return HypothesisMatrix("visual", g, values, filled=filled)
 
 
 def combine(hyps: list[HypothesisMatrix], name: str | None = None) -> HypothesisMatrix:
@@ -121,7 +120,6 @@ def combine(hyps: list[HypothesisMatrix], name: str | None = None) -> Hypothesis
         name or "+".join(h.name for h in hyps),
         base.graph,
         values,
-        smoothed=any(h.smoothed for h in hyps),
         filled=sum(h.filled for h in hyps),
     )
 

@@ -72,19 +72,29 @@ class LinkGraph:
         return self.edge_sources * np.int64(self.n_nodes) + self.out_indices
 
     def edge_slots(self, src: np.ndarray, trg: np.ndarray) -> np.ndarray:
-        """Flat edge index for each (src, trg) pair, -1 where no such edge."""
+        """Flat edge index for each (src, trg) pair, -1 where no such edge.
+
+        Ids outside ``[0, n_nodes)`` get -1 too; without the range check their
+        key ``src * n_nodes + trg`` could alias a real edge.
+        """
         src = np.asarray(src, dtype=np.int64)
         trg = np.asarray(trg, dtype=np.int64)
-        keys = src * np.int64(self.n_nodes) + trg
-        pos = np.searchsorted(self._edge_keys, keys)
-        pos = np.minimum(pos, max(self.n_edges - 1, 0))
         if self.n_edges == 0:
-            return np.full(len(keys), -1, dtype=np.int64)
-        hit = self._edge_keys[pos] == keys
+            return np.full(len(src), -1, dtype=np.int64)
+        n = self.n_nodes
+        keys = src * np.int64(n) + trg
+        pos = np.minimum(np.searchsorted(self._edge_keys, keys), self.n_edges - 1)
+        hit = (self._edge_keys[pos] == keys) & (src >= 0) & (src < n) & (trg >= 0) & (trg < n)
         return np.where(hit, pos, -1)
 
     def has_edge(self, src: int, trg: int) -> bool:
-        return int(self.edge_slots(np.array([src]), np.array([trg]))[0]) >= 0
+        """Scalar form of :meth:`edge_slots`, for per-row use by the parsers."""
+        n = self.n_nodes
+        if not (0 <= src < n and 0 <= trg < n):
+            return False
+        key = src * n + trg
+        pos = int(self._edge_keys.searchsorted(key))
+        return pos < self.n_edges and int(self._edge_keys[pos]) == key
 
     def name_to_id(self) -> dict[str, int]:
         if self.labels is None:

@@ -9,7 +9,7 @@ intercept-only reduction, judged by likelihood-ratio chi-square tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize, special
@@ -47,14 +47,12 @@ class DesignMatrix:
     """Rows are links; first column is the intercept.
 
     Continuous predictors are z-scored over the fitted rows (binary
-    indicators are left as is); ``scaling`` records the (mean, sd) applied to
-    each scaled column.
+    indicators are left as is).
     """
 
     X: np.ndarray
     y: np.ndarray
     columns: tuple[str, ...]
-    scaling: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     @property
     def n_rows(self) -> int:
@@ -69,17 +67,14 @@ def make_design(
 ) -> DesignMatrix:
     """Intercept + one predictor, optionally z-scored over these rows."""
     x = np.asarray(feature, dtype=np.float64)
-    scaling: dict[str, tuple[float, float]] = {}
     if standardize:
         mean = float(x.mean())
         sd = float(x.std())
         if sd == 0.0:
             raise CollinearityError([name])
         x = (x - mean) / sd
-        scaling[name] = (mean, sd)
     X = np.column_stack([np.ones(len(x)), x])
-    return DesignMatrix(X=X, y=np.asarray(y, dtype=np.float64),
-                        columns=("intercept", name), scaling=scaling)
+    return DesignMatrix(X=X, y=np.asarray(y, dtype=np.float64), columns=("intercept", name))
 
 
 def intercept_design(y: np.ndarray) -> DesignMatrix:
@@ -122,10 +117,6 @@ class HurdleFit:
     @property
     def n_params(self) -> int:
         return len(self.coef) + (1 if self.theta is not None else 0)
-
-    @property
-    def aic(self) -> float:
-        return 2 * self.n_params - 2 * self.loglik
 
 
 def _check_collinearity(X: np.ndarray, columns: tuple[str, ...]) -> None:

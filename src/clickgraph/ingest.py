@@ -125,7 +125,6 @@ class DropStats:
     below_threshold_count: int = 0
     kept_pairs: int = 0
     kept_count: int = 0
-    parse_errors: list[str] = field(default_factory=list)
 
 
 def parse_edge_list(lines: Iterable[str]) -> tuple[list[tuple[int, int]], dict[str, int]]:
@@ -184,7 +183,7 @@ def parse_clickstream(
     with a summed count of at least ``threshold`` are kept.
 
     Malformed rows raise :class:`LineError` when ``fail_fast`` is set and are
-    otherwise skipped and recorded in the returned :class:`DropStats`.
+    otherwise skipped and counted in the returned :class:`DropStats`.
     """
     stats = DropStats()
     sums: dict[tuple[int, int], int] = {}
@@ -200,20 +199,16 @@ def parse_clickstream(
         elif len(fields) == 4:
             ref, res, _type, count_text = fields
         else:
-            err = LineError(line_no, f"expected 3 or 4 tab-separated fields, got {len(fields)}")
             if fail_fast:
-                raise err
+                raise LineError(line_no, f"expected 3 or 4 tab-separated fields, got {len(fields)}")
             stats.malformed += 1
-            stats.parse_errors.append(str(err))
             continue
         try:
             count = int(count_text)
         except ValueError:
-            err = LineError(line_no, f"non-numeric count {count_text!r}")
             if fail_fast:
-                raise err
+                raise LineError(line_no, f"non-numeric count {count_text!r}")
             stats.malformed += 1
-            stats.parse_errors.append(str(err))
             continue
 
         src = name_to_id.get(ref)
@@ -396,7 +391,7 @@ def load_feature_table(
                 continue
 
         if graph is not None:
-            if s < 0 or t < 0 or not graph.has_edge(s, t):
+            if not graph.has_edge(s, t):
                 report.rejected.append((line_no, src_name, trg_name, "not an edge of the graph"))
                 continue
         if (s, t) in seen:

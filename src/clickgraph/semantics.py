@@ -7,9 +7,6 @@ vectors for text, binary category indicators for topics.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import re
 from dataclasses import dataclass
 from typing import Iterable
@@ -124,17 +121,6 @@ def corpus_from_lines(
     return build_corpus(parse(token_lines), cats)
 
 
-def corpus_digest(corpus: DocumentCorpus) -> str:
-    """Stable fingerprint over article names and token counts."""
-    h = hashlib.sha256()
-    for name, counts in zip(corpus.names, corpus.token_counts):
-        h.update(name.encode("utf-8"))
-        for term in sorted(counts):
-            h.update(f"\x00{term}\x01{counts[term]}".encode("utf-8"))
-        h.update(b"\x02")
-    return h.hexdigest()
-
-
 def tfidf(corpus: DocumentCorpus) -> sp.csr_matrix:
     """Sublinear tf-idf: weight = (1 + ln tf) * ln(N / df), rows L2-normalized.
 
@@ -169,8 +155,6 @@ def tfidf(corpus: DocumentCorpus) -> sp.csr_matrix:
 class ProjectedVectors:
     """Dense projected article vectors, deterministic given (corpus, dim, seed)."""
 
-    dim: int
-    seed: int
     matrix: np.ndarray  # n_docs x dim
     name_to_idx: dict[str, int]
 
@@ -217,37 +201,7 @@ def project(vectors: sp.csr_matrix, corpus: DocumentCorpus, dim: int = DEFAULT_D
     """Project tf-idf vectors down to ``dim`` with a seeded sparse sign matrix."""
     rmat = projection_matrix(vectors.shape[1], dim, seed)
     dense = np.asarray((vectors @ rmat).todense())
-    return ProjectedVectors(dim=dim, seed=seed, matrix=dense, name_to_idx=dict(corpus.name_to_idx))
-
-
-def save_projection(proj: ProjectedVectors, prefix, corpus_hash: str) -> None:
-    """Cache projected vectors as {prefix}.npy plus a {prefix}.json key file.
-
-    Plain .npy keeps the cache byte-stable across runs (no archive
-    timestamps); the sidecar records (dim, seed, corpus hash) for validation.
-    """
-    prefix = str(prefix)
-    np.save(prefix + ".npy", proj.matrix)
-    names = sorted(proj.name_to_idx, key=proj.name_to_idx.get)
-    meta = {"dim": proj.dim, "seed": proj.seed, "corpus_hash": corpus_hash, "names": names}
-    with open(prefix + ".json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True)
-
-
-def load_projection(prefix, dim: int, seed: int, corpus_hash: str) -> ProjectedVectors | None:
-    """Load a cached projection; returns None when the key does not match."""
-    prefix = str(prefix)
-    if not (os.path.exists(prefix + ".npy") and os.path.exists(prefix + ".json")):
-        return None
-    with open(prefix + ".json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta["dim"] != dim or meta["seed"] != seed or meta["corpus_hash"] != corpus_hash:
-        return None
-    matrix = np.load(prefix + ".npy")
-    return ProjectedVectors(
-        dim=dim, seed=seed, matrix=matrix,
-        name_to_idx={n: i for i, n in enumerate(meta["names"])},
-    )
+    return ProjectedVectors(matrix=dense, name_to_idx=dict(corpus.name_to_idx))
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

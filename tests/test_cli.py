@@ -3,13 +3,14 @@
 import filecmp
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
 
 from clickgraph import __version__, graph, ingest
 from clickgraph import attention as A
-from clickgraph.cli import main
+from clickgraph.cli import ARTIFACTS, MANIFEST, main
 
 from helpers import discrete_power_law_sample
 
@@ -95,6 +96,29 @@ class TestPipeline:
         for stage in ("build", "features", "sample", "attention", "hurdle", "hyptrails", "pagerank"):
             assert main([stage, *reruns.get(stage, []), *args]) == 0
             assert capsys.readouterr().out == f"{stage}: cache hit, outputs unchanged\n"
+
+    def test_output_directory_holds_only_recorded_artifacts_and_manifest(self, toy_inputs, tmp_path):
+        out = str(tmp_path / "out")
+        run_pipeline(toy_inputs, out)
+        assert main(["sample", "--sample-size", "5", "--out", out, "--threshold", "10"]) == 0
+        produced = set(os.listdir(out))
+        assert produced == {MANIFEST, *ARTIFACTS.values()}
+        with open(os.path.join(out, MANIFEST), encoding="utf-8") as fh:
+            stages = json.load(fh)["stages"]
+        assert {f for entry in stages.values() for f in entry["outputs"]} == produced - {MANIFEST}
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_output_modes_follow_umask(self, toy_inputs, tmp_path, umask, mode):
+        out = str(tmp_path / "out")
+        previous = os.umask(umask)
+        try:
+            run_pipeline(toy_inputs, out)
+            assert main(["sample", "--sample-size", "5", "--out", out, "--threshold", "10"]) == 0
+        finally:
+            os.umask(previous)
+        modes = {f: stat.S_IMODE(os.stat(os.path.join(out, f)).st_mode) for f in os.listdir(out)}
+        assert modes == dict.fromkeys(modes, mode)
 
     def test_stage_reruns_when_config_changes(self, toy_inputs, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -250,6 +274,27 @@ class TestBuildInput:
         assert rc == 2
         err = capsys.readouterr().err
         assert "line 3" in err and "'#C'" in err
+
+
+class TestVisualInput:
+    @pytest.mark.parametrize("row, message", [
+        ("Graph_theory\tNetwork_science\t10\n", "expected 5 tab-separated fields, got 3"),
+        ("Graph_theory\tNetwork_science\tleft\t20\tlead\n", "non-numeric x_coord 'left'"),
+    ], ids=["three_fields", "non_numeric_x"])
+    def test_malformed_row_names_its_line(self, toy_inputs, tmp_path, capsys, row, message):
+        out = str(tmp_path / "out")
+        assert main(["build", "--edges", toy_inputs["edges"],
+                     "--clickstream", toy_inputs["clickstream"], "--out", out]) == 0
+        with open(toy_inputs["visual"], encoding="utf-8") as fh:
+            lines = fh.readlines()
+        lines[2] = row
+        bad = tmp_path / "bad-visual.tsv"
+        bad.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["features", "--corpus", toy_inputs["corpus"], "--categories",
+                   toy_inputs["categories"], "--visual", str(bad), "--out", out])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: line 3: {message}\n"
 
 
 class TestFailFast:

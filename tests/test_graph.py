@@ -35,6 +35,13 @@ class TestBuildGraph:
         with pytest.raises(MalformedInputError):
             G.build_graph([(-1, 0)])
 
+    def test_ids_outside_node_range_are_not_edges(self):
+        # Each pair's key src * n + trg aliases a real edge: 3 -> (1, 0), 5 -> (1, 2), 1 -> (0, 1).
+        g = G.build_graph([(0, 1), (1, 0), (1, 2)])
+        src, trg = [0, 2, -1], [3, -1, 4]
+        np.testing.assert_array_equal(g.edge_slots(src, trg), [-1, -1, -1])
+        assert not any(g.has_edge(s, t) for s, t in zip(src, trg))
+
     def test_random_edges_match_set_oracle(self):
         rng = np.random.default_rng(11)
         edges = [tuple(e) for e in rng.integers(0, 40, size=(1000, 2))]

@@ -91,7 +91,6 @@ class TestParseClickstream:
         )
         assert len(log) == 1
         assert stats.malformed == 2
-        assert len(stats.parse_errors) == 2
 
     def test_ledger_sum_matches_kept_counts(self):
         g, names = small_graph()
@@ -129,6 +128,12 @@ class TestTransitionLog:
         g = G.build_graph([(0, 1)])
         with pytest.raises(SupportError):
             ingest.TransitionLog.from_pairs([1], [0], [10], graph=g)
+
+    def test_ids_outside_graph_rejected(self):
+        # The key of (0, 3) on a 3-node graph equals that of the edge (1, 0).
+        g = G.build_graph([(0, 1), (1, 0), (1, 2)])
+        with pytest.raises(SupportError):
+            ingest.TransitionLog.from_pairs([0], [3], [50], graph=g)
 
     def test_aligned_counts(self):
         g = G.build_graph([(0, 1), (0, 2), (1, 2)])

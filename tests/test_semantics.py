@@ -109,19 +109,6 @@ class TestProjection:
         within = np.mean(np.asarray(errors) <= 0.15)
         assert within >= 0.95
 
-    def test_cache_round_trip(self, tmp_path):
-        corpus = toy_corpus()
-        V = S.tfidf(corpus)
-        proj = S.project(V, corpus, dim=32, seed=4)
-        digest = S.corpus_digest(corpus)
-        prefix = tmp_path / "proj"
-        S.save_projection(proj, prefix, digest)
-        loaded = S.load_projection(prefix, 32, 4, digest)
-        assert loaded is not None
-        assert np.array_equal(loaded.matrix, proj.matrix)
-        assert S.load_projection(prefix, 32, 5, digest) is None
-        assert S.load_projection(prefix, 32, 4, "other") is None
-
 
 class TestTextSimilarity:
     def test_identical_documents(self):
