@@ -8,7 +8,9 @@ output directory.  Writes are atomic (temp file + rename), a manifest records
 config and input hashes so unchanged reruns are skipped (it is the only
 cache), and every output starts with a header naming the tool version,
 config hash, and seeds.  The cache is checked before any input is loaded, so
-a rerun on an unchanged directory parses nothing.
+a rerun on an unchanged directory parses nothing.  Each stage body imports
+the modules it runs (numpy and the kernels), so a cache hit runs on the
+standard library alone and imports neither numpy nor scipy.
 """
 
 from __future__ import annotations
@@ -22,16 +24,7 @@ import sys
 from dataclasses import dataclass, asdict, fields
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__
-from . import attention as attmod
-from . import evidence as evmod
-from . import graph as graphmod
-from . import hurdle as hurdlemod
-from . import ingest
-from . import ranking as rankmod
-from . import semantics as semmod
 from .errors import (
     ClickgraphError,
     ConfigError,
@@ -165,6 +158,8 @@ def _header(cfg: RunConfig, stage: str, extra: tuple[str, ...] = ()) -> list[str
 
 
 def _fmt(x) -> str:
+    import numpy as np
+
     if x is None:
         return "NA"
     if isinstance(x, (bool, np.bool_)):
@@ -213,6 +208,8 @@ def _stage_key(cfg: RunConfig, keys: tuple[str, ...]) -> dict:
 
 
 def _load_graph_and_log(cfg: RunConfig):
+    from . import graph as graphmod, ingest
+
     g = graphmod.load_graph(_artifact_path(cfg, "graph"))
     name_to_id = g.name_to_id() if g.labels else None
     src, trg, count = [], [], []
@@ -238,6 +235,8 @@ def _load_graph_and_log(cfg: RunConfig):
 
 
 def _build(cfg: RunConfig):
+    from . import graph as graphmod, ingest
+
     with open(cfg.edges, "r", encoding="utf-8") as fh:
         edges, name_to_id = ingest.parse_edge_list(fh)
     labels = [""] * len(name_to_id)
@@ -281,8 +280,11 @@ def _numbers(kind, fields_: list[str], pos: dict[str, int], cols: tuple[str, ...
     return out
 
 
-def _read_visual_file(path: str, g) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Per-edge x, y, region arrays from a src/trg/x_coord/y_coord/region file."""
+def _read_visual_file(path: str, g) -> tuple:
+    """Per-edge x, y, region and covered arrays, and the count of rows that are
+    not edges, from a src/trg/x_coord/y_coord/region file."""
+    import numpy as np
+
     name_to_id = g.name_to_id() if g.labels else None
     rows: list[tuple[int, int, float, float, str]] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -329,6 +331,8 @@ def _read_visual_file(path: str, g) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 
 
 def _features(cfg: RunConfig, g, log):
+    from . import ingest, semantics as semmod
+
     report_lines: list[str] = []
     if cfg.feature_file:
         with open(cfg.feature_file, "r", encoding="utf-8") as fh:
@@ -338,6 +342,9 @@ def _features(cfg: RunConfig, g, log):
         report_lines.append(f"rows_read={report.rows_read} rows_kept={report.rows_kept}\n")
         for line_no, s, t, reason in report.rejected:
             report_lines.append(f"rejected line {line_no} ({s} -> {t}): {reason}\n")
+        if report.rejected_count > len(report.rejected):
+            report_lines.append(
+                f"… and {report.rejected_count - len(report.rejected)} more rejected lines\n")
         for col, (mism, maxdiff) in sorted(report.consistency.items()):
             report_lines.append(
                 f"consistency {col}: {mism} mismatches, max abs diff {maxdiff:.3e}\n"
@@ -369,6 +376,9 @@ def _features(cfg: RunConfig, g, log):
 
 
 def _sample(cfg: RunConfig, g, log, table):
+    import numpy as np
+    from . import ingest
+
     eligible = np.unique(log.src)  # sources with at least one outgoing transition
     if cfg.sample_size > len(eligible):
         raise ClickgraphError(
@@ -389,6 +399,9 @@ def _sample(cfg: RunConfig, g, log, table):
 
 
 def _attention(cfg: RunConfig, g, log):
+    import numpy as np
+    from . import attention as attmod
+
     outputs = {}
     hist, conc = attmod.transition_histogram(log)
     lines = _header(
@@ -456,6 +469,8 @@ def _attention(cfg: RunConfig, g, log):
 
 
 def _hurdle(cfg: RunConfig, g, log, table):
+    from . import hurdle as hurdlemod
+
     rows = hurdlemod.feature_battery(table, threshold=cfg.threshold)
     lines = _header(
         cfg, "hurdle",
@@ -482,6 +497,9 @@ def _hurdle(cfg: RunConfig, g, log, table):
 
 
 def _build_hypotheses(cfg: RunConfig, g, table) -> list:
+    import numpy as np
+    from . import evidence as evmod, graph as graphmod
+
     cores = graphmod.kcore(g)
     text = table.edge_values(g, "text_sim", fill=np.nan)
     regions = table.edge_values(g, "region", fill=None)
@@ -501,6 +519,8 @@ def _build_hypotheses(cfg: RunConfig, g, table) -> list:
 
 
 def _hyptrails(cfg: RunConfig, g, log, table):
+    from . import evidence as evmod
+
     baseline = evmod.structural_hypothesis(g)
     hyps = _build_hypotheses(cfg, g, table)
     grid = evmod.default_kappa_grid(g, cfg.kappa_multipliers, log_spaced=cfg.log_spaced)
@@ -526,6 +546,8 @@ def _hyptrails(cfg: RunConfig, g, log, table):
 
 
 def _pagerank(cfg: RunConfig, g, log, table):
+    from . import ranking as rankmod
+
     hyps = _build_hypotheses(cfg, g, table)
     evals = rankmod.evaluate_all(
         g, hyps, log, alphas=cfg.alphas,
@@ -610,6 +632,8 @@ def run_stage(name: str, cfg: RunConfig) -> int:
     ):
         print(f"{name}: cache hit, outputs unchanged")
         return 0
+
+    from . import ingest
 
     loaded: tuple = ()
     if stage.reads:

@@ -48,6 +48,9 @@ NETWORK_COLUMNS = (
 
 _MANDATORY = ("src", "trg", "text_sim", "topic_sim", "x_coord", "y_coord", "region")
 
+#: Rejected rows a ``JoinReport`` lists; any beyond are only counted.
+REJECTED_LISTED = 20
+
 
 @dataclass(frozen=True, eq=False)
 class TransitionLog:
@@ -276,12 +279,22 @@ class LinkFeatureTable:
 
 @dataclass
 class JoinReport:
-    """Row-level problems and recompute-consistency findings from a table load."""
+    """Row-level problems and recompute-consistency findings from a table load.
+
+    ``rejected`` lists the first ``REJECTED_LISTED`` rejected rows;
+    ``rejected_count`` counts all of them.
+    """
 
     rejected: list[tuple[int, str, str, str]] = field(default_factory=list)  # line, src, trg, reason
     consistency: dict[str, tuple[int, float]] = field(default_factory=dict)  # col -> (mismatches, max abs diff)
     rows_read: int = 0
     rows_kept: int = 0
+    rejected_count: int = 0
+
+    def reject(self, line_no: int, src: str, trg: str, reason: str) -> None:
+        self.rejected_count += 1
+        if len(self.rejected) < REJECTED_LISTED:
+            self.rejected.append((line_no, src, trg, reason))
 
 
 def compute_network_features(g: LinkGraph, alpha: float = 0.85) -> dict[str, np.ndarray]:
@@ -323,7 +336,8 @@ def load_feature_table(
     unobserved).
 
     Rows referencing non-edges, rows with out-of-range similarities, and rows
-    with unknown region labels are rejected and listed in the report.
+    with unknown region labels are rejected: all are counted in the report,
+    the first ``REJECTED_LISTED`` listed.
 
     ``graph=None`` skips edge validation and interns names from the file
     itself (useful for standalone inspection of published feature files).
@@ -371,7 +385,7 @@ def load_feature_table(
         report.rows_read += 1
         fields = line.split(delimiter)
         if len(fields) != len(header):
-            report.rejected.append((line_no, "", "", f"expected {len(header)} fields, got {len(fields)}"))
+            report.reject(line_no, "", "", f"expected {len(header)} fields, got {len(fields)}")
             continue
         src_name = fields[colpos["src"]]
         trg_name = fields[colpos["trg"]]
@@ -387,15 +401,15 @@ def load_feature_table(
             try:
                 s, t = int(src_name), int(trg_name)
             except ValueError:
-                report.rejected.append((line_no, src_name, trg_name, "non-integer id in unlabeled graph"))
+                report.reject(line_no, src_name, trg_name, "non-integer id in unlabeled graph")
                 continue
 
         if graph is not None:
             if not graph.has_edge(s, t):
-                report.rejected.append((line_no, src_name, trg_name, "not an edge of the graph"))
+                report.reject(line_no, src_name, trg_name, "not an edge of the graph")
                 continue
         if (s, t) in seen:
-            report.rejected.append((line_no, src_name, trg_name, "duplicate link row"))
+            report.reject(line_no, src_name, trg_name, "duplicate link row")
             continue
 
         row_vals: dict[str, object] = {}
@@ -419,7 +433,7 @@ def load_feature_table(
         if bad is None and row_vals.get("region") not in (None, *REGIONS):
             bad = f"unknown region label {row_vals['region']!r}"
         if bad is not None:
-            report.rejected.append((line_no, src_name, trg_name, bad))
+            report.reject(line_no, src_name, trg_name, bad)
             continue
 
         seen.add((s, t))

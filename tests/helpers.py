@@ -8,12 +8,25 @@ linear solves, Gini against the all-pairs sum, and so on.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 from scipy.special import zeta
 
+import clickgraph
 from clickgraph import graph as graphmod
 from clickgraph.ingest import TransitionLog
+
+
+def run_fresh(code: str, *args: str) -> str:
+    """stdout of ``code`` run by a fresh interpreter that imports this checkout's clickgraph."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(clickgraph.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout
 
 
 def random_graph(n: int, p: float, seed: int, labels: bool = False) -> graphmod.LinkGraph:

@@ -12,7 +12,7 @@ from clickgraph import __version__, graph, ingest
 from clickgraph import attention as A
 from clickgraph.cli import ARTIFACTS, MANIFEST, main
 
-from helpers import discrete_power_law_sample
+from helpers import discrete_power_law_sample, run_fresh
 
 
 def run_pipeline(inputs: dict[str, str], out: str, projection_dim: int = 64) -> None:
@@ -24,6 +24,50 @@ def run_pipeline(inputs: dict[str, str], out: str, projection_dim: int = 64) -> 
                  "--projection-dim", str(projection_dim), *args]) == 0
     for cmd in ("attention", "hurdle", "hyptrails", "pagerank"):
         assert main([cmd, *args]) == 0
+
+
+# Runs each JSON-encoded argv through cli.main, then prints the numpy/scipy modules loaded.
+RUN_STAGES = """
+import json, sys
+from clickgraph.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+"""
+
+
+class TestImports:
+    def test_importing_the_cli_loads_neither_numpy_nor_scipy(self):
+        assert run_fresh(RUN_STAGES, "[]") == "[]\n"
+
+    def test_cache_hit_rerun_loads_neither_numpy_nor_scipy(self, toy_inputs, tmp_path):
+        out = str(tmp_path / "out")
+        args = ["--out", out, "--threshold", "10"]
+        run_pipeline(toy_inputs, out)
+        assert main(["sample", "--sample-size", "5", *args]) == 0
+        reruns = [
+            ["build", "--edges", toy_inputs["edges"], "--clickstream", toy_inputs["clickstream"], *args],
+            ["features", "--corpus", toy_inputs["corpus"], "--categories", toy_inputs["categories"],
+             "--visual", toy_inputs["visual"], "--projection-dim", "64", *args],
+            ["sample", "--sample-size", "5", *args],
+            *([stage, *args] for stage in ("attention", "hurdle", "hyptrails", "pagerank")),
+        ]
+        printed = run_fresh(RUN_STAGES, json.dumps(reruns)).splitlines()
+        assert printed == [f"{argv[0]}: cache hit, outputs unchanged" for argv in reruns] + ["[]"]
+
+    def test_cache_miss_build_and_sample_load_no_scipy(self, toy_inputs, tmp_path):
+        out = str(tmp_path / "out")
+        args = ["--out", out, "--threshold", "10"]
+        run_pipeline(toy_inputs, out)
+        misses = [
+            ["build", "--edges", toy_inputs["edges"], "--clickstream", toy_inputs["clickstream"],
+             "--out", str(tmp_path / "fresh"), "--threshold", "10"],
+            ["sample", "--sample-size", "5", *args],
+        ]
+        *summaries, modules = run_fresh(RUN_STAGES, json.dumps(misses)).splitlines()
+        assert [line.split(":")[0] for line in summaries] == ["build", "sample"]
+        assert "cache hit" not in "".join(summaries)
+        assert "'numpy'" in modules and "scipy" not in modules
 
 
 class TestPipeline:
@@ -274,6 +318,26 @@ class TestBuildInput:
         assert rc == 2
         err = capsys.readouterr().err
         assert "line 3" in err and "'#C'" in err
+
+
+class TestFeatureFileInput:
+    @pytest.mark.parametrize("bad_rows, more", [(20, None), (25, 5)])
+    def test_report_lists_first_rejections_and_counts_the_rest(self, toy_inputs, tmp_path,
+                                                               bad_rows, more):
+        out = str(tmp_path / "out")
+        run_pipeline(toy_inputs, out)
+        feature_file = tmp_path / "dirty-features.tsv"
+        with open(os.path.join(out, "features.tsv"), encoding="utf-8") as fh:
+            feature_file.write_text(fh.read() + "bad row\n" * bad_rows, encoding="utf-8")
+        assert main(["features", "--feature-file", str(feature_file),
+                     "--out", out, "--threshold", "10"]) == 0
+        with open(os.path.join(out, "features_report.txt"), encoding="utf-8") as fh:
+            report = [line for line in fh if not line.startswith("#")]
+        listed = [line for line in report if line.startswith("rejected line ")]
+        assert len(listed) == 20
+        assert listed[0].endswith("( -> ): expected 18 fields, got 1\n")
+        tail = [line for line in report if "more rejected lines" in line]
+        assert tail == ([] if more is None else [f"… and {more} more rejected lines\n"])
 
 
 class TestVisualInput:

@@ -216,6 +216,18 @@ class TestLoadFeatureTable:
         _, report = ingest.load_feature_table(lines, self.g, self.log)
         assert any("duplicate" in r[3] for r in report.rejected)
 
+    def test_rejected_list_is_capped_and_every_rejection_counted(self):
+        lines = feature_file_lines(self.g, self.log)
+        bad = "B\tC\t0\t1\t1\t1\t1\t1\t1\t1\t1\t0.1\t0.1\t0.5\t0.5\t0\t0\tbody\n"
+        lines += [bad] * 10_000
+        table, report = ingest.load_feature_table(lines, self.g, self.log)
+        assert len(table) == report.rows_kept == self.g.n_edges
+        assert report.rejected_count == 10_000
+        assert report.rows_read == report.rows_kept + report.rejected_count
+        first = len(lines) - 10_000 + 1  # 1-based line number of the first bad row
+        assert report.rejected == [(first + i, "B", "C", "not an edge of the graph")
+                                   for i in range(ingest.REJECTED_LISTED)]
+
     def test_unlabeled_load_without_graph_interns_names(self):
         lines = feature_file_lines(self.g, self.log)
         table, report = ingest.load_feature_table(lines, None, None)
