@@ -214,17 +214,26 @@ def _load_graph_and_log(cfg: RunConfig):
     name_to_id = g.name_to_id() if g.labels else None
     src, trg, count = [], [], []
     with open(_artifact_path(cfg, "transitions"), "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for line_no, raw in enumerate(fh, start=1):
             if raw.startswith("#") or not raw.strip():
                 continue
-            a, b, c = raw.rstrip("\n").split("\t")
-            if name_to_id is not None:
-                src.append(name_to_id[a])
-                trg.append(name_to_id[b])
+            fields_ = raw.rstrip("\n").split("\t")
+            if len(fields_) != 3:
+                raise LineError(line_no, f"expected 3 tab-separated fields, got {len(fields_)}")
+            a, b, c = fields_
+            if name_to_id is None:
+                s, t = _numbers(int, fields_, {"src": 0, "trg": 1}, ("src", "trg"), line_no)
             else:
-                src.append(int(a))
-                trg.append(int(b))
-            count.append(int(c))
+                try:
+                    s, t = name_to_id[a], name_to_id[b]
+                except KeyError as exc:
+                    raise LineError(line_no, f"article {exc.args[0]!r} is not in graph.tsv") from None
+            try:
+                count.append(int(c))
+            except ValueError:
+                raise LineError(line_no, f"non-integer count {c!r}") from None
+            src.append(s)
+            trg.append(t)
     log = ingest.TransitionLog.from_pairs(src, trg, count, threshold=cfg.threshold, graph=g)
     return g, log
 
@@ -282,11 +291,12 @@ def _numbers(kind, fields_: list[str], pos: dict[str, int], cols: tuple[str, ...
 
 def _read_visual_file(path: str, g) -> tuple:
     """Per-edge x, y, region and covered arrays, and the count of rows that are
-    not edges, from a src/trg/x_coord/y_coord/region file."""
+    not edges, from a src/trg/x_coord/y_coord/region file.  A second row for
+    the same link raises :class:`LineError`."""
     import numpy as np
 
     name_to_id = g.name_to_id() if g.labels else None
-    rows: list[tuple[int, int, float, float, str]] = []
+    rows: list[tuple[int, int, float, float, str, int]] = []
     with open(path, "r", encoding="utf-8") as fh:
         header = None
         for line_no, raw in enumerate(fh, start=1):
@@ -310,7 +320,7 @@ def _read_visual_file(path: str, g) -> tuple:
             else:
                 s, t = _numbers(int, fields_, pos, ("src", "trg"), line_no)
             x, y = _numbers(float, fields_, pos, ("x_coord", "y_coord"), line_no)
-            rows.append((s, t, x, y, fields_[pos["region"]]))
+            rows.append((s, t, x, y, fields_[pos["region"]], line_no))
 
     x = np.zeros(g.n_edges)
     y = np.zeros(g.n_edges)
@@ -325,6 +335,8 @@ def _read_visual_file(path: str, g) -> tuple:
             if slot < 0:
                 non_edge += 1
                 continue
+            if covered[slot]:
+                raise LineError(row[5], "second row for the same link")
             x[slot], y[slot], region[slot] = row[2], row[3], row[4]
             covered[slot] = True
     return x, y, region, covered, non_edge

@@ -130,7 +130,6 @@ class ElicitedPrior:
 
     graph: LinkGraph
     alpha: np.ndarray
-    kappa: float
 
 
 def elicit_prior(h: HypothesisMatrix, kappa: float) -> ElicitedPrior:
@@ -152,7 +151,7 @@ def elicit_prior(h: HypothesisMatrix, kappa: float) -> ElicitedPrior:
             f"{int(dead.sum())} rows have all-zero beliefs; apply smoothing first"
         )
     alpha = 1.0 + kappa * h.values / row_sum[src]
-    return ElicitedPrior(graph=g, alpha=alpha, kappa=kappa)
+    return ElicitedPrior(graph=g, alpha=alpha)
 
 
 def log_evidence(prior: ElicitedPrior, counts) -> float:

@@ -1,8 +1,8 @@
 """Sparse directed link graph and its network centrality measures.
 
-The graph is stored in compressed sparse row form, once forward (out-links)
-and once reversed (in-links).  Instances are immutable after construction and
-safe to share across threads.
+The graph is stored once, as out-links in compressed sparse row form; in-degrees
+are counted from it.  Instances are immutable after construction and safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -33,16 +33,15 @@ class CentralityVector:
 class LinkGraph:
     """Immutable directed graph over dense integer node ids.
 
-    Adjacency is deduplicated and sorted ascending in both directions, so the
-    flat edge list (``edge_sources``, ``out_indices``) is in lexicographic
-    (src, trg) order.  Self-loops are kept and counted in ``self_loops``.
+    The out-adjacency is deduplicated and sorted ascending, so the flat edge
+    list (``edge_sources``, ``out_indices``) is in lexicographic (src, trg)
+    order, the order of the edge keys ``src * n_nodes + trg``.  Self-loops are
+    kept and counted in ``self_loops``.
     """
 
     n_nodes: int
     out_indptr: np.ndarray
     out_indices: np.ndarray
-    in_indptr: np.ndarray
-    in_indices: np.ndarray
     labels: tuple[str, ...] | None = None
     self_loops: int = 0
 
@@ -53,14 +52,11 @@ class LinkGraph:
     def out_neighbors(self, i: int) -> np.ndarray:
         return self.out_indices[self.out_indptr[i]:self.out_indptr[i + 1]]
 
-    def in_neighbors(self, j: int) -> np.ndarray:
-        return self.in_indices[self.in_indptr[j]:self.in_indptr[j + 1]]
-
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.out_indptr)
 
     def in_degrees(self) -> np.ndarray:
-        return np.diff(self.in_indptr)
+        return np.bincount(self.out_indices, minlength=self.n_nodes)
 
     @cached_property
     def edge_sources(self) -> np.ndarray:
@@ -69,7 +65,7 @@ class LinkGraph:
 
     @cached_property
     def _edge_keys(self) -> np.ndarray:
-        return self.edge_sources * np.int64(self.n_nodes) + self.out_indices
+        return _edge_key(self.edge_sources, self.out_indices, self.n_nodes)
 
     def edge_slots(self, src: np.ndarray, trg: np.ndarray) -> np.ndarray:
         """Flat edge index for each (src, trg) pair, -1 where no such edge.
@@ -82,7 +78,7 @@ class LinkGraph:
         if self.n_edges == 0:
             return np.full(len(src), -1, dtype=np.int64)
         n = self.n_nodes
-        keys = src * np.int64(n) + trg
+        keys = _edge_key(src, trg, n)
         pos = np.minimum(np.searchsorted(self._edge_keys, keys), self.n_edges - 1)
         hit = (self._edge_keys[pos] == keys) & (src >= 0) & (src < n) & (trg >= 0) & (trg < n)
         return np.where(hit, pos, -1)
@@ -92,7 +88,7 @@ class LinkGraph:
         n = self.n_nodes
         if not (0 <= src < n and 0 <= trg < n):
             return False
-        key = src * n + trg
+        key = _edge_key(src, trg, n)
         pos = int(self._edge_keys.searchsorted(key))
         return pos < self.n_edges and int(self._edge_keys[pos]) == key
 
@@ -112,13 +108,18 @@ def same_structure(a: LinkGraph, b: LinkGraph) -> bool:
     )
 
 
-def _csr_from_pairs(n_nodes: int, src: np.ndarray, trg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort((trg, src))
-    src, trg = src[order], trg[order]
-    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, trg.astype(np.int64)
+def _edge_key(src, trg, n_nodes: int):
+    """The edge key ``src * n_nodes + trg``: ascending keys are (src, trg) order.
+
+    Distinct only for ids in ``[0, n_nodes)``; callers check the range.
+    """
+    return src * n_nodes + trg
+
+
+def _csr_from_keys(n_nodes: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Sorted unique keys are the edges in CSR order; row i is the key range [i*n, (i+1)*n).
+    indptr = np.searchsorted(keys, np.arange(n_nodes + 1, dtype=np.int64) * n_nodes)
+    return indptr, keys % n_nodes
 
 
 def build_graph(
@@ -151,18 +152,13 @@ def build_graph(
     elif max_id >= n_nodes:
         raise MalformedInputError(f"edge id {max_id} outside declared range [0, {n_nodes})")
 
-    if arr.size:
-        arr = np.unique(arr, axis=0)
-    src, trg = arr[:, 0], arr[:, 1]
-    self_loops = int(np.count_nonzero(src == trg))
-    out_indptr, out_indices = _csr_from_pairs(n_nodes, src, trg)
-    in_indptr, in_indices = _csr_from_pairs(n_nodes, trg, src)
+    keys = np.unique(_edge_key(arr[:, 0], arr[:, 1], n_nodes))
+    out_indptr, out_indices = _csr_from_keys(n_nodes, keys)
+    self_loops = int(np.count_nonzero(keys // n_nodes == out_indices))
     return LinkGraph(
         n_nodes=n_nodes,
         out_indptr=out_indptr,
         out_indices=out_indices,
-        in_indptr=in_indptr,
-        in_indices=in_indices,
         labels=tuple(labels) if labels is not None else None,
         self_loops=self_loops,
     )
@@ -181,14 +177,11 @@ def degrees(g: LinkGraph) -> tuple[CentralityVector, CentralityVector, Centralit
 
 def _undirected_adjacency(g: LinkGraph) -> tuple[np.ndarray, np.ndarray]:
     # Union of both directions; self-loops dropped (they cannot sustain a core).
-    src = np.concatenate([g.edge_sources, g.out_indices])
-    trg = np.concatenate([g.out_indices, g.edge_sources])
-    keep = src != trg
-    src, trg = src[keep], trg[keep]
-    if src.size:
-        pairs = np.unique(np.stack([src, trg], axis=1), axis=0)
-        src, trg = pairs[:, 0], pairs[:, 1]
-    return _csr_from_pairs(g.n_nodes, src, trg)
+    keep = g.edge_sources != g.out_indices
+    src, trg = g.edge_sources[keep], g.out_indices[keep]
+    n = g.n_nodes
+    keys = np.concatenate([_edge_key(src, trg, n), _edge_key(trg, src, n)])
+    return _csr_from_keys(n, np.unique(keys))
 
 
 def kcore(g: LinkGraph) -> CentralityVector:

@@ -59,7 +59,6 @@ class TransitionLog:
     src: np.ndarray
     trg: np.ndarray
     count: np.ndarray
-    threshold: int = DEFAULT_THRESHOLD
 
     @classmethod
     def from_pairs(
@@ -89,7 +88,7 @@ class TransitionLog:
         if graph is not None and len(src):
             if (graph.edge_slots(src, trg) < 0).any():
                 raise SupportError("transition pair is not an edge of the graph")
-        return cls(src=src, trg=trg, count=count, threshold=threshold)
+        return cls(src=src, trg=trg, count=count)
 
     def __len__(self) -> int:
         return len(self.count)
@@ -125,7 +124,6 @@ class DropStats:
     external: int = 0
     non_edge: int = 0
     below_threshold_pairs: int = 0
-    below_threshold_count: int = 0
     kept_pairs: int = 0
     kept_count: int = 0
 
@@ -225,9 +223,7 @@ def parse_clickstream(
         sums[(src, trg)] = sums.get((src, trg), 0) + count
 
     kept = {pair: c for pair, c in sums.items() if c >= threshold}
-    dropped = {pair: c for pair, c in sums.items() if c < threshold}
-    stats.below_threshold_pairs = len(dropped)
-    stats.below_threshold_count = sum(dropped.values())
+    stats.below_threshold_pairs = len(sums) - len(kept)
     stats.kept_pairs = len(kept)
     stats.kept_count = sum(kept.values())
 

@@ -320,6 +320,24 @@ class TestBuildInput:
         assert "line 3" in err and "'#C'" in err
 
 
+class TestTransitionsInput:
+    @pytest.mark.parametrize("row, message", [
+        ("Nonexistent_page\tAlso_missing\t50\n", "article 'Nonexistent_page' is not in graph.tsv"),
+        ("Graph_theory\tSocial_network\n", "expected 3 tab-separated fields, got 2"),
+        ("Graph_theory\tSocial_network\tmany\n", "non-integer count 'many'"),
+    ], ids=["unknown_article", "two_fields", "non_integer_count"])
+    def test_bad_row_names_its_line(self, toy_inputs, tmp_path, capsys, row, message):
+        out = tmp_path / "out"
+        assert main(["build", "--edges", toy_inputs["edges"],
+                     "--clickstream", toy_inputs["clickstream"], "--out", str(out)]) == 0
+        transitions = out / ARTIFACTS["transitions"]
+        lines = transitions.read_text(encoding="utf-8").splitlines(keepends=True)
+        transitions.write_text("".join(lines) + row, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["attention", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: line {len(lines) + 1}: {message}\n"
+
+
 class TestFeatureFileInput:
     @pytest.mark.parametrize("bad_rows, more", [(20, None), (25, 5)])
     def test_report_lists_first_rejections_and_counts_the_rest(self, toy_inputs, tmp_path,
@@ -344,7 +362,9 @@ class TestVisualInput:
     @pytest.mark.parametrize("row, message", [
         ("Graph_theory\tNetwork_science\t10\n", "expected 5 tab-separated fields, got 3"),
         ("Graph_theory\tNetwork_science\tleft\t20\tlead\n", "non-numeric x_coord 'left'"),
-    ], ids=["three_fields", "non_numeric_x"])
+        # Line 2 already places this link.
+        ("Graph_theory\tSocial_network\t10\t20\tbody\n", "second row for the same link"),
+    ], ids=["three_fields", "non_numeric_x", "repeated_link"])
     def test_malformed_row_names_its_line(self, toy_inputs, tmp_path, capsys, row, message):
         out = str(tmp_path / "out")
         assert main(["build", "--edges", toy_inputs["edges"],

@@ -194,7 +194,7 @@ class TestLogEvidence:
     def test_single_row_uniform_prior_two_observations(self):
         # alpha=(1,1), counts=(1,1): (1/2) * (1/3)
         g = G.build_graph([(0, 1), (0, 2)])
-        prior = E.ElicitedPrior(graph=g, alpha=np.array([1.0, 1.0]), kappa=0.0)
+        prior = E.ElicitedPrior(graph=g, alpha=np.array([1.0, 1.0]))
         assert E.log_evidence(prior, np.array([1.0, 1.0])) == pytest.approx(
             math.log(1 / 6), abs=1e-12
         )
@@ -210,7 +210,7 @@ class TestLogEvidence:
                 rng.integers(0, 4, size=n_states).astype(float),
                 rng.integers(0, 4, size=1).astype(float),
             ])
-            prior = E.ElicitedPrior(graph=g, alpha=alpha, kappa=1.0)
+            prior = E.ElicitedPrior(graph=g, alpha=alpha)
             expected = polya_evidence_oracle(
                 [alpha_row0, alpha[-1:]], [counts[:-1], counts[-1:]]
             )
@@ -221,7 +221,7 @@ class TestLogEvidence:
         g = G.build_graph([(0, 1), (0, 2), (0, 3)])
         alpha = np.array([1.5, 2.0, 0.8])
         counts = np.array([3.0, 1.0, 2.0])
-        prior = E.ElicitedPrior(graph=g, alpha=alpha, kappa=1.0)
+        prior = E.ElicitedPrior(graph=g, alpha=alpha)
         rng = np.random.default_rng(99)
         draws = rng.dirichlet(alpha, size=1_000_000)
         vals = np.prod(draws ** counts, axis=1)

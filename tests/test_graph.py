@@ -57,8 +57,28 @@ class TestBuildGraph:
         for i in range(g.n_nodes):
             out = g.out_neighbors(i)
             assert np.all(np.diff(out) > 0)
-            inn = g.in_neighbors(i)
-            assert np.all(np.diff(inn) > 0)
+        in_deg = [sum(j in g.out_neighbors(i) for i in range(g.n_nodes)) for j in range(g.n_nodes)]
+        np.testing.assert_array_equal(g.in_degrees(), in_deg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=60),
+        spare=st.integers(0, 4),
+    )
+    def test_matches_construction_from_sorted_set(self, pairs, spare):
+        # Duplicates, self-loops, isolated nodes, ids below a larger declared
+        # n_nodes, and the empty list (n_nodes = spare, possibly 0).
+        n = max((max(p) for p in pairs), default=-1) + 1 + spare
+        g = G.build_graph(pairs, n_nodes=n)
+        edges = sorted(set(pairs))
+        indptr = [0] * (n + 1)
+        for s, _ in edges:
+            indptr[s + 1] += 1
+        np.testing.assert_array_equal(g.out_indptr, np.cumsum(indptr))
+        np.testing.assert_array_equal(g.out_indices, [t for _, t in edges])
+        assert g.self_loops == sum(s == t for s, t in edges)
+        np.testing.assert_array_equal(g.in_degrees(), [sum(t == j for _, t in edges) for j in range(n)])
+        np.testing.assert_array_equal(G.kcore(g).values, kcore_oracle(g))
 
 
 class TestDegrees:
