@@ -212,7 +212,7 @@ def _load_graph_and_log(cfg: RunConfig):
 
     g = graphmod.load_graph(_artifact_path(cfg, "graph"))
     name_to_id = g.name_to_id() if g.labels else None
-    src, trg, count = [], [], []
+    src, trg, count, line_nos = [], [], [], []
     with open(_artifact_path(cfg, "transitions"), "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             if raw.startswith("#") or not raw.strip():
@@ -234,8 +234,29 @@ def _load_graph_and_log(cfg: RunConfig):
                 raise LineError(line_no, f"non-integer count {c!r}") from None
             src.append(s)
             trg.append(t)
-    log = ingest.TransitionLog.from_pairs(src, trg, count, threshold=cfg.threshold, graph=g)
+            line_nos.append(line_no)
+    try:
+        log = ingest.TransitionLog.from_pairs(src, trg, count, threshold=cfg.threshold, graph=g)
+    except ClickgraphError:
+        _raise_bad_transition_row(g, zip(line_nos, src, trg, count), cfg.threshold)
+        raise
     return g, log
+
+
+def _raise_bad_transition_row(g, rows, threshold: int) -> None:
+    """Raise LineError for the first row ``TransitionLog.from_pairs`` rejects:
+    a repeated pair, a count below the threshold, or a pair that is no edge."""
+    name = (lambda i: repr(g.labels[i])) if g.labels else str
+    first_line: dict[tuple[int, int], int] = {}
+    for line_no, s, t, c in rows:
+        pair = f"{name(s)} -> {name(t)}"
+        if (s, t) in first_line:
+            raise LineError(line_no, f"pair {pair} repeats line {first_line[s, t]}")
+        first_line[s, t] = line_no
+        if c < threshold:
+            raise LineError(line_no, f"count {c} for {pair} is below --threshold {threshold}")
+        if not g.has_edge(s, t):
+            raise LineError(line_no, f"pair {pair} is not a link in graph.tsv")
 
 
 # ---------------------------------------------------------------------------

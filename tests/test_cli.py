@@ -325,7 +325,14 @@ class TestTransitionsInput:
         ("Nonexistent_page\tAlso_missing\t50\n", "article 'Nonexistent_page' is not in graph.tsv"),
         ("Graph_theory\tSocial_network\n", "expected 3 tab-separated fields, got 2"),
         ("Graph_theory\tSocial_network\tmany\n", "non-integer count 'many'"),
-    ], ids=["unknown_article", "two_fields", "non_integer_count"])
+        # Line 6 is the first data row, after the 5 header lines.
+        ("Graph_theory\tStatistics\t90\n", "pair 'Graph_theory' -> 'Statistics' repeats line 6"),
+        ("Graph_theory\tSocial_network\t3\n",
+         "count 3 for 'Graph_theory' -> 'Social_network' is below --threshold 10"),
+        ("Statistics\tGraph_theory\t50\n",
+         "pair 'Statistics' -> 'Graph_theory' is not a link in graph.tsv"),
+    ], ids=["unknown_article", "two_fields", "non_integer_count", "repeated_pair",
+            "below_threshold", "not_a_link"])
     def test_bad_row_names_its_line(self, toy_inputs, tmp_path, capsys, row, message):
         out = tmp_path / "out"
         assert main(["build", "--edges", toy_inputs["edges"],

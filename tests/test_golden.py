@@ -1,21 +1,33 @@
-"""Golden outputs: the toy fixture's seven-stage run must reproduce the files
-committed under ``tests/golden/toy/``.
+"""Golden outputs: two seven-stage runs (plus ``sample``) must reproduce what
+is committed under ``tests/golden/``.
+
+- **Toy fixture** (``tests/golden/toy/``, ``--projection-dim 64``): every
+  artifact and ``manifest.json`` is committed.
+- **Generator seed** (``tests/golden/gen-7-0-600.json``): the
+  ``perfbench/gen.py`` seed [7, 0] inputs at 600 articles with the default
+  projection dimension, the path the benchmark and users run. Only each
+  file's sha256 and line count are committed; ``features.tsv`` alone is
+  1.3 MB.
 
 The stages run through ``cli.main`` from a temporary working directory with
 relative input paths (``inputs/edges.tsv``, ...), so the external-input keys
 and config hashes in ``manifest.json`` do not depend on where the test runs.
-On the numpy and scipy versions recorded in ``versions.json`` every file must
+On the numpy and scipy versions recorded beside each golden every file must
 match byte for byte. On other versions the optimisers may move the last bits
-of a float, so text and integers still compare exactly, floats compare at
-``FLOAT_RTOL``, and each artifact hash in the manifest must be the sha256 of
-that run's own artifact. Nothing is skipped.
+of a float. There the toy files compare text and integers exactly and floats
+at ``FLOAT_RTOL``, and each artifact hash in the manifest must be the sha256
+of that run's own artifact; the generator run compares line counts, and the
+digests of the files no fit writes (``VERSION_FREE``). Nothing is skipped.
 
 A golden file changes only with a change whose stated purpose is that output
-change. To regenerate, run ``run_stages`` into a scratch directory and copy
-its ``out/`` over ``tests/golden/toy/``, keeping ``versions.json`` current.
+change. To regenerate the toy files, run ``run_stages`` into a scratch
+directory and copy its ``out/`` over ``tests/golden/toy/``, keeping
+``versions.json`` current; for the generator run, write ``gen_digests`` of
+its ``out/`` with the current versions.
 """
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -28,8 +40,15 @@ from clickgraph.cli import main
 
 from conftest import write_toy_inputs
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "toy")
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden", "toy")
 VERSIONS_FILE = "versions.json"
+GEN_DIGESTS = os.path.join(HERE, "golden", "gen-7-0-600.json")
+GEN_SCRIPT = os.path.join(os.path.dirname(HERE), "perfbench", "gen.py")
+GEN_SEED, GEN_ARTICLES, GEN_SAMPLE_SIZE = [7, 0], 600, 60
+#: Generator-run artifacts written without a fit or an optimiser: their
+#: digests must match on every numpy/scipy version.
+VERSION_FREE = ("graph.tsv", "transitions.tsv", "features_report.txt")
 #: Relative tolerance for floats when numpy or scipy differ from the recorded versions.
 FLOAT_RTOL = 1e-6
 
@@ -38,21 +57,32 @@ _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|inf|nan)
 _INTEGER = re.compile(r"[-+]?\d+")
 
 
-def run_stages(workdir: str) -> str:
-    """Run the seven stages plus ``sample`` on the toy inputs inside ``workdir``;
-    returns the output directory."""
+def write_gen_inputs(directory: str) -> dict[str, str]:
+    """The ``perfbench/gen.py`` seed [7, 0] inputs at 600 articles."""
+    spec = importlib.util.spec_from_file_location("clickgraph_bench_gen", GEN_SCRIPT)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.write_inputs(directory, GEN_SEED, GEN_ARTICLES)
+    return {name: os.path.join(directory, f"{name}.tsv")
+            for name in ("edges", "clickstream", "corpus", "categories", "visual")}
+
+
+def run_stages(workdir: str, write_inputs=write_toy_inputs, features_args=("--projection-dim", "64"),
+               sample_size: int = 5) -> str:
+    """Run the seven stages plus ``sample`` on ``write_inputs``'s input set
+    inside ``workdir``; returns the output directory."""
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
         os.mkdir("inputs")
-        inputs = write_toy_inputs("inputs")
+        inputs = write_inputs("inputs")
         args = ["--out", "out", "--threshold", "10"]
         assert main(["build", "--edges", inputs["edges"],
                      "--clickstream", inputs["clickstream"], *args]) == 0
         assert main(["features", "--corpus", inputs["corpus"],
                      "--categories", inputs["categories"], "--visual", inputs["visual"],
-                     "--projection-dim", "64", *args]) == 0
-        assert main(["sample", "--sample-size", "5", *args]) == 0
+                     *features_args, *args]) == 0
+        assert main(["sample", "--sample-size", str(sample_size), *args]) == 0
         for cmd in ("attention", "hurdle", "hyptrails", "pagerank"):
             assert main([cmd, *args]) == 0
     finally:
@@ -100,10 +130,23 @@ def _text_mismatch(want: str, got: str) -> str | None:
     return None
 
 
+def _versions() -> dict[str, str]:
+    return {"numpy": np.__version__, "scipy": scipy.__version__}
+
+
 def _recorded_versions() -> bool:
     with open(os.path.join(GOLDEN, VERSIONS_FILE), encoding="utf-8") as fh:
-        recorded = json.load(fh)
-    return recorded == {"numpy": np.__version__, "scipy": scipy.__version__}
+        return json.load(fh) == _versions()
+
+
+def gen_digests(out: str) -> dict:
+    """sha256 and line count of every file in ``out``, with the versions that made them."""
+    files = {}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            data = fh.read()
+        files[name] = {"lines": data.count(b"\n"), "sha256": hashlib.sha256(data).hexdigest()}
+    return {"versions": _versions(), "files": files}
 
 
 def compare_to_golden(out: str, exact: bool) -> list[str]:
@@ -144,3 +187,16 @@ def test_tolerant_comparison_rejects_changed_text_and_integers():
     assert _text_mismatch("a\t1.5\t7\n", "a\t1.5\t8\n") is not None
     assert _text_mismatch("a\t1.5\t7\n", "a\t1.6\t7\n") is not None
     assert _text_mismatch("# config=3fa9e2\n", "# config=3fa9e3\n") is not None
+
+
+def test_gen_seed_pipeline_reproduces_golden_digests(tmp_path):
+    got = gen_digests(run_stages(str(tmp_path), write_gen_inputs, features_args=(),
+                                 sample_size=GEN_SAMPLE_SIZE))
+    with open(GEN_DIGESTS, encoding="utf-8") as fh:
+        want = json.load(fh)
+    assert sorted(got["files"]) == sorted(want["files"])
+    exact = got["versions"] == want["versions"]
+    for name, digest in want["files"].items():
+        assert got["files"][name]["lines"] == digest["lines"], name
+        if exact or name in VERSION_FREE:
+            assert got["files"][name]["sha256"] == digest["sha256"], name

@@ -1,14 +1,17 @@
 """tf-idf weighting, sparse random projection, and similarity features."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from clickgraph import semantics as S
+from clickgraph.graph import build_graph
 from clickgraph.errors import MalformedInputError, UnknownArticleError
 
 from helpers import random_graph
@@ -23,6 +26,72 @@ def toy_corpus():
         ],
         [("a", ["pets"]), ("b", ["pets", "birds"]), ("c", ["birds"])],
     )
+
+
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """Equal dtype and bit patterns: a last-ulp or sign-of-zero change fails."""
+    return x.dtype == y.dtype and x.shape == y.shape and np.array_equal(
+        x.view(np.int64), y.view(np.int64))
+
+
+def reference_tfidf(corpus):
+    """Per-term tf-idf: one weight per (document, term) in dict order."""
+    n = corpus.n_docs
+    idf = np.log(n / corpus.doc_freq)
+    rows, cols, vals = [], [], []
+    for i, counts in enumerate(corpus.token_counts):
+        for term, tf in counts.items():
+            col = corpus.vocabulary[term]
+            w = (1.0 + np.log(tf)) * idf[col]
+            if w != 0.0:
+                rows.append(i)
+                cols.append(col)
+                vals.append(w)
+    mat = sp.csr_matrix((np.asarray(vals, dtype=np.float64), (rows, cols)),
+                        shape=(n, max(len(corpus.vocabulary), 1)))
+    norms = np.sqrt(np.asarray(mat.multiply(mat).sum(axis=1)).ravel())
+    scale = np.ones(n)
+    scale[norms > 0] = 1.0 / norms[norms > 0]
+    return sp.diags(scale) @ mat
+
+
+def reference_edge_similarities(g, proj, corpus):
+    """Per-edge oracle: ``cosine`` and ``topic_similarity`` with the single-pair clamp."""
+    text, topic, missing = np.zeros(g.n_edges), np.zeros(g.n_edges), 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # norms whose product underflows
+        for e in range(g.n_edges):
+            a, b = g.labels[g.edge_sources[e]], g.labels[g.out_indices[e]]
+            if a not in proj.name_to_idx or b not in proj.name_to_idx:
+                missing += 1
+                continue
+            text[e] = min(max(S.cosine(proj.vector(a), proj.vector(b)), 0.0), 1.0)
+            topic[e] = S.topic_similarity(corpus, a, b)
+    return text, topic, missing
+
+
+# Documents over a 6-term vocabulary (empty ones and terms in every document
+# give zero vectors), categories with repeats and empty lists.
+documents = st.lists(
+    st.tuples(st.lists(st.sampled_from("abcdef"), max_size=8),
+              st.lists(st.sampled_from("pqrs"), max_size=5)),
+    min_size=1, max_size=12,
+)
+
+
+@st.composite
+def corpus_and_graph(draw):
+    """A corpus and a labelled graph whose extra nodes are not in the corpus."""
+    docs = draw(documents)
+    names = [f"d{i}" for i in range(len(docs))]
+    corpus = S.build_corpus(
+        [(name, [f"w{t}" for t in tokens]) for name, (tokens, _) in zip(names, docs)],
+        [(name, cats) for name, (_, cats) in zip(names, docs)],
+    )
+    labels = names + [f"missing{i}" for i in range(draw(st.integers(0, 3)))]
+    n = len(labels)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=80))
+    g = build_graph(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), n_nodes=n, labels=labels)
+    return corpus, g
 
 
 class TestTokenize:
@@ -62,6 +131,17 @@ class TestTfidf:
     def test_empty_corpus_rejected(self):
         with pytest.raises(MalformedInputError):
             S.tfidf(S.build_corpus([]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(docs=documents)
+    def test_bit_equal_to_per_term_reference(self, docs):
+        corpus = S.build_corpus((f"d{i}", [f"w{t}" for t in tokens])
+                                for i, (tokens, _) in enumerate(docs))
+        got, want = S.tfidf(corpus), reference_tfidf(corpus)
+        assert got.shape == want.shape
+        assert same_bits(got.data, want.data)
+        assert np.array_equal(got.indices, want.indices) and got.indices.dtype == want.indices.dtype
+        assert np.array_equal(got.indptr, want.indptr) and got.indptr.dtype == want.indptr.dtype
 
 
 class TestProjection:
@@ -198,6 +278,70 @@ class TestTopicSimilarity:
 
 
 class TestEdgeSimilarities:
+    @settings(max_examples=150, deadline=None)
+    @given(data=corpus_and_graph(), dim=st.sampled_from([1, 16, 512]),
+           block=st.sampled_from([1, 3, 256]))
+    def test_bit_equal_to_per_edge_reference(self, data, dim, block):
+        corpus, g = data
+        proj = S.project(S.tfidf(corpus), corpus, dim=dim, seed=0)
+        with mock.patch.object(S, "_EDGE_BLOCK", block):
+            got = S.edge_similarities(g, proj, corpus)
+        want = reference_edge_similarities(g, proj, corpus)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        assert got[2] == want[2]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=corpus_and_graph(), dim=st.sampled_from([1, 16]), block=st.sampled_from([1, 3]),
+           values=st.data())
+    def test_arbitrary_vectors_bit_equal_to_per_edge_reference(self, data, dim, block, values):
+        # Signed, repeated, tiny and zero vectors: negative cosines, -0.0,
+        # cosines just above 1 and norms that underflow all reach the clamp.
+        corpus, g = data
+        elements = st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, 0.1, 1 / 3, 1e10,
+                                    1e-100, -1e-170, 5e-324, -5e-324])
+        matrix = values.draw(hnp.arrays(np.float64, (corpus.n_docs, dim), elements=elements))
+        proj = S.ProjectedVectors(matrix=matrix, name_to_idx=dict(corpus.name_to_idx))
+        with mock.patch.object(S, "_EDGE_BLOCK", block):
+            got = S.edge_similarities(g, proj, corpus)
+        want = reference_edge_similarities(g, proj, corpus)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        assert got[2] == want[2]
+
+    def test_clamp_and_underflow_edge_cases(self):
+        vectors = {
+            "neg_zero": ([1.0, 0.0], [-5e-324, 1e10]),  # cosine underflows to -0.0, kept
+            "tiny": ([1e-100, 0.0], [1e-100, 0.0]),  # |u|^2 |v|^2 underflows: 1e-200 / 0 -> 1.0
+            "zero": ([0.0, 0.0], [1.0, 2.0]),
+            "opposite": ([1.0, 1.0], [-1.0, -1.0]),
+            "same": ([1 / 3, 0.1], [1 / 3, 0.1]),
+        }
+        names = [f"{case}_{end}" for case in vectors for end in "uv"]
+        corpus = S.build_corpus([(name, ["t"]) for name in names])
+        proj = S.ProjectedVectors(
+            matrix=np.asarray([vec for pair in vectors.values() for vec in pair]),
+            name_to_idx=dict(corpus.name_to_idx))
+        g = build_graph([(2 * i, 2 * i + 1) for i in range(len(vectors))], labels=names)
+        text, _, _ = S.edge_similarities(g, proj, corpus)
+        want, _, _ = reference_edge_similarities(g, proj, corpus)
+        assert same_bits(text, want)
+        assert [str(x) for x in text] == ["-0.0", "1.0", "0.0", "0.0", "1.0"]
+
+    def test_default_block_on_a_graph_larger_than_one_block(self):
+        # 1,036 edges: four full blocks of 256 and a partial one.
+        g = random_graph(60, 0.3, seed=4, labels=True)
+        assert g.n_edges % S._EDGE_BLOCK != 0 and g.n_edges > 2 * S._EDGE_BLOCK
+        rng = np.random.default_rng(8)
+        vocab = [f"w{k}" for k in range(300)]
+        corpus = S.build_corpus(
+            [(f"a{i}", list(rng.choice(vocab, size=25))) for i in range(55)],
+            [(f"a{i}", list(rng.choice(["c1", "c2", "c3", "c4", "c5"], size=3))) for i in range(55)],
+        )
+        proj = S.project(S.tfidf(corpus), corpus, dim=512, seed=3)
+        got = S.edge_similarities(g, proj, corpus)
+        want = reference_edge_similarities(g, proj, corpus)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        assert got[2] == want[2] > 0
+
     def test_missing_articles_tallied(self):
         g = random_graph(6, 0.5, seed=1, labels=True)
         corpus = S.build_corpus([("a0", ["x", "y"]), ("a1", ["x", "z"])])
