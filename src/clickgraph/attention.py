@@ -150,7 +150,6 @@ class FamilyFit:
 
 @dataclass(frozen=True)
 class FitReport:
-    xmin: int
     n_tail: int
     fits: dict[str, FamilyFit]
     winner: str
@@ -358,4 +357,4 @@ def fit_distributions(samples, xmin: int = 1) -> FitReport:
     winner = min(converged, key=lambda f: converged[f].aic)
     best_aic = converged[winner].aic
     delta = {f: (fit.aic - best_aic if math.isfinite(fit.aic) else math.inf) for f, fit in fits.items()}
-    return FitReport(xmin=xmin, n_tail=len(x), fits=fits, winner=winner, delta_aic=delta)
+    return FitReport(n_tail=len(x), fits=fits, winner=winner, delta_aic=delta)

@@ -2,8 +2,10 @@
 
 Stage one is a binomial logistic model of whether a link was used at least
 ``threshold`` times; stage two is a zero-truncated negative binomial model of
-the counts of used links.  Features are modeled one at a time against an
-intercept-only reduction, judged by likelihood-ratio chi-square tests.
+the counts of used links, fitted by L-BFGS-B on one kernel that returns the
+log-likelihood and its gradient together.  Features are modeled one at a time
+against an intercept-only reduction, judged by likelihood-ratio chi-square
+tests.
 """
 
 from __future__ import annotations
@@ -53,10 +55,6 @@ class DesignMatrix:
     X: np.ndarray
     y: np.ndarray
     columns: tuple[str, ...]
-
-    @property
-    def n_rows(self) -> int:
-        return self.X.shape[0]
 
 
 def make_design(
@@ -128,8 +126,7 @@ def _check_collinearity(X: np.ndarray, columns: tuple[str, ...]) -> None:
         raise CollinearityError(bad)
 
 
-def _logistic_ll(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
-    eta = X @ beta
+def _logistic_ll(eta: np.ndarray, y: np.ndarray) -> float:
     # log sigma(eta) = -log(1 + e^-eta) without overflow
     return float(np.where(y > 0, -np.logaddexp(0.0, -eta), -np.logaddexp(0.0, eta)).sum())
 
@@ -137,9 +134,10 @@ def _logistic_ll(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
 def fit_logistic(design: DesignMatrix, tol: float = 1e-10, max_iter: int = 100) -> HurdleFit:
     """Bernoulli logistic regression by damped Newton iterations.
 
-    Raises :class:`SeparationError` when the outcome is constant or the data
-    are perfectly separated (deviance collapsing, coefficients diverging) and
-    :class:`CollinearityError` when the design is rank-deficient.
+    Each Newton step reuses the linear predictor of the accepted line-search
+    point.  Raises :class:`SeparationError` when the outcome is constant or
+    the data are perfectly separated (deviance collapsing, coefficients
+    diverging) and :class:`CollinearityError` when the design is rank-deficient.
     """
     X, y = design.X, design.y
     if set(np.unique(y)) - {0.0, 1.0}:
@@ -150,15 +148,16 @@ def fit_logistic(design: DesignMatrix, tol: float = 1e-10, max_iter: int = 100) 
 
     n, p = X.shape
     beta = np.zeros(p)
-    ll = _logistic_ll(X, y, beta)
+    eta = X @ beta
+    ll = _logistic_ll(eta, y)
     trace = [ll]
     for it in range(max_iter + 1):
-        prob = special.expit(X @ beta)
+        prob = special.expit(eta)
         grad = X.T @ (y - prob)
         gnorm = float(np.abs(grad).max()) / n
 
         if np.abs(beta).max() > 30.0:
-            margins = (2.0 * y - 1.0) * (X @ beta)
+            margins = (2.0 * y - 1.0) * eta
             if margins.min() > 0 or ll > -1e-6 * n:
                 raise SeparationError(
                     "perfect separation: deviance collapsing, coefficients diverging"
@@ -177,17 +176,17 @@ def fit_logistic(design: DesignMatrix, tol: float = 1e-10, max_iter: int = 100) 
         except np.linalg.LinAlgError:
             raise CollinearityError(design.columns)
 
-        lam, new_ll = 1.0, None
+        lam = 1.0
         for _ in range(30):  # halve until the likelihood improves
-            cand_ll = _logistic_ll(X, y, beta + lam * step)
+            cand = beta + lam * step
+            cand_eta = X @ cand
+            cand_ll = _logistic_ll(cand_eta, y)
             if cand_ll >= ll:
-                new_ll = cand_ll
                 break
             lam *= 0.5
-        if new_ll is None:
+        else:
             break
-        beta = beta + lam * step
-        ll = new_ll
+        beta, eta, ll = cand, cand_eta, cand_ll
         trace.append(ll)
     raise ConvergenceError(
         f"logistic fit did not converge in {max_iter} iterations",
@@ -210,43 +209,41 @@ def _log1mexp(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def ztnb_loglik(params: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-    """Log-likelihood of counts y >= 1 under NB(mu, theta) truncated at zero.
+def ztnb_loglik(params: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Log-likelihood of counts y >= 1 under NB(mu, theta) truncated at zero
+    and its analytic gradient, as ``(value, gradient)`` from one pass.
 
     ``params`` is (beta..., ln theta) with log link mu = exp(X beta);
     the zero probability NB(0; mu, theta) = (theta / (theta + mu))^theta.
+    A theta outside the float range raises :class:`ConvergenceError`.
     """
-    beta, theta = params[:-1], math.exp(params[-1])
-    eta = X @ beta
+    try:
+        theta = math.exp(params[-1])
+        log_theta = math.log(theta)
+    except (OverflowError, ValueError):
+        raise ConvergenceError(
+            f"ztnb theta out of float range at ln theta = {float(params[-1])!r}", last=params
+        ) from None
+    eta = X @ params[:-1]
     mu = np.exp(eta)
-    log_ratio = math.log(theta) - np.log(theta + mu)  # ln(theta/(theta+mu)) < 0
+    denom = theta + mu
+    log_denom = np.log(denom)
+    log_ratio = log_theta - log_denom  # ln(theta/(theta+mu)) < 0
     log_p0 = theta * log_ratio
+    log_1mp0 = _log1mexp(log_p0)
     ll = (
         special.gammaln(y + theta)
         - special.gammaln(theta)
         - special.gammaln(y + 1.0)
-        + theta * log_ratio
-        + y * (eta - np.log(theta + mu))
-        - _log1mexp(log_p0)
+        + log_p0
+        + y * (eta - log_denom)
+        - log_1mp0
     )
-    return float(ll.sum())
-
-
-def ztnb_gradient(params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Analytic gradient of :func:`ztnb_loglik` in (beta..., ln theta)."""
-    beta, theta = params[:-1], math.exp(params[-1])
-    eta = X @ beta
-    mu = np.exp(eta)
-    denom = theta + mu
-    log_ratio = math.log(theta) - np.log(denom)
-    log_p0 = theta * log_ratio
     # p0 / (1 - p0), stable while p0 -> 1
-    p0_over_1mp0 = np.exp(log_p0 - _log1mexp(log_p0))
+    p0_over_1mp0 = np.exp(log_p0 - log_1mp0)
 
     # d ll / d eta = y - (y + theta) mu / denom - theta mu / denom * p0/(1-p0)
     dll_deta = y - (y + theta) * mu / denom - theta * mu / denom * p0_over_1mp0
-    grad_beta = X.T @ dll_deta
-
     dll_dtheta = (
         special.digamma(y + theta)
         - special.digamma(theta)
@@ -255,14 +252,16 @@ def ztnb_gradient(params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarra
         - (theta + y) / denom
         + (log_ratio + mu / denom) * p0_over_1mp0
     )
-    return np.concatenate([grad_beta, [theta * dll_dtheta.sum()]])
+    return float(ll.sum()), np.concatenate([X.T @ dll_deta, [theta * dll_dtheta.sum()]])
 
 
 def fit_ztnb(design: DesignMatrix, theta_init: float = 1.0, max_iter: int = 500) -> HurdleFit:
     """Joint quasi-Newton ascent over (beta, ln theta).
 
-    All outcomes must be >= 1; non-convergence raises
-    :class:`ConvergenceError` with the likelihood trace attached.
+    One :func:`ztnb_loglik` call per point L-BFGS-B evaluates; the trace is
+    the likelihood it reports at each iterate.  All outcomes must be >= 1;
+    a fit that stops short of the gradient tolerance raises
+    :class:`ConvergenceError` with the trace attached.
     """
     X, y = design.X, design.y
     if y.min() < 1:
@@ -277,23 +276,16 @@ def fit_ztnb(design: DesignMatrix, theta_init: float = 1.0, max_iter: int = 500)
     x0[-1] = math.log(theta_init)
 
     trace: list[float] = []
-    # The last evaluated point and its objective: L-BFGS-B reports the point
-    # it has just evaluated, so the trace reuses that value.
-    last_key, last_value = None, 0.0
 
     def objective(params):
-        nonlocal last_key, last_value
-        last_key, last_value = params.tobytes(), -ztnb_loglik(params, X, y)
-        return last_value
+        ll, grad = ztnb_loglik(params, X, y)
+        return -ll, -grad
 
-    def grad(params):
-        return -ztnb_gradient(params, X, y)
-
-    def record(params):
-        trace.append(-last_value if params.tobytes() == last_key else ztnb_loglik(params, X, y))
+    def record(intermediate_result):
+        trace.append(-intermediate_result.fun)
 
     res = optimize.minimize(
-        objective, x0, jac=grad, method="L-BFGS-B",
+        objective, x0, jac=True, method="L-BFGS-B",
         callback=record,
         options={"maxiter": max_iter, "ftol": 1e-14, "gtol": 1e-9},
     )

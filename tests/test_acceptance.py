@@ -210,12 +210,12 @@ def test_criterion_5_regression_stage():
     worst_rel = 0.0
     for _ in range(20):
         params = np.r_[rng.normal(scale=0.5, size=2), rng.normal(scale=0.3)]
-        analytic = H.ztnb_gradient(params, X, ysub)
+        analytic = H.ztnb_loglik(params, X, ysub)[1]
         fd = np.empty_like(params)
         for k in range(len(params)):
             e = np.zeros_like(params)
             e[k] = h
-            fd[k] = (H.ztnb_loglik(params + e, X, ysub) - H.ztnb_loglik(params - e, X, ysub)) / (2 * h)
+            fd[k] = (H.ztnb_loglik(params + e, X, ysub)[0] - H.ztnb_loglik(params - e, X, ysub)[0]) / (2 * h)
         worst_rel = max(worst_rel, float(
             (np.abs(analytic - fd) / np.maximum(np.abs(fd), 1.0)).max()
         ))

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import integrate, special, stats
 
 from clickgraph import hurdle as H
 from clickgraph import ingest
@@ -128,14 +131,88 @@ class TestZtnbGradient:
         h = 1e-6
         for _ in range(20):
             params = np.r_[rng.normal(scale=0.5, size=2), rng.normal(scale=0.3)]
-            analytic = H.ztnb_gradient(params, X, y)
+            analytic = H.ztnb_loglik(params, X, y)[1]
             fd = np.empty_like(params)
             for k in range(len(params)):
                 e = np.zeros_like(params)
                 e[k] = h
-                fd[k] = (H.ztnb_loglik(params + e, X, y) - H.ztnb_loglik(params - e, X, y)) / (2 * h)
+                fd[k] = (H.ztnb_loglik(params + e, X, y)[0] - H.ztnb_loglik(params - e, X, y)[0]) / (2 * h)
             rel = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1.0)
             assert rel.max() <= 1e-5
+
+
+def reference_ztnb_loglik(params, X, y):
+    """The log-likelihood as written before value and gradient shared one pass."""
+    beta, theta = params[:-1], math.exp(params[-1])
+    eta = X @ beta
+    mu = np.exp(eta)
+    log_ratio = math.log(theta) - np.log(theta + mu)  # ln(theta/(theta+mu)) < 0
+    log_p0 = theta * log_ratio
+    ll = (
+        special.gammaln(y + theta)
+        - special.gammaln(theta)
+        - special.gammaln(y + 1.0)
+        + theta * log_ratio
+        + y * (eta - np.log(theta + mu))
+        - H._log1mexp(log_p0)
+    )
+    return float(ll.sum())
+
+
+def reference_ztnb_gradient(params, X, y):
+    """The gradient as written before value and gradient shared one pass."""
+    beta, theta = params[:-1], math.exp(params[-1])
+    eta = X @ beta
+    mu = np.exp(eta)
+    denom = theta + mu
+    log_ratio = math.log(theta) - np.log(denom)
+    log_p0 = theta * log_ratio
+    # p0 / (1 - p0), stable while p0 -> 1
+    p0_over_1mp0 = np.exp(log_p0 - H._log1mexp(log_p0))
+
+    # d ll / d eta = y - (y + theta) mu / denom - theta mu / denom * p0/(1-p0)
+    dll_deta = y - (y + theta) * mu / denom - theta * mu / denom * p0_over_1mp0
+    grad_beta = X.T @ dll_deta
+
+    dll_dtheta = (
+        special.digamma(y + theta)
+        - special.digamma(theta)
+        + log_ratio
+        + 1.0
+        - (theta + y) / denom
+        + (log_ratio + mu / denom) * p0_over_1mp0
+    )
+    return np.concatenate([grad_beta, [theta * dll_dtheta.sum()]])
+
+
+@st.composite
+def ztnb_problems(draw):
+    n = draw(st.integers(1, 60))
+    p = draw(st.integers(1, 3))
+    X = draw(hnp.arrays(np.float64, (n, p), elements=st.floats(-3.0, 3.0)))
+    counts = st.one_of(st.integers(1, 30), st.integers(1, 10**6))
+    y = draw(hnp.arrays(np.float64, n, elements=counts.map(float)))
+    params = draw(hnp.arrays(np.float64, p + 1, elements=st.floats(-2.0, 2.0)))
+    return params, X, y
+
+
+class TestZtnbKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(ztnb_problems())
+    def test_value_and_gradient_bit_equal_to_separate_reference(self, problem):
+        params, X, y = problem
+        value, gradient = H.ztnb_loglik(params, X, y)
+        assert value.hex() == reference_ztnb_loglik(params, X, y).hex()
+        np.testing.assert_array_equal(
+            gradient.view(np.int64), reference_ztnb_gradient(params, X, y).view(np.int64)
+        )
+
+    @pytest.mark.parametrize("log_theta", [800.0, -800.0])
+    def test_theta_out_of_float_range_is_a_convergence_error(self, log_theta):
+        # e^800 overflows and e^-800 underflows to 0.0; neither is a theta.
+        X, y = np.ones((3, 1)), np.array([1.0, 4.0, 9.0])
+        with pytest.raises(ConvergenceError, match=f"ln theta = {log_theta!r}"):
+            H.ztnb_loglik(np.array([0.5, log_theta]), X, y)
 
 
 class TestFitZtnb:
@@ -164,28 +241,26 @@ class TestFitZtnb:
         assert (np.diff(fit.ll_trace) >= -1e-9).all()
 
     def test_trace_reuses_the_evaluated_objective(self, monkeypatch):
-        # The likelihood and the gradient are evaluated at the same points;
-        # the iteration trace adds no likelihood calls of its own.
-        calls = {"loglik": 0, "gradient": 0}
-        loglik, gradient = H.ztnb_loglik, H.ztnb_gradient
+        # One kernel call per point the optimiser evaluates; the iteration
+        # trace adds no calls of its own and only repeats returned values.
+        points, values = [], []
+        kernel = H.ztnb_loglik
 
-        def counted_loglik(*args):
-            calls["loglik"] += 1
-            return loglik(*args)
+        def counted(params, X, y):
+            value, gradient = kernel(params, X, y)
+            points.append(params.tobytes())
+            values.append(value)
+            return value, gradient
 
-        def counted_gradient(*args):
-            calls["gradient"] += 1
-            return gradient(*args)
-
-        monkeypatch.setattr(H, "ztnb_loglik", counted_loglik)
-        monkeypatch.setattr(H, "ztnb_gradient", counted_gradient)
+        monkeypatch.setattr(H, "ztnb_loglik", counted)
         rng = np.random.default_rng(13)
         x = rng.normal(size=800)
         y = sample_ztnb(rng, np.exp(1.0 + 0.3 * x), theta=1.2)
         fit = H.fit_ztnb(H.make_design(x, y, "x", standardize=True))
         assert len(fit.ll_trace) == fit.iterations
         assert fit.ll_trace[-1] == fit.loglik
-        assert calls["loglik"] == calls["gradient"]
+        assert set(fit.ll_trace) <= set(values)
+        assert len(set(points)) == len(points)
 
     def test_standardization_invariance(self):
         rng = np.random.default_rng(14)
