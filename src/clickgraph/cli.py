@@ -208,6 +208,7 @@ def _stage_key(cfg: RunConfig, keys: tuple[str, ...]) -> dict:
 
 
 def _load_graph_and_log(cfg: RunConfig):
+    import numpy as np
     from . import graph as graphmod, ingest
 
     g = graphmod.load_graph(_artifact_path(cfg, "graph"))
@@ -235,28 +236,26 @@ def _load_graph_and_log(cfg: RunConfig):
             src.append(s)
             trg.append(t)
             line_nos.append(line_no)
-    try:
-        log = ingest.TransitionLog.from_pairs(src, trg, count, threshold=cfg.threshold, graph=g)
-    except ClickgraphError:
-        _raise_bad_transition_row(g, zip(line_nos, src, trg, count), cfg.threshold)
-        raise
-    return g, log
 
-
-def _raise_bad_transition_row(g, rows, threshold: int) -> None:
-    """Raise LineError for the first row ``TransitionLog.from_pairs`` rejects:
-    a repeated pair, a count below the threshold, or a pair that is no edge."""
-    name = (lambda i: repr(g.labels[i])) if g.labels else str
-    first_line: dict[tuple[int, int], int] = {}
-    for line_no, s, t, c in rows:
-        pair = f"{name(s)} -> {name(t)}"
-        if (s, t) in first_line:
-            raise LineError(line_no, f"pair {pair} repeats line {first_line[s, t]}")
-        first_line[s, t] = line_no
-        if c < threshold:
-            raise LineError(line_no, f"count {c} for {pair} is below --threshold {threshold}")
-        if not g.has_edge(s, t):
-            raise LineError(line_no, f"pair {pair} is not a link in graph.tsv")
+    # The first bad row: a repeated link, a count below the threshold, or no
+    # link (a repeated non-link never comes first: its first row fails).
+    slots = g.edge_slots(src, trg)
+    repeat = slots >= 0
+    repeat[np.unique(slots, return_index=True)[1]] = False
+    below = np.asarray(count, dtype=np.int64) < cfg.threshold
+    bad = np.flatnonzero(repeat | below | (slots < 0))
+    if len(bad):
+        i = bad[0]
+        name = (lambda j: repr(g.labels[j])) if g.labels else str
+        pair = f"{name(src[i])} -> {name(trg[i])}"
+        if repeat[i]:
+            why = f"pair {pair} repeats line {line_nos[np.argmax(slots == slots[i])]}"
+        elif below[i]:
+            why = f"count {count[i]} for {pair} is below --threshold {cfg.threshold}"
+        else:
+            why = f"pair {pair} is not a link in graph.tsv"
+        raise LineError(line_nos[i], why)
+    return g, ingest.TransitionLog.from_pairs(src, trg, count, threshold=cfg.threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +524,10 @@ def _hurdle(cfg: RunConfig, g, log, table):
                 r.ztnb_error or "-",
             ]) + "\n"
         )
-    fitted = sum(1 for r in rows if r.binomial_coef is not None or r.ztnb_coef is not None)
-    return {"hurdle": lines}, f"hurdle: {fitted}/{len(rows)} features fitted"
+    binomial = sum(r.binomial_coef is not None for r in rows)
+    ztnb = sum(r.ztnb_coef is not None for r in rows)
+    summary = f"hurdle: {binomial}/{len(rows)} binomial, {ztnb}/{len(rows)} ztnb fits"
+    return {"hurdle": lines}, summary
 
 
 def _build_hypotheses(cfg: RunConfig, g, table) -> list:

@@ -92,18 +92,14 @@ def visual_hypothesis(g: LinkGraph, regions: np.ndarray, smooth: bool = True) ->
     regions = np.asarray(regions, dtype=object)
     if len(regions) != g.n_edges:
         raise AlignmentError(f"{len(regions)} regions for {g.n_edges} edges")
-    values = np.zeros(g.n_edges)
-    filled = 0
-    for e, label in enumerate(regions):
-        if label is None or (isinstance(label, float) and np.isnan(label)):
-            filled += 1
-        elif label in PROMOTED_REGIONS:
-            values[e] = 1.0
-        elif label not in REGIONS:
-            raise SchemaError(f"unknown region label {label!r}")
+    missing = np.equal(regions, None) | (regions != regions)  # None or NaN
+    unknown = ~missing & ~np.isin(regions, REGIONS)
+    if unknown.any():
+        raise SchemaError(f"unknown region label {regions[np.argmax(unknown)]!r}")
+    values = np.isin(regions, sorted(PROMOTED_REGIONS)).astype(np.float64)
     if smooth:
         values = values + SMOOTHING_WEIGHT
-    return HypothesisMatrix("visual", g, values, filled=filled)
+    return HypothesisMatrix("visual", g, values, filled=int(np.count_nonzero(missing)))
 
 
 def combine(hyps: list[HypothesisMatrix], name: str | None = None) -> HypothesisMatrix:
@@ -144,8 +140,7 @@ def elicit_prior(h: HypothesisMatrix, kappa: float) -> ElicitedPrior:
     g = h.graph
     src = g.edge_sources
     row_sum = np.bincount(src, weights=h.values, minlength=g.n_nodes)
-    has_edges = g.out_degrees() > 0
-    dead = has_edges & (row_sum == 0)
+    dead = (g.out_degrees() > 0) & (row_sum == 0)
     if dead.any():
         raise ElicitationError(
             f"{int(dead.sum())} rows have all-zero beliefs; apply smoothing first"

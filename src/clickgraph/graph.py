@@ -83,15 +83,6 @@ class LinkGraph:
         hit = (self._edge_keys[pos] == keys) & (src >= 0) & (src < n) & (trg >= 0) & (trg < n)
         return np.where(hit, pos, -1)
 
-    def has_edge(self, src: int, trg: int) -> bool:
-        """Scalar form of :meth:`edge_slots`, for per-row use by the parsers."""
-        n = self.n_nodes
-        if not (0 <= src < n and 0 <= trg < n):
-            return False
-        key = _edge_key(src, trg, n)
-        pos = int(self._edge_keys.searchsorted(key))
-        return pos < self.n_edges and int(self._edge_keys[pos]) == key
-
     def name_to_id(self) -> dict[str, int]:
         if self.labels is None:
             raise MalformedInputError("graph carries no node labels")

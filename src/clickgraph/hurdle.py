@@ -85,7 +85,6 @@ class HurdleSplit:
     binary_y: np.ndarray      # 0/1 over all links
     count_rows: np.ndarray    # indices of links with count >= threshold
     count_y: np.ndarray
-    separation_risk: bool     # all-ones or all-zeros binary outcome
 
 
 def split_hurdle(table: LinkFeatureTable, threshold: int = 10) -> HurdleSplit:
@@ -95,8 +94,7 @@ def split_hurdle(table: LinkFeatureTable, threshold: int = 10) -> HurdleSplit:
     counts = table.data["transitions"]
     binary = (counts >= threshold).astype(np.float64)
     rows = np.flatnonzero(binary > 0)
-    risk = bool(binary.min() == binary.max()) if len(binary) else True
-    return HurdleSplit(binary_y=binary, count_rows=rows, count_y=counts[rows], separation_risk=risk)
+    return HurdleSplit(binary_y=binary, count_rows=rows, count_y=counts[rows])
 
 
 @dataclass(frozen=True, eq=False)

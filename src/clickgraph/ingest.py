@@ -7,6 +7,7 @@ of the toolkit never touches article names.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -17,6 +18,7 @@ from . import graph as graphmod
 from .errors import (
     LineError,
     MalformedInputError,
+    PreconditionError,
     SchemaError,
     SupportError,
 )
@@ -187,7 +189,9 @@ def parse_clickstream(
     otherwise skipped and counted in the returned :class:`DropStats`.
     """
     stats = DropStats()
-    sums: dict[tuple[int, int], int] = {}
+    src_ids: list[int] = []
+    trg_ids: list[int] = []
+    counts: list[int] = []
 
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -217,22 +221,30 @@ def parse_clickstream(
             stats.external += 1
             continue
         trg = name_to_id.get(res)
-        if trg is None or not graph.has_edge(src, trg):
+        if trg is None:
             stats.non_edge += 1
             continue
-        sums[(src, trg)] = sums.get((src, trg), 0) + count
+        src_ids.append(src)
+        trg_ids.append(trg)
+        counts.append(count)
 
-    kept = {pair: c for pair, c in sums.items() if c >= threshold}
+    slots = graph.edge_slots(src_ids, trg_ids).tolist()
+    stats.non_edge += slots.count(-1)
+    sums: dict[int, int] = {}
+    for slot, count in zip(slots, counts):
+        if slot >= 0:
+            sums[slot] = sums.get(slot, 0) + count
+
+    kept = {slot: c for slot, c in sums.items() if c >= threshold}
     stats.below_threshold_pairs = len(sums) - len(kept)
     stats.kept_pairs = len(kept)
     stats.kept_count = sum(kept.values())
 
     log = TransitionLog.from_pairs(
-        src=[p[0] for p in kept],
-        trg=[p[1] for p in kept],
+        src=graph.edge_sources[list(kept)],
+        trg=graph.out_indices[list(kept)],
         count=list(kept.values()),
         threshold=threshold,
-        graph=graph,
     )
     return log, stats
 
@@ -333,14 +345,17 @@ def load_feature_table(
 
     Rows referencing non-edges, rows with out-of-range similarities, and rows
     with unknown region labels are rejected: all are counted in the report,
-    the first ``REJECTED_LISTED`` listed.
+    the first ``REJECTED_LISTED`` listed, by line number in the input.
 
     ``graph=None`` skips edge validation and interns names from the file
     itself (useful for standalone inspection of published feature files).
+    The ids are then the file's own, so ``transitions`` must be None.
     """
-    it = iter(lines)
+    if graph is None and transitions is not None:
+        raise PreconditionError("a transition log needs the graph its ids refer to")
+    numbered = enumerate(lines, start=1)
     header: list[str] | None = None
-    for raw in it:
+    for _, raw in numbered:
         line = raw.rstrip("\n")
         if not line or line.startswith("#"):
             continue
@@ -356,25 +371,23 @@ def load_feature_table(
     if missing:
         raise SchemaError(f"feature file missing mandatory columns: {', '.join(missing)}")
 
-    if graph is not None and graph.labels is not None:
-        name_to_id = graph.name_to_id()
-        intern = None
-    elif graph is not None:
-        name_to_id = None
-        intern = None
+    if graph is None:
+        name_to_id: dict[str, int] | None = {}  # grown on the fly
     else:
-        name_to_id = {}
-        intern = name_to_id  # grown on the fly
+        name_to_id = graph.name_to_id() if graph.labels is not None else None
 
     report = JoinReport()
+    # One entry per row that names two ids, in line order.
+    line_nos: list[int] = []
     src_ids: list[int] = []
     trg_ids: list[int] = []
     raw_cols: dict[str, list] = {c: [] for c in header if c not in ("src", "trg")}
-    seen: set[tuple[int, int]] = set()
+    texts: dict[int, tuple[str, str]] = {}  # names that the row's ids do not give back
+    bad: dict[int, str] = {}  # why the row's values fail
 
     numeric = {c for c in FEATURE_COLUMNS if c not in ("src", "trg", "region")}
 
-    for line_no, raw in enumerate(it, start=2):
+    for line_no, raw in numbered:
         line = raw.rstrip("\n")
         if not line or line.startswith("#"):
             continue
@@ -385,74 +398,94 @@ def load_feature_table(
             continue
         src_name = fields[colpos["src"]]
         trg_name = fields[colpos["trg"]]
+        row = len(line_nos)
 
-        if name_to_id is not None:
-            if intern is not None:
-                s = name_to_id.setdefault(src_name, len(name_to_id))
-                t = name_to_id.setdefault(trg_name, len(name_to_id))
-            else:
-                s = name_to_id.get(src_name, -1)
-                t = name_to_id.get(trg_name, -1)
-        else:
+        if name_to_id is None:
             try:
                 s, t = int(src_name), int(trg_name)
             except ValueError:
                 report.reject(line_no, src_name, trg_name, "non-integer id in unlabeled graph")
                 continue
-
-        if graph is not None:
-            if not graph.has_edge(s, t):
-                report.reject(line_no, src_name, trg_name, "not an edge of the graph")
-                continue
-        if (s, t) in seen:
-            report.reject(line_no, src_name, trg_name, "duplicate link row")
-            continue
+            if not (0 <= s < graph.n_nodes and 0 <= t < graph.n_nodes):
+                s = t = -1  # no such node; also keeps every id within int64
+        elif graph is None:
+            s = name_to_id.setdefault(src_name, len(name_to_id))
+            t = name_to_id.setdefault(trg_name, len(name_to_id))
+        else:
+            s = name_to_id.get(src_name, -1)
+            t = name_to_id.get(trg_name, -1)
+        if name_to_id is None or s < 0 or t < 0:
+            texts[row] = (src_name, trg_name)
 
         row_vals: dict[str, object] = {}
-        bad = None
+        reason = None
         for cname in raw_cols:
             text = fields[colpos[cname]]
             if cname in numeric:
                 try:
                     row_vals[cname] = float(text)
                 except ValueError:
-                    bad = f"non-numeric value {text!r} in column {cname}"
+                    reason = f"non-numeric value {text!r} in column {cname}"
                     break
             else:
                 row_vals[cname] = text
-        if bad is None:
+        if reason is None:
             for sim in ("text_sim", "topic_sim"):
                 v = row_vals.get(sim)
                 if v is not None and not 0.0 <= float(v) <= 1.0:
-                    bad = f"{sim} {v} outside [0, 1]"
+                    reason = f"{sim} {v} outside [0, 1]"
                     break
-        if bad is None and row_vals.get("region") not in (None, *REGIONS):
-            bad = f"unknown region label {row_vals['region']!r}"
-        if bad is not None:
-            report.reject(line_no, src_name, trg_name, bad)
-            continue
+        if reason is None and row_vals.get("region") not in (None, *REGIONS):
+            reason = f"unknown region label {row_vals['region']!r}"
+        if reason is not None:  # rejected in any case; past the listed rows its text is never read
+            bad[row] = reason if report.rejected_count + len(bad) < REJECTED_LISTED else ""
 
-        seen.add((s, t))
+        line_nos.append(line_no)
         src_ids.append(s)
         trg_ids.append(t)
         for cname in raw_cols:
-            raw_cols[cname].append(row_vals[cname])
+            raw_cols[cname].append(row_vals.get(cname))  # None past a bad value; never kept
 
-    report.rows_kept = len(src_ids)
     src = np.asarray(src_ids, dtype=np.int64)
     trg = np.asarray(trg_ids, dtype=np.int64)
+    if graph is None:
+        labels = tuple(name_to_id) or None  # ids were handed out in first-seen order
+        slots = graphmod._edge_key(src, trg, len(name_to_id))  # every pair counts as a link
+    else:
+        labels = graph.labels
+        slots = graph.edge_slots(src, trg)
+
+    # Per row, the first failing check: edge, then repeat of a kept row, then values.
+    by_edge = JoinReport()
+    kept_row: dict[int, int] = {}  # slot -> the row kept for it
+    for row, slot in enumerate(slots.tolist()):
+        if slot < 0:
+            reason = "not an edge of the graph"
+        elif slot in kept_row:
+            reason = "duplicate link row"
+        elif row in bad:
+            reason = bad[row]
+        else:
+            kept_row[slot] = row
+            continue
+        names = texts.get(row) or (labels[src_ids[row]], labels[trg_ids[row]])
+        by_edge.reject(line_nos[row], *names, reason)
+    # Both lists are in line order, so the first rows listed overall are among them.
+    report.rejected = list(heapq.merge(report.rejected, by_edge.rejected))[:REJECTED_LISTED]
+    report.rejected_count += by_edge.rejected_count
+
+    kept = np.fromiter(kept_row.values(), dtype=np.int64, count=len(kept_row))  # in line order
+    report.rows_kept = len(kept)
+    src, trg = src[kept], trg[kept]
 
     data: dict[str, np.ndarray] = {}
     for cname, values in raw_cols.items():
-        if cname == "region":
-            data[cname] = np.asarray(values, dtype=object)
-        else:
-            data[cname] = np.asarray(values, dtype=np.float64)
+        column = np.asarray(values, dtype=object)[kept]
+        data[cname] = column if cname == "region" else column.astype(np.float64)
 
     if "transitions" not in data:
-        data["transitions"] = np.zeros(len(src), dtype=np.float64)
-        if transitions is not None and len(src):
-            data["transitions"] = _counts_for_pairs(transitions, src, trg)
+        data["transitions"] = (np.zeros(len(src)) if transitions is None
+                               else transitions.aligned_counts(graph)[slots[kept]])
 
     if recompute_network and graph is not None:
         per_node = compute_network_features(graph)
@@ -464,28 +497,8 @@ def load_feature_table(
                 report.consistency[cname] = (mism, float(diff.max()) if len(diff) else 0.0)
             data[cname] = vec
 
-    labels = graph.labels if graph is not None else _labels_from_intern(name_to_id)
     table = LinkFeatureTable(src=src, trg=trg, data=data, labels=labels)
     return table, report
-
-
-def _labels_from_intern(name_to_id: dict[str, int] | None) -> tuple[str, ...] | None:
-    if not name_to_id:
-        return None
-    out = [""] * len(name_to_id)
-    for name, idx in name_to_id.items():
-        out[idx] = name
-    return tuple(out)
-
-
-def _counts_for_pairs(log: TransitionLog, src: np.ndarray, trg: np.ndarray) -> np.ndarray:
-    counts = np.zeros(len(src), dtype=np.float64)
-    if len(log) == 0 or len(src) == 0:
-        return counts
-    lookup = {(int(s), int(t)): int(c) for s, t, c in zip(log.src, log.trg, log.count)}
-    for i, (s, t) in enumerate(zip(src, trg)):
-        counts[i] = lookup.get((int(s), int(t)), 0)
-    return counts
 
 
 def build_feature_table(

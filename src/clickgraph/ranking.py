@@ -179,11 +179,8 @@ def evaluate_all(
 
     baselines = {a: evaluate_cell(None, a, None) for a in alphas}
     cells = [(h, a) for a in alphas for h in hypotheses]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: evaluate_cell(c[0], c[1], baselines[c[1]]), cells))
-    else:
-        results = [evaluate_cell(h, a, baselines[a]) for h, a in cells]
+    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+        results = list(pool.map(lambda c: evaluate_cell(c[0], c[1], baselines[c[1]]), cells))
 
     out: list[RankEvaluation] = []
     for a in alphas:

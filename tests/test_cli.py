@@ -353,7 +353,8 @@ class TestFeatureFileInput:
         run_pipeline(toy_inputs, out)
         feature_file = tmp_path / "dirty-features.tsv"
         with open(os.path.join(out, "features.tsv"), encoding="utf-8") as fh:
-            feature_file.write_text(fh.read() + "bad row\n" * bad_rows, encoding="utf-8")
+            text = fh.read()
+        feature_file.write_text(text + "bad row\n" * bad_rows, encoding="utf-8")
         assert main(["features", "--feature-file", str(feature_file),
                      "--out", out, "--threshold", "10"]) == 0
         with open(os.path.join(out, "features_report.txt"), encoding="utf-8") as fh:
@@ -361,8 +362,35 @@ class TestFeatureFileInput:
         listed = [line for line in report if line.startswith("rejected line ")]
         assert len(listed) == 20
         assert listed[0].endswith("( -> ): expected 18 fields, got 1\n")
+        # Lines count from the top of the file, its '#' header lines included.
+        assert listed[0].startswith(f"rejected line {text.count(chr(10)) + 1} (")
         tail = [line for line in report if "more rejected lines" in line]
         assert tail == ([] if more is None else [f"… and {more} more rejected lines\n"])
+
+
+class TestHurdleSummary:
+    def test_each_stage_counts_its_own_fits(self, toy_inputs, tmp_path, capsys, monkeypatch):
+        from clickgraph import hurdle
+        from clickgraph.errors import ConvergenceError
+
+        fit_ztnb = hurdle.fit_ztnb
+
+        def fail_on_one_feature(design):
+            if design.columns[-1] == "trg_in_degree":
+                raise ConvergenceError("no optimum")
+            return fit_ztnb(design)
+
+        out = str(tmp_path / "out")
+        run_pipeline(toy_inputs, out)
+        os.unlink(os.path.join(out, ARTIFACTS["hurdle"]))
+        monkeypatch.setattr(hurdle, "fit_ztnb", fail_on_one_feature)
+        capsys.readouterr()
+        assert main(["hurdle", "--out", out, "--threshold", "10"]) == 0
+        assert capsys.readouterr().out == "hurdle: 15/15 binomial, 14/15 ztnb fits\n"
+        with open(os.path.join(out, ARTIFACTS["hurdle"]), encoding="utf-8") as fh:
+            rows = [line.rstrip("\n").split("\t") for line in fh]
+        errors = [row[-1] for row in rows if row[0] == "trg_in_degree"]
+        assert errors == ["ConvergenceError: no optimum"]
 
 
 class TestVisualInput:

@@ -1,9 +1,12 @@
 """Hypothesis matrices, Dirichlet prior elicitation, and marginal likelihood."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clickgraph import evidence as E
 from clickgraph import graph as G
@@ -15,7 +18,7 @@ from clickgraph.errors import (
     SupportError,
 )
 from clickgraph.graph import CentralityVector
-from clickgraph.ingest import TransitionLog
+from clickgraph.ingest import REGIONS, TransitionLog
 
 from helpers import multinomial_log, planted_core_graph, polya_evidence_oracle, random_graph
 
@@ -95,17 +98,51 @@ class TestTextsimHypothesis:
             E.textsim_hypothesis(g, np.array([1.5]))
 
 
+def reference_visual_values(regions):
+    """The former per-edge loop: 0/1 values and the None/NaN tally."""
+    values = np.zeros(len(regions))
+    filled = 0
+    for e, label in enumerate(regions):
+        if label is None or (isinstance(label, float) and np.isnan(label)):
+            filled += 1
+        elif label in E.PROMOTED_REGIONS:
+            values[e] = 1.0
+        elif label not in REGIONS:
+            raise SchemaError(f"unknown region label {label!r}")
+    return values, filled
+
+
 class TestVisualHypothesis:
-    def test_region_rules(self):
-        g = G.build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-        regions = np.asarray(["lead", "navbox", "infobox", "left-body", "right-body"], dtype=object)
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(REGIONS + (None, math.nan, "sidebar", "footer")), max_size=30))
+    def test_matches_the_per_edge_loop(self, labels):
+        g = G.build_graph([(0, i + 1) for i in range(len(labels))], n_nodes=len(labels) + 1)
+        regions = np.asarray(labels, dtype=object)
+        try:
+            values, filled = reference_visual_values(regions)
+        except SchemaError as exc:
+            with pytest.raises(SchemaError, match=f"^{re.escape(str(exc))}$"):
+                E.visual_hypothesis(g, regions)
+            return
         h = E.visual_hypothesis(g, regions, smooth=False)
-        np.testing.assert_array_equal(h.values, [1.0, 0.0, 1.0, 1.0, 0.0])
+        assert h.values.tobytes() == values.tobytes()
+        assert h.filled == filled
+
+    def test_region_rules(self):
+        g = G.build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 0), (2, 1), (2, 3)])
+        regions = np.asarray(["lead", "navbox", "infobox", "left-body", "right-body",
+                              None, np.nan, float("nan")], dtype=object)
+        h = E.visual_hypothesis(g, regions, smooth=False)
+        assert h.values.tobytes() == np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]).tobytes()
+        assert h.filled == 3
+        smoothed = E.visual_hypothesis(g, regions).values
+        assert smoothed.tobytes() == (h.values + E.SMOOTHING_WEIGHT).tobytes()
 
     def test_unknown_label_is_schema_error(self):
-        g = G.build_graph([(0, 1)])
-        with pytest.raises(SchemaError):
-            E.visual_hypothesis(g, np.asarray(["sidebar"], dtype=object))
+        g = G.build_graph([(0, 1), (0, 2), (0, 3), (1, 2)])
+        regions = np.asarray([None, "lead", "sidebar", "footer"], dtype=object)
+        with pytest.raises(SchemaError, match="^unknown region label 'sidebar'$"):
+            E.visual_hypothesis(g, regions)
 
     def test_all_body_reduces_to_structural_after_normalization(self):
         g = fan_graph()

@@ -32,8 +32,10 @@ import json
 import math
 import os
 import re
+import shutil
 
 import numpy as np
+import pytest
 import scipy
 
 from clickgraph.cli import main
@@ -189,9 +191,24 @@ def test_tolerant_comparison_rejects_changed_text_and_integers():
     assert _text_mismatch("# config=3fa9e2\n", "# config=3fa9e3\n") is not None
 
 
-def test_gen_seed_pipeline_reproduces_golden_digests(tmp_path):
-    got = gen_digests(run_stages(str(tmp_path), write_gen_inputs, features_args=(),
-                                 sample_size=GEN_SAMPLE_SIZE))
+@pytest.fixture(scope="module")
+def gen_out(tmp_path_factory) -> str:
+    """Output directory of the generator-seed run; tests must not change it."""
+    return run_stages(str(tmp_path_factory.mktemp("gen")), write_gen_inputs, features_args=(),
+                      sample_size=GEN_SAMPLE_SIZE)
+
+
+def _body(path: str) -> bytes:
+    """The file without its leading ``#`` lines."""
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    while lines and lines[0].startswith(b"#"):
+        lines.pop(0)
+    return b"".join(lines)
+
+
+def test_gen_seed_pipeline_reproduces_golden_digests(gen_out):
+    got = gen_digests(gen_out)
     with open(GEN_DIGESTS, encoding="utf-8") as fh:
         want = json.load(fh)
     assert sorted(got["files"]) == sorted(want["files"])
@@ -200,3 +217,16 @@ def test_gen_seed_pipeline_reproduces_golden_digests(tmp_path):
         assert got["files"][name]["lines"] == digest["lines"], name
         if exact or name in VERSION_FREE:
             assert got["files"][name]["sha256"] == digest["sha256"], name
+
+
+def test_feature_file_round_trip_is_lossless(gen_out, tmp_path):
+    # `features --feature-file` reads the table back and writes it again: the
+    # body, every row and every float's text, must come back unchanged.
+    out = str(tmp_path / "out")
+    shutil.copytree(gen_out, out)
+    features = os.path.join(out, "features.tsv")
+    body = _body(features)
+    assert main(["features", "--feature-file", features, "--out", out, "--threshold", "10"]) == 0
+    assert _body(features) == body
+    with open(os.path.join(out, "features_report.txt"), encoding="utf-8") as fh:
+        assert "rejected" not in fh.read()

@@ -47,11 +47,9 @@ class TestSplitHurdle:
         np.testing.assert_array_equal(split.binary_y, [0, 0, 1])
         np.testing.assert_array_equal(split.count_rows, [2])
         np.testing.assert_array_equal(split.count_y, [12])
-        assert not split.separation_risk
 
-    def test_all_above_threshold_flags_separation_risk(self):
+    def test_all_above_threshold_keeps_every_count_row(self):
         split = H.split_hurdle(toy_table([10, 11, 12]), threshold=10)
-        assert split.separation_risk
         assert len(split.count_rows) == 3
 
     def test_threshold_must_be_positive(self):

@@ -2,10 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clickgraph import graph as G
 from clickgraph import ingest
-from clickgraph.errors import LineError, MalformedInputError, SchemaError, SupportError
+from clickgraph.errors import (
+    ClickgraphError,
+    LineError,
+    MalformedInputError,
+    PreconditionError,
+    SchemaError,
+    SupportError,
+)
 
 from helpers import random_graph
 
@@ -228,6 +237,23 @@ class TestLoadFeatureTable:
         assert report.rejected == [(first + i, "B", "C", "not an edge of the graph")
                                    for i in range(ingest.REJECTED_LISTED)]
 
+    def test_last_listed_rejection_keeps_its_value_reason(self):
+        header, first, *rest = feature_file_lines(self.g, self.log)
+        fields = first.rstrip("\n").split("\t")
+        fields[ingest.FEATURE_COLUMNS.index("region")] = "sidebar"
+        short = ["x\n"] * (ingest.REJECTED_LISTED - 1)
+        lines = [header, *short, "\t".join(fields) + "\n", first, *rest]
+        table, report = ingest.load_feature_table(lines, self.g, self.log)
+        assert report.rejected[-1] == (len(short) + 2, fields[0], fields[1],
+                                       "unknown region label 'sidebar'")
+        assert len(table) == self.g.n_edges
+
+    def test_line_numbers_count_the_lines_before_the_header(self):
+        header, first = feature_file_lines(self.g, self.log)[:2]
+        lines = ["# one\n", "# two\n", "# three\n", header, first, "x\n"]
+        _, report = ingest.load_feature_table(lines, self.g, self.log)
+        assert report.rejected == [(6, "", "", "expected 18 fields, got 1")]
+
     def test_unlabeled_load_without_graph_interns_names(self):
         lines = feature_file_lines(self.g, self.log)
         table, report = ingest.load_feature_table(lines, None, None)
@@ -263,3 +289,328 @@ class TestBuildFeatureTable:
             covered=covered,
         )
         assert len(table) == g.n_edges // 2
+
+
+# ---------------------------------------------------------------------------
+# The parsers as they were before every file's rows were matched to edges with
+# one `edge_slots` call: each row was looked up on its own, as `has_edge` did,
+# and the missing transitions column was joined through a dict.  Kept as
+# references; the properties below hold the batched parsers to them.
+# ---------------------------------------------------------------------------
+
+
+def reference_has_edge(graph, src: int, trg: int) -> bool:
+    n = graph.n_nodes
+    if not (0 <= src < n and 0 <= trg < n):
+        return False
+    key = src * n + trg
+    pos = int(graph._edge_keys.searchsorted(key))
+    return pos < graph.n_edges and int(graph._edge_keys[pos]) == key
+
+
+def reference_parse_clickstream(lines, name_to_id, graph, threshold=10, fail_fast=False):
+    stats = ingest.DropStats()
+    sums = {}
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        stats.lines += 1
+        fields = line.split("\t")
+        if len(fields) == 3:
+            ref, res, count_text = fields
+        elif len(fields) == 4:
+            ref, res, _type, count_text = fields
+        else:
+            if fail_fast:
+                raise LineError(line_no, f"expected 3 or 4 tab-separated fields, got {len(fields)}")
+            stats.malformed += 1
+            continue
+        try:
+            count = int(count_text)
+        except ValueError:
+            if fail_fast:
+                raise LineError(line_no, f"non-numeric count {count_text!r}")
+            stats.malformed += 1
+            continue
+        src = name_to_id.get(ref)
+        if src is None:
+            stats.external += 1
+            continue
+        trg = name_to_id.get(res)
+        if trg is None or not reference_has_edge(graph, src, trg):
+            stats.non_edge += 1
+            continue
+        sums[(src, trg)] = sums.get((src, trg), 0) + count
+    kept = {pair: c for pair, c in sums.items() if c >= threshold}
+    stats.below_threshold_pairs = len(sums) - len(kept)
+    stats.kept_pairs = len(kept)
+    stats.kept_count = sum(kept.values())
+    log = ingest.TransitionLog.from_pairs(
+        src=[p[0] for p in kept], trg=[p[1] for p in kept], count=list(kept.values()),
+        threshold=threshold, graph=graph,
+    )
+    return log, stats
+
+
+def reference_load_feature_table(lines, graph, transitions=None, recompute_network=False,
+                                 delimiter="\t"):
+    """The former reader, with one fix: lines are numbered from the start of
+    the input, not as if the header were line 1."""
+    numbered = enumerate(lines, start=1)
+    header = None
+    for _, raw in numbered:
+        line = raw.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        header = [h.strip() for h in line.split(delimiter)]
+        break
+    if header is None:
+        raise SchemaError("feature file has no header line")
+    colpos = {name: i for i, name in enumerate(header)}
+    missing = [c for c in ingest._MANDATORY if c not in colpos]
+    if not recompute_network:
+        missing += [c for c in ingest.NETWORK_COLUMNS if c not in colpos]
+    if missing:
+        raise SchemaError(f"feature file missing mandatory columns: {', '.join(missing)}")
+    if graph is not None and graph.labels is not None:
+        name_to_id, intern = graph.name_to_id(), None
+    elif graph is not None:
+        name_to_id, intern = None, None
+    else:
+        name_to_id = {}
+        intern = name_to_id
+    report = ingest.JoinReport()
+    src_ids, trg_ids = [], []
+    raw_cols = {c: [] for c in header if c not in ("src", "trg")}
+    seen = set()
+    numeric = {c for c in ingest.FEATURE_COLUMNS if c not in ("src", "trg", "region")}
+    for line_no, raw in numbered:
+        line = raw.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        report.rows_read += 1
+        fields = line.split(delimiter)
+        if len(fields) != len(header):
+            report.reject(line_no, "", "", f"expected {len(header)} fields, got {len(fields)}")
+            continue
+        src_name = fields[colpos["src"]]
+        trg_name = fields[colpos["trg"]]
+        if name_to_id is not None:
+            if intern is not None:
+                s = name_to_id.setdefault(src_name, len(name_to_id))
+                t = name_to_id.setdefault(trg_name, len(name_to_id))
+            else:
+                s = name_to_id.get(src_name, -1)
+                t = name_to_id.get(trg_name, -1)
+        else:
+            try:
+                s, t = int(src_name), int(trg_name)
+            except ValueError:
+                report.reject(line_no, src_name, trg_name, "non-integer id in unlabeled graph")
+                continue
+        if graph is not None and not reference_has_edge(graph, s, t):
+            report.reject(line_no, src_name, trg_name, "not an edge of the graph")
+            continue
+        if (s, t) in seen:
+            report.reject(line_no, src_name, trg_name, "duplicate link row")
+            continue
+        row_vals = {}
+        bad = None
+        for cname in raw_cols:
+            text = fields[colpos[cname]]
+            if cname in numeric:
+                try:
+                    row_vals[cname] = float(text)
+                except ValueError:
+                    bad = f"non-numeric value {text!r} in column {cname}"
+                    break
+            else:
+                row_vals[cname] = text
+        if bad is None:
+            for sim in ("text_sim", "topic_sim"):
+                v = row_vals.get(sim)
+                if v is not None and not 0.0 <= float(v) <= 1.0:
+                    bad = f"{sim} {v} outside [0, 1]"
+                    break
+        if bad is None and row_vals.get("region") not in (None, *ingest.REGIONS):
+            bad = f"unknown region label {row_vals['region']!r}"
+        if bad is not None:
+            report.reject(line_no, src_name, trg_name, bad)
+            continue
+        seen.add((s, t))
+        src_ids.append(s)
+        trg_ids.append(t)
+        for cname in raw_cols:
+            raw_cols[cname].append(row_vals[cname])
+    report.rows_kept = len(src_ids)
+    src = np.asarray(src_ids, dtype=np.int64)
+    trg = np.asarray(trg_ids, dtype=np.int64)
+    data = {}
+    for cname, values in raw_cols.items():
+        data[cname] = np.asarray(values, dtype=object if cname == "region" else np.float64)
+    if "transitions" not in data:
+        data["transitions"] = np.zeros(len(src), dtype=np.float64)
+        if transitions is not None and len(src):
+            lookup = {(int(s), int(t)): int(c)
+                      for s, t, c in zip(transitions.src, transitions.trg, transitions.count)}
+            data["transitions"] = np.asarray(
+                [lookup.get((int(s), int(t)), 0) for s, t in zip(src, trg)], dtype=np.float64)
+    if recompute_network and graph is not None:
+        computed = ingest._node_feature_columns(ingest.compute_network_features(graph), src, trg)
+        for cname, vec in computed.items():
+            if cname in raw_cols and len(src):
+                diff = np.abs(data[cname] - vec)
+                report.consistency[cname] = (int((diff > 1e-9).sum()), float(diff.max()))
+            data[cname] = vec
+    if graph is not None:
+        labels = graph.labels
+    else:
+        labels = tuple(sorted(name_to_id, key=name_to_id.get)) or None
+    return ingest.LinkFeatureTable(src=src, trg=trg, data=data, labels=labels), report
+
+
+def outcome(call):
+    """``call()``'s result, or the type and text of the ClickgraphError it raised."""
+    try:
+        return call()
+    except ClickgraphError as exc:
+        return type(exc), str(exc)
+
+
+NAMES = ("A", "B", "C", "D", "E", "F")
+
+
+@st.composite
+def labeled_graphs(draw):
+    pairs = [(s, t) for s in range(len(NAMES)) for t in range(len(NAMES))]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=20))
+    return G.build_graph(edges, labels=NAMES)
+
+
+CLICK_NAMES = st.sampled_from(NAMES + ("other-google", "Z", ""))
+# Counts past 2**53 catch a sum taken in floats; 40 of them still fit int64.
+COUNT_TEXTS = st.one_of(st.integers(-5, 40).map(str), st.integers(10**15, 10**16).map(str),
+                        st.sampled_from(["x", "", "1.5", " 12", "+7"]))
+
+
+@st.composite
+def click_lines(draw):
+    kind = draw(st.sampled_from(["three", "four", "three", "wrong", "blank"]))
+    if kind == "blank":
+        return "\n"
+    if kind == "wrong":
+        fields = draw(st.lists(CLICK_NAMES, max_size=5).filter(lambda f: len(f) not in (3, 4)))
+    else:
+        fields = [draw(CLICK_NAMES), draw(CLICK_NAMES), draw(COUNT_TEXTS)]
+        if kind == "four":
+            fields.insert(2, "link")
+    return "\t".join(fields) + "\n"
+
+
+class TestParseClickstreamMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(labeled_graphs(), st.lists(click_lines(), max_size=40), st.integers(1, 30),
+           st.booleans())
+    def test_same_log_and_drop_stats(self, g, lines, threshold, fail_fast):
+        names = g.name_to_id()
+        got = outcome(lambda: ingest.parse_clickstream(lines, names, g, threshold, fail_fast))
+        want = outcome(lambda: reference_parse_clickstream(lines, names, g, threshold, fail_fast))
+        if isinstance(want[0], type):
+            assert got == want
+            return
+        (log, stats), (ref_log, ref_stats) = got, want
+        assert stats == ref_stats
+        assert all(type(getattr(stats, f)) is int for f in vars(stats))
+        for col in ("src", "trg", "count"):
+            assert getattr(log, col).dtype == getattr(ref_log, col).dtype == np.int64
+            np.testing.assert_array_equal(getattr(log, col), getattr(ref_log, col))
+
+
+VALUE_TEXTS = st.sampled_from(["0", "0.25", "1", "1.5", "-0.5", "nan", "x", "1e-3"])
+REGION_TEXTS = st.sampled_from(["body", "lead", "infobox", "sidebar", ""])
+
+
+@st.composite
+def feature_files(draw, pairs):
+    """Header plus rows naming ``pairs``: good links, repeats, non-edges,
+    unknown names, bad values and rows with the wrong field count."""
+    columns = [c for c in ingest.FEATURE_COLUMNS
+               if c != "transitions" or draw(st.booleans())]
+    lines = draw(st.lists(st.sampled_from(["# note\n", "\n"]), max_size=2))
+    lines.append("\t".join(columns) + "\n")
+    rows: list[str] = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["row", "row", "row", "repeat", "short", "comment"]))
+        if kind == "repeat" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "short":
+            rows.append("A\t" * draw(st.integers(0, 18)) + "A\n")
+        elif kind == "comment":
+            rows.append(draw(st.sampled_from(["# c\n", "\n"])))
+        else:
+            # One drawn value in one drawn column; the similarities get a legal one otherwise.
+            fields = {c: "0.5" if c.endswith("_sim") else "3" for c in columns}
+            fields["src"], fields["trg"] = draw(pairs)
+            fields["region"] = draw(REGION_TEXTS)
+            fields[draw(st.sampled_from(columns[2:-1]))] = draw(VALUE_TEXTS)
+            rows.append("\t".join(fields[c] for c in columns) + "\n")
+    return lines + rows
+
+
+def assert_same_table(got, want):
+    (table, report), (ref_table, ref_report) = got, want
+    assert repr(report) == repr(ref_report)  # repr: a NaN max diff equals itself
+    assert table.labels == ref_table.labels
+    np.testing.assert_array_equal(table.src, ref_table.src)
+    np.testing.assert_array_equal(table.trg, ref_table.trg)
+    assert list(table.data) == list(ref_table.data)
+    for name, col in table.data.items():
+        ref = ref_table.data[name]
+        assert col.dtype == ref.dtype, name
+        if col.dtype == object:
+            assert col.tolist() == ref.tolist(), name
+        else:
+            assert col.tobytes() == ref.tobytes(), name
+
+
+class TestLoadFeatureTableMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(labeled_graphs(), st.data(), st.booleans())
+    def test_labeled_graph(self, g, data, recompute):
+        edges = list(zip(g.edge_sources.tolist(), g.out_indices.tolist()))
+        names = st.sampled_from(NAMES + ("Z",))
+        links = st.sampled_from([(NAMES[s], NAMES[t]) for s, t in edges])
+        lines = data.draw(feature_files(st.one_of(links, links, st.tuples(names, names))))
+        logged = data.draw(st.lists(st.sampled_from(edges), unique=True))
+        log = ingest.TransitionLog.from_pairs(
+            [s for s, _ in logged], [t for _, t in logged],
+            data.draw(st.lists(st.integers(10, 99), min_size=len(logged), max_size=len(logged))),
+            graph=g)
+        assert_same_table(
+            ingest.load_feature_table(lines, g, log, recompute_network=recompute),
+            reference_load_feature_table(lines, g, log, recompute_network=recompute))
+
+    @settings(max_examples=200, deadline=None)
+    @given(labeled_graphs(), st.data())
+    def test_unlabeled_graph(self, g, data):
+        g = G.build_graph(list(zip(g.edge_sources, g.out_indices)), n_nodes=g.n_nodes)
+        ids = st.sampled_from(["0", "1", "2", "5", "01", "+1", " 2", "-1", "6", "x", "9" * 25])
+        links = st.sampled_from([(str(s), str(t)) for s, t in zip(g.edge_sources, g.out_indices)])
+        lines = data.draw(feature_files(st.one_of(links, links, st.tuples(ids, ids))))
+        assert_same_table(ingest.load_feature_table(lines, g),
+                          reference_load_feature_table(lines, g))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_without_graph(self, data):
+        names = st.sampled_from(NAMES + ("Z",))
+        lines = data.draw(feature_files(st.tuples(names, names)))
+        assert_same_table(ingest.load_feature_table(lines, None),
+                          reference_load_feature_table(lines, None))
+
+    def test_transitions_without_graph_are_refused(self):
+        g, _ = small_graph()
+        log = ingest.TransitionLog.from_pairs([0], [1], [25], graph=g)
+        with pytest.raises(PreconditionError):
+            ingest.load_feature_table(feature_file_lines(g, log), None, log)

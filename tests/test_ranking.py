@@ -266,12 +266,13 @@ class TestEvaluateAll:
     def test_thread_pool_matches_serial(self):
         g, hyps, log = self._setup()
         serial = R.evaluate_all(g, hyps, log, threads=1)
-        parallel = R.evaluate_all(g, hyps, log, threads=4)
-        assert [(r.hypothesis, r.alpha) for r in serial] == [
-            (r.hypothesis, r.alpha) for r in parallel
-        ]
-        for a, b in zip(serial, parallel):
-            assert a.rho == pytest.approx(b.rho, abs=1e-15)
+        for threads in (0, 4):
+            parallel = R.evaluate_all(g, hyps, log, threads=threads)
+            assert [(r.hypothesis, r.alpha) for r in serial] == [
+                (r.hypothesis, r.alpha) for r in parallel
+            ]
+            for a, b in zip(serial, parallel):
+                assert a.rho == pytest.approx(b.rho, abs=1e-15)
 
     def test_restrict_to_viewed_changes_universe(self):
         g, hyps, log = self._setup()
