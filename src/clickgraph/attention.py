@@ -179,41 +179,65 @@ def _grid(xmin: int) -> tuple[np.ndarray, np.ndarray]:
     return x, lx
 
 
-def _logsumexp(a: np.ndarray) -> np.float64:
+def _logsumexp(a: np.ndarray, out: np.ndarray | None = None) -> np.float64:
     """``scipy.special.logsumexp(a)`` for a non-empty 1-D float64 array.
 
     The same arithmetic, step for step, without the array-API dispatch: the
     tied maxima are split out of the shifted sum and added back as
     ``log(m)``. A non-finite maximum is returned at once: it is scipy's
     answer (NaN, +inf, or -inf when every term is -inf), and the shifted
-    sum would only add invalid-value warnings.
+    sum would only add invalid-value warnings.  The shifted terms go to
+    ``out``, a float64 array of ``a``'s shape that may be ``a`` itself;
+    without it they go to a new array and ``a`` is left alone.
     """
-    a_max = a.max()
+    i = int(a.argmax())  # the first maximum, or the first NaN
+    a_max = a[i]
     if not np.isfinite(a_max):
         return a_max
     tied = a == a_max
-    m = np.float64(np.count_nonzero(tied))
-    shifted = a - a_max
-    shifted[tied] = -np.inf
-    s = np.exp(shifted).sum()
+    m = np.count_nonzero(tied)
+    shifted = np.subtract(a, a_max, out=out)
+    if m == 1:
+        shifted[i] = -np.inf
+    else:
+        shifted[tied] = -np.inf
+    s = np.exp(shifted, out=shifted).sum()
+    m = np.float64(m)
     if s != 0:
         s = s / m
     return np.log1p(s) + np.log(m) + a_max
 
 
-def _log_norm_tpl(alpha: float, lam: float, xmin: int) -> float:
+def _norm_work() -> np.ndarray:
+    """Scratch rows for the exact heads, made once per fit and reused by
+    every optimiser step (never shared between fits, so threads are safe)."""
+    return np.empty((2, _NORM_EXACT_TERMS))
+
+
+def _log_norm_tpl(alpha: float, lam: float, xmin: int, work: np.ndarray | None = None) -> float:
     # Z = sum_{x >= xmin} x^-alpha e^(-lam x): exact head plus midpoint tail.
     upper = xmin + _NORM_EXACT_TERMS
     x, lx = _grid(xmin)
-    head = _logsumexp(-alpha * lx - lam * x)
+    terms, scratch = _norm_work() if work is None else work
+    # -alpha * lx - lam * x, term by term, in the scratch rows
+    np.multiply(lx, -alpha, out=terms)
+    np.subtract(terms, np.multiply(x, lam, out=scratch), out=terms)
+    head = _logsumexp(terms, out=terms)
     tail = _tail_integral(lambda t: -alpha * math.log(t) - lam * t, upper - 0.5)
     return float(np.logaddexp(head, np.log(tail) if tail > 0 else -np.inf))
 
 
-def _log_norm_lognormal(mu: float, sigma: float, xmin: int) -> float:
+def _log_norm_lognormal(mu: float, sigma: float, xmin: int, work: np.ndarray | None = None) -> float:
     upper = xmin + _NORM_EXACT_TERMS
     _x, lx = _grid(xmin)
-    head = _logsumexp(-lx - 0.5 * ((lx - mu) / sigma) ** 2)
+    terms, scratch = _norm_work() if work is None else work
+    # -lx - 0.5 * ((lx - mu) / sigma) ** 2, term by term, in the scratch rows
+    np.subtract(lx, mu, out=scratch)
+    np.divide(scratch, sigma, out=scratch)
+    np.square(scratch, out=scratch)
+    np.multiply(scratch, 0.5, out=scratch)
+    np.subtract(np.negative(lx, out=terms), scratch, out=terms)
+    head = _logsumexp(terms, out=terms)
     # Closed-form Gaussian tail: integral of (1/t) exp(-(ln t - mu)^2 / 2 s^2).
     z = (math.log(upper - 0.5) - mu) / sigma
     tail = math.sqrt(2.0 * math.pi) * sigma * special.ndtr(-z)
@@ -268,12 +292,14 @@ def _fit_truncated_power_law(x: np.ndarray, xmin: int) -> FamilyFit:
     logs = np.log(x).sum()
     total = x.sum()
     n = len(x)
+    work = _norm_work()
 
     def nll(p: np.ndarray) -> float:
-        alpha, lam = p[0], max(math.exp(p[1]), 1e-9)
+        # Python floats: the quad integrand does scalar arithmetic in them
+        alpha, lam = float(p[0]), max(math.exp(p[1]), 1e-9)
         if alpha < 0.0:  # keep the family on its valid range
             return 1e18 * (1.0 + alpha * alpha)
-        return alpha * logs + lam * total + n * _log_norm_tpl(alpha, lam, xmin)
+        return alpha * logs + lam * total + n * _log_norm_tpl(alpha, lam, xmin, work)
 
     best = None
     for lam0 in (0.5, 0.05):
@@ -296,14 +322,15 @@ def _fit_truncated_power_law(x: np.ndarray, xmin: int) -> FamilyFit:
 def _fit_lognormal(x: np.ndarray, xmin: int) -> FamilyFit:
     lx = np.log(x)
     n = len(x)
+    work = _norm_work()
 
     def nll(p: np.ndarray) -> float:
-        mu, sigma = p[0], math.exp(p[1])
+        mu, sigma = float(p[0]), math.exp(p[1])
         if sigma == 0.0:  # exp underflow; the step would score NaN or raise
             return math.inf
         return float(
             (lx + 0.5 * ((lx - mu) / sigma) ** 2).sum()
-            + n * _log_norm_lognormal(mu, sigma, xmin)
+            + n * _log_norm_lognormal(mu, sigma, xmin, work)
         )
 
     res = optimize.minimize(

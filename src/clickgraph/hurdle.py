@@ -207,13 +207,30 @@ def _log1mexp(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def ztnb_loglik(params: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+def ztnb_counts(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What :func:`ztnb_loglik` needs of the counts alone, computed once per
+    fit: the distinct counts, each row's index among them, and
+    ``gammaln(y + 1)``."""
+    distinct, inverse = np.unique(y, return_inverse=True)
+    return distinct, inverse, special.gammaln(y + 1.0)
+
+
+def ztnb_loglik(
+    params: np.ndarray,
+    X: np.ndarray,
+    y: np.ndarray,
+    counts: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[float, np.ndarray]:
     """Log-likelihood of counts y >= 1 under NB(mu, theta) truncated at zero
     and its analytic gradient, as ``(value, gradient)`` from one pass.
 
     ``params`` is (beta..., ln theta) with log link mu = exp(X beta);
     the zero probability NB(0; mu, theta) = (theta / (theta + mu))^theta.
-    A theta outside the float range raises :class:`ConvergenceError`.
+    ``counts`` is ``ztnb_counts(y)``, computed here when not given; the
+    ``gammaln`` and ``digamma`` terms of ``y + theta`` are taken once per
+    distinct count.  A theta outside the float range, or one at which a
+    row's zero probability rounds to 1 (its truncated likelihood would be
+    +inf), raises :class:`ConvergenceError`.
     """
     try:
         theta = math.exp(params[-1])
@@ -222,17 +239,22 @@ def ztnb_loglik(params: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[float
         raise ConvergenceError(
             f"ztnb theta out of float range at ln theta = {float(params[-1])!r}", last=params
         ) from None
+    distinct, inverse, log_y_factorial = ztnb_counts(y) if counts is None else counts
     eta = X @ params[:-1]
     mu = np.exp(eta)
     denom = theta + mu
     log_denom = np.log(denom)
     log_ratio = log_theta - log_denom  # ln(theta/(theta+mu)) < 0
     log_p0 = theta * log_ratio
+    if (log_p0 == 0.0).any():
+        raise ConvergenceError(
+            f"ztnb zero probability rounds to 1 at ln theta = {float(params[-1])!r}", last=params
+        )
     log_1mp0 = _log1mexp(log_p0)
     ll = (
-        special.gammaln(y + theta)
+        special.gammaln(distinct + theta)[inverse]
         - special.gammaln(theta)
-        - special.gammaln(y + 1.0)
+        - log_y_factorial
         + log_p0
         + y * (eta - log_denom)
         - log_1mp0
@@ -243,7 +265,7 @@ def ztnb_loglik(params: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[float
     # d ll / d eta = y - (y + theta) mu / denom - theta mu / denom * p0/(1-p0)
     dll_deta = y - (y + theta) * mu / denom - theta * mu / denom * p0_over_1mp0
     dll_dtheta = (
-        special.digamma(y + theta)
+        special.digamma(distinct + theta)[inverse]
         - special.digamma(theta)
         + log_ratio
         + 1.0
@@ -256,8 +278,9 @@ def ztnb_loglik(params: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[float
 def fit_ztnb(design: DesignMatrix, theta_init: float = 1.0, max_iter: int = 500) -> HurdleFit:
     """Joint quasi-Newton ascent over (beta, ln theta).
 
-    One :func:`ztnb_loglik` call per point L-BFGS-B evaluates; the trace is
-    the likelihood it reports at each iterate.  All outcomes must be >= 1;
+    One :func:`ztnb_loglik` call per point L-BFGS-B evaluates, sharing one
+    :func:`ztnb_counts`; the trace is the likelihood it reports at each
+    iterate.  All outcomes must be >= 1;
     a fit that stops short of the gradient tolerance raises
     :class:`ConvergenceError` with the trace attached.
     """
@@ -274,9 +297,10 @@ def fit_ztnb(design: DesignMatrix, theta_init: float = 1.0, max_iter: int = 500)
     x0[-1] = math.log(theta_init)
 
     trace: list[float] = []
+    counts = ztnb_counts(y)
 
     def objective(params):
-        ll, grad = ztnb_loglik(params, X, y)
+        ll, grad = ztnb_loglik(params, X, y, counts)
         return -ll, -grad
 
     def record(intermediate_result):

@@ -53,6 +53,9 @@ _MANDATORY = ("src", "trg", "text_sim", "topic_sim", "x_coord", "y_coord", "regi
 #: Rejected rows a ``JoinReport`` lists; any beyond are only counted.
 REJECTED_LISTED = 20
 
+#: The range of the int64 count column.
+_COUNT_MIN, _COUNT_MAX = -(2**63), 2**63 - 1
+
 
 @dataclass(frozen=True, eq=False)
 class TransitionLog:
@@ -185,8 +188,11 @@ def parse_clickstream(
     not graph edges are dropped, duplicate pairs are summed, and only pairs
     with a summed count of at least ``threshold`` are kept.
 
-    Malformed rows raise :class:`LineError` when ``fail_fast`` is set and are
-    otherwise skipped and counted in the returned :class:`DropStats`.
+    Malformed rows (a count that is no integer or lies outside int64 among
+    them) raise :class:`LineError` when ``fail_fast`` is set and are
+    otherwise skipped and counted in the returned :class:`DropStats`.  A
+    kept pair whose summed count lies outside int64 raises
+    :class:`MalformedInputError` naming both articles.
     """
     stats = DropStats()
     src_ids: list[int] = []
@@ -215,6 +221,11 @@ def parse_clickstream(
                 raise LineError(line_no, f"non-numeric count {count_text!r}")
             stats.malformed += 1
             continue
+        if not _COUNT_MIN <= count <= _COUNT_MAX:
+            if fail_fast:
+                raise LineError(line_no, f"count {count_text!r} outside the int64 range")
+            stats.malformed += 1
+            continue
 
         src = name_to_id.get(ref)
         if src is None:
@@ -236,6 +247,12 @@ def parse_clickstream(
             sums[slot] = sums.get(slot, 0) + count
 
     kept = {slot: c for slot, c in sums.items() if c >= threshold}
+    for slot, c in kept.items():
+        if not _COUNT_MIN <= c <= _COUNT_MAX:
+            src, trg = int(graph.edge_sources[slot]), int(graph.out_indices[slot])
+            if graph.labels is not None:
+                src, trg = graph.labels[src], graph.labels[trg]
+            raise MalformedInputError(f"summed count {c} of {src!r} -> {trg!r} outside the int64 range")
     stats.below_threshold_pairs = len(sums) - len(kept)
     stats.kept_pairs = len(kept)
     stats.kept_count = sum(kept.values())
@@ -343,8 +360,10 @@ def load_feature_table(
     file.  A missing ``transitions`` column is filled from the log (0 where
     unobserved).
 
-    Rows referencing non-edges, rows with out-of-range similarities, and rows
-    with unknown region labels are rejected: all are counted in the report,
+    Every column but src, trg and region, an extra one too, holds numbers.
+    Rows referencing non-edges, rows with a non-numeric value, rows with
+    out-of-range similarities, and rows with unknown region labels are
+    rejected: all are counted in the report,
     the first ``REJECTED_LISTED`` listed, by line number in the input.
 
     ``graph=None`` skips edge validation and interns names from the file
@@ -385,8 +404,6 @@ def load_feature_table(
     texts: dict[int, tuple[str, str]] = {}  # names that the row's ids do not give back
     bad: dict[int, str] = {}  # why the row's values fail
 
-    numeric = {c for c in FEATURE_COLUMNS if c not in ("src", "trg", "region")}
-
     for line_no, raw in numbered:
         line = raw.rstrip("\n")
         if not line or line.startswith("#"):
@@ -419,16 +436,16 @@ def load_feature_table(
 
         row_vals: dict[str, object] = {}
         reason = None
-        for cname in raw_cols:
+        for cname in raw_cols:  # every column but region holds numbers, extra ones too
             text = fields[colpos[cname]]
-            if cname in numeric:
-                try:
-                    row_vals[cname] = float(text)
-                except ValueError:
-                    reason = f"non-numeric value {text!r} in column {cname}"
-                    break
-            else:
+            if cname == "region":
                 row_vals[cname] = text
+                continue
+            try:
+                row_vals[cname] = float(text)
+            except ValueError:
+                reason = f"non-numeric value {text!r} in column {cname}"
+                break
         if reason is None:
             for sim in ("text_sim", "topic_sim"):
                 v = row_vals.get(sim)

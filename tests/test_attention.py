@@ -1,6 +1,7 @@
 """Concentration statistics, Gini coefficients, and distribution fitting."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -306,3 +307,137 @@ class TestNormaliser:
             x[0] = 1.0
         with pytest.raises(ValueError):
             lx[0] = 0.0
+
+
+# The normalisers and the two Nelder-Mead fitters as written before they ran
+# in per-fit work buffers on Python-float parameters.
+
+
+def reference_logsumexp(a):
+    a_max = a.max()
+    if not np.isfinite(a_max):
+        return a_max
+    tied = a == a_max
+    m = np.float64(np.count_nonzero(tied))
+    shifted = a - a_max
+    shifted[tied] = -np.inf
+    s = np.exp(shifted).sum()
+    if s != 0:
+        s = s / m
+    return np.log1p(s) + np.log(m) + a_max
+
+
+def reference_log_norm_tpl(alpha, lam, xmin):
+    upper = xmin + A._NORM_EXACT_TERMS
+    x, lx = A._grid(xmin)
+    head = reference_logsumexp(-alpha * lx - lam * x)
+    tail = A._tail_integral(lambda t: -alpha * math.log(t) - lam * t, upper - 0.5)
+    return float(np.logaddexp(head, np.log(tail) if tail > 0 else -np.inf))
+
+
+def reference_log_norm_lognormal(mu, sigma, xmin):
+    upper = xmin + A._NORM_EXACT_TERMS
+    _x, lx = A._grid(xmin)
+    head = reference_logsumexp(-lx - 0.5 * ((lx - mu) / sigma) ** 2)
+    z = (math.log(upper - 0.5) - mu) / sigma
+    tail = math.sqrt(2.0 * math.pi) * sigma * special.ndtr(-z)
+    return float(np.logaddexp(head, np.log(tail) if tail > 0 else -np.inf))
+
+
+def reference_fit_truncated_power_law(x, xmin):
+    logs = np.log(x).sum()
+    total = x.sum()
+    n = len(x)
+
+    def nll(p):
+        alpha, lam = p[0], max(math.exp(p[1]), 1e-9)
+        if alpha < 0.0:
+            return 1e18 * (1.0 + alpha * alpha)
+        return alpha * logs + lam * total + n * reference_log_norm_tpl(alpha, lam, xmin)
+
+    best = None
+    for lam0 in (0.5, 0.05):
+        res = A.optimize.minimize(
+            nll, x0=np.array([1.5, math.log(lam0)]), method="Nelder-Mead",
+            options={"xatol": 1e-6, "fatol": 1e-8, "maxiter": 2000},
+        )
+        if best is None or res.fun < best.fun:
+            best = res
+    alpha, lam = float(best.x[0]), float(max(math.exp(best.x[1]), 1e-9))
+    params = {"alpha": max(alpha, 0.0), "lambda": lam}
+    ll = -float(best.fun)
+    return A.FamilyFit(
+        "truncated_power_law", params, ll, 2 * 2 - 2 * ll, bool(best.success), str(best.message)
+    )
+
+
+def reference_fit_lognormal(x, xmin):
+    lx = np.log(x)
+    n = len(x)
+
+    def nll(p):
+        mu, sigma = p[0], math.exp(p[1])
+        if sigma == 0.0:
+            return math.inf
+        return float(
+            (lx + 0.5 * ((lx - mu) / sigma) ** 2).sum()
+            + n * reference_log_norm_lognormal(mu, sigma, xmin)
+        )
+
+    res = A.optimize.minimize(
+        nll,
+        x0=np.array([float(lx.mean()), math.log(max(float(lx.std()), 0.1))]),
+        method="Nelder-Mead",
+        options={"xatol": 1e-6, "fatol": 1e-8, "maxiter": 2000},
+    )
+    params = {"mu": float(res.x[0]), "sigma": float(math.exp(res.x[1]))}
+    ll = -float(res.fun)
+    return A.FamilyFit("lognormal", params, ll, 2 * 2 - 2 * ll, bool(res.success), str(res.message))
+
+
+def _fit_outcome(samples, xmin):
+    try:
+        return repr(A.fit_distributions(samples, xmin=xmin))
+    except (InsufficientDataError, DegenerateInputError) as exc:
+        return type(exc), str(exc)
+
+
+#: One work buffer for every example, so a value left over from an earlier call would show.
+SHARED_WORK = A._norm_work()
+
+
+class TestNormaliserMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.floats(-1.0, 6.0), log_lam=st.floats(-21.0, 3.0), xmin=st.integers(1, 60))
+    def test_truncated_power_law_bit_equal(self, alpha, log_lam, xmin):
+        lam = math.exp(log_lam)
+        want = reference_log_norm_tpl(np.float64(alpha), lam, xmin).hex()
+        assert A._log_norm_tpl(alpha, lam, xmin).hex() == want
+        assert A._log_norm_tpl(alpha, lam, xmin, SHARED_WORK).hex() == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(mu=st.floats(-2e6, 60.0), log_sigma=st.floats(-7.0, 7.0), xmin=st.integers(1, 60))
+    def test_lognormal_bit_equal(self, mu, log_sigma, xmin):
+        sigma = math.exp(log_sigma)
+        want = reference_log_norm_lognormal(np.float64(mu), sigma, xmin).hex()
+        assert A._log_norm_lognormal(mu, sigma, xmin).hex() == want
+        assert A._log_norm_lognormal(mu, sigma, xmin, SHARED_WORK).hex() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 40)))
+    def test_logsumexp_in_place_matches_reference(self, a):
+        work = a.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _same_float(A._logsumexp(work, out=work), reference_logsumexp(a))
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["zipf", "geometric"]),
+           n=st.integers(40, 400), xmin=st.sampled_from([1, 2, 5]))
+    def test_fit_distributions_identical(self, seed, family, n, xmin):
+        rng = np.random.default_rng(seed)
+        samples = rng.zipf(2.2, n) if family == "zipf" else rng.geometric(0.15, n)
+        got = _fit_outcome(samples, xmin)
+        with mock.patch.object(A, "_fit_truncated_power_law", reference_fit_truncated_power_law), \
+                mock.patch.object(A, "_fit_lognormal", reference_fit_lognormal):
+            want = _fit_outcome(samples, xmin)
+        assert got == want

@@ -319,6 +319,29 @@ class TestBuildInput:
         err = capsys.readouterr().err
         assert "line 3" in err and "'#C'" in err
 
+    @pytest.mark.parametrize("fail_fast, rc, err", [
+        ((), 0, "build: skipped 1 malformed lines\n"),
+        (("--fail-fast",), 2, "error: line 1: count '99999999999999999999' outside the int64 range\n"),
+    ])
+    def test_count_outside_int64_is_a_malformed_line(self, tmp_path, capsys, fail_fast, rc, err):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("A\tB\nB\tA\n")
+        clicks = tmp_path / "clicks.tsv"
+        clicks.write_text("A\tB\t99999999999999999999\nB\tA\t30\n")
+        assert main(["build", "--edges", str(edges), "--clickstream", str(clicks),
+                     "--out", str(tmp_path / "o"), *fail_fast]) == rc
+        assert capsys.readouterr().err == err
+
+    def test_summed_count_outside_int64_names_both_articles(self, tmp_path, capsys):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("A\tB\nB\tA\n")
+        clicks = tmp_path / "clicks.tsv"
+        clicks.write_text(f"A\tB\t{2**63 - 1}\nA\tB\t1\n")
+        assert main(["build", "--edges", str(edges), "--clickstream", str(clicks),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: summed count {2**63} of 'A' -> 'B' outside the int64 range\n")
+
 
 class TestTransitionsInput:
     @pytest.mark.parametrize("row, message", [

@@ -1,5 +1,8 @@
 """Graph construction, degrees, core decomposition, and PageRank."""
 
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,7 +111,88 @@ class TestDegrees:
         assert ind.values.sum() == outd.values.sum() == g.n_edges
 
 
+def reference_kcore(g):
+    """The bucket-queue k-core (Batagelj & Zaversnik) as written before the
+    level-synchronous peeling, with its ``np.unique`` projection."""
+    keep = g.edge_sources != g.out_indices
+    src, trg = g.edge_sources[keep], g.out_indices[keep]
+    n = g.n_nodes
+    keys = np.unique(np.concatenate([src * n + trg, trg * n + src]))
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    indices = keys % n
+    core = np.diff(indptr).astype(np.int64)
+    if n == 0:
+        return core
+    max_deg = int(core.max())
+    bin_count = np.bincount(core, minlength=max_deg + 1)
+    bin_ = np.concatenate(([0], np.cumsum(bin_count)[:-1]))
+    vert = np.argsort(core, kind="stable")
+    pos = np.empty(n, dtype=np.int64)
+    pos[vert] = np.arange(n)
+    for i in range(n):
+        v = vert[i]
+        for u in indices[indptr[v]:indptr[v + 1]]:
+            if core[u] > core[v]:
+                du, pu = core[u], pos[u]
+                pw = bin_[du]
+                w = vert[pw]
+                if u != w:
+                    vert[pu], vert[pw] = w, u
+                    pos[u], pos[w] = pw, pu
+                bin_[du] += 1
+                core[u] -= 1
+    return core
+
+
+@st.composite
+def core_graphs(draw):
+    """Nested cliques, stars, self-loops and random links over n nodes
+    (n = 0 included); nodes no link touches stay isolated."""
+    n = draw(st.integers(0, 40))
+    if n == 0:
+        return G.build_graph([], n_nodes=0)
+    node = st.integers(0, n - 1)
+    order = draw(st.permutations(range(n)))
+    pairs = []
+    for size in draw(st.lists(st.integers(1, min(n, 12)), max_size=4)):
+        members = order[:size]  # prefixes of one order, so the cliques nest
+        pairs += [(a, b) if draw(st.booleans()) else (b, a)
+                  for i, a in enumerate(members) for b in members[i + 1:]]
+    for centre in draw(st.lists(node, max_size=3)):
+        pairs += [(centre, leaf) for leaf in draw(st.lists(node, max_size=12))]
+    pairs += [(v, v) for v in draw(st.lists(node, max_size=4))]
+    pairs += draw(st.lists(st.tuples(node, node), max_size=40))
+    return G.build_graph(pairs, n_nodes=n)
+
+
 class TestKcore:
+    @settings(max_examples=300, deadline=None)
+    @given(core_graphs())
+    def test_equals_bucket_queue_reference(self, g):
+        got = G.kcore(g).values
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, reference_kcore(g))
+
+    def test_gen_graph_without_numpy_unique(self, monkeypatch):
+        # numpy 2.x's np.unique hashes int64 keys; the graph layer sorts instead.
+        spec = importlib.util.spec_from_file_location(
+            "clickgraph_bench_gen",
+            os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "gen.py"))
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        d = gen.generate([5, 0], 3000)
+        pairs = np.stack([d["src"], d["trg"]], axis=1)
+        keys = np.unique(pairs[:, 0] * 3000 + pairs[:, 1])
+        want = reference_kcore(G.build_graph(pairs, n_nodes=3000))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", refuse)
+        g = G.build_graph(pairs, n_nodes=3000)
+        np.testing.assert_array_equal(g._edge_keys, keys)
+        np.testing.assert_array_equal(G.kcore(g).values, want)
+
     def test_triangle(self):
         g = G.build_graph([(0, 1), (1, 2), (2, 0)])
         assert list(G.kcore(g).values) == [2, 2, 2]

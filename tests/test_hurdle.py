@@ -1,6 +1,7 @@
 """Hurdle stages: logistic and zero-truncated negative binomial fits, LRT."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,12 +199,14 @@ class TestZtnbKernel:
     @settings(max_examples=300, deadline=None)
     @given(ztnb_problems())
     def test_value_and_gradient_bit_equal_to_separate_reference(self, problem):
+        # With and without the per-fit distinct counts that fit_ztnb passes.
         params, X, y = problem
-        value, gradient = H.ztnb_loglik(params, X, y)
-        assert value.hex() == reference_ztnb_loglik(params, X, y).hex()
-        np.testing.assert_array_equal(
-            gradient.view(np.int64), reference_ztnb_gradient(params, X, y).view(np.int64)
-        )
+        for counts in (None, H.ztnb_counts(y)):
+            value, gradient = H.ztnb_loglik(params, X, y, counts)
+            assert value.hex() == reference_ztnb_loglik(params, X, y).hex()
+            np.testing.assert_array_equal(
+                gradient.view(np.int64), reference_ztnb_gradient(params, X, y).view(np.int64)
+            )
 
     @pytest.mark.parametrize("log_theta", [800.0, -800.0])
     def test_theta_out_of_float_range_is_a_convergence_error(self, log_theta):
@@ -211,6 +214,73 @@ class TestZtnbKernel:
         X, y = np.ones((3, 1)), np.array([1.0, 4.0, 9.0])
         with pytest.raises(ConvergenceError, match=f"ln theta = {log_theta!r}"):
             H.ztnb_loglik(np.array([0.5, log_theta]), X, y)
+
+
+def reference_fused_ztnb_loglik(params, X, y):
+    """The one-pass kernel as written before its count terms were taken per
+    distinct count (``gammaln(y + 1)`` and the ``y + theta`` terms per row)."""
+    theta = math.exp(params[-1])
+    log_theta = math.log(theta)
+    eta = X @ params[:-1]
+    mu = np.exp(eta)
+    denom = theta + mu
+    log_denom = np.log(denom)
+    log_ratio = log_theta - log_denom
+    log_p0 = theta * log_ratio
+    log_1mp0 = H._log1mexp(log_p0)
+    ll = (
+        special.gammaln(y + theta)
+        - special.gammaln(theta)
+        - special.gammaln(y + 1.0)
+        + log_p0
+        + y * (eta - log_denom)
+        - log_1mp0
+    )
+    p0_over_1mp0 = np.exp(log_p0 - log_1mp0)
+    dll_deta = y - (y + theta) * mu / denom - theta * mu / denom * p0_over_1mp0
+    dll_dtheta = (
+        special.digamma(y + theta)
+        - special.digamma(theta)
+        + log_ratio
+        + 1.0
+        - (theta + y) / denom
+        + (log_ratio + mu / denom) * p0_over_1mp0
+    )
+    return float(ll.sum()), np.concatenate([X.T @ dll_deta, [theta * dll_dtheta.sum()]])
+
+
+class TestZtnbDistinctCounts:
+    def test_counts_are_distinct_values_and_log_factorials(self):
+        y = np.array([3.0, 1.0, 3.0, 7.0, 1.0])
+        distinct, inverse, log_factorial = H.ztnb_counts(y)
+        np.testing.assert_array_equal(distinct, [1.0, 3.0, 7.0])
+        np.testing.assert_array_equal(distinct[inverse], y)
+        np.testing.assert_array_equal(log_factorial, special.gammaln(y + 1.0))
+
+    @pytest.mark.parametrize("seed", [13, 21])
+    def test_fit_identical_to_per_row_kernel(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=800)
+        y = sample_ztnb(rng, np.exp(1.0 + 0.3 * x), theta=1.2)
+        fits = [H.fit_ztnb(H.make_design(x, y, "x", standardize=True)),
+                H.fit_ztnb(H.intercept_design(y))]
+        monkeypatch.setattr(H, "ztnb_loglik", lambda params, X, y, counts=None:
+                            reference_fused_ztnb_loglik(params, X, y))
+        refs = [H.fit_ztnb(H.make_design(x, y, "x", standardize=True)),
+                H.fit_ztnb(H.intercept_design(y))]
+        for fit, ref in zip(fits, refs):
+            assert fit.coef.tobytes() == ref.coef.tobytes()
+            assert (fit.loglik, fit.theta, fit.grad_norm) == (ref.loglik, ref.theta, ref.grad_norm)
+            assert (fit.iterations, fit.ll_trace) == (ref.iterations, ref.ll_trace)
+
+    def test_zero_probability_rounding_to_one_is_a_convergence_error(self):
+        # mu = e^-200 against theta = 1: theta + mu == theta, so log p0 == 0.0
+        # and the truncated likelihood 1 / (1 - p0) would be +inf.
+        X, y = np.ones((3, 1)), np.array([1.0, 4.0, 9.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match=r"ln theta = 0\.0\b"):
+                H.ztnb_loglik(np.array([-200.0, 0.0]), X, y)
 
 
 class TestFitZtnb:
@@ -244,8 +314,8 @@ class TestFitZtnb:
         points, values = [], []
         kernel = H.ztnb_loglik
 
-        def counted(params, X, y):
-            value, gradient = kernel(params, X, y)
+        def counted(params, X, y, counts=None):
+            value, gradient = kernel(params, X, y, counts)
             points.append(params.tobytes())
             values.append(value)
             return value, gradient

@@ -101,6 +101,31 @@ class TestParseClickstream:
         assert len(log) == 1
         assert stats.malformed == 2
 
+    @pytest.mark.parametrize("count", ["99999999999999999999", str(2**63), str(-(2**63) - 1)])
+    def test_count_outside_int64_is_a_malformed_row(self, count):
+        g, names = small_graph()
+        lines = [f"A\tB\t{count}\n", "B\tA\t25\n", f"other\tB\t{count}\n"]
+        log, stats = ingest.parse_clickstream(lines, names, g)
+        assert (stats.malformed, stats.external, stats.kept_pairs) == (2, 0, 1)
+        assert log.count.tolist() == [25]
+        with pytest.raises(LineError, match=f"count '{count}' outside the int64 range") as exc:
+            ingest.parse_clickstream(lines, names, g, fail_fast=True)
+        assert exc.value.line_no == 1
+
+    def test_int64_extremes_are_counts(self):
+        g, names = small_graph()
+        lines = [f"A\tB\t{2**63 - 1}\n", f"B\tA\t{-(2**63)}\n"]
+        log, stats = ingest.parse_clickstream(lines, names, g, fail_fast=True)
+        assert log.count.tolist() == [2**63 - 1]
+        assert (stats.malformed, stats.below_threshold_pairs) == (0, 1)
+
+    def test_summed_count_outside_int64_names_both_articles(self):
+        g, names = small_graph()
+        lines = ["B\tA\t25\n", f"A\tC\t{2**62}\n", f"A\tC\t{2**62}\n"]
+        with pytest.raises(MalformedInputError,
+                           match=f"summed count {2**63} of 'A' -> 'C' outside the int64 range"):
+            ingest.parse_clickstream(lines, names, g)
+
     def test_ledger_sum_matches_kept_counts(self):
         g, names = small_graph()
         rng = np.random.default_rng(5)
@@ -253,6 +278,15 @@ class TestLoadFeatureTable:
         lines = ["# one\n", "# two\n", "# three\n", header, first, "x\n"]
         _, report = ingest.load_feature_table(lines, self.g, self.log)
         assert report.rejected == [(6, "", "", "expected 18 fields, got 1")]
+
+    def test_extra_column_values_are_checked_per_row(self):
+        header, first, second = feature_file_lines(self.g, self.log)[:3]
+        lines = [header.rstrip("\n") + "\tnote\n", first.rstrip("\n") + "\thello\n",
+                 second.rstrip("\n") + "\t2.5\n"]
+        table, report = ingest.load_feature_table(lines, self.g, self.log, recompute_network=True)
+        fields = first.split("\t")
+        assert report.rejected == [(2, fields[0], fields[1], "non-numeric value 'hello' in column note")]
+        assert table.data["note"].tolist() == [2.5]
 
     def test_unlabeled_load_without_graph_interns_names(self):
         lines = feature_file_lines(self.g, self.log)
