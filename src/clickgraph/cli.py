@@ -1,4 +1,4 @@
-"""Pipeline orchestrator.
+"""Pipeline orchestrator: the run config, the stage table and its driver.
 
 Every analysis stage is a subcommand writing plot-ready delimited files into
 one output directory.  One table, ``STAGES``, names each stage's body, the
@@ -10,7 +10,10 @@ cache), and every output starts with a header naming the tool version,
 config hash, and seeds.  The cache is checked before any input is loaded, so
 a rerun on an unchanged directory parses nothing.  Each stage body imports
 the modules it runs (numpy and the kernels), so a cache hit runs on the
-standard library alone and imports neither numpy nor scipy.
+standard library alone and imports neither numpy nor scipy.  Nothing here
+parses a tab-separated artifact: each has one reader beside its writer, in
+:mod:`clickgraph.graph` for ``graph.tsv`` and :mod:`clickgraph.ingest` for
+the rest.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .errors import (
     DegenerateInputError,
     DependencyError,
     InsufficientDataError,
-    LineError,
 )
 
 ARTIFACTS = {
@@ -207,57 +209,6 @@ def _stage_key(cfg: RunConfig, keys: tuple[str, ...]) -> dict:
     return {"config": cfg.hash(), "inputs": keyed}
 
 
-def _load_graph_and_log(cfg: RunConfig):
-    import numpy as np
-    from . import graph as graphmod, ingest
-
-    g = graphmod.load_graph(_artifact_path(cfg, "graph"))
-    name_to_id = g.name_to_id() if g.labels else None
-    src, trg, count, line_nos = [], [], [], []
-    with open(_artifact_path(cfg, "transitions"), "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if raw.startswith("#") or not raw.strip():
-                continue
-            fields_ = raw.rstrip("\n").split("\t")
-            if len(fields_) != 3:
-                raise LineError(line_no, f"expected 3 tab-separated fields, got {len(fields_)}")
-            a, b, c = fields_
-            if name_to_id is None:
-                s, t = _numbers(int, fields_, {"src": 0, "trg": 1}, ("src", "trg"), line_no)
-            else:
-                try:
-                    s, t = name_to_id[a], name_to_id[b]
-                except KeyError as exc:
-                    raise LineError(line_no, f"article {exc.args[0]!r} is not in graph.tsv") from None
-            try:
-                count.append(int(c))
-            except ValueError:
-                raise LineError(line_no, f"non-integer count {c!r}") from None
-            src.append(s)
-            trg.append(t)
-            line_nos.append(line_no)
-
-    # The first bad row: a repeated link, a count below the threshold, or no
-    # link (a repeated non-link never comes first: its first row fails).
-    slots = g.edge_slots(src, trg)
-    repeat = slots >= 0
-    repeat[np.unique(slots, return_index=True)[1]] = False
-    below = np.asarray(count, dtype=np.int64) < cfg.threshold
-    bad = np.flatnonzero(repeat | below | (slots < 0))
-    if len(bad):
-        i = bad[0]
-        name = (lambda j: repr(g.labels[j])) if g.labels else str
-        pair = f"{name(src[i])} -> {name(trg[i])}"
-        if repeat[i]:
-            why = f"pair {pair} repeats line {line_nos[np.argmax(slots == slots[i])]}"
-        elif below[i]:
-            why = f"count {count[i]} for {pair} is below --threshold {cfg.threshold}"
-        else:
-            why = f"pair {pair} is not a link in graph.tsv"
-        raise LineError(line_nos[i], why)
-    return g, ingest.TransitionLog.from_pairs(src, trg, count, threshold=cfg.threshold)
-
-
 # ---------------------------------------------------------------------------
 # Stage bodies: each returns ({artifact: lines}, summary line, *stderr lines)
 # ---------------------------------------------------------------------------
@@ -298,70 +249,6 @@ def _build(cfg: RunConfig):
     return outputs, summary
 
 
-def _numbers(kind, fields_: list[str], pos: dict[str, int], cols: tuple[str, ...], line_no: int) -> list:
-    """``kind`` applied to the named columns of one row; a bad value raises LineError."""
-    out = []
-    for col in cols:
-        try:
-            out.append(kind(fields_[pos[col]]))
-        except ValueError:
-            raise LineError(line_no, f"non-numeric {col} {fields_[pos[col]]!r}") from None
-    return out
-
-
-def _read_visual_file(path: str, g) -> tuple:
-    """Per-edge x, y, region and covered arrays, and the count of rows that are
-    not edges, from a src/trg/x_coord/y_coord/region file.  A second row for
-    the same link raises :class:`LineError`."""
-    import numpy as np
-
-    name_to_id = g.name_to_id() if g.labels else None
-    rows: list[tuple[int, int, float, float, str, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split("\t")
-                pos = {name: i for i, name in enumerate(header)}
-                for col in ("src", "trg", "x_coord", "y_coord", "region"):
-                    if col not in pos:
-                        raise ClickgraphError(f"visual file missing column {col}")
-                continue
-            fields_ = line.split("\t")
-            if len(fields_) != len(header):
-                raise LineError(line_no, f"expected {len(header)} tab-separated fields, "
-                                         f"got {len(fields_)}")
-            if name_to_id is not None:
-                s = name_to_id.get(fields_[pos["src"]], -1)
-                t = name_to_id.get(fields_[pos["trg"]], -1)
-            else:
-                s, t = _numbers(int, fields_, pos, ("src", "trg"), line_no)
-            x, y = _numbers(float, fields_, pos, ("x_coord", "y_coord"), line_no)
-            rows.append((s, t, x, y, fields_[pos["region"]], line_no))
-
-    x = np.zeros(g.n_edges)
-    y = np.zeros(g.n_edges)
-    region = np.asarray([None] * g.n_edges, dtype=object)
-    covered = np.zeros(g.n_edges, dtype=bool)
-    non_edge = 0
-    if rows:
-        src = np.asarray([r[0] for r in rows], dtype=np.int64)
-        trg = np.asarray([r[1] for r in rows], dtype=np.int64)
-        slots = g.edge_slots(src, trg)
-        for row, slot in zip(rows, slots):
-            if slot < 0:
-                non_edge += 1
-                continue
-            if covered[slot]:
-                raise LineError(row[5], "second row for the same link")
-            x[slot], y[slot], region[slot] = row[2], row[3], row[4]
-            covered[slot] = True
-    return x, y, region, covered, non_edge
-
-
 def _features(cfg: RunConfig, g, log):
     from . import ingest, semantics as semmod
 
@@ -389,7 +276,8 @@ def _features(cfg: RunConfig, g, log):
         proj = semmod.project(semmod.tfidf(corpus), corpus,
                               dim=cfg.projection_dim, seed=cfg.projection_seed)
         text_sim, topic_sim, missing = semmod.edge_similarities(g, proj, corpus)
-        x, y, region, covered, non_edge = _read_visual_file(cfg.visual, g)
+        with open(cfg.visual, "r", encoding="utf-8") as fh:
+            x, y, region, covered, non_edge = ingest.read_visual(fh, g)
         table = ingest.build_feature_table(
             g, log, text_sim, topic_sim, x, y, region, covered=covered, alpha=cfg.damping
         )
@@ -667,11 +555,13 @@ def run_stage(name: str, cfg: RunConfig) -> int:
         print(f"{name}: cache hit, outputs unchanged")
         return 0
 
-    from . import ingest
+    from . import graph as graphmod, ingest
 
     loaded: tuple = ()
     if stage.reads:
-        loaded = _load_graph_and_log(cfg)
+        g = graphmod.load_graph(_artifact_path(cfg, "graph"))
+        with open(_artifact_path(cfg, "transitions"), "r", encoding="utf-8") as fh:
+            loaded = (g, ingest.read_transitions(fh, g, cfg.threshold))
     if "features" in stage.reads:
         with open(_artifact_path(cfg, "features"), "r", encoding="utf-8") as fh:
             loaded += (ingest.load_feature_table(fh, *loaded)[0],)

@@ -31,10 +31,6 @@ class SupportError(ClickgraphError):
     """Observed counts fall outside the edge set they must be supported on."""
 
 
-class UnknownArticleError(ClickgraphError):
-    """Lookup of an article name or id that is not present."""
-
-
 class ConvergenceError(ClickgraphError):
     """An iterative solver did not reach its tolerance.
 

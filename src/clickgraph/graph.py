@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, MalformedInputError
+from .errors import ConvergenceError, LineError, MalformedInputError
 
 GRAPH_MAGIC = "#%clickgraph-graph v1"
 
@@ -297,7 +297,7 @@ def save_graph(g: LinkGraph, path, header_lines: Sequence[str] = ()) -> None:
         fh.write(f"selfloops\t{g.self_loops}\n")
         if g.labels is not None:
             for i, name in enumerate(g.labels):
-                if "\t" in name or "\n" in name:
+                if "\t" in name or "\n" in name or "\r" in name:
                     raise MalformedInputError(f"label {name!r} contains separators")
                 fh.write(f"label\t{i}\t{name}\n")
         fh.write(f"edges\t{g.n_edges}\n")
@@ -307,7 +307,11 @@ def save_graph(g: LinkGraph, path, header_lines: Sequence[str] = ()) -> None:
 
 
 def load_graph(path) -> LinkGraph:
-    """Read a snapshot written by :func:`save_graph`."""
+    """Read a snapshot written by :func:`save_graph`.
+
+    A line with the wrong field count or a non-integer field raises
+    :class:`LineError` naming it.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         magic = fh.readline().rstrip("\n")
         if magic != GRAPH_MAGIC:
@@ -316,20 +320,27 @@ def load_graph(path) -> LinkGraph:
         labels: dict[int, str] = {}
         edges: list[tuple[int, int]] = []
         n_edges = None
-        for raw in fh:
+        for line_no, raw in enumerate(fh, start=2):
             if raw.startswith("#"):
                 continue
-            fields = raw.rstrip("\n").split("\t")
-            if fields[0] == "nodes":
-                n_nodes = int(fields[1])
-            elif fields[0] == "selfloops":
-                continue
-            elif fields[0] == "label":
-                labels[int(fields[1])] = fields[2]
-            elif fields[0] == "edges":
-                n_edges = int(fields[1])
-            else:
-                edges.append((int(fields[0]), int(fields[1])))
+            line = raw.rstrip("\n")
+            fields = line.split("\t")
+            want = 3 if fields[0] == "label" else 2
+            if len(fields) != want:
+                raise LineError(line_no, f"expected {want} tab-separated fields, got {len(fields)}")
+            try:
+                if fields[0] == "nodes":
+                    n_nodes = int(fields[1])
+                elif fields[0] == "selfloops":
+                    continue
+                elif fields[0] == "label":
+                    labels[int(fields[1])] = fields[2]
+                elif fields[0] == "edges":
+                    n_edges = int(fields[1])
+                else:
+                    edges.append((int(fields[0]), int(fields[1])))
+            except ValueError:
+                raise LineError(line_no, f"non-integer field in {line!r}") from None
     if n_nodes is None:
         raise MalformedInputError("snapshot missing node count")
     if n_edges is not None and n_edges != len(edges):

@@ -1,8 +1,13 @@
-"""Parsing and alignment of the three input artifacts.
+"""Readers and writers of the pipeline's tab-separated text.
 
-Edge lists, clickstream transition logs, and link-feature files all arrive as
-tab-separated text; everything is interned to dense integer ids so the rest
-of the toolkit never touches article names.
+The external edge list and clickstream are parsed here, and each text
+artifact a stage hands on has its one reader here beside its writer:
+``transitions.tsv`` (:func:`read_transitions`, :func:`transition_lines`),
+``visual.tsv`` (:func:`read_visual`, consumed by :func:`build_feature_table`)
+and ``features.tsv`` (:func:`load_feature_table`, :func:`feature_table_lines`).
+``graph.tsv`` is read and written in :mod:`clickgraph.graph`.  Every reader
+resolves all its rows with one :meth:`LinkGraph.edge_slots` call, and article
+names become dense integer ids so the rest of the toolkit never touches them.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import numpy as np
 
 from . import graph as graphmod
 from .errors import (
+    ClickgraphError,
     LineError,
     MalformedInputError,
     PreconditionError,
@@ -90,6 +96,9 @@ class TransitionLog:
                 raise MalformedInputError("duplicate (src, trg) pair in transition log")
         if count.size and count.min() < threshold:
             raise MalformedInputError(f"transition count below threshold {threshold}")
+        total = sum(count.tolist())  # Python ints: exact where an int64 sum would wrap
+        if not _COUNT_MIN <= total <= _COUNT_MAX:
+            raise MalformedInputError(f"total transition count {total} outside the int64 range")
         if graph is not None and len(src):
             if (graph.edge_slots(src, trg) < 0).any():
                 raise SupportError("transition pair is not an edge of the graph")
@@ -100,6 +109,7 @@ class TransitionLog:
 
     @property
     def total(self) -> int:
+        # Exact: from_pairs bounds the true total to int64, so wrapping partial sums cancel.
         return int(self.count.sum()) if len(self.count) else 0
 
     def aligned_counts(self, g: LinkGraph) -> np.ndarray:
@@ -131,6 +141,47 @@ class DropStats:
     below_threshold_pairs: int = 0
     kept_pairs: int = 0
     kept_count: int = 0
+
+
+def _number(kind, text: str, col: str, line_no: int):
+    """``kind(text)``; a value ``kind`` rejects raises LineError naming the column."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise LineError(line_no, f"non-numeric {col} {text!r}") from None
+
+
+def _article_ids(a: str, b: str, lookup: dict[str, int] | None, n_nodes: int,
+                 line_no: int) -> tuple[int, int]:
+    """Node ids of a row's two article fields, -1 for an article the graph lacks.
+
+    With ``lookup`` (a labelled graph's names) the fields are names; without
+    it they are integer ids, and one that is no integer raises
+    :class:`LineError`.  Ids outside ``[0, n_nodes)`` get -1 too, which also
+    keeps every id within int64.
+    """
+    if lookup is not None:
+        return lookup.get(a, -1), lookup.get(b, -1)
+    s, t = _number(int, a, "src", line_no), _number(int, b, "trg", line_no)
+    return (s if 0 <= s < n_nodes else -1), (t if 0 <= t < n_nodes else -1)
+
+
+def _repeats(slots: np.ndarray, rejected: np.ndarray | None = None) -> np.ndarray:
+    """Per row, the earlier row whose link it repeats, or -1.
+
+    A row repeats the first row with its slot that is neither a non-link
+    (slot -1) nor ``rejected``, when that row comes before it.
+    """
+    keep = slots >= 0
+    if rejected is not None:
+        keep &= ~rejected
+    rows = np.flatnonzero(keep)
+    key, first = np.unique(slots[rows], return_index=True)  # a sort, not the int64 hash path
+    if not len(key):
+        return np.full(len(slots), -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(key, slots), len(key) - 1)
+    earlier = rows[first][pos]
+    return np.where((key[pos] == slots) & (earlier < np.arange(len(slots))), earlier, -1)
 
 
 def parse_edge_list(lines: Iterable[str]) -> tuple[list[tuple[int, int]], dict[str, int]]:
@@ -165,12 +216,6 @@ def parse_edge_list(lines: Iterable[str]) -> tuple[list[tuple[int, int]], dict[s
             raise LineError(line_no, f"expected 2 tab-separated fields, got {len(fields)}")
         edges.append((intern(fields[0], line_no), intern(fields[1], line_no)))
     return edges, name_to_id
-
-
-def edge_lines(edges: Iterable[tuple[int, int]], names: Sequence[str]) -> Iterable[str]:
-    """Inverse of :func:`parse_edge_list`; yields writable lines."""
-    for s, t in edges:
-        yield f"{names[s]}\t{names[t]}\n"
 
 
 def parse_clickstream(
@@ -270,6 +315,64 @@ def transition_lines(log: TransitionLog, names: Sequence[str]) -> Iterable[str]:
     """Serialize a log back to 3-column clickstream format (reparse-stable)."""
     for s, t, c in zip(log.src, log.trg, log.count):
         yield f"{names[s]}\t{names[t]}\t{c}\n"
+
+
+def read_transitions(lines: Iterable[str], g: LinkGraph, threshold: int) -> TransitionLog:
+    """Read back a log written by :func:`transition_lines` for the graph ``g``.
+
+    Lines that start with ``#`` or hold only whitespace are skipped.  Every
+    other row is ``src<TAB>trg<TAB>count``: two articles of ``g`` (integer
+    ids when ``g`` is unlabelled) that are a link of ``g`` not given on an
+    earlier row, and an int64 count of at least ``threshold``.  The first row
+    that is not raises :class:`LineError` naming its line.
+    """
+    lookup = g.name_to_id() if g.labels else None
+    src, trg, count, line_nos = [], [], [], []
+    texts: dict[int, tuple[str, str]] = {}  # ids outside the graph, by row
+    for line_no, raw in enumerate(lines, start=1):
+        if raw.startswith("#") or not raw.strip():
+            continue
+        fields = raw.rstrip("\n").split("\t")
+        if len(fields) != 3:
+            raise LineError(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
+        a, b, c = fields
+        s, t = _article_ids(a, b, lookup, g.n_nodes, line_no)
+        if s < 0 or t < 0:
+            if lookup is not None:
+                raise LineError(line_no, f"article {a if s < 0 else b!r} is not in graph.tsv")
+            texts[len(src)] = (a, b)
+        try:
+            n = int(c)
+        except ValueError:
+            raise LineError(line_no, f"non-integer count {c!r}") from None
+        if not _COUNT_MIN <= n <= _COUNT_MAX:
+            raise LineError(line_no, f"count {c!r} outside the int64 range")
+        src.append(s)
+        trg.append(t)
+        count.append(n)
+        line_nos.append(line_no)
+
+    # The first bad row: a repeated link, a count below the threshold, or no
+    # link (a repeated non-link never comes first: its first row fails).
+    slots = g.edge_slots(src, trg)
+    earlier = _repeats(slots)
+    below = np.asarray(count, dtype=np.int64) < threshold
+    bad = np.flatnonzero((earlier >= 0) | below | (slots < 0))
+    if len(bad):
+        i = bad[0]
+        if lookup is not None:
+            pair = f"{g.labels[src[i]]!r} -> {g.labels[trg[i]]!r}"
+        else:
+            a, b = texts.get(i, (src[i], trg[i]))
+            pair = f"{int(a)} -> {int(b)}"
+        if earlier[i] >= 0:
+            why = f"pair {pair} repeats line {line_nos[earlier[i]]}"
+        elif below[i]:
+            why = f"count {count[i]} for {pair} is below --threshold {threshold}"
+        else:
+            why = f"pair {pair} is not a link in graph.tsv"
+        raise LineError(line_nos[i], why)
+    return TransitionLog.from_pairs(src, trg, count, threshold=threshold)
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,20 +520,15 @@ def load_feature_table(
         trg_name = fields[colpos["trg"]]
         row = len(line_nos)
 
-        if name_to_id is None:
-            try:
-                s, t = int(src_name), int(trg_name)
-            except ValueError:
-                report.reject(line_no, src_name, trg_name, "non-integer id in unlabeled graph")
-                continue
-            if not (0 <= s < graph.n_nodes and 0 <= t < graph.n_nodes):
-                s = t = -1  # no such node; also keeps every id within int64
-        elif graph is None:
+        if graph is None:
             s = name_to_id.setdefault(src_name, len(name_to_id))
             t = name_to_id.setdefault(trg_name, len(name_to_id))
         else:
-            s = name_to_id.get(src_name, -1)
-            t = name_to_id.get(trg_name, -1)
+            try:
+                s, t = _article_ids(src_name, trg_name, name_to_id, graph.n_nodes, line_no)
+            except LineError:
+                report.reject(line_no, src_name, trg_name, "non-integer id in unlabeled graph")
+                continue
         if name_to_id is None or s < 0 or t < 0:
             texts[row] = (src_name, trg_name)
 
@@ -473,25 +571,24 @@ def load_feature_table(
         slots = graph.edge_slots(src, trg)
 
     # Per row, the first failing check: edge, then repeat of a kept row, then values.
+    bad_rows = np.zeros(len(slots), dtype=bool)
+    bad_rows[list(bad)] = True
+    earlier = _repeats(slots, bad_rows)
     by_edge = JoinReport()
-    kept_row: dict[int, int] = {}  # slot -> the row kept for it
-    for row, slot in enumerate(slots.tolist()):
-        if slot < 0:
+    for row in np.flatnonzero((slots < 0) | (earlier >= 0) | bad_rows).tolist():
+        if slots[row] < 0:
             reason = "not an edge of the graph"
-        elif slot in kept_row:
+        elif earlier[row] >= 0:
             reason = "duplicate link row"
-        elif row in bad:
-            reason = bad[row]
         else:
-            kept_row[slot] = row
-            continue
+            reason = bad[row]
         names = texts.get(row) or (labels[src_ids[row]], labels[trg_ids[row]])
         by_edge.reject(line_nos[row], *names, reason)
     # Both lists are in line order, so the first rows listed overall are among them.
     report.rejected = list(heapq.merge(report.rejected, by_edge.rejected))[:REJECTED_LISTED]
     report.rejected_count += by_edge.rejected_count
 
-    kept = np.fromiter(kept_row.values(), dtype=np.int64, count=len(kept_row))  # in line order
+    kept = np.flatnonzero((slots >= 0) & (earlier < 0) & ~bad_rows)  # in line order
     report.rows_kept = len(kept)
     src, trg = src[kept], trg[kept]
 
@@ -516,6 +613,50 @@ def load_feature_table(
 
     table = LinkFeatureTable(src=src, trg=trg, data=data, labels=labels)
     return table, report
+
+
+def read_visual(lines: Iterable[str], g: LinkGraph) -> tuple:
+    """Per-edge x, y, region and covered arrays, and the count of rows that are
+    not edges, from a src/trg/x_coord/y_coord/region file.  A second row for
+    the same link raises :class:`LineError`."""
+    lookup = g.name_to_id() if g.labels else None
+    src, trg, x_rows, y_rows, regions, line_nos = [], [], [], [], [], []
+    header = None
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if header is None:
+            header = fields
+            pos = {name: i for i, name in enumerate(header)}
+            for col in ("src", "trg", "x_coord", "y_coord", "region"):
+                if col not in pos:
+                    raise ClickgraphError(f"visual file missing column {col}")
+            continue
+        if len(fields) != len(header):
+            raise LineError(line_no, f"expected {len(header)} tab-separated fields, "
+                                     f"got {len(fields)}")
+        s, t = _article_ids(fields[pos["src"]], fields[pos["trg"]], lookup, g.n_nodes, line_no)
+        src.append(s)
+        trg.append(t)
+        x_rows.append(_number(float, fields[pos["x_coord"]], "x_coord", line_no))
+        y_rows.append(_number(float, fields[pos["y_coord"]], "y_coord", line_no))
+        regions.append(fields[pos["region"]])
+        line_nos.append(line_no)
+
+    slots = g.edge_slots(src, trg)
+    again = np.flatnonzero(_repeats(slots) >= 0)
+    if len(again):
+        raise LineError(line_nos[again[0]], "second row for the same link")
+    link = slots >= 0
+    x, y = np.zeros(g.n_edges), np.zeros(g.n_edges)
+    region = np.full(g.n_edges, None, dtype=object)
+    covered = np.zeros(g.n_edges, dtype=bool)
+    at = slots[link]
+    x[at], y[at] = np.asarray(x_rows)[link], np.asarray(y_rows)[link]
+    region[at], covered[at] = np.asarray(regions, dtype=object)[link], True
+    return x, y, region, covered, int(np.count_nonzero(~link))
 
 
 def build_feature_table(

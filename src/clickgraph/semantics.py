@@ -5,14 +5,13 @@ compresses them to a fixed dimension, and similarities are cosines: projected
 vectors for text, binary category indicators for topics.
 
 ``edge_similarities`` computes every link's similarities in fixed-size blocks
-of edges, with the same BLAS dot per pair and the same IEEE operations as the
-single-pair ``cosine`` and ``topic_similarity``, so its values are bit-equal
-to theirs.
+of edges, with one BLAS dot per pair and the same IEEE operations as the
+single-pair cosine and category overlap that ``tests/test_semantics.py``
+keeps as its reference, so its values are bit-equal to theirs.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
@@ -20,18 +19,11 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import MalformedInputError, UnknownArticleError
-
-_TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+from .errors import MalformedInputError
 
 DEFAULT_DIM = 512
 _PROJECTION_CHUNK = 1024  # rows of the projection matrix drawn per rng call
 _EDGE_BLOCK = 256  # edges per gather in edge_similarities (2 x 1 MB at dim 512)
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercase, split on non-alphanumerics, drop tokens shorter than 2."""
-    return [t for t in _TOKEN_SPLIT.split(text.lower()) if len(t) >= 2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,17 +40,6 @@ class DocumentCorpus:
     @property
     def n_docs(self) -> int:
         return len(self.names)
-
-    def index(self, article) -> int:
-        if isinstance(article, str):
-            idx = self.name_to_idx.get(article)
-            if idx is None:
-                raise UnknownArticleError(f"unknown article {article!r}")
-            return idx
-        idx = int(article)
-        if not 0 <= idx < self.n_docs:
-            raise UnknownArticleError(f"article index {idx} out of range")
-        return idx
 
 
 def _counts(tokens: Iterable[str]) -> dict[str, int]:
@@ -167,17 +148,6 @@ class ProjectedVectors:
     matrix: np.ndarray  # n_docs x dim
     name_to_idx: dict[str, int]
 
-    def vector(self, article) -> np.ndarray:
-        if isinstance(article, str):
-            idx = self.name_to_idx.get(article)
-            if idx is None:
-                raise UnknownArticleError(f"unknown article {article!r}")
-        else:
-            idx = int(article)
-            if not 0 <= idx < len(self.matrix):
-                raise UnknownArticleError(f"article index {idx} out of range")
-        return self.matrix[idx]
-
 
 def projection_matrix(n_features: int, dim: int, seed: int) -> sp.csr_matrix:
     """Sparse sign matrix with density 1/sqrt(n_features).
@@ -213,29 +183,6 @@ def project(vectors: sp.csr_matrix, corpus: DocumentCorpus, dim: int = DEFAULT_D
     return ProjectedVectors(matrix=dense, name_to_idx=dict(corpus.name_to_idx))
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu = float(np.dot(u, u))
-    nv = float(np.dot(v, v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / np.sqrt(nu * nv))
-
-
-def text_similarity(proj: ProjectedVectors, a, b) -> float:
-    """Cosine of the projected vectors, clamped to [0, 1]."""
-    sim = cosine(proj.vector(a), proj.vector(b))
-    return min(max(sim, 0.0), 1.0)
-
-
-def topic_similarity(corpus: DocumentCorpus, a, b) -> float:
-    """Cosine of binary category indicators: |A & B| / sqrt(|A| |B|)."""
-    ca = corpus.categories[corpus.index(a)]
-    cb = corpus.categories[corpus.index(b)]
-    if not ca or not cb:
-        return 0.0
-    return len(ca & cb) / np.sqrt(len(ca) * len(cb))
-
-
 def edge_similarities(
     g,
     proj: ProjectedVectors,
@@ -265,7 +212,8 @@ def edge_similarities(
                        dtype=np.int64, count=int(sizes.sum()))
 
     # Text: matmul of stacked vectors calls BLAS ddot per pair, the same dot
-    # as ``cosine``; edges are gathered in blocks to bound the temporaries.
+    # as np.dot on the two vectors; edges are gathered in blocks to bound the
+    # temporaries.
     A = proj.matrix
     sq = np.matmul(A[:, None, :], A[:, :, None]).ravel()
     uv = np.empty(len(found))

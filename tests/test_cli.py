@@ -342,6 +342,17 @@ class TestBuildInput:
         assert capsys.readouterr().err == (
             f"error: summed count {2**63} of 'A' -> 'B' outside the int64 range\n")
 
+    def test_kept_total_outside_int64_is_refused(self, tmp_path, capsys):
+        # Each count fits int64; their sum does not.
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("A\tB\nB\tA\n")
+        clicks = tmp_path / "clicks.tsv"
+        clicks.write_text(f"A\tB\t{6 * 10**18}\nB\tA\t{6 * 10**18}\n")
+        assert main(["build", "--edges", str(edges), "--clickstream", str(clicks),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: total transition count 12000000000000000000 outside the int64 range\n")
+
 
 class TestTransitionsInput:
     @pytest.mark.parametrize("row, message", [
@@ -354,8 +365,10 @@ class TestTransitionsInput:
          "count 3 for 'Graph_theory' -> 'Social_network' is below --threshold 10"),
         ("Statistics\tGraph_theory\t50\n",
          "pair 'Statistics' -> 'Graph_theory' is not a link in graph.tsv"),
+        ("Graph_theory\tSocial_network\t99999999999999999999\n",
+         "count '99999999999999999999' outside the int64 range"),
     ], ids=["unknown_article", "two_fields", "non_integer_count", "repeated_pair",
-            "below_threshold", "not_a_link"])
+            "below_threshold", "not_a_link", "count_outside_int64"])
     def test_bad_row_names_its_line(self, toy_inputs, tmp_path, capsys, row, message):
         out = tmp_path / "out"
         assert main(["build", "--edges", toy_inputs["edges"],
@@ -363,6 +376,23 @@ class TestTransitionsInput:
         transitions = out / ARTIFACTS["transitions"]
         lines = transitions.read_text(encoding="utf-8").splitlines(keepends=True)
         transitions.write_text("".join(lines) + row, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["attention", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: line {len(lines) + 1}: {message}\n"
+
+
+class TestGraphInput:
+    @pytest.mark.parametrize("row, message", [
+        ("garbage\n", "expected 2 tab-separated fields, got 1"),
+        ("edges\t3x\n", "non-integer field in 'edges\\t3x'"),
+    ], ids=["one_field", "non_integer_count"])
+    def test_corrupt_line_names_its_line(self, toy_inputs, tmp_path, capsys, row, message):
+        out = tmp_path / "out"
+        assert main(["build", "--edges", toy_inputs["edges"],
+                     "--clickstream", toy_inputs["clickstream"], "--out", str(out)]) == 0
+        path = out / ARTIFACTS["graph"]
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines) + row, encoding="utf-8")
         capsys.readouterr()
         assert main(["attention", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: line {len(lines) + 1}: {message}\n"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clickgraph import graph as G
-from clickgraph.errors import ConvergenceError, MalformedInputError
+from clickgraph.errors import ConvergenceError, LineError, MalformedInputError
 
 from helpers import dense_pagerank_oracle, kcore_oracle, random_graph
 
@@ -278,6 +278,27 @@ class TestSnapshot:
         g2 = G.load_graph(path)
         assert G.same_structure(g, g2)
         assert g2.labels == g.labels
+
+    @pytest.mark.parametrize("row, message", [
+        ("garbage\n", "expected 2 tab-separated fields, got 1"),
+        ("edges\t3x\n", "non-integer field in 'edges\\t3x'"),
+        ("label\tone\tD\n", "non-integer field in 'label\\tone\\tD'"),
+    ], ids=["one_field", "non_integer_count", "non_integer_label_id"])
+    def test_corrupt_line_raises_line_error(self, tmp_path, row, message):
+        path = tmp_path / "graph.tsv"
+        G.save_graph(G.build_graph([(0, 1), (1, 2), (2, 0)], labels=["A", "B", "C"]), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines) + row, encoding="utf-8")
+        with pytest.raises(LineError) as exc:
+            G.load_graph(path)
+        assert str(exc.value) == f"line {len(lines) + 1}: {message}"
+
+    @pytest.mark.parametrize("label", ["A\tB", "A\nB", "A\rB"])
+    def test_label_with_a_separator_is_refused(self, tmp_path, label):
+        # load_graph reads with universal newlines, so a '\r' would split the line.
+        g = G.build_graph([(0, 1), (1, 0)], labels=[label, "C"])
+        with pytest.raises(MalformedInputError, match="contains separators"):
+            G.save_graph(g, tmp_path / "graph.tsv")
 
     def test_magic_header_enforced(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -1,4 +1,7 @@
-"""Edge-list, clickstream, and feature-table parsing."""
+"""Edge-list, clickstream, transitions, visual and feature-table parsing."""
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -48,7 +51,7 @@ class TestParseEdgeList:
         lines = [f"n{a}\tn{b}\n" for a, b in rng.integers(0, 500, size=(10_000, 2))]
         edges, names = ingest.parse_edge_list(lines)
         labels = sorted(names, key=names.get)
-        out = list(ingest.edge_lines(edges, labels))
+        out = [f"{labels[s]}\t{labels[t]}\n" for s, t in edges]
         assert out == lines
 
 
@@ -150,6 +153,12 @@ class TestParseClickstream:
 
 
 class TestTransitionLog:
+    def test_total_outside_int64_refused_exactly(self):
+        top = 2**63 - 1
+        assert ingest.TransitionLog.from_pairs([0, 1], [1, 0], [top - 10, 10]).total == top
+        with pytest.raises(MalformedInputError, match=f"total transition count {2**63} outside"):
+            ingest.TransitionLog.from_pairs([0, 1], [1, 0], [top - 9, 10])
+
     def test_duplicate_pairs_rejected(self):
         with pytest.raises(MalformedInputError):
             ingest.TransitionLog.from_pairs([0, 0], [1, 1], [10, 20])
@@ -648,3 +657,52 @@ class TestLoadFeatureTableMatchesReference:
         log = ingest.TransitionLog.from_pairs([0], [1], [25], graph=g)
         with pytest.raises(PreconditionError):
             ingest.load_feature_table(feature_file_lines(g, log), None, log)
+
+
+#: Article names every artifact carries losslessly: non-empty, no tab or line
+#: break, not read as a comment; any other Unicode (surrogates are not text).
+LEGAL_NAMES = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r"),
+                      min_size=1).filter(lambda name: not name.startswith("#"))
+
+
+class TestArtifactRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(LEGAL_NAMES, min_size=1, max_size=8, unique=True), st.integers(-5, 20),
+           st.data())
+    def test_graph_and_transitions_survive_write_and_read(self, names, threshold, data):
+        n = len(names)
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=30))
+        g = G.build_graph(pairs, n_nodes=n, labels=names)
+        logged = data.draw(st.lists(st.integers(0, max(g.n_edges - 1, 0)), unique=True,
+                                    max_size=g.n_edges))
+        counts = data.draw(st.lists(st.integers(threshold, 2**58), min_size=len(logged),
+                                    max_size=len(logged)))
+        log = ingest.TransitionLog.from_pairs(g.edge_sources[logged], g.out_indices[logged],
+                                              counts, threshold=threshold)
+        with tempfile.TemporaryDirectory() as tmp:
+            graph_path, transitions_path = (os.path.join(tmp, f) for f in ("g.tsv", "t.tsv"))
+            G.save_graph(g, graph_path)
+            with open(transitions_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(["# header\n", *ingest.transition_lines(log, g.labels)])
+            g2 = G.load_graph(graph_path)
+            with open(transitions_path, encoding="utf-8") as fh:
+                back = ingest.read_transitions(fh, g2, threshold)
+        assert g2.labels == g.labels
+        for got, want in ((g2.out_indptr, g.out_indptr), (g2.out_indices, g.out_indices),
+                          (back.src, log.src), (back.trg, log.trg), (back.count, log.count)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestReadersOnUnlabelledGraphs:
+    def test_ids_outside_the_graph_are_not_links(self):
+        g = G.build_graph([(0, 1), (1, 0)])
+        huge = "9" * 25
+        with pytest.raises(LineError, match=f"^line 2: pair {huge} -> 0 is not a link in graph.tsv$"):
+            ingest.read_transitions(["0\t1\t10\n", f"{huge}\t0\t10\n"], g, 10)
+        x, _, region, covered, non_edge = ingest.read_visual(
+            ["src\ttrg\tx_coord\ty_coord\tregion\n", f"{huge}\t0\t1\t2\tbody\n",
+             "2\t0\t1\t2\tbody\n", "0\t1\t3\t4\tlead\n"], g)
+        assert non_edge == 2
+        assert covered.tolist() == [True, False] and x.tolist() == [3.0, 0.0]
+        assert region.tolist() == ["lead", None]
