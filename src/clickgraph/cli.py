@@ -3,14 +3,17 @@
 Every analysis stage is a subcommand writing plot-ready delimited files into
 one output directory.  One table, ``STAGES``, names each stage's body, the
 inputs its cache key hashes, the artifacts it reads and the ones it writes;
-``run_stage`` does the rest for all of them, and it alone writes into the
-output directory.  Writes are atomic (temp file + rename), a manifest records
-config and input hashes so unchanged reruns are skipped (it is the only
-cache), and every output starts with a header naming the tool version,
-config hash, and seeds.  The cache is checked before any input is loaded, so
-a rerun on an unchanged directory parses nothing.  Each stage body imports
-the modules it runs (numpy and the kernels), so a cache hit runs on the
-standard library alone and imports neither numpy nor scipy.  Nothing here
+``run_stage`` does the rest for all of them.  A body only computes: it
+returns its artifacts' header notes and lines, its summary and its warnings.
+The driver alone writes into the output directory, writes every header but
+``graph.tsv``'s (which :func:`graph.save_graph` writes) and prefixes every
+printed line with the stage name.  Writes are atomic (temp file + rename), a
+manifest records config and input hashes so unchanged reruns are skipped (it
+is the only cache), and every output starts with a header naming the tool
+version, config hash, and seeds.  The cache is checked before any input is
+loaded, so a rerun on an unchanged directory parses nothing.  Each stage body
+imports the modules it runs (numpy and the kernels), so a cache hit runs on
+the standard library alone and imports neither numpy nor scipy.  Nothing here
 parses a tab-separated artifact: each has one reader beside its writer, in
 :mod:`clickgraph.graph` for ``graph.tsv`` and :mod:`clickgraph.ingest` for
 the rest.
@@ -149,19 +152,20 @@ def _atomic_write(path: str, content) -> None:
         raise
 
 
-def _header(cfg: RunConfig, stage: str, extra: tuple[str, ...] = ()) -> list[str]:
-    lines = [
+def _header(cfg: RunConfig, stage: str, notes: tuple[str, ...]) -> list[str]:
+    return [
         f"# clickgraph {__version__}\n",
         f"# stage={stage} config={cfg.hash()} seed={cfg.seed} "
         f"projection_seed={cfg.projection_seed}\n",
+        *(f"# {note}\n" for note in notes),
     ]
-    lines.extend(f"# {e}\n" for e in extra)
-    return lines
 
 
 def _fmt(x) -> str:
     import numpy as np
 
+    if isinstance(x, str):
+        return x
     if x is None:
         return "NA"
     if isinstance(x, (bool, np.bool_)):
@@ -172,6 +176,12 @@ def _fmt(x) -> str:
     if math.isnan(v):
         return "NA"
     return repr(v)
+
+
+def _table(columns, rows) -> list[str]:
+    """A stage table's lines: the space-separated ``columns`` as its column
+    line, then each row's cells through ``_fmt``."""
+    return ["\t".join(columns.split()) + "\n", *("\t".join(map(_fmt, row)) + "\n" for row in rows)]
 
 
 def _sha256(path: str) -> str:
@@ -194,23 +204,25 @@ def _artifact_path(cfg: RunConfig, key: str) -> str:
     return os.path.join(cfg.out, ARTIFACTS[key])
 
 
-def _stage_key(cfg: RunConfig, keys: tuple[str, ...]) -> dict:
+def _key_files(cfg: RunConfig, keys: tuple[str, ...]) -> dict[str, str]:
+    """The existing files a cache key hashes, by the name the manifest gives them."""
     # Artifacts inside the output directory are keyed by their relative name
     # so manifests stay identical across runs into different directories.
     out = os.path.abspath(cfg.out)
-    keyed = {}
+    files = {}
     for k in keys:
         p = _artifact_path(cfg, k) if k in ARTIFACTS else getattr(cfg, k)
-        if not p or not os.path.exists(p):
-            continue
-        ap = os.path.abspath(p)
-        name = os.path.relpath(ap, out) if ap.startswith(out + os.sep) else p
-        keyed[name] = _sha256(p)
-    return {"config": cfg.hash(), "inputs": keyed}
+        if p and os.path.exists(p):
+            ap = os.path.abspath(p)
+            files[os.path.relpath(ap, out) if ap.startswith(out + os.sep) else p] = p
+    return files
 
 
 # ---------------------------------------------------------------------------
-# Stage bodies: each returns ({artifact: lines}, summary line, *stderr lines)
+# Stage bodies.  Each returns ({artifact: content}, summary, *stderr lines);
+# a content is (header notes, lines), or for graph.tsv a function writing the
+# file at the path it is given.  Only ``run_stage`` writes header lines and
+# `<stage>:` prefixes; the analysis stages' tables go through ``_table``.
 # ---------------------------------------------------------------------------
 
 
@@ -219,10 +231,7 @@ def _build(cfg: RunConfig):
 
     with open(cfg.edges, "r", encoding="utf-8") as fh:
         edges, name_to_id = ingest.parse_edge_list(fh)
-    labels = [""] * len(name_to_id)
-    for name, idx in name_to_id.items():
-        labels[idx] = name
-    g = graphmod.build_graph(edges, labels=labels)
+    g = graphmod.build_graph(edges, labels=list(name_to_id))  # ids follow first-seen order
 
     with open(cfg.clickstream, "r", encoding="utf-8") as fh:
         log, stats = ingest.parse_clickstream(
@@ -238,36 +247,30 @@ def _build(cfg: RunConfig):
     )
     outputs = {
         "graph": lambda path: graphmod.save_graph(g, path, header_lines=graph_notes),
-        "transitions": [*_header(cfg, "build", stat_notes), *ingest.transition_lines(log, g.labels)],
+        "transitions": (stat_notes, ingest.transition_lines(log, g.labels)),
     }
-    summary = (
-        f"build: {g.n_nodes} articles, {g.n_edges} links "
-        f"({g.self_loops} self-loops); kept {stats.kept_pairs} transition pairs"
-    )
+    summary = (f"{g.n_nodes} articles, {g.n_edges} links ({g.self_loops} self-loops); "
+               f"kept {stats.kept_pairs} transition pairs")
     if stats.malformed:
-        return outputs, summary, f"build: skipped {stats.malformed} malformed lines"
+        return outputs, summary, f"skipped {stats.malformed} malformed lines"
     return outputs, summary
 
 
 def _features(cfg: RunConfig, g, log):
     from . import ingest, semantics as semmod
 
-    report_lines: list[str] = []
     if cfg.feature_file:
         with open(cfg.feature_file, "r", encoding="utf-8") as fh:
             table, report = ingest.load_feature_table(
-                fh, g, log, recompute_network=cfg.recompute_network_features
-            )
-        report_lines.append(f"rows_read={report.rows_read} rows_kept={report.rows_kept}\n")
+                fh, g, log, recompute_network=cfg.recompute_network_features)
+        report_lines = [f"rows_read={report.rows_read} rows_kept={report.rows_kept}\n"]
         for line_no, s, t, reason in report.rejected:
             report_lines.append(f"rejected line {line_no} ({s} -> {t}): {reason}\n")
         if report.rejected_count > len(report.rejected):
             report_lines.append(
                 f"… and {report.rejected_count - len(report.rejected)} more rejected lines\n")
         for col, (mism, maxdiff) in sorted(report.consistency.items()):
-            report_lines.append(
-                f"consistency {col}: {mism} mismatches, max abs diff {maxdiff:.3e}\n"
-            )
+            report_lines.append(f"consistency {col}: {mism} mismatches, max abs diff {maxdiff:.3e}\n")
         notes = (f"source=feature_file rows={len(table)}",)
     else:
         with open(cfg.corpus, "r", encoding="utf-8") as tok_fh, \
@@ -281,18 +284,14 @@ def _features(cfg: RunConfig, g, log):
         table = ingest.build_feature_table(
             g, log, text_sim, topic_sim, x, y, region, covered=covered, alpha=cfg.damping
         )
-        report_lines.append(f"edges_without_corpus_article={missing}\n")
-        report_lines.append(f"visual_rows_not_edges={non_edge}\n")
-        report_lines.append(f"edges_without_visual_row={int((~covered).sum())}\n")
-        notes = (
-            f"source=computed projection_dim={cfg.projection_dim} damping={cfg.damping}",
-            f"rows={len(table)}",
-        )
-    outputs = {
-        "features": [*_header(cfg, "features", notes), *ingest.feature_table_lines(table)],
-        "features_report": [*_header(cfg, "features"), *report_lines],
-    }
-    return outputs, f"features: {len(table)} link records written"
+        report_lines = [f"edges_without_corpus_article={missing}\n",
+                        f"visual_rows_not_edges={non_edge}\n",
+                        f"edges_without_visual_row={int((~covered).sum())}\n"]
+        notes = (f"source=computed projection_dim={cfg.projection_dim} damping={cfg.damping}",
+                 f"rows={len(table)}")
+    outputs = {"features": (notes, ingest.feature_table_lines(table)),
+               "features_report": ((), report_lines)}
+    return outputs, f"{len(table)} link records written"
 
 
 def _sample(cfg: RunConfig, g, log, table):
@@ -302,20 +301,16 @@ def _sample(cfg: RunConfig, g, log, table):
     eligible = np.unique(log.src)  # sources with at least one outgoing transition
     if cfg.sample_size > len(eligible):
         raise ClickgraphError(
-            f"sample size {cfg.sample_size} exceeds the {len(eligible)} eligible articles"
-        )
+            f"sample size {cfg.sample_size} exceeds the {len(eligible)} eligible articles")
     rng = np.random.default_rng(cfg.seed)
     chosen = rng.choice(eligible, size=cfg.sample_size, replace=False)
     in_sample = np.isin(table.src, chosen)
-    sub = ingest.LinkFeatureTable(
-        src=table.src[in_sample],
-        trg=table.trg[in_sample],
-        data={k: v[in_sample] for k, v in table.data.items()},
-        labels=table.labels,
-    )
+    sub = ingest.LinkFeatureTable(src=table.src[in_sample], trg=table.trg[in_sample],
+                                  data={k: v[in_sample] for k, v in table.data.items()},
+                                  labels=table.labels)
     notes = (f"sample_size={cfg.sample_size} eligible={len(eligible)} rows={len(sub)}",)
-    outputs = {"sample": [*_header(cfg, "sample", notes), *ingest.feature_table_lines(sub)]}
-    return outputs, f"sample: {cfg.sample_size} articles, {len(sub)} link records"
+    outputs = {"sample": (notes, ingest.feature_table_lines(sub))}
+    return outputs, f"{cfg.sample_size} articles, {len(sub)} link records"
 
 
 def _attention(cfg: RunConfig, g, log):
@@ -324,34 +319,26 @@ def _attention(cfg: RunConfig, g, log):
 
     outputs = {}
     hist, conc = attmod.transition_histogram(log)
-    lines = _header(
-        cfg, "attention",
+    outputs["attention_transitions"] = (
         (f"total_transitions={conc.total_transitions} "
          f"half_mass_links={_fmt(conc.top_k)} half_mass_share={_fmt(conc.top_share)}",),
+        _table("count frequency", sorted(hist.items())),
     )
-    lines.append("count\tfrequency\n")
-    lines.extend(f"{c}\t{f}\n" for c, f in sorted(hist.items()))
-    outputs["attention_transitions"] = lines
 
     wiki, trans = attmod.outdegree_comparison(g, log)
-    lines = _header(cfg, "attention", (f"restriction={wiki.restriction}",))
-    lines.append("network\tout_degree\tfrequency\n")
-    for dist in (wiki, trans):
-        lines.extend(f"{dist.source}\t{d}\t{f}\n" for d, f in sorted(dist.histogram.items()))
-    outputs["attention_outdegree"] = lines
+    outputs["attention_outdegree"] = (
+        (f"restriction={wiki.restriction}",),
+        _table("network out_degree frequency", [(dist.source, d, f) for dist in (wiki, trans)
+                                                for d, f in sorted(dist.histogram.items())]),
+    )
 
     ginis, skipped = attmod.per_article_gini(g, log)
-    edges_bins = np.linspace(0.0, 1.0, 21)
-    freq, _ = np.histogram(ginis, bins=edges_bins)
-    lines = _header(
-        cfg, "attention",
+    bins = np.linspace(0.0, 1.0, 21)
+    freq, _ = np.histogram(ginis, bins=bins)
+    outputs["attention_gini"] = (
         (f"articles={len(ginis)} excluded_all_zero={skipped}",),
+        _table("bin_lo bin_hi frequency", zip(bins[:-1], bins[1:], freq)),
     )
-    lines.append("bin_lo\tbin_hi\tfrequency\n")
-    lines.extend(
-        f"{_fmt(edges_bins[i])}\t{_fmt(edges_bins[i + 1])}\t{freq[i]}\n" for i in range(20)
-    )
-    outputs["attention_gini"] = lines
 
     wiki_out = g.out_degrees()
     trans_out = np.bincount(log.src, minlength=g.n_nodes) if len(log) else np.zeros(g.n_nodes, dtype=np.int64)
@@ -361,11 +348,7 @@ def _attention(cfg: RunConfig, g, log):
         ("trans_out_degrees", trans_out[shared], cfg.xmin_degrees),
         ("transition_counts", log.count, cfg.xmin_transitions),
     )
-    lines = _header(
-        cfg, "attention",
-        ("model selection: AIC (2k - 2 lnL), smallest wins; "
-         "xmin fixed per section, not searched",),
-    )
+    lines = []
     for name, samples, xmin in sections:
         lines.append(f"[{name}] xmin={xmin}\n")
         try:
@@ -384,38 +367,29 @@ def _attention(cfg: RunConfig, g, log):
                 f"  {fam}: {pars} loglik={_fmt(fit.loglik)} aic={_fmt(fit.aic)} "
                 f"delta_aic={_fmt(rep.delta_aic[fam])}\n"
             )
-    outputs["attention_fits"] = lines
-    return outputs, f"attention: {len(ginis)} article Gini values, {skipped} excluded"
+    outputs["attention_fits"] = (
+        ("model selection: AIC (2k - 2 lnL), smallest wins; xmin fixed per section, not searched",),
+        lines,
+    )
+    return outputs, f"{len(ginis)} article Gini values, {skipped} excluded"
 
 
 def _hurdle(cfg: RunConfig, g, log, table):
     from . import hurdle as hurdlemod
 
     rows = hurdlemod.feature_battery(table, threshold=cfg.threshold)
-    lines = _header(
-        cfg, "hurdle",
-        (f"threshold={cfg.threshold} rows={len(table)}",
-         "fixed-effects fits; one feature per model vs intercept-only, "
-         "LRT chi-square p-values"),
+    notes = (f"threshold={cfg.threshold} rows={len(table)}",
+             "fixed-effects fits; one feature per model vs intercept-only, LRT chi-square p-values")
+    lines = _table(
+        "feature transformation binomial_coef binomial_lrt binomial_p binomial_error "
+        "ztnb_coef ztnb_lrt ztnb_p ztnb_error",
+        [(r.feature, r.transformation, r.binomial_coef, r.binomial_lrt, r.binomial_p,
+          r.binomial_error or "-", r.ztnb_coef, r.ztnb_lrt, r.ztnb_p, r.ztnb_error or "-")
+         for r in rows],
     )
-    lines.append(
-        "feature\ttransformation\tbinomial_coef\tbinomial_lrt\tbinomial_p\tbinomial_error\t"
-        "ztnb_coef\tztnb_lrt\tztnb_p\tztnb_error\n"
-    )
-    for r in rows:
-        lines.append(
-            "\t".join([
-                r.feature, r.transformation,
-                _fmt(r.binomial_coef), _fmt(r.binomial_lrt), _fmt(r.binomial_p),
-                r.binomial_error or "-",
-                _fmt(r.ztnb_coef), _fmt(r.ztnb_lrt), _fmt(r.ztnb_p),
-                r.ztnb_error or "-",
-            ]) + "\n"
-        )
     binomial = sum(r.binomial_coef is not None for r in rows)
     ztnb = sum(r.ztnb_coef is not None for r in rows)
-    summary = f"hurdle: {binomial}/{len(rows)} binomial, {ztnb}/{len(rows)} ztnb fits"
-    return {"hurdle": lines}, summary
+    return {"hurdle": (notes, lines)}, f"{binomial}/{len(rows)} binomial, {ztnb}/{len(rows)} ztnb fits"
 
 
 def _build_hypotheses(cfg: RunConfig, g, table) -> list:
@@ -449,47 +423,35 @@ def _hyptrails(cfg: RunConfig, g, log, table):
     curves = evmod.bayes_factor_curve(hyps, baseline, log, grid)
     base_curve = evmod.bayes_factor_curve([baseline], baseline, log, grid)[0]
 
-    lines = _header(
-        cfg, "hyptrails",
-        (f"kappa_grid={','.join(_fmt(k) for k in grid)}",
-         f"smoothing=structural matrix, weight {evmod.SMOOTHING_WEIGHT}",
-         "bayes_factor in log units vs structural baseline"),
+    notes = (f"kappa_grid={','.join(_fmt(k) for k in grid)}",
+             f"smoothing=structural matrix, weight {evmod.SMOOTHING_WEIGHT}",
+             "bayes_factor in log units vs structural baseline")
+    lines = _table(
+        "hypothesis kappa log_evidence log_bayes_factor verdict",
+        [(c.hypothesis, k, c.log_evidence[i], c.log_bayes_factor[i], c.verdicts[i])
+         for c in [base_curve] + curves for i, k in enumerate(c.kappas)],
     )
-    lines.append("hypothesis\tkappa\tlog_evidence\tlog_bayes_factor\tverdict\n")
-    for curve in [base_curve] + curves:
-        for i, k in enumerate(curve.kappas):
-            lines.append(
-                f"{curve.hypothesis}\t{_fmt(k)}\t{_fmt(curve.log_evidence[i])}\t"
-                f"{_fmt(curve.log_bayes_factor[i])}\t{curve.verdicts[i]}\n"
-            )
     best = max(curves, key=lambda c: c.log_bayes_factor[-1])
-    summary = f"hyptrails: {len(curves)} hypotheses; best at largest kappa: {best.hypothesis}"
-    return {"hyptrails": lines}, summary
+    return ({"hyptrails": (notes, lines)},
+            f"{len(curves)} hypotheses; best at largest kappa: {best.hypothesis}")
 
 
 def _pagerank(cfg: RunConfig, g, log, table):
     from . import ranking as rankmod
 
     hyps = _build_hypotheses(cfg, g, table)
-    evals = rankmod.evaluate_all(
-        g, hyps, log, alphas=cfg.alphas,
-        restrict_to_viewed=cfg.restrict_to_viewed, threads=cfg.threads,
+    evals = rankmod.evaluate_all(g, hyps, log, alphas=cfg.alphas,
+                                 restrict_to_viewed=cfg.restrict_to_viewed, threads=cfg.threads)
+    notes = (f"alphas={','.join(_fmt(a) for a in cfg.alphas)} "
+             f"universe={'viewed articles' if cfg.restrict_to_viewed else 'all articles'}",
+             "steiger_p is one-tailed for weighted rho > baseline rho")
+    lines = _table(
+        "hypothesis alpha rho p steiger_z steiger_p improved",
+        [(r.hypothesis, r.alpha, r.rho, r.p, r.steiger_z, r.steiger_p, r.improved) for r in evals],
     )
-    lines = _header(
-        cfg, "pagerank",
-        (f"alphas={','.join(_fmt(a) for a in cfg.alphas)} "
-         f"universe={'viewed articles' if cfg.restrict_to_viewed else 'all articles'}",
-         "steiger_p is one-tailed for weighted rho > baseline rho"),
-    )
-    lines.append("hypothesis\talpha\trho\tp\tsteiger_z\tsteiger_p\timproved\n")
-    for r in evals:
-        lines.append(
-            f"{r.hypothesis}\t{_fmt(r.alpha)}\t{_fmt(r.rho)}\t{_fmt(r.p)}\t"
-            f"{_fmt(r.steiger_z)}\t{_fmt(r.steiger_p)}\t{_fmt(r.improved)}\n"
-        )
     best = max((r for r in evals if r.hypothesis != "baseline"), key=lambda r: r.rho)
-    summary = f"pagerank: best hypothesis {best.hypothesis} (rho={best.rho:.3f} at alpha={best.alpha})"
-    return {"pagerank": lines}, summary
+    return ({"pagerank": (notes, lines)},
+            f"best hypothesis {best.hypothesis} (rho={best.rho:.3f} at alpha={best.alpha})")
 
 
 # ---------------------------------------------------------------------------
@@ -536,22 +498,22 @@ def run_stage(name: str, cfg: RunConfig) -> int:
     The cache key hashes the config and the files in ``STAGES[name].keys``.
     On a miss, a stage that reads earlier artifacts gets graph and log (and
     the feature table if it reads one); every artifact the body returns is
-    written atomically, then the key is recorded in the manifest.
+    written atomically under this stage's header, then the key is recorded in
+    the manifest, and the body's summary and warnings are printed under the
+    stage's name.
     """
     stage = STAGES[name]
     for artifact in stage.reads:
         if not os.path.exists(_artifact_path(cfg, artifact)):
-            raise DependencyError(
-                f"missing {ARTIFACTS[artifact]} in {cfg.out}; "
-                f"run `clickgraph {_PRODUCER[artifact]}` first"
-            )
+            raise DependencyError(f"missing {ARTIFACTS[artifact]} in {cfg.out}; "
+                                  f"run `clickgraph {_PRODUCER[artifact]}` first")
     _validate_inputs(cfg, _required_inputs(cfg, stage.keys))
     manifest = _load_manifest(cfg.out)
-    key = _stage_key(cfg, stage.keys)
+    files = _key_files(cfg, stage.keys)
+    key = {"config": cfg.hash(), "inputs": {n: _sha256(p) for n, p in files.items()}}
     entry = manifest["stages"].get(name)
     if entry is not None and entry.get("key") == key and all(
-        os.path.exists(os.path.join(cfg.out, f)) for f in entry.get("outputs", [])
-    ):
+            os.path.exists(os.path.join(cfg.out, f)) for f in entry.get("outputs", [])):
         print(f"{name}: cache hit, outputs unchanged")
         return 0
 
@@ -567,13 +529,23 @@ def run_stage(name: str, cfg: RunConfig) -> int:
             loaded += (ingest.load_feature_table(fh, *loaded)[0],)
     outputs, summary, *warnings = stage.body(cfg, *loaded)
     for artifact in stage.writes:
-        _atomic_write(_artifact_path(cfg, artifact), outputs[artifact])
+        content = outputs[artifact]
+        if not callable(content):
+            notes, lines = content
+            content = [*_header(cfg, name, notes), *lines]
+        _atomic_write(_artifact_path(cfg, artifact), content)
+    # A keyed input the stage has just rewritten (`features --feature-file
+    # OUT/features.tsv`) is keyed as written, so the same run next is a hit.
+    written = {os.path.realpath(_artifact_path(cfg, a)) for a in stage.writes}
+    for n, p in files.items():
+        if os.path.realpath(p) in written:
+            key["inputs"][n] = _sha256(p)
     manifest["stages"][name] = {"key": key, "outputs": [ARTIFACTS[a] for a in stage.writes]}
     _atomic_write(os.path.join(cfg.out, MANIFEST),
                   [json.dumps(manifest, sort_keys=True, indent=1) + "\n"])
-    print(summary)
+    print(f"{name}: {summary}")
     for line in warnings:
-        print(line, file=sys.stderr)
+        print(f"{name}: {line}", file=sys.stderr)
     return 0
 
 

@@ -296,9 +296,13 @@ def save_graph(g: LinkGraph, path, header_lines: Sequence[str] = ()) -> None:
         fh.write(f"nodes\t{g.n_nodes}\n")
         fh.write(f"selfloops\t{g.self_loops}\n")
         if g.labels is not None:
+            seen: set[str] = set()
             for i, name in enumerate(g.labels):
                 if "\t" in name or "\n" in name or "\r" in name:
                     raise MalformedInputError(f"label {name!r} contains separators")
+                if name in seen:
+                    raise MalformedInputError(f"label {name!r} names two nodes")
+                seen.add(name)
                 fh.write(f"label\t{i}\t{name}\n")
         fh.write(f"edges\t{g.n_edges}\n")
         src = g.edge_sources
@@ -310,14 +314,18 @@ def load_graph(path) -> LinkGraph:
     """Read a snapshot written by :func:`save_graph`.
 
     A line with the wrong field count or a non-integer field raises
-    :class:`LineError` naming it.
+    :class:`LineError` naming it, as does a ``label`` line whose index lies
+    outside ``[0, nodes)`` or whose index or name an earlier line gave.  When
+    any node is labelled, a node without a label raises
+    :class:`MalformedInputError`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         magic = fh.readline().rstrip("\n")
         if magic != GRAPH_MAGIC:
             raise MalformedInputError(f"not a graph snapshot (magic {magic!r})")
         n_nodes = None
-        labels: dict[int, str] = {}
+        labels: dict[int, tuple[int, str]] = {}  # node -> (line number, name)
+        named: dict[str, int] = {}  # name -> node
         edges: list[tuple[int, int]] = []
         n_edges = None
         for line_no, raw in enumerate(fh, start=2):
@@ -334,7 +342,13 @@ def load_graph(path) -> LinkGraph:
                 elif fields[0] == "selfloops":
                     continue
                 elif fields[0] == "label":
-                    labels[int(fields[1])] = fields[2]
+                    node, name = int(fields[1]), fields[2]
+                    if node in labels:
+                        raise LineError(line_no, f"label index {node} repeats line {labels[node][0]}")
+                    if name in named:
+                        raise LineError(line_no, f"label {name!r} already names node {named[name]}")
+                    labels[node] = (line_no, name)
+                    named[name] = node
                 elif fields[0] == "edges":
                     n_edges = int(fields[1])
                 else:
@@ -347,5 +361,11 @@ def load_graph(path) -> LinkGraph:
         raise MalformedInputError(f"snapshot declares {n_edges} edges, found {len(edges)}")
     label_seq = None
     if labels:
-        label_seq = [labels.get(i, str(i)) for i in range(n_nodes)]
+        for node, (line_no, _) in labels.items():
+            if not 0 <= node < n_nodes:
+                raise LineError(line_no, f"label index {node} outside [0, {n_nodes})")
+        if len(labels) < n_nodes:
+            missing = next(i for i in range(n_nodes) if i not in labels)
+            raise MalformedInputError(f"snapshot has no label for node {missing}")
+        label_seq = [labels[i][1] for i in range(n_nodes)]
     return build_graph(edges, n_nodes=n_nodes, labels=label_seq)

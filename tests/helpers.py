@@ -13,11 +13,18 @@ import subprocess
 import sys
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.special import zeta
 
 import clickgraph
 from clickgraph import graph as graphmod
 from clickgraph.ingest import TransitionLog
+
+
+#: Article names every artifact carries losslessly: non-empty, no tab or line
+#: break, not read as a comment; any other Unicode (surrogates are not text).
+LEGAL_NAMES = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r"),
+                      min_size=1).filter(lambda name: not name.startswith("#"))
 
 
 def run_fresh(code: str, *args: str) -> str:

@@ -4,15 +4,18 @@ import filecmp
 import json
 import os
 import stat
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clickgraph import __version__, graph, ingest
 from clickgraph import attention as A
 from clickgraph.cli import ARTIFACTS, MANIFEST, main
 
-from helpers import discrete_power_law_sample, run_fresh
+from helpers import LEGAL_NAMES, discrete_power_law_sample, run_fresh
 
 
 def run_pipeline(inputs: dict[str, str], out: str, projection_dim: int = 64) -> None:
@@ -171,6 +174,32 @@ class TestPipeline:
         assert main(["pagerank", "--out", out, "--threshold", "10",
                      "--alphas", "0.5,0.9"]) == 0
         assert "cache hit" not in capsys.readouterr().out
+
+
+class TestPrintedOutput:
+    COLD = (
+        "build: 20 articles, 78 links (0 self-loops); kept 33 transition pairs\n"
+        "features: 78 link records written\n"
+        "sample: 5 articles, 18 link records\n"
+        "attention: 16 article Gini values, 4 excluded\n"
+        "hurdle: 15/15 binomial, 15/15 ztnb fits\n"
+        "hyptrails: 7 hypotheses; best at largest kappa: kcore+visual\n"
+        "pagerank: best hypothesis kcore (rho=0.634 at alpha=0.8)\n"
+    )
+    STAGES = ("build", "features", "sample", "attention", "hurdle", "hyptrails", "pagerank")
+
+    def test_cold_run_and_rerun_print_exactly_this(self, toy_inputs, tmp_path, capsys):
+        args = ["--out", str(tmp_path / "out"), "--threshold", "10"]
+        extra = {
+            "build": ["--edges", toy_inputs["edges"], "--clickstream", toy_inputs["clickstream"]],
+            "features": ["--corpus", toy_inputs["corpus"], "--categories", toy_inputs["categories"],
+                         "--visual", toy_inputs["visual"], "--projection-dim", "64"],
+            "sample": ["--sample-size", "5"],
+        }
+        for printed in (self.COLD, "".join(f"{s}: cache hit, outputs unchanged\n" for s in self.STAGES)):
+            for stage in self.STAGES:
+                assert main([stage, *extra.get(stage, []), *args]) == 0
+            assert capsys.readouterr() == (printed, "")
 
 
 class TestDependencies:
@@ -397,8 +426,44 @@ class TestGraphInput:
         assert main(["attention", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: line {len(lines) + 1}: {message}\n"
 
+    @pytest.mark.parametrize("row, message", [
+        ("label\t20\tNew\n", "label index 20 outside [0, 20)"),
+        # Line 6 labels node 0, after the magic line, two notes, nodes and selfloops.
+        ("label\t0\tNew\n", "label index 0 repeats line 6"),
+        ("label\t20\tGraph_theory\n", "label 'Graph_theory' already names node 0"),
+    ], ids=["index_past_nodes", "repeated_index", "repeated_name"])
+    def test_bad_label_names_its_line(self, toy_inputs, tmp_path, capsys, row, message):
+        out = tmp_path / "out"
+        assert main(["build", "--edges", toy_inputs["edges"],
+                     "--clickstream", toy_inputs["clickstream"], "--out", str(out)]) == 0
+        path = out / ARTIFACTS["graph"]
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines) + row, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["attention", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: line {len(lines) + 1}: {message}\n"
+
 
 class TestFeatureFileInput:
+    def test_own_output_as_input_is_recomputed_once(self, toy_inputs, tmp_path, capsys):
+        # The first run rewrites the file its cache key hashes; the key must
+        # record it as written, so the same run again is a cache hit.
+        out = str(tmp_path / "out")
+        run_pipeline(toy_inputs, out)
+        path = os.path.join(out, ARTIFACTS["features"])
+
+        def body():
+            with open(path, encoding="utf-8") as fh:
+                return [line for line in fh if not line.startswith("#")]
+
+        computed = body()
+        capsys.readouterr()
+        for _ in range(2):
+            assert main(["features", "--feature-file", path, "--out", out, "--threshold", "10"]) == 0
+        assert capsys.readouterr().out == (
+            "features: 78 link records written\nfeatures: cache hit, outputs unchanged\n")
+        assert body() == computed
+
     @pytest.mark.parametrize("bad_rows, more", [(20, None), (25, 5)])
     def test_report_lists_first_rejections_and_counts_the_rest(self, toy_inputs, tmp_path,
                                                                bad_rows, more):
@@ -477,3 +542,59 @@ class TestFailFast:
                    "--out", str(tmp_path / "o"), "--fail-fast"])
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
+
+
+def _rows(path: str) -> list[list[str]]:
+    """The rows of a feature table file, below its '#' notes and column line."""
+    with open(path, encoding="utf-8") as fh:
+        rows = [line.rstrip("\n").split("\t") for line in fh if not line.startswith("#")]
+    return rows[1:]
+
+
+class TestNamesThroughTheStages:
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(LEGAL_NAMES, min_size=1, max_size=6, unique=True), st.integers(1, 30), st.data())
+    def test_build_features_sample_keep_names_and_counts(self, names, threshold, data):
+        n = len(names)
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   min_size=1, max_size=15, unique=True))
+        clicked = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        clicked[0] = True
+        counts = data.draw(st.lists(st.integers(threshold, 10**9), min_size=len(pairs),
+                                    max_size=len(pairs)))
+        links = [(names[s], names[t]) for s, t in pairs]
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {k: os.path.join(tmp, f"{k}.tsv")
+                     for k in ("edges", "clickstream", "corpus", "categories", "visual")}
+            seen = list(dict.fromkeys(name for link in links for name in link))
+            text = {
+                "edges": [f"{a}\t{b}\n" for a, b in links],
+                "clickstream": [f"{a}\t{b}\t{c}\n" for (a, b), c, on in zip(links, counts, clicked) if on],
+                "corpus": [f"{a}\tword{i % 3}\tshared\n" for i, a in enumerate(seen)],
+                "categories": [f"{a}\tcategory{i % 2}\n" for i, a in enumerate(seen)],
+                "visual": ["src\ttrg\tx_coord\ty_coord\tregion\n",
+                           *(f"{a}\t{b}\t{i}\t{2 * i}\tbody\n" for i, (a, b) in enumerate(links))],
+            }
+            for key, lines in text.items():
+                with open(paths[key], "w", encoding="utf-8", newline="\n") as fh:
+                    fh.writelines(lines)
+            out = os.path.join(tmp, "out")
+            args = ["--out", out, "--threshold", str(threshold)]
+            assert main(["build", "--edges", paths["edges"],
+                         "--clickstream", paths["clickstream"], *args]) == 0
+            assert main(["features", "--corpus", paths["corpus"], "--categories", paths["categories"],
+                         "--visual", paths["visual"], "--projection-dim", "4", *args]) == 0
+            sources = {a for (a, _), on in zip(links, clicked) if on}
+            assert main(["sample", "--sample-size", str(len(sources)), *args]) == 0
+
+            with open(os.path.join(out, ARTIFACTS["transitions"]), encoding="utf-8") as fh:
+                kept = int(fh.read().split("kept_transitions=")[1].split("\n")[0])
+            assert graph.load_graph(os.path.join(out, ARTIFACTS["graph"])).labels == tuple(seen)
+            features = _rows(os.path.join(out, ARTIFACTS["features"]))
+            sample = _rows(os.path.join(out, ARTIFACTS["sample"]))
+        column = ingest.FEATURE_COLUMNS.index("transitions")
+        assert sorted((row[0], row[1]) for row in features) == sorted(links)
+        assert sorted((row[0], row[1]) for row in sample) == sorted(l for l in links if l[0] in sources)
+        assert kept == sum(c for c, on in zip(counts, clicked) if on)
+        for rows in (features, sample):
+            assert sum(int(row[column]) for row in rows) == kept

@@ -283,7 +283,12 @@ class TestSnapshot:
         ("garbage\n", "expected 2 tab-separated fields, got 1"),
         ("edges\t3x\n", "non-integer field in 'edges\\t3x'"),
         ("label\tone\tD\n", "non-integer field in 'label\\tone\\tD'"),
-    ], ids=["one_field", "non_integer_count", "non_integer_label_id"])
+        ("label\t3\tD\n", "label index 3 outside [0, 3)"),
+        ("label\t-1\tD\n", "label index -1 outside [0, 3)"),
+        ("label\t1\tD\n", "label index 1 repeats line 5"),
+        ("label\t5\tA\n", "label 'A' already names node 0"),
+    ], ids=["one_field", "non_integer_count", "non_integer_label_id", "label_past_nodes",
+            "negative_label", "repeated_label_index", "repeated_label_name"])
     def test_corrupt_line_raises_line_error(self, tmp_path, row, message):
         path = tmp_path / "graph.tsv"
         G.save_graph(G.build_graph([(0, 1), (1, 2), (2, 0)], labels=["A", "B", "C"]), path)
@@ -292,6 +297,19 @@ class TestSnapshot:
         with pytest.raises(LineError) as exc:
             G.load_graph(path)
         assert str(exc.value) == f"line {len(lines) + 1}: {message}"
+
+    def test_node_without_a_label_is_refused(self, tmp_path):
+        path = tmp_path / "graph.tsv"
+        G.save_graph(G.build_graph([(0, 1), (1, 2), (2, 0)], labels=["A", "B", "C"]), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if line != "label\t1\tB\n"), encoding="utf-8")
+        with pytest.raises(MalformedInputError, match="^snapshot has no label for node 1$"):
+            G.load_graph(path)
+
+    def test_repeated_label_is_not_saved(self, tmp_path):
+        g = G.build_graph([(0, 1), (1, 0)], labels=["C", "C"])
+        with pytest.raises(MalformedInputError, match="^label 'C' names two nodes$"):
+            G.save_graph(g, tmp_path / "graph.tsv")
 
     @pytest.mark.parametrize("label", ["A\tB", "A\nB", "A\rB"])
     def test_label_with_a_separator_is_refused(self, tmp_path, label):

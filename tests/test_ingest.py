@@ -19,7 +19,7 @@ from clickgraph.errors import (
     SupportError,
 )
 
-from helpers import random_graph
+from helpers import LEGAL_NAMES, random_graph
 
 
 def small_graph():
@@ -657,12 +657,6 @@ class TestLoadFeatureTableMatchesReference:
         log = ingest.TransitionLog.from_pairs([0], [1], [25], graph=g)
         with pytest.raises(PreconditionError):
             ingest.load_feature_table(feature_file_lines(g, log), None, log)
-
-
-#: Article names every artifact carries losslessly: non-empty, no tab or line
-#: break, not read as a comment; any other Unicode (surrogates are not text).
-LEGAL_NAMES = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r"),
-                      min_size=1).filter(lambda name: not name.startswith("#"))
 
 
 class TestArtifactRoundTrip:
