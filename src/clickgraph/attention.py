@@ -320,16 +320,26 @@ def _fit_truncated_power_law(x: np.ndarray, xmin: int) -> FamilyFit:
 
 
 def _fit_lognormal(x: np.ndarray, xmin: int) -> FamilyFit:
+    """Nelder-Mead MLE of the discrete log-normal on the tail ``x``.
+
+    Counts repeat, so the data term ``lx + 0.5 * ((lx - mu) / sigma) ** 2``
+    is computed once per distinct count and gathered back to row order
+    before the sum.  Each row then holds the value the per-row expression
+    gives it, and the sum adds them in the same order: the objective, and
+    so the whole fit, is bit-equal to evaluating the term on every row.
+    """
     lx = np.log(x)
     n = len(x)
     work = _norm_work()
+    _distinct, first, row_of = np.unique(x, return_index=True, return_inverse=True)
+    lu = lx[first]  # the logs of the distinct counts, not recomputed
 
     def nll(p: np.ndarray) -> float:
         mu, sigma = float(p[0]), math.exp(p[1])
         if sigma == 0.0:  # exp underflow; the step would score NaN or raise
             return math.inf
         return float(
-            (lx + 0.5 * ((lx - mu) / sigma) ** 2).sum()
+            (lu + 0.5 * ((lu - mu) / sigma) ** 2)[row_of].sum()
             + n * _log_norm_lognormal(mu, sigma, xmin, work)
         )
 

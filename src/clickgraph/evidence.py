@@ -9,6 +9,7 @@ structural (uniform out-link) baseline rank the hypotheses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,13 @@ from .ingest import REGIONS, TransitionLog
 PROMOTED_REGIONS = frozenset({"lead", "left-body", "infobox"})
 
 SMOOTHING_WEIGHT = 1.0  # weight of the structural matrix added for smoothing
+
+#: The range of Dirichlet parameters (and of their row sums) that
+#: ``log_evidence`` accepts: ``gammaln`` is finite on it.  Below the smallest
+#: normal float gammaln reaches +inf (gammaln(5e-324) is inf), and it
+#: overflows a little above 2.556e305.
+ALPHA_MIN = float(np.finfo(np.float64).tiny)
+ALPHA_MAX = 2.5e305
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,9 +160,19 @@ def elicit_prior(h: HypothesisMatrix, kappa: float) -> ElicitedPrior:
 def log_evidence(prior: ElicitedPrior, counts) -> float:
     """Log marginal likelihood of grouped transition counts under the prior.
 
-    counts may be a :class:`TransitionLog` or a dense per-edge-slot vector.
-    Evidence is the product over source rows of Dirichlet-multinomial terms;
-    the multinomial coefficient is omitted, identically for all hypotheses.
+    counts may be a :class:`TransitionLog` or a dense per-edge-slot vector of
+    finite nonnegative counts.  Evidence is the product over source rows of
+    Dirichlet-multinomial terms; the multinomial coefficient is omitted,
+    identically for all hypotheses.
+
+    ``gammaln`` runs only on the slots and rows that saw transitions.  Every
+    other term is gammaln(a) - gammaln(a + 0.0), which is exactly +0.0 when
+    gammaln(a) is finite, so those terms stay zeros in arrays of full length
+    and both sums add the same values in the same order: the result is
+    bit-equal to the sum over all slots and rows.  A prior whose parameters
+    or row sums leave gammaln's finite range [``ALPHA_MIN``, ``ALPHA_MAX``)
+    raises :class:`ElicitationError`; there the full sums are NaN or
+    meaningless anyway.
     """
     g = prior.graph
     if isinstance(counts, TransitionLog):
@@ -163,14 +181,34 @@ def log_evidence(prior: ElicitedPrior, counts) -> float:
         n = np.asarray(counts, dtype=np.float64)
         if len(n) != g.n_edges:
             raise AlignmentError(f"{len(n)} counts for {g.n_edges} edges")
-        if len(n) and n.min() < 0:
-            raise ValueError("counts must be nonnegative")
+        if len(n):
+            lo, hi = n.min(), n.max()
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError("counts must be finite")
+            if lo < 0:
+                raise ValueError("counts must be nonnegative")
+    alpha = np.asarray(prior.alpha, dtype=np.float64)
     src = g.edge_sources
-    row_a = np.bincount(src, weights=prior.alpha, minlength=g.n_nodes)
+    row_a = np.bincount(src, weights=alpha, minlength=g.n_nodes)
+    if len(alpha) and not (alpha.min() >= ALPHA_MIN and row_a.max() < ALPHA_MAX):
+        raise ElicitationError(
+            f"Dirichlet parameters and their row sums must lie in [{ALPHA_MIN!r}, {ALPHA_MAX!r})"
+        )
     row_n = np.bincount(src, weights=n, minlength=g.n_nodes)
     rows = g.out_degrees() > 0
-    total = float((gammaln(row_a[rows]) - gammaln(row_a[rows] + row_n[rows])).sum())
-    total += float((gammaln(prior.alpha + n) - gammaln(prior.alpha)).sum())
+    row_a, row_n = row_a[rows], row_n[rows]
+
+    terms = np.zeros(len(row_a))
+    seen = np.flatnonzero(row_n > 0)
+    a = row_a[seen]
+    terms[seen] = gammaln(a) - gammaln(a + row_n[seen])
+    total = float(terms.sum())
+
+    terms = np.zeros(len(n))
+    seen = np.flatnonzero(n > 0)
+    a = alpha[seen]
+    terms[seen] = gammaln(a + n[seen]) - gammaln(a)
+    total += float(terms.sum())
     return total
 
 
@@ -191,8 +229,13 @@ def default_kappa_grid(
 
 
 def kass_raftery_verdict(log_bf: float) -> str:
-    """Label the strength of 2 ln BF on the conventional 2/6/10 thresholds."""
+    """Label the strength of 2 ln BF on the conventional 2/6/10 thresholds.
+
+    NaN has no strength and gets ``"NA"``.
+    """
     v = 2.0 * log_bf
+    if math.isnan(v):
+        return "NA"  # as the stages write the NaN log Bayes factor beside it
     a = abs(v)
     if a < 2.0:
         label = "not worth more than a bare mention"

@@ -156,24 +156,33 @@ def projection_matrix(n_features: int, dim: int, seed: int) -> sp.csr_matrix:
     squared norms (hence pairwise distances) preserved in expectation.  The
     matrix is generated in fixed-size row chunks so equal seeds give bitwise
     equal results regardless of platform.
+
+    Each chunk draws its uniforms and its sign uniforms as two ``(rows, dim)``
+    blocks, and only the positions where the first falls below the density
+    are kept, in row-major order: the CSR is built straight from those
+    positions, with no dense block to fill and scan.  Its ``indptr``,
+    ``indices`` and ``data`` are those of the dense blocks converted and
+    stacked, which ``tests/test_semantics.py`` keeps as its reference.
     """
     if dim < 1:
         raise ValueError("projection dimension must be >= 1")
     density = 1.0 / np.sqrt(max(n_features, 1))
     s = np.sqrt(1.0 / (density * dim))
     rng = np.random.default_rng(seed)
-    blocks = []
+    kept, signs = [], []  # per chunk: row-major positions in the whole matrix, sign uniforms
     for start in range(0, n_features, _PROJECTION_CHUNK):
         rows = min(_PROJECTION_CHUNK, n_features - start)
         u = rng.random((rows, dim))
-        signs = rng.random((rows, dim)) < 0.5
-        block = np.zeros((rows, dim))
-        nz = u < density
-        block[nz] = np.where(signs[nz], s, -s)
-        blocks.append(sp.csr_matrix(block))
-    if not blocks:
+        sign_u = rng.random((rows, dim))
+        nz = np.flatnonzero(u < density)
+        kept.append(nz + start * dim)
+        signs.append(sign_u.reshape(-1)[nz])
+    if not kept:
         return sp.csr_matrix((0, dim))
-    return sp.vstack(blocks, format="csr")
+    pos = np.concatenate(kept)
+    data = np.where(np.concatenate(signs) < 0.5, s, -s)
+    indptr = np.searchsorted(pos, np.arange(n_features + 1) * dim)
+    return sp.csr_matrix((data, pos % dim, indptr), shape=(n_features, dim))
 
 
 def project(vectors: sp.csr_matrix, corpus: DocumentCorpus, dim: int = DEFAULT_DIM, seed: int = 0) -> ProjectedVectors:

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import special
@@ -372,6 +372,7 @@ def reference_fit_truncated_power_law(x, xmin):
 
 
 def reference_fit_lognormal(x, xmin):
+    """The former fit: reference normaliser and the data term on every row."""
     lx = np.log(x)
     n = len(x)
 
@@ -441,3 +442,50 @@ class TestNormaliserMatchesReference:
                 mock.patch.object(A, "_fit_lognormal", reference_fit_lognormal):
             want = _fit_outcome(samples, xmin)
         assert got == want
+
+
+def zipf_tail(n: int) -> np.ndarray:
+    """Seeded Zipf(1.6) + 8 counts: above xmin 9 their log-normal fit walks
+    towards the power-law limit (mu near -2e6, sigma near 1e3)."""
+    return (np.random.default_rng(n).zipf(1.6, n) + 8).astype(np.float64)
+
+
+class _Caught(Exception):
+    pass
+
+
+def lognormal_objective(x, xmin):
+    """The objective ``_fit_lognormal`` hands to Nelder-Mead, caught on its way in."""
+    caught = []
+
+    def catching_minimize(fun, x0, **kwargs):
+        caught.append(fun)
+        raise _Caught
+
+    with mock.patch.object(A.optimize, "minimize", catching_minimize), pytest.raises(_Caught):
+        A._fit_lognormal(x, xmin)
+    return caught[0]
+
+
+class TestLognormalDistinctCounts:
+    X = zipf_tail(3000)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mu=st.floats(-2e6, 60.0), log_sigma=st.floats(-7.0, 10.0))
+    @example(mu=-1.5e6, log_sigma=math.log(1e3))
+    def test_data_term_equal_to_the_per_row_expression(self, mu, log_sigma):
+        # with the normaliser at 0 the objective is the data term alone
+        sigma = math.exp(log_sigma)
+        lx = np.log(self.X)
+        want = float((lx + 0.5 * ((lx - mu) / sigma) ** 2).sum())
+        objective = lognormal_objective(self.X, 9)
+        with mock.patch.object(A, "_log_norm_lognormal", lambda *args: 0.0):
+            got = objective(np.array([mu, log_sigma]))
+        assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("n", [300, 1000, 3000, 10_000])
+    def test_fit_identical_to_the_per_row_reference(self, n):
+        x = zipf_tail(n)
+        fit = A._fit_lognormal(x, 9)
+        assert fit.params["mu"] < -1e5  # the walk towards the power-law limit
+        assert repr(fit) == repr(reference_fit_lognormal(x, 9))

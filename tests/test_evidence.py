@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from clickgraph import evidence as E
 from clickgraph import graph as G
@@ -222,6 +223,39 @@ class TestElicitPrior:
             E.elicit_prior(E.structural_hypothesis(g), kappa=0.0)
 
 
+def reference_log_evidence(prior, counts):
+    """The former kernel: gammaln on every edge slot and on every row with out-edges."""
+    g = prior.graph
+    n = counts.aligned_counts(g) if isinstance(counts, TransitionLog) else np.asarray(counts, dtype=np.float64)
+    src = g.edge_sources
+    row_a = np.bincount(src, weights=prior.alpha, minlength=g.n_nodes)
+    row_n = np.bincount(src, weights=n, minlength=g.n_nodes)
+    rows = g.out_degrees() > 0
+    total = float((gammaln(row_a[rows]) - gammaln(row_a[rows] + row_n[rows])).sum())
+    total += float((gammaln(prior.alpha + n) - gammaln(prior.alpha)).sum())
+    return total
+
+
+@st.composite
+def evidence_cases(draw):
+    """A graph with sinks and isolated nodes, smoothed beliefs, a kappa, and counts
+    that are all zero, fall on one row only, or fall on some slots, up to 1e9."""
+    n = draw(st.integers(1, 25))
+    node = st.integers(0, n - 1)
+    g = G.build_graph(draw(st.lists(st.tuples(node, node), max_size=60)), n_nodes=n)
+    beliefs = np.array(draw(st.lists(st.floats(0.0, 100.0), min_size=g.n_edges, max_size=g.n_edges)))
+    h = E.HypothesisMatrix("h", g, beliefs + E.SMOOTHING_WEIGHT)
+    kappa = draw(st.floats(1e-6, 1e6))
+    count = st.one_of(st.just(0), st.integers(1, 10), st.integers(1, 10**9))
+    counts = np.array(draw(st.lists(count, min_size=g.n_edges, max_size=g.n_edges)), dtype=np.float64)
+    mode = draw(st.sampled_from(["zero", "one row", "some slots"]))
+    if mode == "zero":
+        counts[:] = 0.0
+    elif mode == "one row" and g.n_edges:
+        counts[g.edge_sources != g.edge_sources[draw(st.integers(0, g.n_edges - 1))]] = 0.0
+    return E.elicit_prior(h, kappa), counts
+
+
 class TestLogEvidence:
     def test_zero_counts_give_zero(self):
         g = fan_graph()
@@ -290,6 +324,63 @@ class TestLogEvidence:
         grown = E.log_evidence(E.elicit_prior(E.structural_hypothesis(g2), 2.0), counts2)
         assert grown == base
 
+    @settings(max_examples=300, deadline=None)
+    @given(evidence_cases())
+    def test_bit_equal_to_the_full_slot_reference(self, case):
+        prior, counts = case
+        assert E.log_evidence(prior, counts).hex() == reference_log_evidence(prior, counts).hex()
+
+    def test_transition_log_bit_equal_to_the_full_slot_reference(self):
+        g = random_graph(60, 0.1, seed=12)
+        log = multinomial_log(g, np.ones(g.n_edges), trips_per_source=5, seed=13)
+        for kappa in E.default_kappa_grid(g):
+            prior = E.elicit_prior(E.kcore_hypothesis(g, G.kcore(g)), kappa)
+            assert E.log_evidence(prior, log) == reference_log_evidence(prior, log)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dense_counts_rejected(self, bad):
+        g = G.build_graph([(0, 1), (0, 2), (1, 2), (2, 0)])
+        prior = E.elicit_prior(E.structural_hypothesis(g), kappa=2.0)
+        with pytest.raises(ValueError, match="^counts must be finite$"):
+            E.log_evidence(prior, np.array([1.0, 0.0, 2.0, bad]))
+
+    def test_negative_counts_rejected(self):
+        g = fan_graph()
+        prior = E.elicit_prior(E.structural_hypothesis(g), kappa=2.0)
+        with pytest.raises(ValueError, match="^counts must be nonnegative$"):
+            E.log_evidence(prior, np.array([1.0, 0.0, -2.0, 0.0, 0.0]))
+
+    def test_bounds_of_the_accepted_parameters_keep_gammaln_finite(self):
+        assert np.isfinite(gammaln(E.ALPHA_MIN))
+        assert np.isfinite(gammaln(E.ALPHA_MAX))
+        g = G.build_graph([(0, 1), (0, 2), (1, 2)])
+        prior = E.ElicitedPrior(g, np.array([E.ALPHA_MIN, 1.0, np.nextafter(E.ALPHA_MAX, 0.0)]))
+        counts = np.array([0.0, 3.0, 0.0])
+        assert E.log_evidence(prior, counts) == reference_log_evidence(prior, counts)
+
+    @pytest.mark.parametrize("alpha", [
+        [0.0, 1.0, 1.0],                  # zero
+        [-1.0, 1.0, 1.0],                 # negative
+        [math.nan, 1.0, 1.0],             # NaN
+        [math.inf, 1.0, 1.0],             # infinite
+        [-math.inf, 1.0, 1.0],
+        [5e-324, 1.0, 1.0],               # subnormal: gammaln is +inf
+        [1.0, 1.0, 3e305],                # gammaln overflows
+        [2e305, 2e305, 1.0],              # each below the bound, their row sum above it
+    ])
+    def test_prior_outside_the_finite_range_of_gammaln_rejected(self, alpha):
+        g = G.build_graph([(0, 1), (0, 2), (1, 2)])
+        prior = E.ElicitedPrior(g, np.array(alpha))
+        with pytest.raises(ElicitationError, match="Dirichlet parameters"):
+            E.log_evidence(prior, np.array([0.0, 0.0, 1.0]))
+
+    def test_elicited_priors_pass_the_guard_at_extreme_kappa(self):
+        g = fan_graph()
+        h = E.HypothesisMatrix("w", g, np.array([1e-300, 1.0, 4.0, 0.0, 3.0]))
+        for kappa in (1e-300, 1.0, 1e300):  # alpha spans [1, 1 + kappa]
+            prior = E.elicit_prior(h, kappa)
+            assert E.log_evidence(prior, np.ones(g.n_edges)) == reference_log_evidence(prior, np.ones(g.n_edges))
+
 
 class TestInvariants:
     def test_evidence_equal_across_hypotheses_at_kappa_zero_limit(self):
@@ -344,6 +435,13 @@ class TestBayesFactorCurve:
         curve = E.bayes_factor_curve([kh], baseline, inverted, grid)[0]
         assert (curve.log_bayes_factor < 0).all()
 
+    def test_non_finite_counts_rejected(self):
+        g = fan_graph()
+        baseline = E.structural_hypothesis(g)
+        counts = np.array([1.0, 0.0, 2.0, math.nan, 0.0])
+        with pytest.raises(ValueError, match="^counts must be finite$"):
+            E.bayes_factor_curve([baseline], baseline, counts, E.default_kappa_grid(g))
+
     def test_invalid_grid_rejected(self):
         g = fan_graph()
         baseline = E.structural_hypothesis(g)
@@ -358,6 +456,26 @@ class TestKassRaftery:
         assert E.kass_raftery_verdict(4.0) == "strong"        # 2 lnBF = 8
         assert E.kass_raftery_verdict(6.0) == "very strong"   # 2 lnBF = 12
         assert E.kass_raftery_verdict(-6.0) == "against (very strong)"
+
+    @pytest.mark.parametrize("log_bf, verdict", [
+        (math.nan, "NA"),
+        (math.inf, "very strong"),
+        (-math.inf, "against (very strong)"),
+        (0.0, "not worth more than a bare mention"),
+        (-0.0, "not worth more than a bare mention"),
+        (np.nextafter(1.0, 0.0), "not worth more than a bare mention"),  # 2 lnBF just below 2
+        (1.0, "positive"),                                               # 2 lnBF = 2
+        (np.nextafter(3.0, 0.0), "positive"),
+        (3.0, "strong"),                                                 # 2 lnBF = 6
+        (np.nextafter(5.0, 0.0), "strong"),
+        (5.0, "very strong"),                                            # 2 lnBF = 10
+        (-np.nextafter(1.0, 0.0), "against (not worth more than a bare mention)"),
+        (-1.0, "against (positive)"),
+        (-3.0, "against (strong)"),
+        (-5.0, "against (very strong)"),
+    ])
+    def test_each_side_of_the_thresholds(self, log_bf, verdict):
+        assert E.kass_raftery_verdict(log_bf) == verdict
 
 
 class TestKappaGrid:

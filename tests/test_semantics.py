@@ -167,6 +167,25 @@ class TestTfidf:
         assert np.array_equal(got.indptr, want.indptr) and got.indptr.dtype == want.indptr.dtype
 
 
+def reference_projection_matrix(n_features, dim, seed):
+    """The former kernel: each chunk filled as a dense block, converted and stacked."""
+    density = 1.0 / np.sqrt(max(n_features, 1))
+    s = np.sqrt(1.0 / (density * dim))
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for start in range(0, n_features, S._PROJECTION_CHUNK):
+        rows = min(S._PROJECTION_CHUNK, n_features - start)
+        u = rng.random((rows, dim))
+        signs = rng.random((rows, dim)) < 0.5
+        block = np.zeros((rows, dim))
+        nz = u < density
+        block[nz] = np.where(signs[nz], s, -s)
+        blocks.append(sp.csr_matrix(block))
+    if not blocks:
+        return sp.csr_matrix((0, dim))
+    return sp.vstack(blocks, format="csr")
+
+
 class TestProjection:
     def test_zero_vector_projects_to_zero(self):
         R = S.projection_matrix(100, 32, seed=0)
@@ -195,6 +214,28 @@ class TestProjection:
         p1 = S.project(V, corpus, dim=64, seed=9)
         p2 = S.project(V, corpus, dim=64, seed=10)
         assert not np.array_equal(p1.matrix, p2.matrix)
+
+    @pytest.mark.parametrize("dim", [1, 512])
+    @pytest.mark.parametrize("n_features", [0, 1, 1023, 1024, 1025, 5000])
+    def test_csr_arrays_equal_to_the_dense_block_reference(self, n_features, dim):
+        got = S.projection_matrix(n_features, dim, seed=11)
+        want = reference_projection_matrix(n_features, dim, seed=11)
+        assert got.shape == want.shape == (n_features, dim)
+        assert np.array_equal(got.indptr, want.indptr) and got.indptr.dtype == want.indptr.dtype
+        assert np.array_equal(got.indices, want.indices) and got.indices.dtype == want.indices.dtype
+        assert same_bits(got.data, want.data)
+
+    @pytest.mark.parametrize("dim", [1, 64, 512])
+    def test_projected_vectors_equal_to_the_dense_block_reference(self, dim):
+        # 2,189 terms: the projection spans three chunks
+        rng = np.random.default_rng(4)
+        corpus = S.build_corpus(
+            (f"d{i}", [f"w{t}" for t in rng.integers(0, 4000, 40)]) for i in range(80)
+        )
+        V = S.tfidf(corpus)
+        assert V.shape[1] > S._PROJECTION_CHUNK
+        want = np.asarray((V @ reference_projection_matrix(V.shape[1], dim, 2)).todense())
+        assert np.array_equal(S.project(V, corpus, dim=dim, seed=2).matrix, want)
 
     def test_cosine_preserved_within_band_at_512(self):
         # exact-space cosine oracle on 100 random pairs
