@@ -56,6 +56,16 @@ ARTIFACTS = {
 
 MANIFEST = "manifest.json"
 
+#: The RunConfig fields with a legal range: (field, the rule as printed, test).
+_RANGES = (
+    ("damping", "lie in (0, 1)", lambda v: 0 < v < 1),
+    ("alphas", "be one or more values in (0, 1)", lambda v: v and all(0 < a < 1 for a in v)),
+    ("kappa_multipliers", "be one or more finite values > 0",
+     lambda v: v and all(0 < k < math.inf for k in v)),
+    ("projection_dim", "be >= 1", lambda v: v >= 1),
+    *((name, "be >= 0", lambda v: v >= 0) for name in ("projection_seed", "sample_size", "seed")),
+)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -81,6 +91,16 @@ class RunConfig:
     restrict_to_viewed: bool = False
     threads: int = 1
     out: str = "out"
+
+    def __post_init__(self):
+        problems = []
+        for name, rule, test in _RANGES:
+            value = getattr(self, name)
+            if not test(value):
+                shown = (",".join(map(str, value)) or "nothing") if isinstance(value, tuple) else value
+                problems.append(f"--{name.replace('_', '-')} must {rule}, got {shown}")
+        if problems:
+            raise ConfigError("; ".join(problems))
 
     def hash(self) -> str:
         # out dir and thread count do not affect results; keep reruns into a

@@ -51,6 +51,8 @@ class HypothesisMatrix:
             raise AlignmentError(
                 f"{len(self.values)} beliefs for {self.graph.n_edges} edges"
             )
+        if not np.isfinite(self.values).all():
+            raise ValueError("beliefs must be finite")
         if len(self.values) and self.values.min() < 0:
             raise ValueError("beliefs must be nonnegative")
 
@@ -143,8 +145,8 @@ def elicit_prior(h: HypothesisMatrix, kappa: float) -> ElicitedPrior:
     cannot be normalized and raises :class:`ElicitationError` (smoothing
     prevents this).
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not 0 < kappa < math.inf:
+        raise ValueError("kappa must be positive and finite")
     g = h.graph
     src = g.edge_sources
     row_sum = np.bincount(src, weights=h.values, minlength=g.n_nodes)
@@ -188,6 +190,8 @@ def log_evidence(prior: ElicitedPrior, counts) -> float:
             if lo < 0:
                 raise ValueError("counts must be nonnegative")
     alpha = np.asarray(prior.alpha, dtype=np.float64)
+    if len(alpha) != g.n_edges:
+        raise AlignmentError(f"{len(alpha)} Dirichlet parameters for {g.n_edges} edges")
     src = g.edge_sources
     row_a = np.bincount(src, weights=alpha, minlength=g.n_nodes)
     if len(alpha) and not (alpha.min() >= ALPHA_MIN and row_a.max() < ALPHA_MAX):
@@ -271,8 +275,8 @@ def bayes_factor_curve(
     factors are reported as log-evidence differences at matching kappa.
     """
     kappas = np.asarray(kappa_grid, dtype=np.float64)
-    if len(kappas) == 0 or kappas.min() <= 0:
-        raise ValueError("kappa grid must be positive")
+    if len(kappas) == 0 or not ((kappas > 0) & (kappas < math.inf)).all():
+        raise ValueError("kappa grid must be positive and finite")
     g = baseline.graph
     if isinstance(counts, TransitionLog):
         counts = counts.aligned_counts(g)

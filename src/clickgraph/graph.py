@@ -239,17 +239,12 @@ def pagerank(
     nodes.  Iteration stops when the L1 change drops to ``tol``; failure to
     converge raises :class:`ConvergenceError` carrying the last iterate.
     """
-    outdeg = g.out_degrees().astype(np.float64)
-    inv_out = np.zeros(g.n_nodes)
-    nonzero = outdeg > 0
-    inv_out[nonzero] = 1.0 / outdeg[nonzero]
-    return power_iteration(g, inv_out[g.edge_sources], ~nonzero, alpha, tol, max_iter, "pagerank")
+    return power_iteration(g, np.ones(g.n_edges), alpha, tol, max_iter, "pagerank")
 
 
 def power_iteration(
     g: LinkGraph,
-    prob: np.ndarray,
-    uniform: np.ndarray,
+    weights: np.ndarray,
     alpha: float,
     tol: float,
     max_iter: int,
@@ -257,10 +252,11 @@ def power_iteration(
 ) -> CentralityVector:
     """The PageRank kernel shared by classic and weighted PageRank.
 
-    Mass moves along edge slot e with probability ``prob[e]`` (aligned to
-    ``out_indices``); nodes flagged in ``uniform`` spread theirs over all
-    nodes.  ``name`` labels the :class:`ConvergenceError` raised when the L1
-    change stays above ``tol`` after ``max_iter`` steps.
+    Mass moves along edge slot e (aligned to ``out_indices``) with its
+    ``weights[e]`` over the sum of its row's weights; nodes whose weights sum
+    to zero (dangling nodes among them) spread theirs over all nodes.
+    ``name`` labels the :class:`ConvergenceError` raised when the L1 change
+    stays above ``tol`` after ``max_iter`` steps.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -272,6 +268,9 @@ def power_iteration(
 
     src = g.edge_sources
     trg = g.out_indices
+    row_sum = np.bincount(src, weights=weights, minlength=n)
+    uniform = ~(row_sum > 0)
+    prob = np.divide(weights, row_sum[src], out=np.zeros(g.n_edges), where=~uniform[src])
     pr = np.full(n, 1.0 / n)
     for _ in range(max_iter):
         spread = np.bincount(trg, weights=pr[src] * prob, minlength=n)

@@ -12,10 +12,9 @@ names become dense integer ids so the rest of the toolkit never touches them.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -143,6 +142,14 @@ class DropStats:
     kept_count: int = 0
 
 
+def _content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Each line numbered from 1 and without its newline, but for empty and ``#`` lines."""
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
 def _number(kind, text: str, col: str, line_no: int):
     """``kind(text)``; a value ``kind`` rejects raises LineError naming the column."""
     try:
@@ -250,33 +257,29 @@ def parse_clickstream(
             continue
         stats.lines += 1
         fields = line.split("\t")
-        if len(fields) == 3:
-            ref, res, count_text = fields
-        elif len(fields) == 4:
-            ref, res, _type, count_text = fields
+        malformed = None
+        if len(fields) not in (3, 4):
+            malformed = f"expected 3 or 4 tab-separated fields, got {len(fields)}"
         else:
+            count_text = fields[-1]  # a 4-column row's type token is ignored
+            try:
+                count = int(count_text)
+            except ValueError:
+                malformed = f"non-numeric count {count_text!r}"
+            else:
+                if not _COUNT_MIN <= count <= _COUNT_MAX:
+                    malformed = f"count {count_text!r} outside the int64 range"
+        if malformed is not None:
             if fail_fast:
-                raise LineError(line_no, f"expected 3 or 4 tab-separated fields, got {len(fields)}")
-            stats.malformed += 1
-            continue
-        try:
-            count = int(count_text)
-        except ValueError:
-            if fail_fast:
-                raise LineError(line_no, f"non-numeric count {count_text!r}")
-            stats.malformed += 1
-            continue
-        if not _COUNT_MIN <= count <= _COUNT_MAX:
-            if fail_fast:
-                raise LineError(line_no, f"count {count_text!r} outside the int64 range")
+                raise LineError(line_no, malformed)
             stats.malformed += 1
             continue
 
-        src = name_to_id.get(ref)
+        src = name_to_id.get(fields[0])
         if src is None:
             stats.external += 1
             continue
-        trg = name_to_id.get(res)
+        trg = name_to_id.get(fields[1])
         if trg is None:
             stats.non_edge += 1
             continue
@@ -447,6 +450,25 @@ def _node_feature_columns(per_node: dict[str, np.ndarray], src: np.ndarray, trg:
     return cols
 
 
+def _row_values(fields: list[str], numeric: list[tuple[str, int]],
+                sims: list[tuple[str, int]], region_at: int) -> tuple[list[float] | None, str | None]:
+    """A feature row's numbers, ``numeric``'s (column, field) pairs in turn, or
+    None and why its values fail: first a non-numeric cell, then a similarity
+    (at ``sims``' places in the numbers) outside [0, 1], then an unknown region."""
+    values = []
+    for col, i in numeric:
+        try:
+            values.append(float(fields[i]))
+        except ValueError:
+            return None, f"non-numeric value {fields[i]!r} in column {col}"
+    for col, k in sims:
+        if not 0.0 <= values[k] <= 1.0:
+            return None, f"{col} {values[k]} outside [0, 1]"
+    if fields[region_at] not in REGIONS:
+        return None, f"unknown region label {fields[region_at]!r}"
+    return values, None
+
+
 def load_feature_table(
     lines: Iterable[str],
     graph: LinkGraph | None,
@@ -464,10 +486,10 @@ def load_feature_table(
     unobserved).
 
     Every column but src, trg and region, an extra one too, holds numbers.
-    Rows referencing non-edges, rows with a non-numeric value, rows with
-    out-of-range similarities, and rows with unknown region labels are
-    rejected: all are counted in the report,
-    the first ``REJECTED_LISTED`` listed, by line number in the input.
+    A row is rejected for its first fault: a wrong field count or a
+    non-integer id, then no edge of the graph, then a repeat of a kept row's
+    link, then its values (see :func:`_row_values`).  All are counted in the
+    report, the first ``REJECTED_LISTED`` listed, by line number in the input.
 
     ``graph=None`` skips edge validation and interns names from the file
     itself (useful for standalone inspection of published feature files).
@@ -475,16 +497,11 @@ def load_feature_table(
     """
     if graph is None and transitions is not None:
         raise PreconditionError("a transition log needs the graph its ids refer to")
-    numbered = enumerate(lines, start=1)
-    header: list[str] | None = None
-    for _, raw in numbered:
-        line = raw.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        header = [h.strip() for h in line.split(delimiter)]
-        break
-    if header is None:
+    numbered = _content_lines(lines)
+    first = next(numbered, None)
+    if first is None:
         raise SchemaError("feature file has no header line")
+    header = [h.strip() for h in first[1].split(delimiter)]
     colpos = {name: i for i, name in enumerate(header)}
 
     missing = [c for c in _MANDATORY if c not in colpos]
@@ -497,69 +514,43 @@ def load_feature_table(
         name_to_id: dict[str, int] | None = {}  # grown on the fly
     else:
         name_to_id = graph.name_to_id() if graph.labels is not None else None
+    numeric = [(c, i) for c, i in colpos.items() if c not in ("src", "trg", "region")]
+    sims = [(c, [n for n, _ in numeric].index(c)) for c in ("text_sim", "topic_sim")]
+    blank = [math.nan] * len(numeric)  # the numbers of a row that is never kept
 
-    report = JoinReport()
-    # One entry per row that names two ids, in line order.
-    line_nos: list[int] = []
-    src_ids: list[int] = []
-    trg_ids: list[int] = []
-    raw_cols: dict[str, list] = {c: [] for c in header if c not in ("src", "trg")}
+    # Parse: one entry per data line, with the fault the line has on its own.
+    line_nos, src_ids, trg_ids, values, regions = [], [], [], [], []
+    early: dict[int, str] = {}  # field count and id faults, ranked before the join's
+    late: dict[int, str] = {}   # value faults, ranked after them
     texts: dict[int, tuple[str, str]] = {}  # names that the row's ids do not give back
-    bad: dict[int, str] = {}  # why the row's values fail
-
-    for line_no, raw in numbered:
-        line = raw.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        report.rows_read += 1
-        fields = line.split(delimiter)
-        if len(fields) != len(header):
-            report.reject(line_no, "", "", f"expected {len(header)} fields, got {len(fields)}")
-            continue
-        src_name = fields[colpos["src"]]
-        trg_name = fields[colpos["trg"]]
+    for line_no, line in numbered:
         row = len(line_nos)
-
-        if graph is None:
-            s = name_to_id.setdefault(src_name, len(name_to_id))
-            t = name_to_id.setdefault(trg_name, len(name_to_id))
+        fields = line.split(delimiter)
+        s, t, cells = -1, -1, None  # what a row that fails before its values keeps
+        if len(fields) != len(header):
+            early[row] = f"expected {len(header)} fields, got {len(fields)}"
+            texts[row] = ("", "")
         else:
-            try:
-                s, t = _article_ids(src_name, trg_name, name_to_id, graph.n_nodes, line_no)
-            except LineError:
-                report.reject(line_no, src_name, trg_name, "non-integer id in unlabeled graph")
-                continue
-        if name_to_id is None or s < 0 or t < 0:
-            texts[row] = (src_name, trg_name)
-
-        row_vals: dict[str, object] = {}
-        reason = None
-        for cname in raw_cols:  # every column but region holds numbers, extra ones too
-            text = fields[colpos[cname]]
-            if cname == "region":
-                row_vals[cname] = text
-                continue
-            try:
-                row_vals[cname] = float(text)
-            except ValueError:
-                reason = f"non-numeric value {text!r} in column {cname}"
-                break
-        if reason is None:
-            for sim in ("text_sim", "topic_sim"):
-                v = row_vals.get(sim)
-                if v is not None and not 0.0 <= float(v) <= 1.0:
-                    reason = f"{sim} {v} outside [0, 1]"
-                    break
-        if reason is None and row_vals.get("region") not in (None, *REGIONS):
-            reason = f"unknown region label {row_vals['region']!r}"
-        if reason is not None:  # rejected in any case; past the listed rows its text is never read
-            bad[row] = reason if report.rejected_count + len(bad) < REJECTED_LISTED else ""
-
+            a, b = fields[colpos["src"]], fields[colpos["trg"]]
+            if graph is None:
+                s = name_to_id.setdefault(a, len(name_to_id))
+                t = name_to_id.setdefault(b, len(name_to_id))
+            else:
+                try:
+                    s, t = _article_ids(a, b, name_to_id, graph.n_nodes, line_no)
+                except LineError:
+                    early[row] = "non-integer id in unlabeled graph"
+            if name_to_id is None or s < 0 or t < 0:
+                texts[row] = (a, b)
+            if row not in early:
+                cells, why = _row_values(fields, numeric, sims, colpos["region"])
+                if why is not None:
+                    late[row] = why
         line_nos.append(line_no)
         src_ids.append(s)
         trg_ids.append(t)
-        for cname in raw_cols:
-            raw_cols[cname].append(row_vals.get(cname))  # None past a bad value; never kept
+        values.extend(blank if cells is None else cells)
+        regions.append(None if cells is None else fields[colpos["region"]])
 
     src = np.asarray(src_ids, dtype=np.int64)
     trg = np.asarray(trg_ids, dtype=np.int64)
@@ -570,49 +561,41 @@ def load_feature_table(
         labels = graph.labels
         slots = graph.edge_slots(src, trg)
 
-    # Per row, the first failing check: edge, then repeat of a kept row, then values.
-    bad_rows = np.zeros(len(slots), dtype=bool)
-    bad_rows[list(bad)] = True
-    earlier = _repeats(slots, bad_rows)
-    by_edge = JoinReport()
-    for row in np.flatnonzero((slots < 0) | (earlier >= 0) | bad_rows).tolist():
-        if slots[row] < 0:
-            reason = "not an edge of the graph"
+    # Join, in line order: one report.reject per rejected row, for its first fault.
+    faulty = np.zeros(len(line_nos), dtype=bool)
+    faulty[[*early, *late]] = True
+    earlier = _repeats(slots, faulty)
+    report = JoinReport(rows_read=len(line_nos))
+    for row in np.flatnonzero((slots < 0) | (earlier >= 0) | faulty).tolist():
+        if row in early:
+            why = early[row]
+        elif slots[row] < 0:
+            why = "not an edge of the graph"
         elif earlier[row] >= 0:
-            reason = "duplicate link row"
+            why = "duplicate link row"
         else:
-            reason = bad[row]
+            why = late[row]
         names = texts.get(row) or (labels[src_ids[row]], labels[trg_ids[row]])
-        by_edge.reject(line_nos[row], *names, reason)
-    # Both lists are in line order, so the first rows listed overall are among them.
-    report.rejected = list(heapq.merge(report.rejected, by_edge.rejected))[:REJECTED_LISTED]
-    report.rejected_count += by_edge.rejected_count
-
-    kept = np.flatnonzero((slots >= 0) & (earlier < 0) & ~bad_rows)  # in line order
+        report.reject(line_nos[row], *names, why)
+    kept = np.flatnonzero((slots >= 0) & (earlier < 0) & ~faulty)  # in line order
     report.rows_kept = len(kept)
     src, trg = src[kept], trg[kept]
 
-    data: dict[str, np.ndarray] = {}
-    for cname, values in raw_cols.items():
-        column = np.asarray(values, dtype=object)[kept]
-        data[cname] = column if cname == "region" else column.astype(np.float64)
-
+    # In header order: each number column in turn from ``numbers``, region among them.
+    numbers = iter(np.array(values, dtype=np.float64).reshape(-1, len(numeric))[kept].T.copy())
+    region = np.asarray(regions, dtype=object)[kept]
+    data = {c: region if c == "region" else next(numbers) for c in colpos if c not in ("src", "trg")}
     if "transitions" not in data:
         data["transitions"] = (np.zeros(len(src)) if transitions is None
                                else transitions.aligned_counts(graph)[slots[kept]])
 
     if recompute_network and graph is not None:
-        per_node = compute_network_features(graph)
-        computed = _node_feature_columns(per_node, src, trg)
-        for cname, vec in computed.items():
-            if cname in raw_cols and len(src):
+        for cname, vec in _node_feature_columns(compute_network_features(graph), src, trg).items():
+            if cname in colpos and len(src):
                 diff = np.abs(data[cname] - vec)
-                mism = int((diff > 1e-9).sum())
-                report.consistency[cname] = (mism, float(diff.max()) if len(diff) else 0.0)
+                report.consistency[cname] = (int((diff > 1e-9).sum()), float(diff.max()))
             data[cname] = vec
-
-    table = LinkFeatureTable(src=src, trg=trg, data=data, labels=labels)
-    return table, report
+    return LinkFeatureTable(src=src, trg=trg, data=data, labels=labels), report
 
 
 def read_visual(lines: Iterable[str], g: LinkGraph) -> tuple:
@@ -622,10 +605,7 @@ def read_visual(lines: Iterable[str], g: LinkGraph) -> tuple:
     lookup = g.name_to_id() if g.labels else None
     src, trg, x_rows, y_rows, regions, line_nos = [], [], [], [], [], []
     header = None
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in _content_lines(lines):
         fields = line.split("\t")
         if header is None:
             header = fields

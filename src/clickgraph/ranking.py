@@ -43,13 +43,7 @@ def weighted_pagerank(
     """
     if not graphmod.same_structure(h.graph, g):
         raise AlignmentError("hypothesis is defined on a different graph")
-    src = g.edge_sources
-    row_sum = np.bincount(src, weights=h.values, minlength=g.n_nodes)
-    live = row_sum > 0
-    prob = np.zeros(g.n_edges)
-    mask = live[src]
-    prob[mask] = h.values[mask] / row_sum[src[mask]]
-    return graphmod.power_iteration(g, prob, ~live, alpha, tol, max_iter, "weighted pagerank")
+    return graphmod.power_iteration(g, h.values, alpha, tol, max_iter, "weighted pagerank")
 
 
 def incoming_transition_sums(log: TransitionLog, n_nodes: int) -> np.ndarray:

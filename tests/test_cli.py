@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from clickgraph import __version__, graph, ingest
 from clickgraph import attention as A
-from clickgraph.cli import ARTIFACTS, MANIFEST, main
+from clickgraph.cli import ARTIFACTS, MANIFEST, build_parser, load_config, main
 
 from helpers import LEGAL_NAMES, discrete_power_law_sample, run_fresh
 
@@ -225,6 +225,56 @@ class TestDependencies:
         assert rc == 2
         err = capsys.readouterr().err
         assert "edges" in err and "clickstream" in err
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("argv, problem", [
+        (["features", "--damping", "1.5"], "--damping must lie in (0, 1), got 1.5"),
+        (["pagerank", "--alphas", "1.0"], "--alphas must be one or more values in (0, 1), got 1.0"),
+        (["pagerank", "--alphas", "0.85,nan"],
+         "--alphas must be one or more values in (0, 1), got 0.85,nan"),
+        (["hyptrails", "--kappa-multipliers", "0,1"],
+         "--kappa-multipliers must be one or more finite values > 0, got 0.0,1.0"),
+        (["hyptrails", "--kappa-multipliers", "0,1", "--log-spaced"],
+         "--kappa-multipliers must be one or more finite values > 0, got 0.0,1.0"),
+        (["hyptrails", "--kappa-multipliers", "nan"],
+         "--kappa-multipliers must be one or more finite values > 0, got nan"),
+        (["hyptrails", "--kappa-multipliers", "1,inf"],
+         "--kappa-multipliers must be one or more finite values > 0, got 1.0,inf"),
+        (["features", "--projection-dim", "0"], "--projection-dim must be >= 1, got 0"),
+        (["features", "--projection-seed", "-2"], "--projection-seed must be >= 0, got -2"),
+        (["sample", "--sample-size", "-1"], "--sample-size must be >= 0, got -1"),
+        (["sample", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["sample", "--sample-size", "-1", "--seed", "-1"],
+         "--sample-size must be >= 0, got -1; --seed must be >= 0, got -1"),
+    ])
+    def test_out_of_range_value_stops_with_an_error_and_writes_nothing(
+            self, toy_inputs, tmp_path, capsys, argv, problem):
+        out = tmp_path / "out"
+        assert main(["build", "--edges", toy_inputs["edges"], "--clickstream",
+                     toy_inputs["clickstream"], "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {problem}\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_config_file_value_is_checked_too(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"alphas": [], "damping": 0}))
+        assert main(["pagerank", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: --damping must lie in (0, 1), got 0; "
+            "--alphas must be one or more values in (0, 1), got nothing\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--threshold", "0"],
+        ["attention", "--xmin-degrees", "0", "--xmin-transitions", "-1", "--threads", "0"],
+        ["sample", "--sample-size", "0", "--seed", "0"],
+    ])
+    def test_values_that_run_stay_accepted(self, argv):
+        args = build_parser().parse_args([*argv, "--out", "o"])
+        load_config(args)  # raises ConfigError on a value out of range
 
 
 class TestConfigFile:

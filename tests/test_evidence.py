@@ -222,6 +222,18 @@ class TestElicitPrior:
         with pytest.raises(ValueError):
             E.elicit_prior(E.structural_hypothesis(g), kappa=0.0)
 
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf])
+    def test_non_finite_kappa_rejected(self, kappa):
+        g = fan_graph()
+        with pytest.raises(ValueError, match="^kappa must be positive and finite$"):
+            E.elicit_prior(E.structural_hypothesis(g), kappa=kappa)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beliefs_rejected(self, bad):
+        g = fan_graph()
+        with pytest.raises(ValueError, match="^beliefs must be finite$"):
+            E.HypothesisMatrix("h", g, np.array([1.0, bad, 1.0, 1.0, 1.0]))
+
 
 def reference_log_evidence(prior, counts):
     """The former kernel: gammaln on every edge slot and on every row with out-edges."""
@@ -374,6 +386,11 @@ class TestLogEvidence:
         with pytest.raises(ElicitationError, match="Dirichlet parameters"):
             E.log_evidence(prior, np.array([0.0, 0.0, 1.0]))
 
+    def test_prior_of_another_length_is_an_alignment_error(self):
+        g = G.build_graph([(0, 1), (0, 2), (1, 2)])
+        with pytest.raises(AlignmentError, match="^2 Dirichlet parameters for 3 edges$"):
+            E.log_evidence(E.ElicitedPrior(g, np.ones(2)), np.zeros(3))
+
     def test_elicited_priors_pass_the_guard_at_extreme_kappa(self):
         g = fan_graph()
         h = E.HypothesisMatrix("w", g, np.array([1e-300, 1.0, 4.0, 0.0, 3.0]))
@@ -447,6 +464,13 @@ class TestBayesFactorCurve:
         baseline = E.structural_hypothesis(g)
         with pytest.raises(ValueError):
             E.bayes_factor_curve([baseline], baseline, np.zeros(g.n_edges), [0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        g = fan_graph()
+        baseline = E.structural_hypothesis(g)
+        with pytest.raises(ValueError, match="^kappa grid must be positive and finite$"):
+            E.bayes_factor_curve([baseline], baseline, np.zeros(g.n_edges), [1.0, bad])
 
 
 class TestKassRaftery:
