@@ -12,11 +12,14 @@ manifest records config and input hashes so unchanged reruns are skipped (it
 is the only cache), and every output starts with a header naming the tool
 version, config hash, and seeds.  The cache is checked before any input is
 loaded, so a rerun on an unchanged directory parses nothing.  Each stage body
-imports the modules it runs (numpy and the kernels), so a cache hit runs on
-the standard library alone and imports neither numpy nor scipy.  Nothing here
-parses a tab-separated artifact: each has one reader beside its writer, in
-:mod:`clickgraph.graph` for ``graph.tsv`` and :mod:`clickgraph.ingest` for
-the rest.
+imports the modules it runs (numpy and the kernels), so a cache hit imports,
+beyond :mod:`clickgraph.errors`, only argparse, hashlib and json: no numpy,
+no scipy, and no dataclasses, whose ``inspect`` import alone would cost a hit
+about an eighth of its time (``RunConfig`` is a ``NamedTuple`` for that
+reason).  Flag and config-file values enter in ``load_config`` alone, which
+checks each one's type, then its range.  Nothing here parses a tab-separated
+artifact: each has one reader beside its writer, in :mod:`clickgraph.graph`
+for ``graph.tsv`` and :mod:`clickgraph.ingest` for the rest.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, asdict, fields
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -56,19 +58,8 @@ ARTIFACTS = {
 
 MANIFEST = "manifest.json"
 
-#: The RunConfig fields with a legal range: (field, the rule as printed, test).
-_RANGES = (
-    ("damping", "lie in (0, 1)", lambda v: 0 < v < 1),
-    ("alphas", "be one or more values in (0, 1)", lambda v: v and all(0 < a < 1 for a in v)),
-    ("kappa_multipliers", "be one or more finite values > 0",
-     lambda v: v and all(0 < k < math.inf for k in v)),
-    ("projection_dim", "be >= 1", lambda v: v >= 1),
-    *((name, "be >= 0", lambda v: v >= 0) for name in ("projection_seed", "sample_size", "seed")),
-)
 
-
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     edges: str | None = None
     clickstream: str | None = None
     feature_file: str | None = None
@@ -92,47 +83,92 @@ class RunConfig:
     threads: int = 1
     out: str = "out"
 
-    def __post_init__(self):
-        problems = []
-        for name, rule, test in _RANGES:
-            value = getattr(self, name)
-            if not test(value):
-                shown = (",".join(map(str, value)) or "nothing") if isinstance(value, tuple) else value
-                problems.append(f"--{name.replace('_', '-')} must {rule}, got {shown}")
-        if problems:
-            raise ConfigError("; ".join(problems))
-
     def hash(self) -> str:
         # out dir and thread count do not affect results; keep reruns into a
         # different directory byte-identical.
-        d = asdict(self)
+        d = self._asdict()
         d.pop("out")
         d.pop("threads")
         blob = json.dumps(d, sort_keys=True, default=list)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_PATH = ("a string or null", lambda v: v is None or isinstance(v, str))
+_INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_FLAG = ("true or false", lambda v: isinstance(v, bool))
+_NUMBERS = ("a list of numbers", lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)))
+
+#: The type each RunConfig field takes from a config file: {field: (the rule as printed, test)}.
+_TYPES = {
+    **dict.fromkeys(("edges", "clickstream", "feature_file", "corpus", "categories", "visual"),
+                    _PATH),
+    **dict.fromkeys(("threshold", "projection_dim", "projection_seed", "sample_size", "seed",
+                     "xmin_degrees", "xmin_transitions", "threads"), _INT),
+    **dict.fromkeys(("fail_fast", "recompute_network_features", "log_spaced", "restrict_to_viewed"),
+                    _FLAG),
+    "damping": ("a number", _is_number),
+    "alphas": _NUMBERS,
+    "kappa_multipliers": _NUMBERS,
+    "out": ("a string", lambda v: isinstance(v, str)),
+}
+
+#: The RunConfig fields with a legal range: (field, the rule as printed, test).
+_RANGES = (
+    ("damping", "lie in (0, 1)", lambda v: 0 < v < 1),
+    ("alphas", "be one or more values in (0, 1)", lambda v: v and all(0 < a < 1 for a in v)),
+    ("kappa_multipliers", "be one or more finite values > 0",
+     lambda v: v and all(0 < k < math.inf for k in v)),
+    ("projection_dim", "be >= 1", lambda v: v >= 1),
+    *((name, "be >= 0", lambda v: v >= 0) for name in ("projection_seed", "sample_size", "seed")),
+)
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
-    """Merge the optional JSON config file with command-line overrides."""
+    """Merge the optional JSON config file with command-line overrides.
+
+    Every value of the wrong type, then every value out of range, is named in
+    one ``ConfigError``, before any stage reads or writes a file.
+    """
     values: dict = {}
     if getattr(args, "config", None):
         if not os.path.exists(args.config):
             raise ConfigError(f"config file not found: {args.config}")
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(raw) - known
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:  # invalid JSON or UTF-8
+                raise ConfigError(f"config file {args.config} is not JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object, "
+                              f"got {type(raw).__name__}")
+        unknown = set(raw) - set(RunConfig._fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
         values.update(raw)
-    for f in fields(RunConfig):
-        v = getattr(args, f.name, None)
+    for name in RunConfig._fields:
+        v = getattr(args, name, None)
         if v is not None:
-            values[f.name] = v
+            values[name] = v
+    wrong = [name for name in RunConfig._fields
+             if name in values and not _TYPES[name][1](values[name])]
+    problems = [f"--{name.replace('_', '-')} must be {_TYPES[name][0]}, got {values[name]!r}"
+                for name in wrong]
     for key in ("alphas", "kappa_multipliers"):
-        if key in values:
+        if key in values and key not in wrong:
             values[key] = tuple(float(x) for x in values[key])
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    for name, rule, test in _RANGES:
+        value = getattr(cfg, name)
+        if name not in wrong and not test(value):
+            shown = (",".join(map(str, value)) or "nothing") if isinstance(value, tuple) else value
+            problems.append(f"--{name.replace('_', '-')} must {rule}, got {shown}")
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return cfg
 
 
 def _validate_inputs(cfg: RunConfig, required: tuple[str, ...]) -> None:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clickgraph import __version__, graph, ingest
+from clickgraph import __version__, cli, graph, ingest
 from clickgraph import attention as A
 from clickgraph.cli import ARTIFACTS, MANIFEST, build_parser, load_config, main
 
@@ -29,21 +29,22 @@ def run_pipeline(inputs: dict[str, str], out: str, projection_dim: int = 64) -> 
         assert main([cmd, *args]) == 0
 
 
-# Runs each JSON-encoded argv through cli.main, then prints the numpy/scipy modules loaded.
+# Runs each JSON-encoded argv through cli.main, then prints the modules loaded from
+# numpy, scipy, dataclasses and inspect (which dataclasses imports, with ast and dis).
 RUN_STAGES = """
 import json, sys
 from clickgraph.cli import main
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy", "dataclasses", "inspect")))
 """
 
 
 class TestImports:
-    def test_importing_the_cli_loads_neither_numpy_nor_scipy(self):
+    def test_importing_the_cli_loads_no_numpy_scipy_or_dataclasses(self):
         assert run_fresh(RUN_STAGES, "[]") == "[]\n"
 
-    def test_cache_hit_rerun_loads_neither_numpy_nor_scipy(self, toy_inputs, tmp_path):
+    def test_cache_hit_rerun_loads_no_numpy_scipy_or_dataclasses(self, toy_inputs, tmp_path):
         out = str(tmp_path / "out")
         args = ["--out", out, "--threshold", "10"]
         run_pipeline(toy_inputs, out)
@@ -267,6 +268,60 @@ class TestConfigRanges:
             "error: --damping must lie in (0, 1), got 0; "
             "--alphas must be one or more values in (0, 1), got nothing\n")
 
+    @pytest.mark.parametrize("values, problem", [
+        ({"damping": "x"}, "--damping must be a number, got 'x'"),
+        ({"damping": True}, "--damping must be a number, got True"),
+        ({"alphas": 0.85}, "--alphas must be a list of numbers, got 0.85"),
+        ({"alphas": [0.8, None]}, "--alphas must be a list of numbers, got [0.8, None]"),
+        ({"kappa_multipliers": "12"}, "--kappa-multipliers must be a list of numbers, got '12'"),
+        ({"fail_fast": "no"}, "--fail-fast must be true or false, got 'no'"),
+        ({"restrict_to_viewed": 1}, "--restrict-to-viewed must be true or false, got 1"),
+        ({"threshold": 10.0}, "--threshold must be an integer, got 10.0"),
+        ({"seed": True}, "--seed must be an integer, got True"),
+        ({"threads": "2"}, "--threads must be an integer, got '2'"),
+        ({"edges": 5}, "--edges must be a string or null, got 5"),
+        ({"out": None}, "--out must be a string, got None"),
+        ({"damping": "x", "seed": 1.5, "sample_size": -1, "alphas": []},
+         "--damping must be a number, got 'x'; --seed must be an integer, got 1.5; "
+         "--alphas must be one or more values in (0, 1), got nothing; "
+         "--sample-size must be >= 0, got -1"),
+    ])
+    def test_config_file_value_of_a_wrong_type_stops_with_an_error_and_writes_nothing(
+            self, toy_inputs, tmp_path, capsys, values, problem):
+        out = tmp_path / "out"
+        assert main(["build", "--edges", toy_inputs["edges"], "--clickstream",
+                     toy_inputs["clickstream"], "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"out": str(out), **values}))
+        capsys.readouterr()
+        assert main(["pagerank", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {problem}\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_every_field_has_a_type_rule(self):
+        assert set(cli._TYPES) == set(cli.RunConfig._fields)
+
+    @pytest.mark.parametrize("values, argv, digest", [
+        ({}, [], "d7c496cb744f8900"),
+        ({"damping": 1e-3, "kappa_multipliers": [3]}, [], "1fd56aa28668598d"),
+        ({}, ["--kappa-multipliers", "1,2", "--seed", "3"], "f87ca03ec35ef3cf"),
+        ({"edges": "e.tsv", "clickstream": "c.tsv", "feature_file": None, "corpus": "x",
+          "categories": "y", "visual": "v", "threshold": 3, "fail_fast": True,
+          "recompute_network_features": True, "damping": 0.5, "alphas": [0.5, 0.75],
+          "kappa_multipliers": [1, 2.5, 100], "log_spaced": True, "projection_dim": 16,
+          "projection_seed": 4, "sample_size": 7, "seed": 9, "xmin_degrees": 2,
+          "xmin_transitions": 5, "restrict_to_viewed": True, "threads": 2, "out": "o"},
+         [], "f5243a4901c15aa7"),
+    ])
+    def test_config_hash_is_pinned(self, tmp_path, values, argv, digest):
+        # Every header and manifest entry carries this hash: a config that ran
+        # before keeps its digest, so its outputs stay byte-identical.
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(values))
+        args = build_parser().parse_args(["hyptrails", "--config", str(cfg_path), *argv])
+        assert load_config(args).hash() == digest
+
     @pytest.mark.parametrize("argv", [
         ["build", "--threshold", "0"],
         ["attention", "--xmin-degrees", "0", "--xmin-transitions", "-1", "--threads", "0"],
@@ -288,6 +343,17 @@ class TestConfigFile:
         }))
         assert main(["build", "--config", str(cfg_path), "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "graph.tsv"))
+
+    @pytest.mark.parametrize("text, problem", [
+        ('{"damping": 0.5', "is not JSON: Expecting ',' delimiter: line 1 column 16 (char 15)"),
+        ("[1, 2]", "must hold a JSON object, got list"),
+    ])
+    def test_config_file_that_is_not_a_json_object_is_refused(self, tmp_path, capsys, text, problem):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(text)
+        assert main(["pagerank", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr() == ("", f"error: config file {cfg_path} {problem}\n")
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_config_keys_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
