@@ -9,6 +9,17 @@ The truncated power-law and log-normal normalisers sum the first 20,000
 terms of the discrete series exactly, over a support grid cached per xmin,
 and add the rest as a tail term: a midpoint-corrected integral for the
 truncated power law, a closed-form Gaussian tail for the log-normal.
+
+The two Nelder-Mead fits score each point once.  When the simplex
+collapses (the log-normal walk on a power-law-like tail does, and runs to
+its iteration cap), Nelder-Mead asks again for points it has already
+scored; a memo local to the fit, keyed on the point's exact bytes, answers
+those with the value computed the first time.  The optimiser sees the same
+values in the same order, so its path, call count and result are unchanged.
+Within a log-normal step the head runs in one work row and folds the sign
+of ``-log x`` into its quadratic term instead of negating ``log x`` again,
+and the data term runs in place in two buffers made once per fit; both keep
+every bit.
 """
 
 from __future__ import annotations
@@ -194,12 +205,14 @@ def _logsumexp(a: np.ndarray, out: np.ndarray | None = None) -> np.float64:
     a_max = a[i]
     if not np.isfinite(a_max):
         return a_max
-    tied = a == a_max
-    m = np.count_nonzero(tied)
     shifted = np.subtract(a, a_max, out=out)
-    if m == 1:
-        shifted[i] = -np.inf
-    else:
+    shifted[i] = -np.inf
+    m = 1
+    # A term ties a_max exactly where its shift is 0 (distinct finite floats
+    # never differ by 0); one max pass finds whether any does.
+    if shifted.max() == 0:
+        tied = shifted == 0
+        m += np.count_nonzero(tied)
         shifted[tied] = -np.inf
     s = np.exp(shifted, out=shifted).sum()
     m = np.float64(m)
@@ -230,13 +243,15 @@ def _log_norm_tpl(alpha: float, lam: float, xmin: int, work: np.ndarray | None =
 def _log_norm_lognormal(mu: float, sigma: float, xmin: int, work: np.ndarray | None = None) -> float:
     upper = xmin + _NORM_EXACT_TERMS
     _x, lx = _grid(xmin)
-    terms, scratch = _norm_work() if work is None else work
-    # -lx - 0.5 * ((lx - mu) / sigma) ** 2, term by term, in the scratch rows
-    np.subtract(lx, mu, out=scratch)
-    np.divide(scratch, sigma, out=scratch)
-    np.square(scratch, out=scratch)
-    np.multiply(scratch, 0.5, out=scratch)
-    np.subtract(np.negative(lx, out=terms), scratch, out=terms)
+    terms = (_norm_work() if work is None else work)[0]
+    # -lx - 0.5 * ((lx - mu) / sigma) ** 2, term by term, in one scratch row,
+    # as -0.5 * (...) ** 2 - lx: rounding is symmetric in sign, so this is
+    # the same value bit for bit without a pass that negates lx
+    np.subtract(lx, mu, out=terms)
+    np.divide(terms, sigma, out=terms)
+    np.square(terms, out=terms)
+    np.multiply(terms, -0.5, out=terms)
+    np.subtract(terms, lx, out=terms)
     head = _logsumexp(terms, out=terms)
     # Closed-form Gaussian tail: integral of (1/t) exp(-(ln t - mu)^2 / 2 s^2).
     z = (math.log(upper - 0.5) - mu) / sigma
@@ -275,6 +290,26 @@ def family_loglik(family: str, params: dict[str, float], samples, xmin: int) -> 
     raise ValueError(f"unknown family {family!r}")
 
 
+def _memo(nll):
+    """``nll`` that scores each distinct point once and answers a repeat
+    with the value it gave the first time.
+
+    Keyed on the point's exact bytes, so ``-0.0`` and ``0.0`` (and NaNs of
+    different payloads) stay apart.  One memo per fit: it lives as long as
+    the fit and is never shared between threads.
+    """
+    scores: dict[bytes, float] = {}
+
+    def scored(p: np.ndarray) -> float:
+        key = p.tobytes()
+        score = scores.get(key)
+        if score is None:  # an objective never returns None
+            score = scores[key] = nll(p)
+        return score
+
+    return scored
+
+
 def _fit_power_law(x: np.ndarray, xmin: int) -> FamilyFit:
     logs = np.log(x).sum()
     n = len(x)
@@ -302,9 +337,10 @@ def _fit_truncated_power_law(x: np.ndarray, xmin: int) -> FamilyFit:
         return alpha * logs + lam * total + n * _log_norm_tpl(alpha, lam, xmin, work)
 
     best = None
+    scored = _memo(nll)  # shared by both starts
     for lam0 in (0.5, 0.05):
         res = optimize.minimize(
-            nll,
+            scored,
             x0=np.array([1.5, math.log(lam0)]),
             method="Nelder-Mead",
             options={"xatol": 1e-6, "fatol": 1e-8, "maxiter": 2000},
@@ -327,24 +363,34 @@ def _fit_lognormal(x: np.ndarray, xmin: int) -> FamilyFit:
     before the sum.  Each row then holds the value the per-row expression
     gives it, and the sum adds them in the same order: the objective, and
     so the whole fit, is bit-equal to evaluating the term on every row.
+    The term and its gather run in place in buffers made once per fit.
     """
     lx = np.log(x)
     n = len(x)
     work = _norm_work()
     _distinct, first, row_of = np.unique(x, return_index=True, return_inverse=True)
     lu = lx[first]  # the logs of the distinct counts, not recomputed
+    term, rows = np.empty_like(lu), np.empty_like(lx)
 
     def nll(p: np.ndarray) -> float:
         mu, sigma = float(p[0]), math.exp(p[1])
         if sigma == 0.0:  # exp underflow; the step would score NaN or raise
             return math.inf
+        # lu + 0.5 * ((lu - mu) / sigma) ** 2, step by step, in place; the
+        # indices are in range, and mode="clip" writes straight into ``rows``
+        # where the default mode would gather into a temporary first
+        np.subtract(lu, mu, out=term)
+        np.divide(term, sigma, out=term)
+        np.square(term, out=term)
+        np.multiply(term, 0.5, out=term)
+        np.add(lu, term, out=term)
         return float(
-            (lu + 0.5 * ((lu - mu) / sigma) ** 2)[row_of].sum()
+            np.take(term, row_of, out=rows, mode="clip").sum()
             + n * _log_norm_lognormal(mu, sigma, xmin, work)
         )
 
     res = optimize.minimize(
-        nll,
+        _memo(nll),
         x0=np.array([float(lx.mean()), math.log(max(float(lx.std()), 0.1))]),
         method="Nelder-Mead",
         options={"xatol": 1e-6, "fatol": 1e-8, "maxiter": 2000},

@@ -17,7 +17,8 @@ beyond :mod:`clickgraph.errors`, only argparse, hashlib and json: no numpy,
 no scipy, and no dataclasses, whose ``inspect`` import alone would cost a hit
 about an eighth of its time (``RunConfig`` is a ``NamedTuple`` for that
 reason).  Flag and config-file values enter in ``load_config`` alone, which
-checks each one's type, then its range.  Nothing here parses a tab-separated
+checks each one's type, then its range, and names each problem by the flag
+the parser spells for its field.  Nothing here parses a tab-separated
 artifact: each has one reader beside its writer, in :mod:`clickgraph.graph`
 for ``graph.tsv`` and :mod:`clickgraph.ingest` for the rest.
 """
@@ -155,20 +156,35 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             values[name] = v
     wrong = [name for name in RunConfig._fields
              if name in values and not _TYPES[name][1](values[name])]
-    problems = [f"--{name.replace('_', '-')} must be {_TYPES[name][0]}, got {values[name]!r}"
-                for name in wrong]
+    problems = [(name, f"must be {_TYPES[name][0]}, got {values[name]!r}") for name in wrong]
     for key in ("alphas", "kappa_multipliers"):
         if key in values and key not in wrong:
-            values[key] = tuple(float(x) for x in values[key])
+            try:
+                values[key] = tuple(float(x) for x in values[key])
+            except OverflowError:  # a config-file integer beyond the float range
+                wrong.append(key)
+                digits = max(len(str(abs(x))) for x in values[key] if isinstance(x, int))
+                problems.append((key, "must be a list of numbers within the float range, "
+                                      f"got an integer of {digits} digits"))
     cfg = RunConfig(**values)
     for name, rule, test in _RANGES:
         value = getattr(cfg, name)
         if name not in wrong and not test(value):
             shown = (",".join(map(str, value)) or "nothing") if isinstance(value, tuple) else value
-            problems.append(f"--{name.replace('_', '-')} must {rule}, got {shown}")
+            problems.append((name, f"must {rule}, got {shown}"))
     if problems:
-        raise ConfigError("; ".join(problems))
+        flags = _option_names()
+        raise ConfigError("; ".join(f"{flags[name]} {problem}" for name, problem in problems))
     return cfg
+
+
+def _option_names() -> dict[str, str]:
+    """Each RunConfig field's long option, ``{dest: "--option"}``, read from
+    the actions of every subcommand's parser."""
+    stages = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest: action.option_strings[-1]
+            for parser in stages.choices.values()
+            for action in parser._actions if action.option_strings}
 
 
 def _validate_inputs(cfg: RunConfig, required: tuple[str, ...]) -> None:

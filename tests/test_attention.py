@@ -432,11 +432,17 @@ class TestNormaliserMatchesReference:
             assert _same_float(A._logsumexp(work, out=work), reference_logsumexp(a))
 
     @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["zipf", "geometric"]),
-           n=st.integers(40, 400), xmin=st.sampled_from([1, 2, 5]))
-    def test_fit_distributions_identical(self, seed, family, n, xmin):
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 400),
+           case=st.tuples(st.sampled_from(["zipf", "geometric"]), st.sampled_from([1, 2, 5]))
+           | st.tuples(st.just("zipf_tail"), st.sampled_from([9, 10])))
+    @example(seed=1, n=300, case=("zipf_tail", 10))  # a walk that collapses and hits the cap
+    def test_fit_distributions_identical(self, seed, n, case):
+        family, xmin = case
         rng = np.random.default_rng(seed)
-        samples = rng.zipf(2.2, n) if family == "zipf" else rng.geometric(0.15, n)
+        if family == "zipf_tail":
+            samples = rng.zipf(1.6, n) + 8
+        else:
+            samples = rng.zipf(2.2, n) if family == "zipf" else rng.geometric(0.15, n)
         got = _fit_outcome(samples, xmin)
         with mock.patch.object(A, "_fit_truncated_power_law", reference_fit_truncated_power_law), \
                 mock.patch.object(A, "_fit_lognormal", reference_fit_lognormal):
@@ -489,3 +495,41 @@ class TestLognormalDistinctCounts:
         fit = A._fit_lognormal(x, 9)
         assert fit.params["mu"] < -1e5  # the walk towards the power-law limit
         assert repr(fit) == repr(reference_fit_lognormal(x, 9))
+
+
+class TestMemo:
+    def test_signed_zeros_are_different_points(self):
+        calls = []
+        scored = A._memo(lambda p: calls.append(p.tobytes()) or float(len(calls)))
+        assert scored(np.array([0.0, 1.0])) == 1.0
+        assert scored(np.array([-0.0, 1.0])) == 2.0
+        assert scored(np.array([0.0, 1.0])) == 1.0
+        assert scored(np.array([-0.0, 1.0])) == 2.0
+        assert len(calls) == 2
+
+    def test_capped_walk_scores_each_point_once_and_fits_as_before(self, monkeypatch):
+        # the input of test_failed_fit_names_its_cause: the simplex collapses
+        # and Nelder-Mead asks again for points it has scored
+        rng = np.random.default_rng(1)
+        x = np.minimum(rng.zipf(1.6, 300) + 8, 10**7).astype(np.float64)
+        x = x[x >= 10]
+        asked, scored, nfev = [], [], []
+        memo, minimize = A._memo, A.optimize.minimize
+
+        def counting_memo(nll):
+            once = memo(lambda p: scored.append(p.tobytes()) or nll(p))
+            return lambda p: asked.append(p.tobytes()) or once(p)
+
+        def recording_minimize(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(A, "_memo", counting_memo)
+        monkeypatch.setattr(A.optimize, "minimize", recording_minimize)
+        fit = A._fit_lognormal(x, 10)
+        monkeypatch.undo()
+        assert repr(fit) == repr(reference_fit_lognormal(x, 10))
+        assert not fit.converged and "iterations" in fit.message
+        assert nfev == [len(asked)]
+        assert len(scored) == len(set(scored)) == len(set(asked)) < len(asked)

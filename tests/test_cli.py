@@ -275,12 +275,16 @@ class TestConfigRanges:
         ({"alphas": [0.8, None]}, "--alphas must be a list of numbers, got [0.8, None]"),
         ({"kappa_multipliers": "12"}, "--kappa-multipliers must be a list of numbers, got '12'"),
         ({"fail_fast": "no"}, "--fail-fast must be true or false, got 'no'"),
-        ({"restrict_to_viewed": 1}, "--restrict-to-viewed must be true or false, got 1"),
+        ({"restrict_to_viewed": 1}, "--viewed-only must be true or false, got 1"),
         ({"threshold": 10.0}, "--threshold must be an integer, got 10.0"),
         ({"seed": True}, "--seed must be an integer, got True"),
         ({"threads": "2"}, "--threads must be an integer, got '2'"),
         ({"edges": 5}, "--edges must be a string or null, got 5"),
         ({"out": None}, "--out must be a string, got None"),
+        ({"alphas": [0.8, 10**400]},
+         "--alphas must be a list of numbers within the float range, got an integer of 401 digits"),
+        ({"kappa_multipliers": [1, -10**400]}, "--kappa-multipliers must be a list of numbers "
+         "within the float range, got an integer of 401 digits"),
         ({"damping": "x", "seed": 1.5, "sample_size": -1, "alphas": []},
          "--damping must be a number, got 'x'; --seed must be an integer, got 1.5; "
          "--alphas must be one or more values in (0, 1), got nothing; "
@@ -301,6 +305,9 @@ class TestConfigRanges:
 
     def test_every_field_has_a_type_rule(self):
         assert set(cli._TYPES) == set(cli.RunConfig._fields)
+
+    def test_every_field_is_named_by_its_own_option(self):
+        assert set(cli.RunConfig._fields) <= set(cli._option_names())
 
     @pytest.mark.parametrize("values, argv, digest", [
         ({}, [], "d7c496cb744f8900"),
