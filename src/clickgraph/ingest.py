@@ -20,7 +20,6 @@ import numpy as np
 
 from . import graph as graphmod
 from .errors import (
-    ClickgraphError,
     LineError,
     MalformedInputError,
     PreconditionError,
@@ -469,6 +468,104 @@ def _row_values(fields: list[str], numeric: list[tuple[str, int]],
     return values, None
 
 
+def _parse_rows(rows: list[tuple[int, str]], width: int, colpos: dict[str, int],
+                numeric: list[tuple[str, int]], name_to_id: dict[str, int] | None,
+                graph: LinkGraph | None, delimiter: str) -> tuple:
+    """The parse half of :func:`load_feature_table`, one row at a time: one
+    entry per data row, with the fault the row has on its own.
+
+    Returns line numbers, source and target ids (-1 where unknown), the
+    numbers as a rows x ``numeric`` array (NaN for a row that is never
+    kept), regions, field count and id faults (``early``, ranked before the
+    join's), value faults (``late``, ranked after them) and the names that a
+    row's ids do not give back (``texts``), the last three keyed by row.
+    """
+    sims = [(c, [n for n, _ in numeric].index(c)) for c in ("text_sim", "topic_sim")]
+    blank = [math.nan] * len(numeric)  # the numbers of a row that is never kept
+    line_nos, src_ids, trg_ids, values, regions = [], [], [], [], []
+    early: dict[int, str] = {}
+    late: dict[int, str] = {}
+    texts: dict[int, tuple[str, str]] = {}
+    for line_no, line in rows:
+        row = len(line_nos)
+        fields = line.split(delimiter)
+        s, t, cells = -1, -1, None  # what a row that fails before its values keeps
+        if len(fields) != width:
+            early[row] = f"expected {width} fields, got {len(fields)}"
+            texts[row] = ("", "")
+        else:
+            a, b = fields[colpos["src"]], fields[colpos["trg"]]
+            if graph is None:
+                s = name_to_id.setdefault(a, len(name_to_id))
+                t = name_to_id.setdefault(b, len(name_to_id))
+            else:
+                try:
+                    s, t = _article_ids(a, b, name_to_id, graph.n_nodes, line_no)
+                except LineError:
+                    early[row] = "non-integer id in unlabeled graph"
+            if name_to_id is None or s < 0 or t < 0:
+                texts[row] = (a, b)
+            if row not in early:
+                cells, why = _row_values(fields, numeric, sims, colpos["region"])
+                if why is not None:
+                    late[row] = why
+        line_nos.append(line_no)
+        src_ids.append(s)
+        trg_ids.append(t)
+        values.extend(blank if cells is None else cells)
+        regions.append(None if cells is None else fields[colpos["region"]])
+    values = np.array(values, dtype=np.float64).reshape(-1, len(numeric))
+    return line_nos, src_ids, trg_ids, values, regions, early, late, texts
+
+
+def _parse_columns(rows: list[tuple[int, str]], width: int, colpos: dict[str, int],
+                   numeric: list[tuple[str, int]], name_to_id: dict[str, int],
+                   delimiter: str) -> tuple | None:
+    """:func:`_parse_rows`' result for a labelled graph's table in which no
+    row has a fault of its own, or None for any other table.
+
+    The names and the region come from one streamed pass (src and trg must
+    be the first two columns and region the last), the numbers from one
+    ``np.loadtxt`` call.  ``loadtxt`` reads a subset of what ``float`` reads
+    (not ``1_0`` or non-ASCII digits), to the same bits, once the four
+    separators it alone strips as whitespace are ruled out.  So a
+    table this returns None for goes through the per-row parser, and its
+    rejections, reasons and line numbers are the per-row parser's.
+    """
+    if (not rows or len(delimiter) != 1
+            or (colpos["src"], colpos["trg"], colpos["region"]) != (0, 1, width - 1)):
+        return None
+    lookup = name_to_id.get
+    src_ids, trg_ids, regions = [], [], []
+    for _, line in rows:
+        # loadtxt strips the separators U+001C to U+001F around a number; float refuses them.
+        if (line.count(delimiter) != width - 1
+                or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line):
+            return None
+        a, b, _ = line.split(delimiter, 2)
+        region = line[line.rfind(delimiter) + 1:]
+        s, t = lookup(a, -1), lookup(b, -1)
+        if s < 0 or t < 0 or region not in REGIONS:
+            return None
+        src_ids.append(s)
+        trg_ids.append(t)
+        regions.append(region)
+    try:
+        values = np.loadtxt((line for _, line in rows), dtype=np.float64, comments=None,
+                            delimiter=delimiter, quotechar=None, usecols=[i for _, i in numeric],
+                            ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(rows), len(numeric)):
+        return None
+    names = [n for n, _ in numeric]
+    for col in ("text_sim", "topic_sim"):
+        sim = values[:, names.index(col)]
+        if not ((sim >= 0.0) & (sim <= 1.0)).all():
+            return None
+    return [n for n, _ in rows], src_ids, trg_ids, values, regions, {}, {}, {}
+
+
 def load_feature_table(
     lines: Iterable[str],
     graph: LinkGraph | None,
@@ -490,6 +587,11 @@ def load_feature_table(
     non-integer id, then no edge of the graph, then a repeat of a kept row's
     link, then its values (see :func:`_row_values`).  All are counted in the
     report, the first ``REJECTED_LISTED`` listed, by line number in the input.
+
+    The rows are parsed, then joined.  A labelled graph's table is parsed a
+    column at a time (:func:`_parse_columns`) unless a row has a fault of its
+    own; then, and for every other table, one row at a time
+    (:func:`_parse_rows`).  Both give the join the same ids and bits.
 
     ``graph=None`` skips edge validation and interns names from the file
     itself (useful for standalone inspection of published feature files).
@@ -515,42 +617,13 @@ def load_feature_table(
     else:
         name_to_id = graph.name_to_id() if graph.labels is not None else None
     numeric = [(c, i) for c, i in colpos.items() if c not in ("src", "trg", "region")]
-    sims = [(c, [n for n, _ in numeric].index(c)) for c in ("text_sim", "topic_sim")]
-    blank = [math.nan] * len(numeric)  # the numbers of a row that is never kept
-
-    # Parse: one entry per data line, with the fault the line has on its own.
-    line_nos, src_ids, trg_ids, values, regions = [], [], [], [], []
-    early: dict[int, str] = {}  # field count and id faults, ranked before the join's
-    late: dict[int, str] = {}   # value faults, ranked after them
-    texts: dict[int, tuple[str, str]] = {}  # names that the row's ids do not give back
-    for line_no, line in numbered:
-        row = len(line_nos)
-        fields = line.split(delimiter)
-        s, t, cells = -1, -1, None  # what a row that fails before its values keeps
-        if len(fields) != len(header):
-            early[row] = f"expected {len(header)} fields, got {len(fields)}"
-            texts[row] = ("", "")
-        else:
-            a, b = fields[colpos["src"]], fields[colpos["trg"]]
-            if graph is None:
-                s = name_to_id.setdefault(a, len(name_to_id))
-                t = name_to_id.setdefault(b, len(name_to_id))
-            else:
-                try:
-                    s, t = _article_ids(a, b, name_to_id, graph.n_nodes, line_no)
-                except LineError:
-                    early[row] = "non-integer id in unlabeled graph"
-            if name_to_id is None or s < 0 or t < 0:
-                texts[row] = (a, b)
-            if row not in early:
-                cells, why = _row_values(fields, numeric, sims, colpos["region"])
-                if why is not None:
-                    late[row] = why
-        line_nos.append(line_no)
-        src_ids.append(s)
-        trg_ids.append(t)
-        values.extend(blank if cells is None else cells)
-        regions.append(None if cells is None else fields[colpos["region"]])
+    rows = list(numbered)
+    parsed = None
+    if graph is not None and name_to_id is not None:
+        parsed = _parse_columns(rows, len(header), colpos, numeric, name_to_id, delimiter)
+    if parsed is None:
+        parsed = _parse_rows(rows, len(header), colpos, numeric, name_to_id, graph, delimiter)
+    line_nos, src_ids, trg_ids, values, regions, early, late, texts = parsed
 
     src = np.asarray(src_ids, dtype=np.int64)
     trg = np.asarray(trg_ids, dtype=np.int64)
@@ -582,7 +655,7 @@ def load_feature_table(
     src, trg = src[kept], trg[kept]
 
     # In header order: each number column in turn from ``numbers``, region among them.
-    numbers = iter(np.array(values, dtype=np.float64).reshape(-1, len(numeric))[kept].T.copy())
+    numbers = iter(values[kept].T.copy())
     region = np.asarray(regions, dtype=object)[kept]
     data = {c: region if c == "region" else next(numbers) for c in colpos if c not in ("src", "trg")}
     if "transitions" not in data:
@@ -612,7 +685,7 @@ def read_visual(lines: Iterable[str], g: LinkGraph) -> tuple:
             pos = {name: i for i, name in enumerate(header)}
             for col in ("src", "trg", "x_coord", "y_coord", "region"):
                 if col not in pos:
-                    raise ClickgraphError(f"visual file missing column {col}")
+                    raise SchemaError(f"visual file missing column {col}")
             continue
         if len(fields) != len(header):
             raise LineError(line_no, f"expected {len(header)} tab-separated fields, "
@@ -624,6 +697,8 @@ def read_visual(lines: Iterable[str], g: LinkGraph) -> tuple:
         y_rows.append(_number(float, fields[pos["y_coord"]], "y_coord", line_no))
         regions.append(fields[pos["region"]])
         line_nos.append(line_no)
+    if header is None:
+        raise SchemaError("visual file has no header line")
 
     slots = g.edge_slots(src, trg)
     again = np.flatnonzero(_repeats(slots) >= 0)
@@ -679,23 +754,34 @@ def build_feature_table(
     return LinkFeatureTable(src=src, trg=trg, data=data, labels=g.labels)
 
 
+def _number_texts(values: np.ndarray) -> list[str]:
+    """Each value as an integer when it is one below 1e15 in magnitude, else its repr."""
+    v = np.asarray(values, dtype=np.float64)
+    whole = (np.abs(v) < 1e15) & (v == np.trunc(v))  # float.is_integer(), NaN and inf excluded
+    if whole.all():
+        return list(map(str, v.astype(np.int64).tolist()))
+    texts = list(map(repr, v.tolist()))
+    at = np.flatnonzero(whole)
+    for i, n in zip(at.tolist(), v[at].astype(np.int64).tolist()):
+        texts[i] = str(n)
+    return texts
+
+
 def feature_table_lines(table: LinkFeatureTable, delimiter: str = "\t") -> Iterable[str]:
-    """Serialize a table in the fixed column order (names when labeled)."""
+    """Serialize a table in the fixed column order (names when labeled), a column at a time."""
     yield delimiter.join(FEATURE_COLUMNS) + "\n"
     labels = table.labels
-    for i in range(len(table)):
-        out = []
-        for col in FEATURE_COLUMNS:
-            if col == "src":
-                out.append(labels[table.src[i]] if labels else str(int(table.src[i])))
-            elif col == "trg":
-                out.append(labels[table.trg[i]] if labels else str(int(table.trg[i])))
-            elif col == "region":
-                out.append(str(table.data["region"][i]))
-            else:
-                v = float(table.data[col][i])
-                out.append(str(int(v)) if float(v).is_integer() and abs(v) < 1e15 else repr(v))
-        yield delimiter.join(out) + "\n"
+    columns = []
+    for col in FEATURE_COLUMNS:
+        if col in ("src", "trg"):
+            ids = table.column(col).tolist()
+            columns.append([labels[i] for i in ids] if labels else list(map(str, ids)))
+        elif col == "region":
+            columns.append(list(map(str, table.data["region"].tolist())))
+        else:
+            columns.append(_number_texts(table.data[col]))
+    for cells in zip(*columns):
+        yield delimiter.join(cells) + "\n"
 
 
 def table_stats(table: LinkFeatureTable) -> tuple[int, int, float]:

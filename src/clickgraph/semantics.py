@@ -4,6 +4,15 @@ Articles become sublinear tf-idf vectors, a seeded sparse sign projection
 compresses them to a fixed dimension, and similarities are cosines: projected
 vectors for text, binary category indicators for topics.
 
+The sparse matrices are plain numpy arrays in compressed sparse row form
+(:class:`CSR`), so this module needs no scipy.  ``tfidf`` stores each row's
+terms in descending term order, and ``project`` adds each projected cell's
+contributions in stored order, starting from +0.0.  That is the order scipy
+left them in and added them in (``diags(scale) @ mat`` prepends each new
+column, and ``V @ R`` then walks V's rows in stored order), so the projected
+vectors, and every similarity and output byte after them, are bit-equal to
+the scipy products ``tests/test_semantics.py`` keeps as its references.
+
 ``edge_similarities`` computes every link's similarities in fixed-size blocks
 of edges, with one BLAS dot per pair and the same IEEE operations as the
 single-pair cosine and category overlap that ``tests/test_semantics.py``
@@ -14,16 +23,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import MalformedInputError
 
 DEFAULT_DIM = 512
 _PROJECTION_CHUNK = 1024  # rows of the projection matrix drawn per rng call
+_PROJECT_BLOCK = 256  # documents per block in project (about 64k products at dim 512)
 _EDGE_BLOCK = 256  # edges per gather in edge_similarities (2 x 1 MB at dim 512)
+
+
+class CSR(NamedTuple):
+    """A sparse matrix by rows: row ``i`` holds ``data[indptr[i]:indptr[i + 1]]``
+    in the columns ``indices[indptr[i]:indptr[i + 1]]``, in that stored order."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,18 +128,18 @@ def corpus_from_lines(
     return build_corpus(parse(token_lines), cats)
 
 
-def tfidf(corpus: DocumentCorpus) -> sp.csr_matrix:
+def tfidf(corpus: DocumentCorpus) -> CSR:
     """Sublinear tf-idf: weight = (1 + ln tf) * ln(N / df), rows L2-normalized.
 
-    Terms present in every document get weight 0; an all-zero row (e.g. a
-    single-document corpus) stays zero rather than being normalized.
+    Terms present in every document get weight 0 and are not stored; an
+    all-zero row (e.g. a single-document corpus) stays zero rather than being
+    normalized.  Each row stores its terms in descending term order.
     """
     if corpus.n_docs == 0:
         raise MalformedInputError("empty corpus")
     n = corpus.n_docs
+    n_terms = max(len(corpus.vocabulary), 1)
     idf = np.log(n / corpus.doc_freq)
-    # COO entries in document order, then dict order within a document: that
-    # order fixes the CSR data order and the summation order of the row norms.
     per_doc = np.fromiter(map(len, corpus.token_counts), dtype=np.int64, count=n)
     total = int(per_doc.sum())
     rows = np.repeat(np.arange(n, dtype=np.int64), per_doc)
@@ -130,15 +149,25 @@ def tfidf(corpus: DocumentCorpus) -> sp.csr_matrix:
                      dtype=np.float64, count=total)
     w = (1.0 + np.log(tf)) * idf[cols]
     keep = w != 0.0
-    mat = sp.csr_matrix(
-        (w[keep], (rows[keep], cols[keep])),
-        shape=(n, max(len(corpus.vocabulary), 1)),
-    )
-    norms = np.sqrt(np.asarray(mat.multiply(mat).sum(axis=1)).ravel())
+    rows, cols, w = rows[keep], cols[keep], w[keep]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+
+    # The squares in ascending term order within each row, summed per row by
+    # one reduceat: the call scipy's row sum makes.  (The keys are unique, so
+    # any sort gives this order.)
+    up = np.argsort(rows * n_terms + cols)
+    filled = np.flatnonzero(np.diff(indptr))
+    norms = np.zeros(n)
+    if len(filled):
+        norms[filled] = np.add.reduceat(w[up] * w[up], indptr[filled])
+    norms = np.sqrt(norms)
     scale = np.ones(n)
     nz = norms > 0
     scale[nz] = 1.0 / norms[nz]
-    return sp.diags(scale) @ mat
+    # Each row reversed: entry p of row r moves to indptr[r] + indptr[r + 1] - 1 - p.
+    down = up[np.repeat(indptr[:-1] + indptr[1:] - 1, np.diff(indptr)) - np.arange(len(up))]
+    return CSR(indptr, cols[down], scale[rows[down]] * w[down], (n, n_terms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +178,7 @@ class ProjectedVectors:
     name_to_idx: dict[str, int]
 
 
-def projection_matrix(n_features: int, dim: int, seed: int) -> sp.csr_matrix:
+def projection_matrix(n_features: int, dim: int, seed: int) -> CSR:
     """Sparse sign matrix with density 1/sqrt(n_features).
 
     Nonzero entries are +-s with s = sqrt(1 / (density * dim)), which keeps
@@ -178,17 +207,36 @@ def projection_matrix(n_features: int, dim: int, seed: int) -> sp.csr_matrix:
         kept.append(nz + start * dim)
         signs.append(sign_u.reshape(-1)[nz])
     if not kept:
-        return sp.csr_matrix((0, dim))
+        return CSR(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), (0, dim))
     pos = np.concatenate(kept)
     data = np.where(np.concatenate(signs) < 0.5, s, -s)
     indptr = np.searchsorted(pos, np.arange(n_features + 1) * dim)
-    return sp.csr_matrix((data, pos % dim, indptr), shape=(n_features, dim))
+    return CSR(indptr, pos % dim, data, (n_features, dim))
 
 
-def project(vectors: sp.csr_matrix, corpus: DocumentCorpus, dim: int = DEFAULT_DIM, seed: int = 0) -> ProjectedVectors:
-    """Project tf-idf vectors down to ``dim`` with a seeded sparse sign matrix."""
+def project(vectors: CSR, corpus: DocumentCorpus, dim: int = DEFAULT_DIM, seed: int = 0) -> ProjectedVectors:
+    """Project tf-idf vectors down to ``dim`` with a seeded sparse sign matrix.
+
+    Each stored weight multiplies each entry of its term's projection row, and
+    each cell of the dense result adds its products in the weights' stored
+    order (descending terms, for ``tfidf``'s rows), from +0.0, one at a time:
+    ``np.bincount`` adds its weights in input order.  Documents go in blocks
+    of ``_PROJECT_BLOCK``, which bounds the products held at once.
+    """
     rmat = projection_matrix(vectors.shape[1], dim, seed)
-    dense = np.asarray((vectors @ rmat).todense())
+    n = vectors.shape[0]
+    dense = np.empty((n, dim))
+    for lo in range(0, n, _PROJECT_BLOCK):
+        hi = min(lo + _PROJECT_BLOCK, n)
+        first, last = vectors.indptr[lo], vectors.indptr[hi]
+        terms = vectors.indices[first:last]
+        per = np.diff(rmat.indptr)[terms]  # projection entries per stored weight
+        at = np.repeat(rmat.indptr[terms] - (np.cumsum(per) - per), per) + np.arange(per.sum())
+        doc = np.repeat(np.repeat(np.arange(hi - lo), np.diff(vectors.indptr[lo:hi + 1])), per)
+        products = np.repeat(vectors.data[first:last], per) * rmat.data[at]
+        # Assigned into floats: with no products at all, bincount returns integer zeros.
+        dense[lo:hi] = np.bincount(doc * dim + rmat.indices[at], weights=products,
+                                   minlength=(hi - lo) * dim).reshape(hi - lo, dim)
     return ProjectedVectors(matrix=dense, name_to_idx=dict(corpus.name_to_idx))
 
 

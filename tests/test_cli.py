@@ -59,17 +59,20 @@ class TestImports:
         printed = run_fresh(RUN_STAGES, json.dumps(reruns)).splitlines()
         assert printed == [f"{argv[0]}: cache hit, outputs unchanged" for argv in reruns] + ["[]"]
 
-    def test_cache_miss_build_and_sample_load_no_scipy(self, toy_inputs, tmp_path):
+    def test_cache_miss_build_features_and_sample_load_no_scipy(self, toy_inputs, tmp_path):
         out = str(tmp_path / "out")
         args = ["--out", out, "--threshold", "10"]
         run_pipeline(toy_inputs, out)
+        fresh = ["--out", str(tmp_path / "fresh"), "--threshold", "10"]
         misses = [
             ["build", "--edges", toy_inputs["edges"], "--clickstream", toy_inputs["clickstream"],
-             "--out", str(tmp_path / "fresh"), "--threshold", "10"],
+             *fresh],
+            ["features", "--corpus", toy_inputs["corpus"], "--categories", toy_inputs["categories"],
+             "--visual", toy_inputs["visual"], "--projection-dim", "64", *fresh],
             ["sample", "--sample-size", "5", *args],
         ]
         *summaries, modules = run_fresh(RUN_STAGES, json.dumps(misses)).splitlines()
-        assert [line.split(":")[0] for line in summaries] == ["build", "sample"]
+        assert [line.split(":")[0] for line in summaries] == ["build", "features", "sample"]
         assert "cache hit" not in "".join(summaries)
         assert "'numpy'" in modules and "scipy" not in modules
 
@@ -655,6 +658,27 @@ class TestVisualInput:
                    toy_inputs["categories"], "--visual", str(bad), "--out", out])
         assert rc == 2
         assert capsys.readouterr().err == f"error: line 3: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "visual file has no header line"),
+        ("# notes only\n\n", "visual file has no header line"),
+        ("src\ttrg\tx_coord\ty_coord\n", "visual file missing column region"),
+    ], ids=["empty", "comments_only", "missing_column"])
+    def test_file_without_its_header_stops_with_an_error_and_writes_nothing(
+            self, toy_inputs, tmp_path, capsys, text, message):
+        # An empty visual file once passed as one covering no link: features
+        # wrote 0 records and the later stages ran on nothing.
+        out = tmp_path / "out"
+        assert main(["build", "--edges", toy_inputs["edges"],
+                     "--clickstream", toy_inputs["clickstream"], "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        bad = tmp_path / "bad-visual.tsv"
+        bad.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["features", "--corpus", toy_inputs["corpus"], "--categories",
+                     toy_inputs["categories"], "--visual", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestFailFast:

@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,32 @@ class TestLoadFeatureTable:
         _, report = ingest.load_feature_table(lines, self.g, self.log)
         assert any("duplicate" in r[3] for r in report.rejected)
 
+    def test_written_table_is_parsed_a_column_at_a_time(self, monkeypatch):
+        # Non-edges and repeats are the join's to reject: they keep the columnar parse.
+        bad = "B\tC\t0\t1\t1\t1\t1\t1\t1\t1\t1\t0.1\t0.1\t0.5\t0.5\t0\t0\tbody\n"
+        lines = ["# notes\n", *feature_file_lines(self.g, self.log, extra_row=bad)]
+        lines.append(lines[2])
+        want = reference_load_feature_table(lines, self.g, self.log)
+
+        def refuse(*_args):
+            raise AssertionError("the per-row parser ran")
+
+        monkeypatch.setattr(ingest, "_parse_rows", refuse)
+        assert_same_table(load_quietly(lines, self.g, self.log), want)
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "\x1c1", "\x1f1", "1\r", "x"])
+    def test_a_value_loadtxt_refuses_or_misreads_goes_through_the_per_row_parser(
+            self, value, monkeypatch):
+        lines = feature_file_lines(self.g, self.log)
+        fields = lines[2].rstrip("\n").split("\t")
+        fields[ingest.FEATURE_COLUMNS.index("x_coord")] = value
+        lines[2] = "\t".join(fields) + "\n"
+        parse_rows, calls = ingest._parse_rows, []
+        monkeypatch.setattr(ingest, "_parse_rows", lambda *args: calls.append(1) or parse_rows(*args))
+        assert_same_table(load_quietly(lines, self.g, self.log),
+                          reference_load_feature_table(lines, self.g, self.log))
+        assert calls == [1]
+
     def test_rejected_list_is_capped_and_every_rejection_counted(self):
         lines = feature_file_lines(self.g, self.log)
         bad = "B\tC\t0\t1\t1\t1\t1\t1\t1\t1\t1\t0.1\t0.1\t0.5\t0.5\t0\t0\tbody\n"
@@ -398,8 +425,9 @@ def reference_parse_clickstream(lines, name_to_id, graph, threshold=10, fail_fas
 
 def reference_load_feature_table(lines, graph, transitions=None, recompute_network=False,
                                  delimiter="\t"):
-    """The former reader, with one fix: lines are numbered from the start of
-    the input, not as if the header were line 1."""
+    """The former reader, with two fixes: lines are numbered from the start of
+    the input, not as if the header were line 1, and an extra column holds
+    numbers, as every column but src, trg and region does."""
     numbered = enumerate(lines, start=1)
     header = None
     for _, raw in numbered:
@@ -427,7 +455,7 @@ def reference_load_feature_table(lines, graph, transitions=None, recompute_netwo
     src_ids, trg_ids = [], []
     raw_cols = {c: [] for c in header if c not in ("src", "trg")}
     seen = set()
-    numeric = {c for c in ingest.FEATURE_COLUMNS if c not in ("src", "trg", "region")}
+    numeric = {c for c in header if c not in ("src", "trg", "region")}
     for line_no, raw in numbered:
         line = raw.rstrip("\n")
         if not line or line.startswith("#"):
@@ -570,20 +598,61 @@ class TestParseClickstreamMatchesReference:
             np.testing.assert_array_equal(getattr(log, col), getattr(ref_log, col))
 
 
-VALUE_TEXTS = st.sampled_from(["0", "0.25", "1", "1.5", "-0.5", "nan", "x", "1e-3"])
+# Values the reader must read as float() does: ordinary and bad ones; ones only
+# float() reads (underscores, Arabic-Indic digits, U+001C, which np.loadtxt
+# alone strips as whitespace, and a carriage return, which ends its line);
+# ones neither reads; and ones both read alike.
+VALUE_TEXTS = st.sampled_from(["0", "0.25", "1", "1.5", "-0.5", "nan", "x", "1e-3",
+                               "1_0", "\u0661\u0662", "\x1c1", "1\r", "0x10", "1,5", "",
+                               " 1.5", "+.5", "1e400", "Infinity", "-0"])
+BOTH_READ = st.sampled_from(["3", "0.25", " 1.5", "+.5", "1e400", "nan", "Infinity", "-0", "1e-3"])
+SIM_TEXTS = st.sampled_from(["0.5", "0", "1", " 0.25", "+.5", "-0", "1e-400"])
 REGION_TEXTS = st.sampled_from(["body", "lead", "infobox", "sidebar", ""])
 
 
 @st.composite
-def feature_files(draw, pairs):
+def feature_files(draw, pairs, links=None):
     """Header plus rows naming ``pairs``: good links, repeats, non-edges,
-    unknown names, bad values and rows with the wrong field count."""
+    unknown names, bad values and rows with the wrong field count.  Or, twice
+    as often, well-formed rows on ``links`` (``pairs`` when None), of which
+    one may have one fault: a field short, a drawn name, a drawn value in a
+    similarity or another number column, or a drawn region.  The columns
+    come in the written order or, one time in four, shuffled, with or
+    without transitions and an extra number column."""
     columns = [c for c in ingest.FEATURE_COLUMNS
                if c != "transitions" or draw(st.booleans())]
+    if draw(st.booleans()):
+        columns.insert(draw(st.integers(2, len(columns) - 1)), "extra")
+    if draw(st.integers(0, 3)) == 0:
+        columns = draw(st.permutations(columns))
+    numbers = [c for c in columns if c not in ("src", "trg", "region")]
     lines = draw(st.lists(st.sampled_from(["# note\n", "\n"]), max_size=2))
     lines.append("\t".join(columns) + "\n")
     rows: list[str] = []
-    for _ in range(draw(st.integers(0, 40))):
+    n_rows = draw(st.integers(0, 40))
+    clean = draw(st.integers(0, 2)) > 0
+    odd = draw(st.integers(0, n_rows)) if clean else None  # the one row that may be bad
+    for i in range(n_rows):
+        if clean:
+            fields = {c: draw(SIM_TEXTS if c.endswith("_sim") else BOTH_READ) for c in numbers}
+            fields["src"], fields["trg"] = draw(pairs if links is None else links)
+            fields["region"] = draw(st.sampled_from(ingest.REGIONS))
+            if i == odd:
+                fault = draw(st.sampled_from(["short", "name", "sim", "number", "region"]))
+                if fault == "name":
+                    fields[draw(st.sampled_from(["src", "trg"]))] = draw(
+                        st.one_of(st.just("Z"), pairs.map(lambda pair: pair[0])))
+                elif fault == "sim":
+                    fields[draw(st.sampled_from(["text_sim", "topic_sim"]))] = draw(VALUE_TEXTS)
+                elif fault == "number":
+                    fields[draw(st.sampled_from(numbers))] = draw(VALUE_TEXTS)
+                elif fault == "region":
+                    fields["region"] = draw(REGION_TEXTS)
+            cells = [fields[c] for c in columns]
+            if i == odd and fault == "short":
+                cells.pop(draw(st.integers(0, len(cells) - 1)))
+            rows.append("\t".join(cells) + "\n")
+            continue
         kind = draw(st.sampled_from(["row", "row", "row", "repeat", "short", "comment"]))
         if kind == "repeat" and rows:
             rows.append(draw(st.sampled_from(rows)))
@@ -593,12 +662,19 @@ def feature_files(draw, pairs):
             rows.append(draw(st.sampled_from(["# c\n", "\n"])))
         else:
             # One drawn value in one drawn column; the similarities get a legal one otherwise.
-            fields = {c: "0.5" if c.endswith("_sim") else "3" for c in columns}
+            fields = {c: "0.5" if c.endswith("_sim") else "3" for c in numbers}
             fields["src"], fields["trg"] = draw(pairs)
             fields["region"] = draw(REGION_TEXTS)
-            fields[draw(st.sampled_from(columns[2:-1]))] = draw(VALUE_TEXTS)
+            fields[draw(st.sampled_from(numbers))] = draw(VALUE_TEXTS)
             rows.append("\t".join(fields[c] for c in columns) + "\n")
     return lines + rows
+
+
+def load_quietly(*args, **kwargs):
+    """``load_feature_table`` with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return ingest.load_feature_table(*args, **kwargs)
 
 
 def assert_same_table(got, want):
@@ -624,14 +700,14 @@ class TestLoadFeatureTableMatchesReference:
         edges = list(zip(g.edge_sources.tolist(), g.out_indices.tolist()))
         names = st.sampled_from(NAMES + ("Z",))
         links = st.sampled_from([(NAMES[s], NAMES[t]) for s, t in edges])
-        lines = data.draw(feature_files(st.one_of(links, links, st.tuples(names, names))))
+        lines = data.draw(feature_files(st.one_of(links, links, st.tuples(names, names)), links))
         logged = data.draw(st.lists(st.sampled_from(edges), unique=True))
         log = ingest.TransitionLog.from_pairs(
             [s for s, _ in logged], [t for _, t in logged],
             data.draw(st.lists(st.integers(10, 99), min_size=len(logged), max_size=len(logged))),
             graph=g)
         assert_same_table(
-            ingest.load_feature_table(lines, g, log, recompute_network=recompute),
+            load_quietly(lines, g, log, recompute_network=recompute),
             reference_load_feature_table(lines, g, log, recompute_network=recompute))
 
     @settings(max_examples=200, deadline=None)
@@ -640,17 +716,15 @@ class TestLoadFeatureTableMatchesReference:
         g = G.build_graph(list(zip(g.edge_sources, g.out_indices)), n_nodes=g.n_nodes)
         ids = st.sampled_from(["0", "1", "2", "5", "01", "+1", " 2", "-1", "6", "x", "9" * 25])
         links = st.sampled_from([(str(s), str(t)) for s, t in zip(g.edge_sources, g.out_indices)])
-        lines = data.draw(feature_files(st.one_of(links, links, st.tuples(ids, ids))))
-        assert_same_table(ingest.load_feature_table(lines, g),
-                          reference_load_feature_table(lines, g))
+        lines = data.draw(feature_files(st.one_of(links, links, st.tuples(ids, ids)), links))
+        assert_same_table(load_quietly(lines, g), reference_load_feature_table(lines, g))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_without_graph(self, data):
         names = st.sampled_from(NAMES + ("Z",))
         lines = data.draw(feature_files(st.tuples(names, names)))
-        assert_same_table(ingest.load_feature_table(lines, None),
-                          reference_load_feature_table(lines, None))
+        assert_same_table(load_quietly(lines, None), reference_load_feature_table(lines, None))
 
     def test_transitions_without_graph_are_refused(self):
         g, _ = small_graph()
@@ -700,3 +774,15 @@ class TestReadersOnUnlabelledGraphs:
         assert non_edge == 2
         assert covered.tolist() == [True, False] and x.tolist() == [3.0, 0.0]
         assert region.tolist() == ["lead", None]
+
+
+class TestReadVisual:
+    @pytest.mark.parametrize("lines, message", [
+        ([], "visual file has no header line"),
+        (["# notes\n", "\n"], "visual file has no header line"),
+        (["src\ttrg\tx_coord\ty_coord\n", "A\tB\t1\t2\n"], "visual file missing column region"),
+    ])
+    def test_a_file_without_its_header_is_a_schema_error(self, lines, message):
+        g, _ = small_graph()
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            ingest.read_visual(lines, g)

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -31,11 +31,25 @@ def toy_corpus():
 def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
     """Equal dtype and bit patterns: a last-ulp or sign-of-zero change fails."""
     return x.dtype == y.dtype and x.shape == y.shape and np.array_equal(
-        x.view(np.int64), y.view(np.int64))
+        x.view(np.uint64), y.view(np.uint64))
+
+
+def as_scipy(m: S.CSR) -> sp.csr_matrix:
+    """The scipy matrix with ``m``'s arrays, entries in ``m``'s stored order."""
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
+def same_csr(got: S.CSR, want: sp.csr_matrix) -> bool:
+    """Equal shape, equal index arrays and bit-equal data, in stored order."""
+    return (got.shape == want.shape and np.array_equal(got.indptr, want.indptr)
+            and np.array_equal(got.indices, want.indices) and same_bits(got.data, want.data))
 
 
 def reference_tfidf(corpus):
-    """Per-term tf-idf: one weight per (document, term) in dict order."""
+    """tf-idf by scipy, as ``tfidf`` computed it before: one weight per
+    (document, term) in dict order, the row norms by scipy's row sum, the
+    scaling by ``diags(scale) @ mat`` (which leaves each row in descending
+    term order)."""
     n = corpus.n_docs
     idf = np.log(n / corpus.doc_freq)
     rows, cols, vals = [], [], []
@@ -125,18 +139,18 @@ def corpus_and_graph(draw):
 class TestTfidf:
     def test_term_in_every_document_gets_zero_weight(self):
         corpus = S.build_corpus([("a", ["common", "x"]), ("b", ["common", "y"])])
-        V = S.tfidf(corpus)
+        V = as_scipy(S.tfidf(corpus))
         col = corpus.vocabulary["common"]
         assert V[:, col].toarray().max() == 0.0
 
     def test_single_document_corpus_is_zero_vector(self):
         corpus = S.build_corpus([("only", ["w1", "w2", "w1"])])
         V = S.tfidf(corpus)
-        assert V.nnz == 0
+        assert len(V.data) == len(V.indices) == 0 and V.indptr.tolist() == [0, 0]
 
     def test_three_doc_corpus_matches_formula_oracle(self):
         corpus = toy_corpus()
-        V = S.tfidf(corpus)
+        V = as_scipy(S.tfidf(corpus))
         # doc a: cat tf=2 df=1, dog tf=1 df=2
         w_cat = (1 + math.log(2)) * math.log(3 / 1)
         w_dog = (1 + math.log(1)) * math.log(3 / 2)
@@ -147,7 +161,7 @@ class TestTfidf:
 
     def test_rows_l2_normalized(self):
         corpus = toy_corpus()
-        V = S.tfidf(corpus)
+        V = as_scipy(S.tfidf(corpus))
         norms = np.sqrt(np.asarray(V.multiply(V).sum(axis=1)).ravel())
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
@@ -160,11 +174,7 @@ class TestTfidf:
     def test_bit_equal_to_per_term_reference(self, docs):
         corpus = S.build_corpus((f"d{i}", [f"w{t}" for t in tokens])
                                 for i, (tokens, _) in enumerate(docs))
-        got, want = S.tfidf(corpus), reference_tfidf(corpus)
-        assert got.shape == want.shape
-        assert same_bits(got.data, want.data)
-        assert np.array_equal(got.indices, want.indices) and got.indices.dtype == want.indices.dtype
-        assert np.array_equal(got.indptr, want.indptr) and got.indptr.dtype == want.indptr.dtype
+        assert same_csr(S.tfidf(corpus), reference_tfidf(corpus))
 
 
 def reference_projection_matrix(n_features, dim, seed):
@@ -186,15 +196,33 @@ def reference_projection_matrix(n_features, dim, seed):
     return sp.vstack(blocks, format="csr")
 
 
+def spread_corpus(n_terms: int, n_docs: int, seed: int) -> S.DocumentCorpus:
+    """Exactly ``n_terms`` terms over ``n_docs`` documents, some of them empty.
+
+    Each term lands in a random number of the non-empty documents, with
+    repeats (tf > 1); a term in every document gets weight 0.  The tokens of
+    a document are shuffled, so its terms reach the vocabulary out of order.
+    """
+    rng = np.random.default_rng(seed)
+    live = rng.choice(n_docs, size=rng.integers(1, n_docs + 1), replace=False)
+    tokens: list[list[str]] = [[] for _ in range(n_docs)]
+    for term in range(n_terms):
+        for doc in rng.choice(live, size=rng.integers(1, 2 * len(live) + 1)):
+            tokens[doc].append(f"t{term}")
+    for doc in tokens:
+        rng.shuffle(doc)
+    return S.build_corpus((f"d{i}", doc) for i, doc in enumerate(tokens))
+
+
 class TestProjection:
     def test_zero_vector_projects_to_zero(self):
-        R = S.projection_matrix(100, 32, seed=0)
+        R = as_scipy(S.projection_matrix(100, 32, seed=0))
         z = sp.csr_matrix((1, 100))
         assert np.abs(np.asarray((z @ R).todense())).max() == 0.0
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
-        R = S.projection_matrix(300, 64, seed=1)
+        R = as_scipy(S.projection_matrix(300, 64, seed=1))
         u = sp.csr_matrix(rng.random(300))
         v = sp.csr_matrix(rng.random(300))
         left = np.asarray(((u + v) @ R).todense())
@@ -219,11 +247,8 @@ class TestProjection:
     @pytest.mark.parametrize("n_features", [0, 1, 1023, 1024, 1025, 5000])
     def test_csr_arrays_equal_to_the_dense_block_reference(self, n_features, dim):
         got = S.projection_matrix(n_features, dim, seed=11)
-        want = reference_projection_matrix(n_features, dim, seed=11)
-        assert got.shape == want.shape == (n_features, dim)
-        assert np.array_equal(got.indptr, want.indptr) and got.indptr.dtype == want.indptr.dtype
-        assert np.array_equal(got.indices, want.indices) and got.indices.dtype == want.indices.dtype
-        assert same_bits(got.data, want.data)
+        assert got.shape == (n_features, dim)
+        assert same_csr(got, reference_projection_matrix(n_features, dim, seed=11))
 
     @pytest.mark.parametrize("dim", [1, 64, 512])
     def test_projected_vectors_equal_to_the_dense_block_reference(self, dim):
@@ -234,15 +259,32 @@ class TestProjection:
         )
         V = S.tfidf(corpus)
         assert V.shape[1] > S._PROJECTION_CHUNK
-        want = np.asarray((V @ reference_projection_matrix(V.shape[1], dim, 2)).todense())
-        assert np.array_equal(S.project(V, corpus, dim=dim, seed=2).matrix, want)
+        want = np.asarray((as_scipy(V) @ reference_projection_matrix(V.shape[1], dim, 2)).todense())
+        assert same_bits(S.project(V, corpus, dim=dim, seed=2).matrix, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=st.tuples(st.sampled_from([1, 2, 7, 1023, 1024, 1025]), st.integers(1, 12),
+                          st.integers(0, 2**32 - 1)),
+           dim=st.sampled_from([1, 64, 512]), seed=st.integers(0, 3),
+           block=st.sampled_from([1, 3, 256]))
+    @example(spec=(1025, 1, 0), dim=512, seed=0, block=256)  # one document: every weight is 0
+    @example(spec=(1023, 12, 1), dim=1, seed=0, block=3)
+    @example(spec=(1024, 6, 2), dim=64, seed=1, block=1)
+    def test_tfidf_and_projection_bit_equal_to_scipy(self, spec, dim, seed, block):
+        corpus = spread_corpus(*spec)
+        assert len(corpus.vocabulary) == spec[0]
+        V, want = S.tfidf(corpus), reference_tfidf(corpus)
+        assert same_csr(V, want)
+        product = np.asarray((want @ reference_projection_matrix(want.shape[1], dim, seed)).todense())
+        with mock.patch.object(S, "_PROJECT_BLOCK", block):
+            assert same_bits(S.project(V, corpus, dim=dim, seed=seed).matrix, product)
 
     def test_cosine_preserved_within_band_at_512(self):
         # exact-space cosine oracle on 100 random pairs
         rng = np.random.default_rng(3)
         D = 2000
         X = sp.random(200, D, density=0.05, random_state=7, format="csr")
-        R = S.projection_matrix(D, 512, seed=5)
+        R = as_scipy(S.projection_matrix(D, 512, seed=5))
         P = np.asarray((X @ R).todense())
         Xd = np.asarray(X.todense())
         errors = []
@@ -266,7 +308,7 @@ class TestTextSimilarity:
         corpus = S.build_corpus(
             [("a", ["x", "y"]), ("b", ["z", "w"]), ("c", ["q", "r"])]
         )
-        V = S.tfidf(corpus)
+        V = as_scipy(S.tfidf(corpus))
         assert cosine(V[0].toarray().ravel(), V[1].toarray().ravel()) == 0.0
 
     def test_projected_matches_exact_space_within_band(self):
@@ -276,7 +318,7 @@ class TestTextSimilarity:
         corpus = S.build_corpus(docs)
         V = S.tfidf(corpus)
         proj = S.project(V, corpus, dim=512, seed=2)
-        Vd = np.asarray(V.todense())
+        Vd = np.asarray(as_scipy(V).todense())
         for i, j in rng.integers(0, 40, size=(25, 2)):
             exact = max(0.0, cosine(Vd[i], Vd[j]))
             approx = text_similarity(proj, int(i), int(j))
