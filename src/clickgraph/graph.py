@@ -7,6 +7,8 @@ share across threads.
 
 from __future__ import annotations
 
+import io
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -309,62 +311,128 @@ def save_graph(g: LinkGraph, path, header_lines: Sequence[str] = ()) -> None:
             fh.write(f"{s}\t{t}\n")
 
 
+class _Snapshot:
+    """What the lines of a ``graph.tsv`` read so far declare: the per-row reader."""
+
+    def __init__(self) -> None:
+        self.n_nodes: int | None = None
+        self.n_edges: int | None = None
+        self.labels: dict[int, tuple[int, str]] = {}  # node -> (line number, name)
+        self.named: dict[str, int] = {}  # name -> node
+        self.edges: list[tuple[int, int]] = []
+        self.edge_lines: list[int] = []
+
+    def read(self, line_no: int, raw: str) -> None:
+        if raw.startswith("#"):
+            return
+        line = raw.rstrip("\n")
+        fields = line.split("\t")
+        want = 3 if fields[0] == "label" else 2
+        if len(fields) != want:
+            raise LineError(line_no, f"expected {want} tab-separated fields, got {len(fields)}")
+        try:
+            if fields[0] == "nodes":
+                self.n_nodes = int(fields[1])
+            elif fields[0] == "selfloops":
+                pass
+            elif fields[0] == "label":
+                node, name = int(fields[1]), fields[2]
+                if node in self.labels:
+                    raise LineError(line_no, f"label index {node} repeats line {self.labels[node][0]}")
+                if name in self.named:
+                    raise LineError(line_no, f"label {name!r} already names node {self.named[name]}")
+                self.labels[node] = (line_no, name)
+                self.named[name] = node
+            elif fields[0] == "edges":
+                self.n_edges = int(fields[1])
+            else:
+                self.edges.append((int(fields[0]), int(fields[1])))
+                self.edge_lines.append(line_no)
+        except ValueError:
+            raise LineError(line_no, f"non-integer field in {line!r}") from None
+
+    def graph(self, edges: np.ndarray | None = None) -> LinkGraph:
+        """The graph the lines declare, with ``edges`` (when given) as its edge list."""
+        n_nodes = self.n_nodes
+        if n_nodes is None:
+            raise MalformedInputError("snapshot missing node count")
+        found = len(self.edges) if edges is None else len(edges)
+        if self.n_edges is not None and self.n_edges != found:
+            raise MalformedInputError(f"snapshot declares {self.n_edges} edges, found {found}")
+        label_seq = None
+        if self.labels:
+            for node, (line_no, _) in self.labels.items():
+                if not 0 <= node < n_nodes:
+                    raise LineError(line_no, f"label index {node} outside [0, {n_nodes})")
+            if len(self.labels) < n_nodes:
+                missing = next(i for i in range(n_nodes) if i not in self.labels)
+                raise MalformedInputError(f"snapshot has no label for node {missing}")
+            label_seq = [self.labels[i][1] for i in range(n_nodes)]
+        if edges is None:
+            for line_no, pair in zip(self.edge_lines, self.edges):
+                for node in pair:
+                    if not 0 <= node < n_nodes:
+                        raise LineError(line_no, f"edge id {node} outside [0, {n_nodes})")
+            edges = self.edges
+        return build_graph(edges, n_nodes=n_nodes, labels=label_seq)
+
+
+def _edge_block(text: str, n_nodes: int | None) -> np.ndarray | None:
+    """The ``(src, trg)`` rows of an edge block as an int64 array, or None.
+
+    One ``np.loadtxt`` call reads them.  On ASCII text without the
+    separators U+001C to U+001F, which it alone strips as whitespace, it
+    reads a subset of what ``int`` reads (not ``1_0``, nor an id beyond
+    int64), to the same values; numpy before 2.0 also reads ``1.0``, with a
+    warning that is raised here.  (Beyond ASCII, numpy 2.4's integer parser
+    takes thousands of letters, such as U+01FE, for digits.)  None, for any
+    other block, or one whose rows are not one per line, two per row and ids
+    within ``[0, n_nodes)``, sends the block to the per-row reader.
+    """
+    if n_nodes is None or any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+        return None
+    n_lines = text.count("\n") + (not text.endswith("\n"))  # loadtxt skips blank lines
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # Non-ASCII text fails to encode, with a UnicodeEncodeError: a ValueError.
+            edges = np.loadtxt(io.BytesIO(text.encode("ascii")), dtype=np.int64, delimiter="\t",
+                               comments=None, quotechar=None, encoding="ascii", ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if edges.shape != (n_lines, 2) or (n_lines and not 0 <= edges.min() <= edges.max() < n_nodes):
+        return None
+    return edges
+
+
 def load_graph(path) -> LinkGraph:
     """Read a snapshot written by :func:`save_graph`.
 
     A line with the wrong field count or a non-integer field raises
-    :class:`LineError` naming it, as does a ``label`` line whose index lies
-    outside ``[0, nodes)`` or whose index or name an earlier line gave.  When
-    any node is labelled, a node without a label raises
-    :class:`MalformedInputError`.
+    :class:`LineError` naming it, as does an edge id or a ``label`` index
+    outside ``[0, nodes)``, or a ``label`` line whose index or name an
+    earlier line gave.  When any node is labelled, a node without a label
+    raises :class:`MalformedInputError`.
+
+    The lines up to ``edges`` go through the per-row reader; the block after
+    it is read as one array by :func:`_edge_block`, or, when that returns
+    None, by the per-row reader too, so every error and line number is the
+    per-row reader's.
     """
     with open(path, "r", encoding="utf-8") as fh:
         magic = fh.readline().rstrip("\n")
         if magic != GRAPH_MAGIC:
             raise MalformedInputError(f"not a graph snapshot (magic {magic!r})")
-        n_nodes = None
-        labels: dict[int, tuple[int, str]] = {}  # node -> (line number, name)
-        named: dict[str, int] = {}  # name -> node
-        edges: list[tuple[int, int]] = []
-        n_edges = None
+        snap = _Snapshot()
+        line_no = 1
         for line_no, raw in enumerate(fh, start=2):
-            if raw.startswith("#"):
-                continue
-            line = raw.rstrip("\n")
-            fields = line.split("\t")
-            want = 3 if fields[0] == "label" else 2
-            if len(fields) != want:
-                raise LineError(line_no, f"expected {want} tab-separated fields, got {len(fields)}")
-            try:
-                if fields[0] == "nodes":
-                    n_nodes = int(fields[1])
-                elif fields[0] == "selfloops":
-                    continue
-                elif fields[0] == "label":
-                    node, name = int(fields[1]), fields[2]
-                    if node in labels:
-                        raise LineError(line_no, f"label index {node} repeats line {labels[node][0]}")
-                    if name in named:
-                        raise LineError(line_no, f"label {name!r} already names node {named[name]}")
-                    labels[node] = (line_no, name)
-                    named[name] = node
-                elif fields[0] == "edges":
-                    n_edges = int(fields[1])
-                else:
-                    edges.append((int(fields[0]), int(fields[1])))
-            except ValueError:
-                raise LineError(line_no, f"non-integer field in {line!r}") from None
-    if n_nodes is None:
-        raise MalformedInputError("snapshot missing node count")
-    if n_edges is not None and n_edges != len(edges):
-        raise MalformedInputError(f"snapshot declares {n_edges} edges, found {len(edges)}")
-    label_seq = None
-    if labels:
-        for node, (line_no, _) in labels.items():
-            if not 0 <= node < n_nodes:
-                raise LineError(line_no, f"label index {node} outside [0, {n_nodes})")
-        if len(labels) < n_nodes:
-            missing = next(i for i in range(n_nodes) if i not in labels)
-            raise MalformedInputError(f"snapshot has no label for node {missing}")
-        label_seq = [labels[i][1] for i in range(n_nodes)]
-    return build_graph(edges, n_nodes=n_nodes, labels=label_seq)
+            snap.read(line_no, raw)
+            if snap.n_edges is not None:
+                break
+        rest = fh.read()
+    edges = None if snap.edges or not rest else _edge_block(rest, snap.n_nodes)
+    if edges is None:
+        for line_no, raw in enumerate(io.StringIO(rest), start=line_no + 1):
+            snap.read(line_no, raw)
+    del rest  # not held while the graph is built
+    return snap.graph(edges)

@@ -21,13 +21,15 @@ keeps as its reference, so its values are bit-equal to theirs.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import count, islice
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import MalformedInputError
+from .errors import LineError, MalformedInputError
 
 DEFAULT_DIM = 512
 _PROJECTION_CHUNK = 1024  # rows of the projection matrix drawn per rng call
@@ -47,11 +49,16 @@ class CSR(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class DocumentCorpus:
-    """Token counts and category sets per article, plus document frequencies."""
+    """Token counts and category sets per article, plus document frequencies.
+
+    ``counts`` holds article ``i``'s terms as vocabulary ids in
+    ``counts.indices[counts.indptr[i]:counts.indptr[i + 1]]``, in the order
+    the article first used them, with their counts in ``counts.data``.
+    """
 
     names: tuple[str, ...]
     name_to_idx: dict[str, int]
-    token_counts: tuple[dict[str, int], ...]
+    counts: CSR
     categories: tuple[frozenset[str], ...]
     vocabulary: dict[str, int]
     doc_freq: np.ndarray
@@ -61,27 +68,31 @@ class DocumentCorpus:
         return len(self.names)
 
 
-def _counts(tokens: Iterable[str]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for t in tokens:
-        counts[t] = counts.get(t, 0) + 1
-    return counts
-
-
 def build_corpus(
     token_docs: Iterable[tuple[str, Iterable[str]]],
     category_docs: Iterable[tuple[str, Iterable[str]]] | None = None,
 ) -> DocumentCorpus:
-    """Assemble a corpus from (name, tokens) pairs and optional categories."""
+    """Assemble a corpus from (name, tokens) pairs and optional categories.
+
+    Vocabulary ids are given in first-seen order.  Each article's term ids
+    and counts go straight into int64 buffers, so the corpus holds no
+    per-article Python objects.
+    """
     names: list[str] = []
     name_to_idx: dict[str, int] = {}
-    token_counts: list[dict[str, int]] = []
+    vocabulary: defaultdict[str, int] = defaultdict(count().__next__)  # a new term gets the next id
+    indptr, indices, data = array("q", [0]), array("q"), array("q")
     for name, tokens in token_docs:
         if name in name_to_idx:
             raise MalformedInputError(f"duplicate article {name!r} in corpus")
         name_to_idx[name] = len(names)
         names.append(name)
-        token_counts.append(_counts(tokens))
+        counts = Counter(tokens)
+        size = len(counts)
+        # Through np.fromiter: array.extend converts item by item, several times slower.
+        indices.frombytes(np.fromiter(map(vocabulary.__getitem__, counts), np.int64, size).tobytes())
+        data.frombytes(np.fromiter(counts.values(), np.int64, size).tobytes())
+        indptr.append(len(indices))
 
     cats: list[frozenset[str]] = [frozenset()] * len(names)
     if category_docs is not None:
@@ -91,23 +102,16 @@ def build_corpus(
                 continue  # categories for unknown articles are irrelevant
             cats[idx] = frozenset(labels)
 
-    vocabulary: dict[str, int] = {}
-    df: list[int] = []
-    for counts in token_counts:
-        for term in counts:
-            col = vocabulary.get(term)
-            if col is None:
-                vocabulary[term] = len(df)
-                df.append(1)
-            else:
-                df[col] += 1
+    n_terms = len(vocabulary)
+    ids = np.frombuffer(indices, dtype=np.int64)
     return DocumentCorpus(
         names=tuple(names),
         name_to_idx=name_to_idx,
-        token_counts=tuple(token_counts),
+        counts=CSR(np.frombuffer(indptr, dtype=np.int64), ids, np.frombuffer(data, dtype=np.int64),
+                   (len(names), n_terms)),
         categories=tuple(cats),
-        vocabulary=vocabulary,
-        doc_freq=np.asarray(df, dtype=np.int64),
+        vocabulary=dict(vocabulary),
+        doc_freq=np.bincount(ids, minlength=n_terms),
     )
 
 
@@ -115,17 +119,26 @@ def corpus_from_lines(
     token_lines: Iterable[str],
     category_lines: Iterable[str] | None = None,
 ) -> DocumentCorpus:
-    """Read ``name<TAB>token<TAB>token...`` and category files."""
+    """Read ``name<TAB>token<TAB>token...`` and category files.
 
-    def parse(lines):
-        for raw in lines:
+    Blank lines and lines with an empty name are skipped.  An article name in
+    the token file that starts with ``#`` raises :class:`LineError`, as in
+    :func:`ingest.parse_edge_list`: every artifact written later reads such a
+    line as a comment.
+    """
+
+    def parse(lines, refuse_comments):
+        for line_no, raw in enumerate(lines, start=1):
             fields = raw.rstrip("\n").split("\t")
-            if not fields or not fields[0]:
+            name = fields[0]
+            if not name:
                 continue
-            yield fields[0], [f for f in fields[1:] if f]
+            if refuse_comments and name.startswith("#"):
+                raise LineError(line_no, f"article name {name!r} starts with '#'")
+            yield name, filter(None, islice(fields, 1, None))
 
-    cats = parse(category_lines) if category_lines is not None else None
-    return build_corpus(parse(token_lines), cats)
+    cats = parse(category_lines, False) if category_lines is not None else None
+    return build_corpus(parse(token_lines, True), cats)
 
 
 def tfidf(corpus: DocumentCorpus) -> CSR:
@@ -140,14 +153,10 @@ def tfidf(corpus: DocumentCorpus) -> CSR:
     n = corpus.n_docs
     n_terms = max(len(corpus.vocabulary), 1)
     idf = np.log(n / corpus.doc_freq)
-    per_doc = np.fromiter(map(len, corpus.token_counts), dtype=np.int64, count=n)
-    total = int(per_doc.sum())
-    rows = np.repeat(np.arange(n, dtype=np.int64), per_doc)
-    terms = chain.from_iterable(corpus.token_counts)
-    cols = np.fromiter(map(corpus.vocabulary.__getitem__, terms), dtype=np.int64, count=total)
-    tf = np.fromiter(chain.from_iterable(map(dict.values, corpus.token_counts)),
-                     dtype=np.float64, count=total)
-    w = (1.0 + np.log(tf)) * idf[cols]
+    counts = corpus.counts
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(counts.indptr))
+    cols = counts.indices
+    w = (1.0 + np.log(counts.data)) * idf[cols]
     keep = w != 0.0
     rows, cols, w = rows[keep], cols[keep], w[keep]
     indptr = np.zeros(n + 1, dtype=np.int64)

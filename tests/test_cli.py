@@ -570,6 +570,43 @@ class TestGraphInput:
         assert capsys.readouterr().err == f"error: line {len(lines) + 1}: {message}\n"
 
 
+    @pytest.mark.parametrize("row, message", [
+        ("99999999999999999999\t1\n", "edge id 99999999999999999999 outside [0, 20)"),
+        ("-1\t1\n", "edge id -1 outside [0, 20)"),
+        ("1\t20\n", "edge id 20 outside [0, 20)"),
+    ], ids=["beyond_int64", "negative", "past_nodes"])
+    def test_edge_id_outside_the_nodes_names_its_line(self, toy_inputs, tmp_path, capsys, row,
+                                                      message):
+        # An id beyond int64 once ended in an OverflowError traceback and exit code 1.
+        out = tmp_path / "out"
+        assert main(["build", "--edges", toy_inputs["edges"],
+                     "--clickstream", toy_inputs["clickstream"], "--out", str(out)]) == 0
+        path = out / ARTIFACTS["graph"]
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith("edges\t"))
+        lines[at] = f"edges\t{int(lines[at].split()[1]) + 1}\n"
+        path.write_text("".join(lines) + row, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["attention", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: line {len(lines) + 1}: {message}\n"
+
+
+class TestCorpusInput:
+    def test_article_name_starting_with_hash_is_refused(self, toy_inputs, tmp_path, capsys):
+        # Read as an article, such a line moved every idf and most text_sim values.
+        out = str(tmp_path / "out")
+        assert main(["build", "--edges", toy_inputs["edges"],
+                     "--clickstream", toy_inputs["clickstream"], "--out", out]) == 0
+        corpus = tmp_path / "corpus.tsv"
+        with open(toy_inputs["corpus"], encoding="utf-8") as fh:
+            corpus.write_text("# generated corpus\tof twenty articles\n" + fh.read(), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["features", "--corpus", str(corpus), "--categories", toy_inputs["categories"],
+                     "--visual", toy_inputs["visual"], "--projection-dim", "64", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: article name '# generated corpus' starts with '#'\n")
+
+
 class TestFeatureFileInput:
     def test_own_output_as_input_is_recomputed_once(self, toy_inputs, tmp_path, capsys):
         # The first run rewrites the file its cache key hashes; the key must

@@ -2,14 +2,16 @@
 
 import importlib.util
 import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clickgraph import graph as G
-from clickgraph.errors import ConvergenceError, LineError, MalformedInputError
+from clickgraph.errors import ClickgraphError, ConvergenceError, LineError, MalformedInputError
 
 from helpers import dense_pagerank_oracle, kcore_oracle, random_graph
 
@@ -323,3 +325,119 @@ class TestSnapshot:
         path.write_text("not a snapshot\n")
         with pytest.raises(MalformedInputError):
             G.load_graph(path)
+
+    @pytest.mark.parametrize("edge, bad", [
+        ("99999999999999999999\t1", "99999999999999999999"),
+        ("-1\t1", "-1"),
+        ("1\t3", "3"),
+        ("1\t-99999999999999999999", "-99999999999999999999"),
+    ], ids=["beyond_int64", "negative", "past_nodes", "negative_beyond_int64"])
+    def test_edge_id_outside_the_nodes_names_its_line(self, tmp_path, edge, bad):
+        # An id beyond int64 once escaped from build_graph as an OverflowError,
+        # and the others were refused with no line number.
+        path = tmp_path / "graph.tsv"
+        G.save_graph(G.build_graph([(0, 1), (1, 2), (2, 0)], labels=["A", "B", "C"]), path)
+        lines = path.read_text(encoding="utf-8").replace("edges\t3\n", "edges\t4\n").splitlines(
+            keepends=True)
+        path.write_text("".join(lines) + edge + "\n", encoding="utf-8")
+        with pytest.raises(LineError) as exc:
+            G.load_graph(path)
+        assert str(exc.value) == f"line {len(lines) + 1}: edge id {bad} outside [0, 3)"
+
+    def test_saved_edge_block_is_read_as_one_array(self, tmp_path):
+        g = random_graph(40, 0.2, seed=3, labels=True)
+        path = tmp_path / "graph.tsv"
+        G.save_graph(g, path)
+        read, returned = G._edge_block, []
+
+        def recording(text, n_nodes):
+            returned.append(read(text, n_nodes))
+            return returned[-1]
+
+        with mock.patch.object(G, "_edge_block", recording):
+            g2 = G.load_graph(path)
+        assert len(returned) == 1 and returned[0].shape == (g.n_edges, 2)
+        assert G.same_structure(g, g2) and g2.labels == g.labels
+
+
+def per_row_load(path):
+    """``load_graph`` with every line through the per-row reader: its reference."""
+    with mock.patch.object(G, "_edge_block", lambda text, n_nodes: None):
+        return load_outcome(path)
+
+
+def load_outcome(path):
+    """The graph ``load_graph`` reads, as plain values, or its error's type and text."""
+    try:
+        g = G.load_graph(path)
+    except ClickgraphError as exc:
+        return type(exc), str(exc)
+    return (g.n_nodes, g.labels, g.self_loops, g.out_indptr.dtype, g.out_indptr.tolist(),
+            g.out_indices.dtype, g.out_indices.tolist())
+
+
+# Edge fields that int() and np.loadtxt may read differently, or that lie
+# outside the node range: "\u0661" is an Arabic-Indic one, U+01FE a letter
+# numpy 2.4's integer parser takes for a digit, "1.0" a value numpy 1.x reads
+# into an int column with only a DeprecationWarning.
+ODD_IDS = ["+1", " 1", "1 ", "1_0", "\u0661", "\u01fe", "1.0", "\x1c1", "1\x1d", "\x1e1", "1\x1f",
+           "\xa01", "01", "-0", "", "x", "-1", "99999999999999999999", "-99999999999999999999",
+           "9223372036854775807", "9223372036854775808"]
+
+
+@st.composite
+def snapshots(draw):
+    """A saved graph's text, its edge block perhaps changed line by line."""
+    n = draw(st.integers(0, 5))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12)) if n else []
+    labels = [f"n{i}" for i in range(n)] if draw(st.booleans()) else None
+    g = G.build_graph(pairs, n_nodes=n, labels=labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.tsv")
+        G.save_graph(g, path)
+        with open(path, encoding="utf-8") as fh:
+            head, _, block = fh.read().partition(f"edges\t{g.n_edges}\n")
+    if labels is None and draw(st.booleans()):
+        head = head.replace(f"nodes\t{n}\n", "nodes\t500\n")  # U+01FE reads as 462
+    rows = block.splitlines()
+    odd_rows = st.one_of(
+        st.tuples(st.sampled_from(ODD_IDS), st.sampled_from(ODD_IDS)).map("\t".join),
+        st.sampled_from(["# note", "#", "", " ", "1", "0\t1\t2", "0\t1\r", "0\r1", "\t",
+                         "label\t0\tz", "nodes\t9", "edges\t1"]))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(rows)))
+        if at < len(rows) and draw(st.booleans()):  # one field of a row
+            fields = rows[at].split("\t")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(ODD_IDS))
+            rows[at] = "\t".join(fields)
+        else:
+            rows.insert(at, draw(odd_rows))
+    declared = len(rows) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    ending = draw(st.sampled_from(["\n", "\n", "\r\n", ""]))
+    return head + f"edges\t{declared}\n" + "".join(row + "\n" for row in rows[:-1]) + (
+        rows[-1] + ending if rows else "")
+
+
+def snapshot(nodes: int, *rows: str) -> str:
+    """An unlabelled snapshot with these edge rows."""
+    return f"{G.GRAPH_MAGIC}\nnodes\t{nodes}\nselfloops\t0\nedges\t{len(rows)}\n" + "".join(
+        row + "\n" for row in rows)
+
+
+class TestLoadGraphMatchesPerRowReader:
+    @settings(max_examples=400, deadline=None)
+    @given(snapshots())
+    @example(snapshot(500, "0\t1", "\u01fe\t1"))
+    @example(snapshot(3, "0\t1", "\x1c1\t2"))
+    @example(snapshot(3, "0\t1", "", "1\t2"))
+    @example(snapshot(3, "0\t1", "1.0\t2"))
+    @example(snapshot(3, "0\t1", "1_0\t2"))
+    @example(snapshot(3, "0\t1", "# note", "1\t2"))
+    @example(snapshot(3, "0\t1", "99999999999999999999\t2"))
+    @example(snapshot(3))
+    def test_same_graph_or_same_error(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "graph.tsv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            assert load_outcome(path) == per_row_load(path)

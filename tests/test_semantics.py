@@ -1,6 +1,7 @@
 """tf-idf weighting, sparse random projection, and similarity features."""
 
 import math
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from clickgraph import semantics as S
 from clickgraph.graph import build_graph
-from clickgraph.errors import MalformedInputError
+from clickgraph.errors import LineError, MalformedInputError
 
 from helpers import random_graph
 
@@ -45,7 +46,41 @@ def same_csr(got: S.CSR, want: sp.csr_matrix) -> bool:
             and np.array_equal(got.indices, want.indices) and same_bits(got.data, want.data))
 
 
-def reference_tfidf(corpus):
+class ReferenceCorpus(NamedTuple):
+    names: tuple
+    vocabulary: dict
+    token_counts: tuple  # one {term: count} dict per article, terms in first-seen order
+    doc_freq: np.ndarray
+
+    @property
+    def n_docs(self) -> int:
+        return len(self.names)
+
+
+def reference_build_corpus(token_docs) -> ReferenceCorpus:
+    """The corpus as ``build_corpus`` held it before: one dict per article."""
+    names, token_counts = [], []
+    for name, tokens in token_docs:
+        counts: dict[str, int] = {}
+        for t in tokens:
+            counts[t] = counts.get(t, 0) + 1
+        names.append(name)
+        token_counts.append(counts)
+    vocabulary: dict[str, int] = {}
+    df: list[int] = []
+    for counts in token_counts:
+        for term in counts:
+            col = vocabulary.get(term)
+            if col is None:
+                vocabulary[term] = len(df)
+                df.append(1)
+            else:
+                df[col] += 1
+    return ReferenceCorpus(tuple(names), vocabulary, tuple(token_counts),
+                           np.asarray(df, dtype=np.int64))
+
+
+def reference_tfidf(corpus: ReferenceCorpus):
     """tf-idf by scipy, as ``tfidf`` computed it before: one weight per
     (document, term) in dict order, the row norms by scipy's row sum, the
     scaling by ``diags(scale) @ mat`` (which leaves each row in descending
@@ -67,6 +102,14 @@ def reference_tfidf(corpus):
     scale = np.ones(n)
     scale[norms > 0] = 1.0 / norms[norms > 0]
     return sp.diags(scale) @ mat
+
+
+def term_counts(corpus: S.DocumentCorpus, i: int) -> list[tuple[str, int]]:
+    """Article ``i``'s (term, count) pairs, in stored order."""
+    terms = list(corpus.vocabulary)
+    lo, hi = corpus.counts.indptr[i], corpus.counts.indptr[i + 1]
+    return [(terms[j], c) for j, c in zip(corpus.counts.indices[lo:hi].tolist(),
+                                          corpus.counts.data[lo:hi].tolist())]
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -136,6 +179,49 @@ def corpus_and_graph(draw):
     return corpus, g
 
 
+# Articles with repeated, empty and non-ASCII tokens, and empty articles.
+corpus_docs = st.lists(
+    st.tuples(st.text(min_size=1, max_size=3),
+              st.lists(st.sampled_from(["a", "b", "a b", "\u00e9", "\u65e5\u672c", "t1", "T1", ""])
+                       | st.text(max_size=2), max_size=10)),
+    max_size=10, unique_by=lambda doc: doc[0],
+)
+
+
+class TestBuildCorpus:
+    @settings(max_examples=200, deadline=None)
+    @given(docs=corpus_docs)
+    def test_equal_to_the_dict_reference(self, docs):
+        corpus, want = S.build_corpus(docs), reference_build_corpus(docs)
+        assert corpus.names == want.names
+        assert list(corpus.vocabulary.items()) == list(want.vocabulary.items())
+        assert corpus.doc_freq.dtype == np.int64 and np.array_equal(corpus.doc_freq, want.doc_freq)
+        assert corpus.counts.shape == (len(docs), len(want.vocabulary))
+        assert all(a.dtype == np.int64 for a in corpus.counts[:3])
+        assert [term_counts(corpus, i) for i in range(corpus.n_docs)] == [
+            list(counts.items()) for counts in want.token_counts]
+        if docs:
+            assert same_csr(S.tfidf(corpus), reference_tfidf(want))
+
+    def test_lines_skip_blank_lines_empty_names_and_empty_tokens(self):
+        corpus = S.corpus_from_lines(["a\tx\ty\n", "\n", "\tz\n", "b\tx\tx\t\ty\n"],
+                                     ["# note\tc\n", "a\tc1\n", "\n"])
+        assert corpus.names == ("a", "b")
+        assert [term_counts(corpus, i) for i in range(2)] == [[("x", 1), ("y", 1)],
+                                                              [("x", 2), ("y", 1)]]
+        assert corpus.categories == (frozenset({"c1"}), frozenset())
+
+    @pytest.mark.parametrize("lines, line_no, name", [
+        (["# generated corpus v1\n", "a\tx\n"], 1, "# generated corpus v1"),
+        (["a\tx\n", "\n", "#b\tx\ty\n"], 3, "#b"),
+    ], ids=["header_line", "name"])
+    def test_name_starting_with_hash_is_refused(self, lines, line_no, name):
+        # Read as a document, such a line moved every idf and joined the vocabulary.
+        with pytest.raises(LineError) as exc:
+            S.corpus_from_lines(lines)
+        assert str(exc.value) == f"line {line_no}: article name {name!r} starts with '#'"
+
+
 class TestTfidf:
     def test_term_in_every_document_gets_zero_weight(self):
         corpus = S.build_corpus([("a", ["common", "x"]), ("b", ["common", "y"])])
@@ -172,9 +258,8 @@ class TestTfidf:
     @settings(max_examples=150, deadline=None)
     @given(docs=documents)
     def test_bit_equal_to_per_term_reference(self, docs):
-        corpus = S.build_corpus((f"d{i}", [f"w{t}" for t in tokens])
-                                for i, (tokens, _) in enumerate(docs))
-        assert same_csr(S.tfidf(corpus), reference_tfidf(corpus))
+        docs = [(f"d{i}", [f"w{t}" for t in tokens]) for i, (tokens, _) in enumerate(docs)]
+        assert same_csr(S.tfidf(S.build_corpus(docs)), reference_tfidf(reference_build_corpus(docs)))
 
 
 def reference_projection_matrix(n_features, dim, seed):
@@ -196,7 +281,7 @@ def reference_projection_matrix(n_features, dim, seed):
     return sp.vstack(blocks, format="csr")
 
 
-def spread_corpus(n_terms: int, n_docs: int, seed: int) -> S.DocumentCorpus:
+def spread_docs(n_terms: int, n_docs: int, seed: int) -> list[tuple[str, list[str]]]:
     """Exactly ``n_terms`` terms over ``n_docs`` documents, some of them empty.
 
     Each term lands in a random number of the non-empty documents, with
@@ -211,7 +296,7 @@ def spread_corpus(n_terms: int, n_docs: int, seed: int) -> S.DocumentCorpus:
             tokens[doc].append(f"t{term}")
     for doc in tokens:
         rng.shuffle(doc)
-    return S.build_corpus((f"d{i}", doc) for i, doc in enumerate(tokens))
+    return [(f"d{i}", doc) for i, doc in enumerate(tokens)]
 
 
 class TestProjection:
@@ -271,9 +356,10 @@ class TestProjection:
     @example(spec=(1023, 12, 1), dim=1, seed=0, block=3)
     @example(spec=(1024, 6, 2), dim=64, seed=1, block=1)
     def test_tfidf_and_projection_bit_equal_to_scipy(self, spec, dim, seed, block):
-        corpus = spread_corpus(*spec)
+        docs = spread_docs(*spec)
+        corpus = S.build_corpus(docs)
         assert len(corpus.vocabulary) == spec[0]
-        V, want = S.tfidf(corpus), reference_tfidf(corpus)
+        V, want = S.tfidf(corpus), reference_tfidf(reference_build_corpus(docs))
         assert same_csr(V, want)
         product = np.asarray((want @ reference_projection_matrix(want.shape[1], dim, seed)).todense())
         with mock.patch.object(S, "_PROJECT_BLOCK", block):
