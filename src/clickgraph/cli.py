@@ -1,9 +1,10 @@
 """Pipeline orchestrator: the run config, the stage table and its driver.
 
 Every analysis stage is a subcommand writing plot-ready delimited files into
-one output directory.  One table, ``STAGES``, names each stage's body, the
-inputs its cache key hashes, the artifacts it reads and the ones it writes;
-``run_stage`` does the rest for all of them.  A body only computes: it
+one output directory.  One table, ``STAGES``, names each stage's help line,
+its body, the artifacts its cache key hashes beside its input files, the
+artifacts it reads and the ones it writes; ``run_stage`` does the rest for all
+of them.  A body only computes: it
 returns its artifacts' header notes and lines, its summary and its warnings.
 The driver alone writes into the output directory, writes every header but
 ``graph.tsv``'s (which :func:`graph.save_graph` writes) and prefixes every
@@ -15,12 +16,15 @@ loaded, so a rerun on an unchanged directory parses nothing.  Each stage body
 imports the modules it runs (numpy and the kernels), so a cache hit imports,
 beyond :mod:`clickgraph.errors`, only argparse, hashlib and json: no numpy,
 no scipy, and no dataclasses, whose ``inspect`` import alone would cost a hit
-about an eighth of its time (``RunConfig`` is a ``NamedTuple`` for that
-reason).  Flag and config-file values enter in ``load_config`` alone, which
-checks each one's type, then its range, and names each problem by the flag
-the parser spells for its field.  Nothing here parses a tab-separated
-artifact: each has one reader beside its writer, in :mod:`clickgraph.graph`
-for ``graph.tsv`` and :mod:`clickgraph.ingest` for the rest.
+about an eighth of its time (``RunConfig`` is a ``namedtuple`` for that
+reason).  A second table, ``_FIELDS``, has one row per run setting and is the
+only place where a flag, its type, range, default, help text or subcommands
+are stated: ``RunConfig``, every subparser, the flag each error names, and
+``load_config``'s checks are built from it.  Flag and config-file values
+enter in ``load_config`` alone, which checks each one's type, then its range.
+Nothing here parses a tab-separated artifact: each has one reader beside its
+writer, in :mod:`clickgraph.graph` for ``graph.tsv`` and
+:mod:`clickgraph.ingest` for the rest.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -60,29 +65,89 @@ ARTIFACTS = {
 MANIFEST = "manifest.json"
 
 
-class RunConfig(NamedTuple):
-    edges: str | None = None
-    clickstream: str | None = None
-    feature_file: str | None = None
-    corpus: str | None = None
-    categories: str | None = None
-    visual: str | None = None
-    threshold: int = 10
-    fail_fast: bool = False
-    recompute_network_features: bool = False
-    damping: float = 0.85
-    alphas: tuple[float, ...] = (0.80, 0.85, 0.90)
-    kappa_multipliers: tuple[float, ...] = (1, 2, 3, 4, 5)
-    log_spaced: bool = False
-    projection_dim: int = 512
-    projection_seed: int = 0
-    sample_size: int = 10000
-    seed: int = 0
-    xmin_degrees: int = 1
-    xmin_transitions: int = 10
-    restrict_to_viewed: bool = False
-    threads: int = 1
-    out: str = "out"
+class _Kind(NamedTuple):
+    rule: str                               # the type rule, as a config problem prints it
+    test: Callable[[object], bool]          # does a config-file value have this type?
+    parse: Callable[[str], object] | None   # the flag's argparse type; None: a store_true switch
+
+
+class _Field(NamedTuple):
+    name: str
+    default: object
+    kind: _Kind
+    stages: tuple[str, ...]   # the subcommands taking its flag; () for every subcommand
+    help: str | None
+    bound: tuple[str, Callable[[object], bool]] | None = None  # range rule as printed, its test
+    flag: str | None = None   # the flag, when it is not the name spelled with dashes
+
+
+def _numbers(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated numbers, got {text!r}") from None
+
+
+_PATH = _Kind("a string or null", lambda v: v is None or isinstance(v, str), str)
+_TEXT = _Kind("a string", lambda v: isinstance(v, str), str)
+_INT = _Kind("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int)
+_NUMBER = _Kind("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), float)
+_NUMBERS = _Kind("a list of numbers",
+                 lambda v: isinstance(v, (list, tuple)) and all(map(_NUMBER.test, v)), _numbers)
+_SWITCH = _Kind("true or false", lambda v: isinstance(v, bool), None)
+
+_AT_LEAST_0 = ("be >= 0", lambda v: v >= 0)
+
+#: One row per run setting.  The order is the order of the subcommands' flags
+#: (shared ones first) and of the problems a ConfigError lists.  A path row's
+#: stages are the stages whose cache key hashes that file.
+_FIELDS = (
+    _Field("edges", None, _PATH, ("build",), "tab-separated src/trg article-name pairs"),
+    _Field("clickstream", None, _PATH, ("build",), "referrer/resource/count transition rows"),
+    _Field("fail_fast", False, _SWITCH, ("build",), "abort on the first malformed clickstream line"),
+    _Field("feature_file", None, _PATH, ("features",),
+           "precomputed feature table to validate and pass through"),
+    _Field("corpus", None, _PATH, ("features",), "article token file (name TAB token...)"),
+    _Field("categories", None, _PATH, ("features",), "article category file (name TAB category...)"),
+    _Field("visual", None, _PATH, ("features",),
+           "per-link visual file (src trg x_coord y_coord region)"),
+    _Field("projection_dim", 512, _INT, ("features",), "tf-idf projection dimensions (default 512)",
+           ("be >= 1", lambda v: v >= 1)),
+    _Field("projection_seed", 0, _INT, ("features",), "tf-idf projection seed (default 0)",
+           _AT_LEAST_0),
+    _Field("damping", 0.85, _NUMBER, ("features",), "damping for the pagerank feature",
+           ("lie in (0, 1)", lambda v: 0 < v < 1)),
+    _Field("recompute_network_features", False, _SWITCH, ("features",),
+           "recompute network columns from the graph and report mismatches"),
+    _Field("kappa_multipliers", (1, 2, 3, 4, 5), _NUMBERS, ("hyptrails",),
+           "comma-separated multiples of the mean out-degree",
+           ("be one or more finite values > 0", lambda v: v and all(0 < k < math.inf for k in v))),
+    _Field("log_spaced", False, _SWITCH, ("hyptrails",),
+           "space the kappa grid geometrically over the same range"),
+    _Field("alphas", (0.80, 0.85, 0.90), _NUMBERS, ("pagerank",), "comma-separated damping factors",
+           ("be one or more values in (0, 1)", lambda v: v and all(0 < a < 1 for a in v))),
+    _Field("restrict_to_viewed", False, _SWITCH, ("pagerank",),
+           "correlate only over articles with at least one view", flag="--viewed-only"),
+    _Field("sample_size", 10000, _INT, ("sample",), "articles to sample (default 10000)",
+           _AT_LEAST_0),
+    _Field("xmin_degrees", 1, _INT, ("attention",), "out-degree fits' lower cutoff (default 1)"),
+    _Field("xmin_transitions", 10, _INT, ("attention",),
+           "transition-count fit's lower cutoff (default 10)"),
+    _Field("out", "out", _TEXT, (), "output directory (default: out)"),
+    _Field("seed", 0, _INT, (), "sampling seed", _AT_LEAST_0),
+    _Field("threads", 1, _INT, (), "worker threads for grid evaluations"),
+    _Field("threshold", 10, _INT, (), "minimum transition count (default 10)"),
+)
+
+#: Each field's flag, ``{field: "--option"}``; every ConfigError names a field by it.
+_OPTIONS = {f.name: f.flag or "--" + f.name.replace("_", "-") for f in _FIELDS}
+
+
+class RunConfig(namedtuple("RunConfig", [f.name for f in _FIELDS],
+                           defaults=[f.default for f in _FIELDS])):
+    """One run's settings: a field per row of ``_FIELDS``, holding its default."""
+
+    __slots__ = ()
 
     def hash(self) -> str:
         # out dir and thread count do not affect results; keep reruns into a
@@ -94,40 +159,6 @@ class RunConfig(NamedTuple):
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-_PATH = ("a string or null", lambda v: v is None or isinstance(v, str))
-_INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
-_FLAG = ("true or false", lambda v: isinstance(v, bool))
-_NUMBERS = ("a list of numbers", lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)))
-
-#: The type each RunConfig field takes from a config file: {field: (the rule as printed, test)}.
-_TYPES = {
-    **dict.fromkeys(("edges", "clickstream", "feature_file", "corpus", "categories", "visual"),
-                    _PATH),
-    **dict.fromkeys(("threshold", "projection_dim", "projection_seed", "sample_size", "seed",
-                     "xmin_degrees", "xmin_transitions", "threads"), _INT),
-    **dict.fromkeys(("fail_fast", "recompute_network_features", "log_spaced", "restrict_to_viewed"),
-                    _FLAG),
-    "damping": ("a number", _is_number),
-    "alphas": _NUMBERS,
-    "kappa_multipliers": _NUMBERS,
-    "out": ("a string", lambda v: isinstance(v, str)),
-}
-
-#: The RunConfig fields with a legal range: (field, the rule as printed, test).
-_RANGES = (
-    ("damping", "lie in (0, 1)", lambda v: 0 < v < 1),
-    ("alphas", "be one or more values in (0, 1)", lambda v: v and all(0 < a < 1 for a in v)),
-    ("kappa_multipliers", "be one or more finite values > 0",
-     lambda v: v and all(0 < k < math.inf for k in v)),
-    ("projection_dim", "be >= 1", lambda v: v >= 1),
-    *((name, "be >= 0", lambda v: v >= 0) for name in ("projection_seed", "sample_size", "seed")),
-)
-
-
 def load_config(args: argparse.Namespace) -> RunConfig:
     """Merge the optional JSON config file with command-line overrides.
 
@@ -136,13 +167,15 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     """
     values: dict = {}
     if getattr(args, "config", None):
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-            except ValueError as exc:  # invalid JSON or UTF-8
-                raise ConfigError(f"config file {args.config} is not JSON: {exc}") from None
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {args.config}") from None
+        except OSError as exc:  # a directory, or a file this user may not read
+            raise ConfigError(f"config file {args.config} cannot be read: {exc.strerror}") from None
+        except ValueError as exc:  # invalid JSON or UTF-8
+            raise ConfigError(f"config file {args.config} is not JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object, "
                               f"got {type(raw).__name__}")
@@ -154,47 +187,49 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         v = getattr(args, name, None)
         if v is not None:
             values[name] = v
-    wrong = [name for name in RunConfig._fields
-             if name in values and not _TYPES[name][1](values[name])]
-    problems = [(name, f"must be {_TYPES[name][0]}, got {values[name]!r}") for name in wrong]
-    for key in ("alphas", "kappa_multipliers"):
-        if key in values and key not in wrong:
+    problems = []
+    for f in _FIELDS:
+        if f.name not in values:
+            continue
+        v = values[f.name]
+        if not f.kind.test(v):
+            problems.append((f.name, f"must be {f.kind.rule}, got {v!r}"))
+        elif f.kind is _NUMBERS:
             try:
-                values[key] = tuple(float(x) for x in values[key])
+                values[f.name] = tuple(float(x) for x in v)
             except OverflowError:  # a config-file integer beyond the float range
-                wrong.append(key)
-                digits = max(len(str(abs(x))) for x in values[key] if isinstance(x, int))
-                problems.append((key, "must be a list of numbers within the float range, "
-                                      f"got an integer of {digits} digits"))
+                digits = max(len(str(abs(x))) for x in v if isinstance(x, int))
+                problems.append((f.name, "must be a list of numbers within the float range, "
+                                         f"got an integer of {digits} digits"))
+    wrong = {name for name, _ in problems}
     cfg = RunConfig(**values)
-    for name, rule, test in _RANGES:
-        value = getattr(cfg, name)
-        if name not in wrong and not test(value):
+    for f in _FIELDS:
+        value = getattr(cfg, f.name)
+        if f.bound and f.name not in wrong and not f.bound[1](value):
             shown = (",".join(map(str, value)) or "nothing") if isinstance(value, tuple) else value
-            problems.append((name, f"must {rule}, got {shown}"))
+            problems.append((f.name, f"must {f.bound[0]}, got {shown}"))
     if problems:
-        flags = _option_names()
-        raise ConfigError("; ".join(f"{flags[name]} {problem}" for name, problem in problems))
+        raise ConfigError("; ".join(f"{_OPTIONS[name]} {problem}" for name, problem in problems))
     return cfg
 
 
-def _option_names() -> dict[str, str]:
-    """Each RunConfig field's long option, ``{dest: "--option"}``, read from
-    the actions of every subcommand's parser."""
-    stages = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {action.dest: action.option_strings[-1]
-            for parser in stages.choices.values()
-            for action in parser._actions if action.option_strings}
-
-
-def _validate_inputs(cfg: RunConfig, required: tuple[str, ...]) -> None:
+def _validate_inputs(cfg: RunConfig, inputs: tuple[str, ...]) -> None:
+    """Refuse a required input path that is unset or missing, and any input
+    path naming a directory, before a file is hashed or read."""
+    # A precomputed feature table stands in for the files it would be computed from.
+    if cfg.feature_file and "feature_file" in inputs:
+        required = ("feature_file",)
+    else:
+        required = tuple(k for k in inputs if k != "feature_file")
     problems = []
-    for name in required:
+    for name in inputs:
         path = getattr(cfg, name)
-        if not path:
-            problems.append(f"--{name.replace('_', '-')} is required for this command")
-        elif not os.path.exists(path):
+        if name in required and not path:
+            problems.append(f"{_OPTIONS[name]} is required for this command")
+        elif name in required and not os.path.exists(path):
             problems.append(f"{name} path does not exist: {path}")
+        elif path and os.path.isdir(path):
+            problems.append(f"{_OPTIONS[name]} names a directory, not a file: {path}")
     if problems:
         raise ConfigError("; ".join(problems))
 
@@ -532,8 +567,9 @@ def _pagerank(cfg: RunConfig, g, log, table):
 
 
 class Stage(NamedTuple):
+    help: str                # the subcommand's line in `clickgraph --help`
     body: Callable[..., tuple]
-    keys: tuple[str, ...]    # what the cache key hashes: RunConfig input paths (when set), artifacts
+    keys: tuple[str, ...]    # artifacts the cache key hashes, beside the stage's path fields
     reads: tuple[str, ...]   # earlier artifacts the stage needs, checked in this order
     writes: tuple[str, ...]  # artifacts the body returns, written in this order
 
@@ -542,32 +578,30 @@ _GRAPH = ("graph", "transitions")
 _TABLE = (*_GRAPH, "features")
 
 STAGES = {
-    "build": Stage(_build, ("edges", "clickstream"), (), _GRAPH),
-    "features": Stage(_features, (*_GRAPH, "feature_file", "corpus", "categories", "visual"),
-                      _GRAPH, ("features", "features_report")),
-    "sample": Stage(_sample, _TABLE, _TABLE, ("sample",)),
-    "attention": Stage(_attention, _GRAPH, _GRAPH, ("attention_transitions", "attention_outdegree",
-                                                     "attention_gini", "attention_fits")),
-    "hurdle": Stage(_hurdle, ("features",), _TABLE, ("hurdle",)),
-    "hyptrails": Stage(_hyptrails, _TABLE, _TABLE, ("hyptrails",)),
-    "pagerank": Stage(_pagerank, _TABLE, _TABLE, ("pagerank",)),
+    "build": Stage("parse edge list + clickstream into graph artifacts", _build, (), (), _GRAPH),
+    "features": Stage("assemble the per-link feature table", _features, _GRAPH, _GRAPH,
+                      ("features", "features_report")),
+    "sample": Stage("seeded article sample of the feature table", _sample, _TABLE, _TABLE,
+                    ("sample",)),
+    "attention": Stage("concentration statistics and distribution fits", _attention, _GRAPH,
+                       _GRAPH, ("attention_transitions", "attention_outdegree", "attention_gini",
+                                "attention_fits")),
+    "hurdle": Stage("two-stage regression battery over link features", _hurdle, ("features",),
+                    _TABLE, ("hurdle",)),
+    "hyptrails": Stage("Bayesian evidence curves for navigation hypotheses", _hyptrails, _TABLE,
+                       _TABLE, ("hyptrails",)),
+    "pagerank": Stage("weighted pagerank evaluation against views", _pagerank, _TABLE, _TABLE,
+                      ("pagerank",)),
 }
 
 _PRODUCER = {artifact: name for name, stage in STAGES.items() for artifact in stage.writes}
 
 
-def _required_inputs(cfg: RunConfig, keys: tuple[str, ...]) -> tuple[str, ...]:
-    inputs = tuple(k for k in keys if k not in ARTIFACTS)
-    # A precomputed feature table stands in for the files it would be computed from.
-    if "feature_file" in inputs and cfg.feature_file:
-        return ("feature_file",)
-    return tuple(k for k in inputs if k != "feature_file")
-
-
 def run_stage(name: str, cfg: RunConfig) -> int:
     """Run one stage, or report a cache hit without loading any input.
 
-    The cache key hashes the config and the files in ``STAGES[name].keys``.
+    The cache key hashes the config, the artifacts in ``STAGES[name].keys``
+    and the input files of the path fields whose rows name the stage.
     On a miss, a stage that reads earlier artifacts gets graph and log (and
     the feature table if it reads one); every artifact the body returns is
     written atomically under this stage's header, then the key is recorded in
@@ -575,13 +609,16 @@ def run_stage(name: str, cfg: RunConfig) -> int:
     stage's name.
     """
     stage = STAGES[name]
+    if os.path.exists(cfg.out) and not os.path.isdir(cfg.out):
+        raise ConfigError(f"{_OPTIONS['out']} names a file, not a directory: {cfg.out}")
     for artifact in stage.reads:
         if not os.path.exists(_artifact_path(cfg, artifact)):
             raise DependencyError(f"missing {ARTIFACTS[artifact]} in {cfg.out}; "
                                   f"run `clickgraph {_PRODUCER[artifact]}` first")
-    _validate_inputs(cfg, _required_inputs(cfg, stage.keys))
+    inputs = tuple(f.name for f in _FIELDS if f.kind is _PATH and name in f.stages)
+    _validate_inputs(cfg, inputs)
     manifest = _load_manifest(cfg.out)
-    files = _key_files(cfg, stage.keys)
+    files = _key_files(cfg, stage.keys + inputs)
     key = {"config": cfg.hash(), "inputs": {n: _sha256(p) for n, p in files.items()}}
     entry = manifest["stages"].get(name)
     if entry is not None and entry.get("key") == key and all(
@@ -626,70 +663,25 @@ def run_stage(name: str, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--out", help="output directory (default: out)")
-    p.add_argument("--seed", type=int, help="sampling seed")
-    p.add_argument("--threads", type=int, help="worker threads for grid evaluations")
-    p.add_argument("--threshold", type=int, help="minimum transition count (default 10)")
-
-
-def _csv_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # One `error:` line and exit code 2, as for a value load_config refuses.
+        self.exit(2, f"error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clickgraph",
         description="Link-success analytics over a link graph and click transitions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build", help="parse edge list + clickstream into graph artifacts")
-    _add_common(p)
-    p.add_argument("--edges", help="tab-separated src/trg article-name pairs")
-    p.add_argument("--clickstream", help="referrer/resource/count transition rows")
-    p.add_argument("--fail-fast", action="store_true", dest="fail_fast", default=None,
-                   help="abort on the first malformed clickstream line")
-
-    p = sub.add_parser("features", help="assemble the per-link feature table")
-    _add_common(p)
-    p.add_argument("--feature-file", dest="feature_file",
-                   help="precomputed feature table to validate and pass through")
-    p.add_argument("--corpus", help="article token file (name TAB token...)")
-    p.add_argument("--categories", help="article category file (name TAB category...)")
-    p.add_argument("--visual", help="per-link visual file (src trg x_coord y_coord region)")
-    p.add_argument("--projection-dim", dest="projection_dim", type=int)
-    p.add_argument("--projection-seed", dest="projection_seed", type=int)
-    p.add_argument("--damping", type=float, help="damping for the pagerank feature")
-    p.add_argument("--recompute-network-features", dest="recompute_network_features",
-                   action="store_true", default=None,
-                   help="recompute network columns from the graph and report mismatches")
-
-    p = sub.add_parser("sample", help="seeded article sample of the feature table")
-    _add_common(p)
-    p.add_argument("--sample-size", dest="sample_size", type=int)
-
-    p = sub.add_parser("attention", help="concentration statistics and distribution fits")
-    _add_common(p)
-    p.add_argument("--xmin-degrees", dest="xmin_degrees", type=int)
-    p.add_argument("--xmin-transitions", dest="xmin_transitions", type=int)
-
-    p = sub.add_parser("hurdle", help="two-stage regression battery over link features")
-    _add_common(p)
-
-    p = sub.add_parser("hyptrails", help="Bayesian evidence curves for navigation hypotheses")
-    _add_common(p)
-    p.add_argument("--kappa-multipliers", dest="kappa_multipliers", type=_csv_floats,
-                   help="comma-separated multiples of the mean out-degree")
-    p.add_argument("--log-spaced", dest="log_spaced", action="store_true", default=None)
-
-    p = sub.add_parser("pagerank", help="weighted pagerank evaluation against views")
-    _add_common(p)
-    p.add_argument("--alphas", type=_csv_floats, help="comma-separated damping factors")
-    p.add_argument("--viewed-only", dest="restrict_to_viewed", action="store_true", default=None,
-                   help="correlate only over articles with at least one view")
-
+    for name, stage in STAGES.items():
+        p = sub.add_parser(name, help=stage.help)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        for f in sorted(_FIELDS, key=lambda f: bool(f.stages)):  # the shared flags first
+            if name in f.stages or not f.stages:
+                how = {"type": f.kind.parse} if f.kind.parse else {"action": "store_true"}
+                p.add_argument(_OPTIONS[f.name], dest=f.name, default=None, help=f.help, **how)
     return parser
 
 

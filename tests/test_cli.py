@@ -1,5 +1,6 @@
 """Pipeline orchestration: stage wiring, caching, determinism, dependency errors."""
 
+import argparse
 import filecmp
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from clickgraph import __version__, cli, graph, ingest
 from clickgraph import attention as A
 from clickgraph.cli import ARTIFACTS, MANIFEST, build_parser, load_config, main
+from clickgraph.errors import ConfigError
 
 from helpers import LEGAL_NAMES, discrete_power_law_sample, run_fresh
 
@@ -38,6 +40,67 @@ for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy", "dataclasses", "inspect")))
 """
+
+
+def _subcommands() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, action.choices
+
+
+class TestOptions:
+    SHARED = [
+        ("--help", "help", "show this help message and exit"),
+        ("--config", "config", "JSON config file; flags override its values"),
+        ("--out", "out", "output directory (default: out)"),
+        ("--seed", "seed", "sampling seed"),
+        ("--threads", "threads", "worker threads for grid evaluations"),
+        ("--threshold", "threshold", "minimum transition count (default 10)"),
+    ]
+    OWN = {
+        "build": [
+            ("--edges", "edges", "tab-separated src/trg article-name pairs"),
+            ("--clickstream", "clickstream", "referrer/resource/count transition rows"),
+            ("--fail-fast", "fail_fast", "abort on the first malformed clickstream line"),
+        ],
+        "features": [
+            ("--feature-file", "feature_file",
+             "precomputed feature table to validate and pass through"),
+            ("--corpus", "corpus", "article token file (name TAB token...)"),
+            ("--categories", "categories", "article category file (name TAB category...)"),
+            ("--visual", "visual", "per-link visual file (src trg x_coord y_coord region)"),
+            ("--projection-dim", "projection_dim", "tf-idf projection dimensions (default 512)"),
+            ("--projection-seed", "projection_seed", "tf-idf projection seed (default 0)"),
+            ("--damping", "damping", "damping for the pagerank feature"),
+            ("--recompute-network-features", "recompute_network_features",
+             "recompute network columns from the graph and report mismatches"),
+        ],
+        "sample": [("--sample-size", "sample_size", "articles to sample (default 10000)")],
+        "attention": [
+            ("--xmin-degrees", "xmin_degrees", "out-degree fits' lower cutoff (default 1)"),
+            ("--xmin-transitions", "xmin_transitions",
+             "transition-count fit's lower cutoff (default 10)"),
+        ],
+        "hurdle": [],
+        "hyptrails": [
+            ("--kappa-multipliers", "kappa_multipliers",
+             "comma-separated multiples of the mean out-degree"),
+            ("--log-spaced", "log_spaced", "space the kappa grid geometrically over the same range"),
+        ],
+        "pagerank": [
+            ("--alphas", "alphas", "comma-separated damping factors"),
+            ("--viewed-only", "restrict_to_viewed",
+             "correlate only over articles with at least one view"),
+        ],
+    }
+
+    def test_each_subcommand_has_these_options_in_this_order(self):
+        # The shared flags come first; `--help` prints them in this order.
+        _, subcommands = _subcommands()
+        assert list(subcommands) == list(self.OWN)
+        for name, sub in subcommands.items():
+            options = [(a.option_strings[-1], a.dest, a.help) for a in sub._actions]
+            assert options == self.SHARED + self.OWN[name], name
 
 
 class TestImports:
@@ -231,6 +294,37 @@ class TestDependencies:
         assert "edges" in err and "clickstream" in err
 
 
+class TestPathsRefusedBeforeReading:
+    def test_input_path_that_is_a_directory_is_refused(self, toy_inputs, tmp_path, capsys):
+        # _sha256 once met the directory with an IsADirectoryError traceback.
+        out = tmp_path / "out"
+        assert main(["build", "--edges", str(tmp_path), "--clickstream", toy_inputs["clickstream"],
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --edges names a directory, not a file: {tmp_path}\n")
+        assert not out.exists()
+        assert main(["build", "--edges", toy_inputs["edges"], "--clickstream",
+                     toy_inputs["clickstream"], "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(["features", "--corpus", str(tmp_path), "--categories", toy_inputs["categories"],
+                     "--visual", toy_inputs["visual"], "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --corpus names a directory, not a file: {tmp_path}\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("stage", ["build", "attention"])
+    def test_out_that_is_a_file_is_refused(self, toy_inputs, tmp_path, capsys, stage):
+        # build once parsed every input and died in _atomic_write with a
+        # FileExistsError traceback; a later stage read "missing graph.tsv in FILE".
+        out = tmp_path / "out.txt"
+        out.write_text("kept\n")
+        inputs = ["--edges", toy_inputs["edges"], "--clickstream", toy_inputs["clickstream"]]
+        assert main([stage, *(inputs if stage == "build" else []), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: --out names a file, not a directory: {out}\n")
+        assert out.read_text() == "kept\n"
+
+
 class TestConfigRanges:
     @pytest.mark.parametrize("argv, problem", [
         (["features", "--damping", "1.5"], "--damping must lie in (0, 1), got 1.5"),
@@ -306,11 +400,47 @@ class TestConfigRanges:
         assert capsys.readouterr() == ("", f"error: {problem}\n")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    def test_every_field_has_a_type_rule(self):
-        assert set(cli._TYPES) == set(cli.RunConfig._fields)
+    # A legal flag value of each field kind, by the kind's type rule, and the
+    # value it gives the field; a switch takes no value.
+    FLAG_VALUES = {
+        "a string or null": ("p.tsv", "p.tsv"),
+        "a string": ("o", "o"),
+        "an integer": ("3", 3),
+        "a number": ("0.5", 0.5),
+        "a list of numbers": ("0.25,0.5", (0.25, 0.5)),
+        "true or false": (None, True),
+    }
 
-    def test_every_field_is_named_by_its_own_option(self):
-        assert set(cli.RunConfig._fields) <= set(cli._option_names())
+    def test_each_field_is_set_and_named_by_its_own_flag(self, tmp_path):
+        parser, subcommands = _subcommands()
+        cfg_path = tmp_path / "run.json"
+        assert [f.name for f in cli._FIELDS] == list(cli.RunConfig._fields)
+        for field in cli._FIELDS:
+            stages = field.stages or tuple(subcommands)
+            options = {name: {a.dest: a.option_strings[-1] for a in sub._actions}
+                       for name, sub in subcommands.items()}
+            assert [s for s in subcommands if field.name in options[s]] == list(stages)
+            text, value = self.FLAG_VALUES[field.kind.rule]
+            cfg_path.write_text(json.dumps({field.name: {}}))
+            for stage in stages:
+                option = options[stage][field.name]
+                args = parser.parse_args([stage, option, *([text] if text else [])])
+                assert getattr(load_config(args), field.name) == value
+                with pytest.raises(ConfigError) as refused:
+                    load_config(parser.parse_args([stage, "--config", str(cfg_path)]))
+                assert str(refused.value) == f"{option} must be {field.kind.rule}, got {{}}"
+
+    @pytest.mark.parametrize("argv, numbers", [
+        (["pagerank", "--alphas"], "x"),
+        (["hyptrails", "--kappa-multipliers"], "1,,2"),
+    ])
+    def test_flag_that_is_not_a_number_list_is_one_error_line(self, capsys, argv, numbers):
+        # The message once read "invalid _csv_floats value: 'x'" under a usage block.
+        with pytest.raises(SystemExit) as stopped:
+            main([*argv, numbers, "--out", "o"])
+        assert stopped.value.code == 2
+        assert capsys.readouterr() == (
+            "", f"error: argument {argv[1]}: must be comma-separated numbers, got {numbers!r}\n")
 
     @pytest.mark.parametrize("values, argv, digest", [
         ({}, [], "d7c496cb744f8900"),
@@ -364,6 +494,12 @@ class TestConfigFile:
         assert main(["pagerank", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr() == ("", f"error: config file {cfg_path} {problem}\n")
         assert not (tmp_path / "o").exists()
+
+    def test_config_path_that_is_a_directory_is_refused(self, tmp_path, capsys):
+        # It once ended in an IsADirectoryError traceback and exit code 1.
+        assert main(["pagerank", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: config file {tmp_path} cannot be read: Is a directory\n")
 
     def test_unknown_config_keys_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
