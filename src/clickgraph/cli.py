@@ -2,28 +2,34 @@
 
 Every analysis stage is a subcommand writing plot-ready delimited files into
 one output directory.  One table, ``STAGES``, names each stage's help line,
-its body, the artifacts its cache key hashes beside its input files, the
-artifacts it reads and the ones it writes; ``run_stage`` does the rest for all
-of them.  A body only computes: it
-returns its artifacts' header notes and lines, its summary and its warnings.
-The driver alone writes into the output directory, writes every header but
-``graph.tsv``'s (which :func:`graph.save_graph` writes) and prefixes every
-printed line with the stage name.  Writes are atomic (temp file + rename), a
-manifest records config and input hashes so unchanged reruns are skipped (it
-is the only cache), and every output starts with a header naming the tool
-version, config hash, and seeds.  The cache is checked before any input is
-loaded, so a rerun on an unchanged directory parses nothing.  Each stage body
-imports the modules it runs (numpy and the kernels), so a cache hit imports,
-beyond :mod:`clickgraph.errors`, only argparse, hashlib and json: no numpy,
-no scipy, and no dataclasses, whose ``inspect`` import alone would cost a hit
-about an eighth of its time (``RunConfig`` is a ``namedtuple`` for that
-reason).  A second table, ``_FIELDS``, has one row per run setting and is the
-only place where a flag, its type, range, default, help text or subcommands
-are stated: ``RunConfig``, every subparser, the flag each error names, and
-``load_config``'s checks are built from it.  Flag and config-file values
-enter in ``load_config`` alone, which checks each one's type, then its range.
-Nothing here parses a tab-separated artifact: each has one reader beside its
-writer, in :mod:`clickgraph.graph` for ``graph.tsv`` and
+the artifacts its cache key hashes beside its input files, the artifacts it
+reads and the ones it writes; ``run_stage`` does the rest for all of them.
+A stage's body is the function named after it in :mod:`clickgraph.stages`.
+A body only computes: it returns its artifacts' header notes and lines, its
+summary and its warnings.  The driver alone writes into the output directory,
+writes every header but ``graph.tsv``'s (which :func:`graph.save_graph`
+writes) and prefixes every printed line with the stage name.  Writes are
+atomic (temp file + rename), a manifest records config and input hashes so
+unchanged reruns are skipped (it is the only cache), and every output starts
+with a header naming the tool version, config hash, and seeds.  The cache is
+checked before any input is loaded, so a rerun on an unchanged directory
+parses nothing.
+
+A cache hit compiles and runs no stage body: :mod:`clickgraph.stages` and
+the kernels are imported on a miss alone, and ``main`` builds the subparser of
+the one stage it runs.  So a hit imports, beyond :mod:`clickgraph.errors`,
+only argparse, hashlib and json: no numpy, no scipy, no ``typing`` and no
+dataclasses (whose ``inspect`` import alone would cost a hit about an eighth
+of its time); ``RunConfig`` and the tables' rows are plain namedtuples for
+that reason.  The split into two modules matters where bytecode is not cached
+(``PYTHONDONTWRITEBYTECODE``, a read-only install): there every process
+compiles each module it imports.  A second table, ``_FIELDS``, has one row per
+run setting and is the only place where a flag, its type, range, default,
+help text or subcommands are stated: ``RunConfig``, every subparser, the flag
+each error names, and ``load_config``'s checks are built from it.  Flag and
+config-file values enter in ``load_config`` alone, which checks each one's
+type, then its range.  Nothing here parses a tab-separated artifact: each has
+one reader beside its writer, in :mod:`clickgraph.graph` for ``graph.tsv`` and
 :mod:`clickgraph.ingest` for the rest.
 """
 
@@ -36,16 +42,9 @@ import math
 import os
 import sys
 from collections import namedtuple
-from typing import Callable, NamedTuple
 
 from . import __version__
-from .errors import (
-    ClickgraphError,
-    ConfigError,
-    DegenerateInputError,
-    DependencyError,
-    InsufficientDataError,
-)
+from .errors import ClickgraphError, ConfigError, DependencyError
 
 ARTIFACTS = {
     "graph": "graph.tsv",
@@ -65,20 +64,15 @@ ARTIFACTS = {
 MANIFEST = "manifest.json"
 
 
-class _Kind(NamedTuple):
-    rule: str                               # the type rule, as a config problem prints it
-    test: Callable[[object], bool]          # does a config-file value have this type?
-    parse: Callable[[str], object] | None   # the flag's argparse type; None: a store_true switch
+#: A value type.  ``rule``: the type rule, as a config problem prints it;
+#: ``test``: does a config-file value have this type?  ``parse``: the flag's
+#: argparse type, or None for a store_true switch.
+_Kind = namedtuple("_Kind", "rule test parse")
 
-
-class _Field(NamedTuple):
-    name: str
-    default: object
-    kind: _Kind
-    stages: tuple[str, ...]   # the subcommands taking its flag; () for every subcommand
-    help: str | None
-    bound: tuple[str, Callable[[object], bool]] | None = None  # range rule as printed, its test
-    flag: str | None = None   # the flag, when it is not the name spelled with dashes
+#: A run setting.  ``stages``: the subcommands taking its flag, () for every
+#: subcommand; ``bound``: (its range rule as printed, the rule's test) or None;
+#: ``flag``: the flag, when it is not the name spelled with dashes.
+_Field = namedtuple("_Field", "name default kind stages help bound flag", defaults=(None, None))
 
 
 def _numbers(text: str) -> tuple[float, ...]:
@@ -215,7 +209,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 def _validate_inputs(cfg: RunConfig, inputs: tuple[str, ...]) -> None:
     """Refuse a required input path that is unset or missing, and any input
-    path naming a directory, before a file is hashed or read."""
+    path naming a directory, a pipe or a device, before a file is hashed or
+    read: hashing would drain a pipe before the stage reads it."""
     # A precomputed feature table stands in for the files it would be computed from.
     if cfg.feature_file and "feature_file" in inputs:
         required = ("feature_file",)
@@ -230,6 +225,8 @@ def _validate_inputs(cfg: RunConfig, inputs: tuple[str, ...]) -> None:
             problems.append(f"{name} path does not exist: {path}")
         elif path and os.path.isdir(path):
             problems.append(f"{_OPTIONS[name]} names a directory, not a file: {path}")
+        elif path and os.path.exists(path) and not os.path.isfile(path):
+            problems.append(f"{_OPTIONS[name]} is not a regular file: {path}")
     if problems:
         raise ConfigError("; ".join(problems))
 
@@ -268,29 +265,6 @@ def _header(cfg: RunConfig, stage: str, notes: tuple[str, ...]) -> list[str]:
     ]
 
 
-def _fmt(x) -> str:
-    import numpy as np
-
-    if isinstance(x, str):
-        return x
-    if x is None:
-        return "NA"
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    v = float(x)
-    if math.isnan(v):
-        return "NA"
-    return repr(v)
-
-
-def _table(columns, rows) -> list[str]:
-    """A stage table's lines: the space-separated ``columns`` as its column
-    line, then each row's cells through ``_fmt``."""
-    return ["\t".join(columns.split()) + "\n", *("\t".join(map(_fmt, row)) + "\n" for row in rows)]
-
-
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -326,275 +300,45 @@ def _key_files(cfg: RunConfig, keys: tuple[str, ...]) -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Stage bodies.  Each returns ({artifact: content}, summary, *stderr lines);
-# a content is (header notes, lines), or for graph.tsv a function writing the
-# file at the path it is given.  Only ``run_stage`` writes header lines and
-# `<stage>:` prefixes; the analysis stages' tables go through ``_table``.
-# ---------------------------------------------------------------------------
-
-
-def _build(cfg: RunConfig):
-    from . import graph as graphmod, ingest
-
-    with open(cfg.edges, "r", encoding="utf-8") as fh:
-        edges, name_to_id = ingest.parse_edge_list(fh)
-    g = graphmod.build_graph(edges, labels=list(name_to_id))  # ids follow first-seen order
-
-    with open(cfg.clickstream, "r", encoding="utf-8") as fh:
-        log, stats = ingest.parse_clickstream(
-            fh, name_to_id, g, threshold=cfg.threshold, fail_fast=cfg.fail_fast
-        )
-
-    graph_notes = [f"clickgraph {__version__}", f"stage=build config={cfg.hash()} seed={cfg.seed}"]
-    stat_notes = (
-        f"threshold={cfg.threshold}",
-        f"lines={stats.lines} malformed={stats.malformed} external={stats.external} "
-        f"non_edge={stats.non_edge} below_threshold_pairs={stats.below_threshold_pairs}",
-        f"kept_pairs={stats.kept_pairs} kept_transitions={stats.kept_count}",
-    )
-    outputs = {
-        "graph": lambda path: graphmod.save_graph(g, path, header_lines=graph_notes),
-        "transitions": (stat_notes, ingest.transition_lines(log, g.labels)),
-    }
-    summary = (f"{g.n_nodes} articles, {g.n_edges} links ({g.self_loops} self-loops); "
-               f"kept {stats.kept_pairs} transition pairs")
-    if stats.malformed:
-        return outputs, summary, f"skipped {stats.malformed} malformed lines"
-    return outputs, summary
-
-
-def _features(cfg: RunConfig, g, log):
-    from . import ingest, semantics as semmod
-
-    if cfg.feature_file:
-        with open(cfg.feature_file, "r", encoding="utf-8") as fh:
-            table, report = ingest.load_feature_table(
-                fh, g, log, recompute_network=cfg.recompute_network_features)
-        report_lines = [f"rows_read={report.rows_read} rows_kept={report.rows_kept}\n"]
-        for line_no, s, t, reason in report.rejected:
-            report_lines.append(f"rejected line {line_no} ({s} -> {t}): {reason}\n")
-        if report.rejected_count > len(report.rejected):
-            report_lines.append(
-                f"… and {report.rejected_count - len(report.rejected)} more rejected lines\n")
-        for col, (mism, maxdiff) in sorted(report.consistency.items()):
-            report_lines.append(f"consistency {col}: {mism} mismatches, max abs diff {maxdiff:.3e}\n")
-        notes = (f"source=feature_file rows={len(table)}",)
-    else:
-        with open(cfg.corpus, "r", encoding="utf-8") as tok_fh, \
-                open(cfg.categories, "r", encoding="utf-8") as cat_fh:
-            corpus = semmod.corpus_from_lines(tok_fh, cat_fh)
-        proj = semmod.project(semmod.tfidf(corpus), corpus,
-                              dim=cfg.projection_dim, seed=cfg.projection_seed)
-        text_sim, topic_sim, missing = semmod.edge_similarities(g, proj, corpus)
-        with open(cfg.visual, "r", encoding="utf-8") as fh:
-            x, y, region, covered, non_edge = ingest.read_visual(fh, g)
-        table = ingest.build_feature_table(
-            g, log, text_sim, topic_sim, x, y, region, covered=covered, alpha=cfg.damping
-        )
-        report_lines = [f"edges_without_corpus_article={missing}\n",
-                        f"visual_rows_not_edges={non_edge}\n",
-                        f"edges_without_visual_row={int((~covered).sum())}\n"]
-        notes = (f"source=computed projection_dim={cfg.projection_dim} damping={cfg.damping}",
-                 f"rows={len(table)}")
-    outputs = {"features": (notes, ingest.feature_table_lines(table)),
-               "features_report": ((), report_lines)}
-    return outputs, f"{len(table)} link records written"
-
-
-def _sample(cfg: RunConfig, g, log, table):
-    import numpy as np
-    from . import ingest
-
-    eligible = np.unique(log.src)  # sources with at least one outgoing transition
-    if cfg.sample_size > len(eligible):
-        raise ClickgraphError(
-            f"sample size {cfg.sample_size} exceeds the {len(eligible)} eligible articles")
-    rng = np.random.default_rng(cfg.seed)
-    chosen = rng.choice(eligible, size=cfg.sample_size, replace=False)
-    in_sample = np.isin(table.src, chosen)
-    sub = ingest.LinkFeatureTable(src=table.src[in_sample], trg=table.trg[in_sample],
-                                  data={k: v[in_sample] for k, v in table.data.items()},
-                                  labels=table.labels)
-    notes = (f"sample_size={cfg.sample_size} eligible={len(eligible)} rows={len(sub)}",)
-    outputs = {"sample": (notes, ingest.feature_table_lines(sub))}
-    return outputs, f"{cfg.sample_size} articles, {len(sub)} link records"
-
-
-def _attention(cfg: RunConfig, g, log):
-    import numpy as np
-    from . import attention as attmod
-
-    outputs = {}
-    hist, conc = attmod.transition_histogram(log)
-    outputs["attention_transitions"] = (
-        (f"total_transitions={conc.total_transitions} "
-         f"half_mass_links={_fmt(conc.top_k)} half_mass_share={_fmt(conc.top_share)}",),
-        _table("count frequency", sorted(hist.items())),
-    )
-
-    wiki, trans = attmod.outdegree_comparison(g, log)
-    outputs["attention_outdegree"] = (
-        (f"restriction={wiki.restriction}",),
-        _table("network out_degree frequency", [(dist.source, d, f) for dist in (wiki, trans)
-                                                for d, f in sorted(dist.histogram.items())]),
-    )
-
-    ginis, skipped = attmod.per_article_gini(g, log)
-    bins = np.linspace(0.0, 1.0, 21)
-    freq, _ = np.histogram(ginis, bins=bins)
-    outputs["attention_gini"] = (
-        (f"articles={len(ginis)} excluded_all_zero={skipped}",),
-        _table("bin_lo bin_hi frequency", zip(bins[:-1], bins[1:], freq)),
-    )
-
-    wiki_out = g.out_degrees()
-    trans_out = np.bincount(log.src, minlength=g.n_nodes) if len(log) else np.zeros(g.n_nodes, dtype=np.int64)
-    shared = trans_out > 0
-    sections = (
-        ("wiki_out_degrees", wiki_out[shared], cfg.xmin_degrees),
-        ("trans_out_degrees", trans_out[shared], cfg.xmin_degrees),
-        ("transition_counts", log.count, cfg.xmin_transitions),
-    )
-    lines = []
-    for name, samples, xmin in sections:
-        lines.append(f"[{name}] xmin={xmin}\n")
-        try:
-            rep = attmod.fit_distributions(samples, xmin=xmin)
-        except (InsufficientDataError, DegenerateInputError) as exc:
-            lines.append(f"  unavailable: {exc}\n")
-            continue
-        lines.append(f"  winner: {rep.winner} (n_tail={rep.n_tail})\n")
-        for fam in attmod.FAMILIES:
-            fit = rep.fits[fam]
-            if not fit.converged:
-                lines.append(f"  {fam}: failed ({fit.message})\n")
-                continue
-            pars = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(fit.params.items()))
-            lines.append(
-                f"  {fam}: {pars} loglik={_fmt(fit.loglik)} aic={_fmt(fit.aic)} "
-                f"delta_aic={_fmt(rep.delta_aic[fam])}\n"
-            )
-    outputs["attention_fits"] = (
-        ("model selection: AIC (2k - 2 lnL), smallest wins; xmin fixed per section, not searched",),
-        lines,
-    )
-    return outputs, f"{len(ginis)} article Gini values, {skipped} excluded"
-
-
-def _hurdle(cfg: RunConfig, g, log, table):
-    from . import hurdle as hurdlemod
-
-    rows = hurdlemod.feature_battery(table, threshold=cfg.threshold)
-    notes = (f"threshold={cfg.threshold} rows={len(table)}",
-             "fixed-effects fits; one feature per model vs intercept-only, LRT chi-square p-values")
-    lines = _table(
-        "feature transformation binomial_coef binomial_lrt binomial_p binomial_error "
-        "ztnb_coef ztnb_lrt ztnb_p ztnb_error",
-        [(r.feature, r.transformation, r.binomial_coef, r.binomial_lrt, r.binomial_p,
-          r.binomial_error or "-", r.ztnb_coef, r.ztnb_lrt, r.ztnb_p, r.ztnb_error or "-")
-         for r in rows],
-    )
-    binomial = sum(r.binomial_coef is not None for r in rows)
-    ztnb = sum(r.ztnb_coef is not None for r in rows)
-    return {"hurdle": (notes, lines)}, f"{binomial}/{len(rows)} binomial, {ztnb}/{len(rows)} ztnb fits"
-
-
-def _build_hypotheses(cfg: RunConfig, g, table) -> list:
-    import numpy as np
-    from . import evidence as evmod, graph as graphmod
-
-    cores = graphmod.kcore(g)
-    text = table.edge_values(g, "text_sim", fill=np.nan)
-    regions = table.edge_values(g, "region", fill=None)
-    singles = [
-        evmod.kcore_hypothesis(g, cores),
-        evmod.textsim_hypothesis(g, np.asarray(text, dtype=np.float64)),
-        evmod.visual_hypothesis(g, regions),
-    ]
-    by_name = {h.name: h for h in singles}
-    combos = [
-        evmod.combine([by_name["kcore"], by_name["text_sim"]]),
-        evmod.combine([by_name["kcore"], by_name["visual"]]),
-        evmod.combine([by_name["text_sim"], by_name["visual"]]),
-        evmod.combine([by_name["kcore"], by_name["text_sim"], by_name["visual"]]),
-    ]
-    return singles + combos
-
-
-def _hyptrails(cfg: RunConfig, g, log, table):
-    from . import evidence as evmod
-
-    baseline = evmod.structural_hypothesis(g)
-    hyps = _build_hypotheses(cfg, g, table)
-    grid = evmod.default_kappa_grid(g, cfg.kappa_multipliers, log_spaced=cfg.log_spaced)
-    curves = evmod.bayes_factor_curve(hyps, baseline, log, grid)
-    base_curve = evmod.bayes_factor_curve([baseline], baseline, log, grid)[0]
-
-    notes = (f"kappa_grid={','.join(_fmt(k) for k in grid)}",
-             f"smoothing=structural matrix, weight {evmod.SMOOTHING_WEIGHT}",
-             "bayes_factor in log units vs structural baseline")
-    lines = _table(
-        "hypothesis kappa log_evidence log_bayes_factor verdict",
-        [(c.hypothesis, k, c.log_evidence[i], c.log_bayes_factor[i], c.verdicts[i])
-         for c in [base_curve] + curves for i, k in enumerate(c.kappas)],
-    )
-    best = max(curves, key=lambda c: c.log_bayes_factor[-1])
-    return ({"hyptrails": (notes, lines)},
-            f"{len(curves)} hypotheses; best at largest kappa: {best.hypothesis}")
-
-
-def _pagerank(cfg: RunConfig, g, log, table):
-    from . import ranking as rankmod
-
-    hyps = _build_hypotheses(cfg, g, table)
-    evals = rankmod.evaluate_all(g, hyps, log, alphas=cfg.alphas,
-                                 restrict_to_viewed=cfg.restrict_to_viewed, threads=cfg.threads)
-    notes = (f"alphas={','.join(_fmt(a) for a in cfg.alphas)} "
-             f"universe={'viewed articles' if cfg.restrict_to_viewed else 'all articles'}",
-             "steiger_p is one-tailed for weighted rho > baseline rho")
-    lines = _table(
-        "hypothesis alpha rho p steiger_z steiger_p improved",
-        [(r.hypothesis, r.alpha, r.rho, r.p, r.steiger_z, r.steiger_p, r.improved) for r in evals],
-    )
-    best = max((r for r in evals if r.hypothesis != "baseline"), key=lambda r: r.rho)
-    return ({"pagerank": (notes, lines)},
-            f"best hypothesis {best.hypothesis} (rho={best.rho:.3f} at alpha={best.alpha})")
-
-
-# ---------------------------------------------------------------------------
 # Stage table and driver
 # ---------------------------------------------------------------------------
 
 
-class Stage(NamedTuple):
-    help: str                # the subcommand's line in `clickgraph --help`
-    body: Callable[..., tuple]
-    keys: tuple[str, ...]    # artifacts the cache key hashes, beside the stage's path fields
-    reads: tuple[str, ...]   # earlier artifacts the stage needs, checked in this order
-    writes: tuple[str, ...]  # artifacts the body returns, written in this order
-
+#: One stage.  ``help``: its line in ``clickgraph --help``; ``keys``: the
+#: artifacts its cache key hashes, beside the stage's path fields; ``reads``:
+#: the earlier artifacts it needs, checked in this order; ``writes``: the
+#: artifacts its body returns, written in this order.  Its body is the function
+#: of the same name in :mod:`clickgraph.stages`.
+Stage = namedtuple("Stage", "help keys reads writes")
 
 _GRAPH = ("graph", "transitions")
 _TABLE = (*_GRAPH, "features")
 
 STAGES = {
-    "build": Stage("parse edge list + clickstream into graph artifacts", _build, (), (), _GRAPH),
-    "features": Stage("assemble the per-link feature table", _features, _GRAPH, _GRAPH,
+    "build": Stage("parse edge list + clickstream into graph artifacts", (), (), _GRAPH),
+    "features": Stage("assemble the per-link feature table", _GRAPH, _GRAPH,
                       ("features", "features_report")),
-    "sample": Stage("seeded article sample of the feature table", _sample, _TABLE, _TABLE,
-                    ("sample",)),
-    "attention": Stage("concentration statistics and distribution fits", _attention, _GRAPH,
-                       _GRAPH, ("attention_transitions", "attention_outdegree", "attention_gini",
-                                "attention_fits")),
-    "hurdle": Stage("two-stage regression battery over link features", _hurdle, ("features",),
-                    _TABLE, ("hurdle",)),
-    "hyptrails": Stage("Bayesian evidence curves for navigation hypotheses", _hyptrails, _TABLE,
-                       _TABLE, ("hyptrails",)),
-    "pagerank": Stage("weighted pagerank evaluation against views", _pagerank, _TABLE, _TABLE,
+    "sample": Stage("seeded article sample of the feature table", _TABLE, _TABLE, ("sample",)),
+    "attention": Stage("concentration statistics and distribution fits", _GRAPH, _GRAPH,
+                       ("attention_transitions", "attention_outdegree", "attention_gini",
+                        "attention_fits")),
+    "hurdle": Stage("two-stage regression battery over link features", ("features",), _TABLE,
+                    ("hurdle",)),
+    "hyptrails": Stage("Bayesian evidence curves for navigation hypotheses", _TABLE, _TABLE,
+                       ("hyptrails",)),
+    "pagerank": Stage("weighted pagerank evaluation against views", _TABLE, _TABLE,
                       ("pagerank",)),
 }
 
 _PRODUCER = {artifact: name for name, stage in STAGES.items() for artifact in stage.writes}
+
+
+def _build_hypotheses(cfg: RunConfig, g, table) -> list:
+    """The seven navigation hypotheses that hyptrails and pagerank test, from
+    :mod:`clickgraph.stages`; ``perfbench/session.py`` times them by this name."""
+    from . import stages
+
+    return stages.build_hypotheses(cfg, g, table)
 
 
 def run_stage(name: str, cfg: RunConfig) -> int:
@@ -609,8 +353,14 @@ def run_stage(name: str, cfg: RunConfig) -> int:
     stage's name.
     """
     stage = STAGES[name]
-    if os.path.exists(cfg.out) and not os.path.isdir(cfg.out):
-        raise ConfigError(f"{_OPTIONS['out']} names a file, not a directory: {cfg.out}")
+    # The first write makes --out's missing directories below the nearest one that exists.
+    existing = cfg.out
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise ConfigError(
+            f"{_OPTIONS['out']} names a file, not a directory: {cfg.out}" if existing == cfg.out
+            else f"{_OPTIONS['out']} {cfg.out} lies below {existing}, which is not a directory")
     for artifact in stage.reads:
         if not os.path.exists(_artifact_path(cfg, artifact)):
             raise DependencyError(f"missing {ARTIFACTS[artifact]} in {cfg.out}; "
@@ -626,7 +376,7 @@ def run_stage(name: str, cfg: RunConfig) -> int:
         print(f"{name}: cache hit, outputs unchanged")
         return 0
 
-    from . import graph as graphmod, ingest
+    from . import graph as graphmod, ingest, stages
 
     loaded: tuple = ()
     if stage.reads:
@@ -636,7 +386,7 @@ def run_stage(name: str, cfg: RunConfig) -> int:
     if "features" in stage.reads:
         with open(_artifact_path(cfg, "features"), "r", encoding="utf-8") as fh:
             loaded += (ingest.load_feature_table(fh, *loaded)[0],)
-    outputs, summary, *warnings = stage.body(cfg, *loaded)
+    outputs, summary, *warnings = getattr(stages, name)(cfg, *loaded)
     for artifact in stage.writes:
         content = outputs[artifact]
         if not callable(content):
@@ -669,16 +419,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or only of stage ``command`` when it is given."""
     parser = _Parser(
         prog="clickgraph",
         description="Link-success analytics over a link graph and click transitions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, stage in STAGES.items():
-        p = sub.add_parser(name, help=stage.help)
+    fields = sorted(_FIELDS, key=lambda f: bool(f.stages))  # the shared flags first
+    for name in (command,) if command else STAGES:
+        p = sub.add_parser(name, help=STAGES[name].help)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        for f in sorted(_FIELDS, key=lambda f: bool(f.stages)):  # the shared flags first
+        for f in fields:
             if name in f.stages or not f.stages:
                 how = {"type": f.kind.parse} if f.kind.parse else {"action": "store_true"}
                 p.add_argument(_OPTIONS[f.name], dest=f.name, default=None, help=f.help, **how)
@@ -686,7 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A stage's own subparser parses, and prints help, usage and errors, as
+    # the full parser would; the others are built only for the top-level help
+    # and for a missing or unknown subcommand.
+    parser = build_parser(argv[0] if argv and argv[0] in STAGES else None)
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args)

@@ -19,6 +19,10 @@ from .errors import ConvergenceError, LineError, MalformedInputError
 
 GRAPH_MAGIC = "#%clickgraph-graph v1"
 
+#: The most nodes a graph may have: isqrt(2**63), so every int64 edge key
+#: ``src * n_nodes + trg`` is exact.
+_MAX_NODES = 3_037_000_499
+
 
 @dataclass(frozen=True, eq=False)
 class CentralityVector:
@@ -136,8 +140,8 @@ def build_graph(
 
     Duplicate pairs are collapsed to a single edge; self-loops are kept.
     ``n_nodes`` declares the id range (defaults to ``max id + 1``, or to
-    ``len(labels)`` when labels are given); any id outside it raises
-    :class:`MalformedInputError`.
+    ``len(labels)`` when labels are given); any id outside it, or a node
+    count outside ``[0, isqrt(2**63)]``, raises :class:`MalformedInputError`.
     """
     arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
     if arr.size == 0:
@@ -156,6 +160,8 @@ def build_graph(
         n_nodes = max_id + 1
     elif max_id >= n_nodes:
         raise MalformedInputError(f"edge id {max_id} outside declared range [0, {n_nodes})")
+    if not 0 <= n_nodes <= _MAX_NODES:
+        raise MalformedInputError(f"node count {n_nodes} outside [0, {_MAX_NODES}]")
 
     keys = _sorted_unique(_edge_key(arr[:, 0], arr[:, 1], n_nodes))
     out_indptr, out_indices = _csr_from_keys(n_nodes, keys)

@@ -1,0 +1,273 @@
+"""The seven stage bodies, each the function named after its stage.
+
+:func:`clickgraph.cli.run_stage` imports this module only on a cache miss, so
+a hit neither compiles nor runs any of it.  For the same reason this module
+never imports :mod:`clickgraph.cli`: under ``python -m clickgraph.cli`` the
+running driver is ``__main__``, and that import would compile and execute a
+second copy of it.  ``cfg`` is always a :class:`clickgraph.cli.RunConfig`.
+
+Each body returns ({artifact: content}, summary, *stderr lines); a content is
+(header notes, lines), or for graph.tsv a function writing the file at the
+path it is given.  Only ``run_stage`` writes header lines and `<stage>:`
+prefixes; the analysis stages' tables go through ``_table``.  Each body
+imports the kernels it runs, so ``build``, ``features`` and ``sample`` load
+numpy but not scipy.
+"""
+
+from __future__ import annotations
+
+import math
+
+from . import __version__
+from .errors import ClickgraphError, DegenerateInputError, InsufficientDataError
+
+
+def _fmt(x) -> str:
+    import numpy as np
+
+    if isinstance(x, str):
+        return x
+    if x is None:
+        return "NA"
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    v = float(x)
+    if math.isnan(v):
+        return "NA"
+    return repr(v)
+
+
+def _table(columns, rows) -> list[str]:
+    """A stage table's lines: the space-separated ``columns`` as its column
+    line, then each row's cells through ``_fmt``."""
+    return ["\t".join(columns.split()) + "\n", *("\t".join(map(_fmt, row)) + "\n" for row in rows)]
+
+
+def build(cfg):
+    from . import graph as graphmod, ingest
+
+    with open(cfg.edges, "r", encoding="utf-8") as fh:
+        edges, name_to_id = ingest.parse_edge_list(fh)
+    g = graphmod.build_graph(edges, labels=list(name_to_id))  # ids follow first-seen order
+
+    with open(cfg.clickstream, "r", encoding="utf-8") as fh:
+        log, stats = ingest.parse_clickstream(
+            fh, name_to_id, g, threshold=cfg.threshold, fail_fast=cfg.fail_fast
+        )
+
+    graph_notes = [f"clickgraph {__version__}", f"stage=build config={cfg.hash()} seed={cfg.seed}"]
+    stat_notes = (
+        f"threshold={cfg.threshold}",
+        f"lines={stats.lines} malformed={stats.malformed} external={stats.external} "
+        f"non_edge={stats.non_edge} below_threshold_pairs={stats.below_threshold_pairs}",
+        f"kept_pairs={stats.kept_pairs} kept_transitions={stats.kept_count}",
+    )
+    outputs = {
+        "graph": lambda path: graphmod.save_graph(g, path, header_lines=graph_notes),
+        "transitions": (stat_notes, ingest.transition_lines(log, g.labels)),
+    }
+    summary = (f"{g.n_nodes} articles, {g.n_edges} links ({g.self_loops} self-loops); "
+               f"kept {stats.kept_pairs} transition pairs")
+    if stats.malformed:
+        return outputs, summary, f"skipped {stats.malformed} malformed lines"
+    return outputs, summary
+
+
+def features(cfg, g, log):
+    from . import ingest, semantics as semmod
+
+    if cfg.feature_file:
+        with open(cfg.feature_file, "r", encoding="utf-8") as fh:
+            table, report = ingest.load_feature_table(
+                fh, g, log, recompute_network=cfg.recompute_network_features)
+        report_lines = [f"rows_read={report.rows_read} rows_kept={report.rows_kept}\n"]
+        for line_no, s, t, reason in report.rejected:
+            report_lines.append(f"rejected line {line_no} ({s} -> {t}): {reason}\n")
+        if report.rejected_count > len(report.rejected):
+            report_lines.append(
+                f"… and {report.rejected_count - len(report.rejected)} more rejected lines\n")
+        for col, (mism, maxdiff) in sorted(report.consistency.items()):
+            report_lines.append(f"consistency {col}: {mism} mismatches, max abs diff {maxdiff:.3e}\n")
+        notes = (f"source=feature_file rows={len(table)}",)
+    else:
+        with open(cfg.corpus, "r", encoding="utf-8") as tok_fh, \
+                open(cfg.categories, "r", encoding="utf-8") as cat_fh:
+            corpus = semmod.corpus_from_lines(tok_fh, cat_fh)
+        proj = semmod.project(semmod.tfidf(corpus), corpus,
+                              dim=cfg.projection_dim, seed=cfg.projection_seed)
+        text_sim, topic_sim, missing = semmod.edge_similarities(g, proj, corpus)
+        with open(cfg.visual, "r", encoding="utf-8") as fh:
+            x, y, region, covered, non_edge = ingest.read_visual(fh, g)
+        table = ingest.build_feature_table(
+            g, log, text_sim, topic_sim, x, y, region, covered=covered, alpha=cfg.damping
+        )
+        report_lines = [f"edges_without_corpus_article={missing}\n",
+                        f"visual_rows_not_edges={non_edge}\n",
+                        f"edges_without_visual_row={int((~covered).sum())}\n"]
+        notes = (f"source=computed projection_dim={cfg.projection_dim} damping={cfg.damping}",
+                 f"rows={len(table)}")
+    outputs = {"features": (notes, ingest.feature_table_lines(table)),
+               "features_report": ((), report_lines)}
+    return outputs, f"{len(table)} link records written"
+
+
+def sample(cfg, g, log, table):
+    import numpy as np
+    from . import ingest
+
+    eligible = np.unique(log.src)  # sources with at least one outgoing transition
+    if cfg.sample_size > len(eligible):
+        raise ClickgraphError(
+            f"sample size {cfg.sample_size} exceeds the {len(eligible)} eligible articles")
+    rng = np.random.default_rng(cfg.seed)
+    chosen = rng.choice(eligible, size=cfg.sample_size, replace=False)
+    in_sample = np.isin(table.src, chosen)
+    sub = ingest.LinkFeatureTable(src=table.src[in_sample], trg=table.trg[in_sample],
+                                  data={k: v[in_sample] for k, v in table.data.items()},
+                                  labels=table.labels)
+    notes = (f"sample_size={cfg.sample_size} eligible={len(eligible)} rows={len(sub)}",)
+    outputs = {"sample": (notes, ingest.feature_table_lines(sub))}
+    return outputs, f"{cfg.sample_size} articles, {len(sub)} link records"
+
+
+def attention(cfg, g, log):
+    import numpy as np
+    from . import attention as attmod
+
+    outputs = {}
+    hist, conc = attmod.transition_histogram(log)
+    outputs["attention_transitions"] = (
+        (f"total_transitions={conc.total_transitions} "
+         f"half_mass_links={_fmt(conc.top_k)} half_mass_share={_fmt(conc.top_share)}",),
+        _table("count frequency", sorted(hist.items())),
+    )
+
+    wiki, trans = attmod.outdegree_comparison(g, log)
+    outputs["attention_outdegree"] = (
+        (f"restriction={wiki.restriction}",),
+        _table("network out_degree frequency", [(dist.source, d, f) for dist in (wiki, trans)
+                                                for d, f in sorted(dist.histogram.items())]),
+    )
+
+    ginis, skipped = attmod.per_article_gini(g, log)
+    bins = np.linspace(0.0, 1.0, 21)
+    freq, _ = np.histogram(ginis, bins=bins)
+    outputs["attention_gini"] = (
+        (f"articles={len(ginis)} excluded_all_zero={skipped}",),
+        _table("bin_lo bin_hi frequency", zip(bins[:-1], bins[1:], freq)),
+    )
+
+    wiki_out = g.out_degrees()
+    trans_out = np.bincount(log.src, minlength=g.n_nodes) if len(log) else np.zeros(g.n_nodes, dtype=np.int64)
+    shared = trans_out > 0
+    sections = (
+        ("wiki_out_degrees", wiki_out[shared], cfg.xmin_degrees),
+        ("trans_out_degrees", trans_out[shared], cfg.xmin_degrees),
+        ("transition_counts", log.count, cfg.xmin_transitions),
+    )
+    lines = []
+    for name, samples, xmin in sections:
+        lines.append(f"[{name}] xmin={xmin}\n")
+        try:
+            rep = attmod.fit_distributions(samples, xmin=xmin)
+        except (InsufficientDataError, DegenerateInputError) as exc:
+            lines.append(f"  unavailable: {exc}\n")
+            continue
+        lines.append(f"  winner: {rep.winner} (n_tail={rep.n_tail})\n")
+        for fam in attmod.FAMILIES:
+            fit = rep.fits[fam]
+            if not fit.converged:
+                lines.append(f"  {fam}: failed ({fit.message})\n")
+                continue
+            pars = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(fit.params.items()))
+            lines.append(
+                f"  {fam}: {pars} loglik={_fmt(fit.loglik)} aic={_fmt(fit.aic)} "
+                f"delta_aic={_fmt(rep.delta_aic[fam])}\n"
+            )
+    outputs["attention_fits"] = (
+        ("model selection: AIC (2k - 2 lnL), smallest wins; xmin fixed per section, not searched",),
+        lines,
+    )
+    return outputs, f"{len(ginis)} article Gini values, {skipped} excluded"
+
+
+def hurdle(cfg, g, log, table):
+    from . import hurdle as hurdlemod
+
+    rows = hurdlemod.feature_battery(table, threshold=cfg.threshold)
+    notes = (f"threshold={cfg.threshold} rows={len(table)}",
+             "fixed-effects fits; one feature per model vs intercept-only, LRT chi-square p-values")
+    lines = _table(
+        "feature transformation binomial_coef binomial_lrt binomial_p binomial_error "
+        "ztnb_coef ztnb_lrt ztnb_p ztnb_error",
+        [(r.feature, r.transformation, r.binomial_coef, r.binomial_lrt, r.binomial_p,
+          r.binomial_error or "-", r.ztnb_coef, r.ztnb_lrt, r.ztnb_p, r.ztnb_error or "-")
+         for r in rows],
+    )
+    binomial = sum(r.binomial_coef is not None for r in rows)
+    ztnb = sum(r.ztnb_coef is not None for r in rows)
+    return {"hurdle": (notes, lines)}, f"{binomial}/{len(rows)} binomial, {ztnb}/{len(rows)} ztnb fits"
+
+
+def build_hypotheses(cfg, g, table) -> list:
+    import numpy as np
+    from . import evidence as evmod, graph as graphmod
+
+    cores = graphmod.kcore(g)
+    text = table.edge_values(g, "text_sim", fill=np.nan)
+    regions = table.edge_values(g, "region", fill=None)
+    singles = [
+        evmod.kcore_hypothesis(g, cores),
+        evmod.textsim_hypothesis(g, np.asarray(text, dtype=np.float64)),
+        evmod.visual_hypothesis(g, regions),
+    ]
+    by_name = {h.name: h for h in singles}
+    combos = [
+        evmod.combine([by_name["kcore"], by_name["text_sim"]]),
+        evmod.combine([by_name["kcore"], by_name["visual"]]),
+        evmod.combine([by_name["text_sim"], by_name["visual"]]),
+        evmod.combine([by_name["kcore"], by_name["text_sim"], by_name["visual"]]),
+    ]
+    return singles + combos
+
+
+def hyptrails(cfg, g, log, table):
+    from . import evidence as evmod
+
+    baseline = evmod.structural_hypothesis(g)
+    hyps = build_hypotheses(cfg, g, table)
+    grid = evmod.default_kappa_grid(g, cfg.kappa_multipliers, log_spaced=cfg.log_spaced)
+    curves = evmod.bayes_factor_curve(hyps, baseline, log, grid)
+    base_curve = evmod.bayes_factor_curve([baseline], baseline, log, grid)[0]
+
+    notes = (f"kappa_grid={','.join(_fmt(k) for k in grid)}",
+             f"smoothing=structural matrix, weight {evmod.SMOOTHING_WEIGHT}",
+             "bayes_factor in log units vs structural baseline")
+    lines = _table(
+        "hypothesis kappa log_evidence log_bayes_factor verdict",
+        [(c.hypothesis, k, c.log_evidence[i], c.log_bayes_factor[i], c.verdicts[i])
+         for c in [base_curve] + curves for i, k in enumerate(c.kappas)],
+    )
+    best = max(curves, key=lambda c: c.log_bayes_factor[-1])
+    return ({"hyptrails": (notes, lines)},
+            f"{len(curves)} hypotheses; best at largest kappa: {best.hypothesis}")
+
+
+def pagerank(cfg, g, log, table):
+    from . import ranking as rankmod
+
+    hyps = build_hypotheses(cfg, g, table)
+    evals = rankmod.evaluate_all(g, hyps, log, alphas=cfg.alphas,
+                                 restrict_to_viewed=cfg.restrict_to_viewed, threads=cfg.threads)
+    notes = (f"alphas={','.join(_fmt(a) for a in cfg.alphas)} "
+             f"universe={'viewed articles' if cfg.restrict_to_viewed else 'all articles'}",
+             "steiger_p is one-tailed for weighted rho > baseline rho")
+    lines = _table(
+        "hypothesis alpha rho p steiger_z steiger_p improved",
+        [(r.hypothesis, r.alpha, r.rho, r.p, r.steiger_z, r.steiger_p, r.improved) for r in evals],
+    )
+    best = max((r for r in evals if r.hypothesis != "baseline"), key=lambda r: r.rho)
+    return ({"pagerank": (notes, lines)},
+            f"best hypothesis {best.hypothesis} (rho={best.rho:.3f} at alpha={best.alpha})")

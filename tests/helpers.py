@@ -32,7 +32,7 @@ def run_fresh(code: str, *args: str) -> str:
     src = os.path.dirname(os.path.dirname(os.path.abspath(clickgraph.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=True, timeout=120)
     return done.stdout
 
 

@@ -32,14 +32,19 @@ def run_pipeline(inputs: dict[str, str], out: str, projection_dim: int = 64) -> 
 
 
 # Runs each JSON-encoded argv through cli.main, then prints the modules loaded from
-# numpy, scipy, dataclasses and inspect (which dataclasses imports, with ast and dis).
+# numpy, scipy, dataclasses and inspect (which dataclasses imports, with ast and dis),
+# and on a second line the clickgraph modules loaded.
 RUN_STAGES = """
 import json, sys
 from clickgraph.cli import main
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy", "dataclasses", "inspect")))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "clickgraph"))
 """
+
+# The modules a cache hit loads from the package: the stage bodies and kernels load on a miss.
+DRIVER_MODULES = "['clickgraph', 'clickgraph.cli', 'clickgraph.errors']"
 
 
 def _subcommands() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -105,7 +110,7 @@ class TestOptions:
 
 class TestImports:
     def test_importing_the_cli_loads_no_numpy_scipy_or_dataclasses(self):
-        assert run_fresh(RUN_STAGES, "[]") == "[]\n"
+        assert run_fresh(RUN_STAGES, "[]") == f"[]\n{DRIVER_MODULES}\n"
 
     def test_cache_hit_rerun_loads_no_numpy_scipy_or_dataclasses(self, toy_inputs, tmp_path):
         out = str(tmp_path / "out")
@@ -120,7 +125,8 @@ class TestImports:
             *([stage, *args] for stage in ("attention", "hurdle", "hyptrails", "pagerank")),
         ]
         printed = run_fresh(RUN_STAGES, json.dumps(reruns)).splitlines()
-        assert printed == [f"{argv[0]}: cache hit, outputs unchanged" for argv in reruns] + ["[]"]
+        assert printed == [f"{argv[0]}: cache hit, outputs unchanged" for argv in reruns] + [
+            "[]", DRIVER_MODULES]
 
     def test_cache_miss_build_features_and_sample_load_no_scipy(self, toy_inputs, tmp_path):
         out = str(tmp_path / "out")
@@ -134,10 +140,42 @@ class TestImports:
              "--visual", toy_inputs["visual"], "--projection-dim", "64", *fresh],
             ["sample", "--sample-size", "5", *args],
         ]
-        *summaries, modules = run_fresh(RUN_STAGES, json.dumps(misses)).splitlines()
+        *summaries, modules, package = run_fresh(RUN_STAGES, json.dumps(misses)).splitlines()
         assert [line.split(":")[0] for line in summaries] == ["build", "features", "sample"]
         assert "cache hit" not in "".join(summaries)
         assert "'numpy'" in modules and "scipy" not in modules
+        assert "'clickgraph.stages'" in package
+
+    def test_cache_miss_under_python_m_loads_no_second_cli(self, toy_inputs, tmp_path):
+        # Under `python -m clickgraph.cli` the driver is __main__: a stage body
+        # importing clickgraph.cli would compile and run a second copy of it.
+        code = ("import runpy, sys\n"
+                "try:\n    runpy.run_module('clickgraph.cli', run_name='__main__', alter_sys=True)\n"
+                "except SystemExit as exc:\n    print(exc.code)\n"
+                "print(sorted(m for m in sys.modules if m.startswith('clickgraph')))")
+        printed = run_fresh(code, "build", "--edges", toy_inputs["edges"], "--clickstream",
+                            toy_inputs["clickstream"], "--out", str(tmp_path / "out"))
+        summary, rc, modules = printed.splitlines()
+        assert summary.startswith("build: ") and rc == "0"
+        assert "'clickgraph.stages'" in modules and "'clickgraph.cli'" not in modules
+
+
+class TestHelpAndUsage:
+    # main builds only the subparser of the stage named first; every text a
+    # user can see must stay that of the parser of all seven subcommands.
+    @pytest.mark.parametrize("argv", [
+        *([stage, "--help"] for stage in cli.STAGES),
+        ["--help"], [], ["bogus"], ["build", "--bogus"], ["pagerank", "--alphas", "x"],
+    ])
+    def test_main_prints_what_the_full_parser_prints(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as one:
+            main(argv)
+        assert (one.value.code, capsys.readouterr()) == (full.value.code, expected)
+        assert expected.out or expected.err
 
 
 class TestPipeline:
@@ -312,6 +350,33 @@ class TestPathsRefusedBeforeReading:
         assert capsys.readouterr() == (
             "", f"error: --corpus names a directory, not a file: {tmp_path}\n")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_input_path_that_is_a_pipe_is_refused(self, toy_inputs, tmp_path):
+        # _sha256 drained a pipe for the cache key, so build read an empty
+        # stream and wrote an empty graph with exit 0.  In a child process:
+        # opening a FIFO that has no writer blocks, so a regression times out.
+        fifo = tmp_path / "edges.fifo"
+        os.mkfifo(fifo)
+        out = tmp_path / "out"
+        code = ("import sys; sys.stderr = sys.stdout; "
+                "from clickgraph.cli import main; print(main(sys.argv[1:]))")
+        printed = run_fresh(code, "build", "--edges", str(fifo), "--clickstream",
+                            toy_inputs["clickstream"], "--out", str(out))
+        assert printed == f"error: --edges is not a regular file: {fifo}\n2\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["build", "attention"])
+    def test_out_below_a_file_is_refused(self, toy_inputs, tmp_path, capsys, stage):
+        # build once parsed every input and died in os.makedirs with a
+        # NotADirectoryError traceback.
+        blocker = tmp_path / "out.txt"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" / "dir"
+        inputs = ["--edges", toy_inputs["edges"], "--clickstream", toy_inputs["clickstream"]]
+        assert main([stage, *(inputs if stage == "build" else []), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --out {out} lies below {blocker}, which is not a directory\n")
+        assert blocker.read_text() == "kept\n"
 
     @pytest.mark.parametrize("stage", ["build", "attention"])
     def test_out_that_is_a_file_is_refused(self, toy_inputs, tmp_path, capsys, stage):

@@ -435,6 +435,7 @@ class TestLoadGraphMatchesPerRowReader:
     @example(snapshot(3, "0\t1", "# note", "1\t2"))
     @example(snapshot(3, "0\t1", "99999999999999999999\t2"))
     @example(snapshot(3))
+    @example(f"{G.GRAPH_MAGIC}\nnodes\t0\nselfloops\t0\nedges\t1\n0\t1\r\nnodes\t99999999999999999999\n")
     def test_same_graph_or_same_error(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "graph.tsv")
