@@ -34,15 +34,13 @@ class SupportError(ClickgraphError):
 class ConvergenceError(ClickgraphError):
     """An iterative solver did not reach its tolerance.
 
-    Carries the last iterate (and, when available, the objective trace) so
-    callers can inspect how far the solver got.
+    Carries the last iterate so callers can inspect how far the solver got.
     """
 
-    def __init__(self, message: str, last=None, iterations: int | None = None, trace=None):
+    def __init__(self, message: str, last=None, iterations: int | None = None):
         super().__init__(message)
         self.last = last
         self.iterations = iterations
-        self.trace = trace
 
 
 class SeparationError(ClickgraphError):

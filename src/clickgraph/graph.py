@@ -90,9 +90,9 @@ class LinkGraph:
         return np.where(hit, pos, -1)
 
     def name_to_id(self) -> dict[str, int]:
-        if self.labels is None:
-            raise MalformedInputError("graph carries no node labels")
-        return {name: i for i, name in enumerate(self.labels)}
+        if self.labels is None and self.n_nodes:  # graph.tsv has no label line for 0 nodes
+            raise MalformedInputError("graph.tsv carries no node labels; rerun `clickgraph build`")
+        return {name: i for i, name in enumerate(self.labels or ())}
 
 
 def same_structure(a: LinkGraph, b: LinkGraph) -> bool:

@@ -186,10 +186,8 @@ def fit_logistic(design: DesignMatrix, tol: float = 1e-10, max_iter: int = 100) 
             break
         beta, eta, ll = cand, cand_eta, cand_ll
         trace.append(ll)
-    raise ConvergenceError(
-        f"logistic fit did not converge in {max_iter} iterations",
-        last=beta, iterations=max_iter, trace=trace,
-    )
+    raise ConvergenceError(f"logistic fit did not converge in {max_iter} iterations",
+                           last=beta, iterations=max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +278,8 @@ def fit_ztnb(design: DesignMatrix, theta_init: float = 1.0, max_iter: int = 500)
 
     One :func:`ztnb_loglik` call per point L-BFGS-B evaluates, sharing one
     :func:`ztnb_counts`; the trace is the likelihood it reports at each
-    iterate.  All outcomes must be >= 1;
-    a fit that stops short of the gradient tolerance raises
-    :class:`ConvergenceError` with the trace attached.
+    iterate.  All outcomes must be >= 1; a fit that stops short of the
+    gradient tolerance raises :class:`ConvergenceError`.
     """
     X, y = design.X, design.y
     if y.min() < 1:
@@ -316,7 +313,7 @@ def fit_ztnb(design: DesignMatrix, theta_init: float = 1.0, max_iter: int = 500)
     if gnorm > 1e-6:
         raise ConvergenceError(
             f"ztnb fit did not converge (scaled gradient {gnorm:.2e}): {res.message}",
-            last=res.x, iterations=int(res.nit), trace=trace,
+            last=res.x, iterations=int(res.nit),
         )
     return HurdleFit(
         stage="ztnb", coef=res.x[:-1], columns=design.columns, loglik=ll,

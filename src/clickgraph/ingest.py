@@ -149,27 +149,12 @@ def _content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
-def _number(kind, text: str, col: str, line_no: int):
-    """``kind(text)``; a value ``kind`` rejects raises LineError naming the column."""
+def _number(text: str, col: str, line_no: int) -> float:
+    """``float(text)``; a value ``float`` rejects raises LineError naming the column."""
     try:
-        return kind(text)
+        return float(text)
     except ValueError:
         raise LineError(line_no, f"non-numeric {col} {text!r}") from None
-
-
-def _article_ids(a: str, b: str, lookup: dict[str, int] | None, n_nodes: int,
-                 line_no: int) -> tuple[int, int]:
-    """Node ids of a row's two article fields, -1 for an article the graph lacks.
-
-    With ``lookup`` (a labelled graph's names) the fields are names; without
-    it they are integer ids, and one that is no integer raises
-    :class:`LineError`.  Ids outside ``[0, n_nodes)`` get -1 too, which also
-    keeps every id within int64.
-    """
-    if lookup is not None:
-        return lookup.get(a, -1), lookup.get(b, -1)
-    s, t = _number(int, a, "src", line_no), _number(int, b, "trg", line_no)
-    return (s if 0 <= s < n_nodes else -1), (t if 0 <= t < n_nodes else -1)
 
 
 def _repeats(slots: np.ndarray, rejected: np.ndarray | None = None) -> np.ndarray:
@@ -320,17 +305,16 @@ def transition_lines(log: TransitionLog, names: Sequence[str]) -> Iterable[str]:
 
 
 def read_transitions(lines: Iterable[str], g: LinkGraph, threshold: int) -> TransitionLog:
-    """Read back a log written by :func:`transition_lines` for the graph ``g``.
+    """Read back a log written by :func:`transition_lines` for the labelled graph ``g``.
 
     Lines that start with ``#`` or hold only whitespace are skipped.  Every
-    other row is ``src<TAB>trg<TAB>count``: two articles of ``g`` (integer
-    ids when ``g`` is unlabelled) that are a link of ``g`` not given on an
-    earlier row, and an int64 count of at least ``threshold``.  The first row
-    that is not raises :class:`LineError` naming its line.
+    other row is ``src<TAB>trg<TAB>count``: two article names of ``g`` that
+    are a link of ``g`` not given on an earlier row, and an int64 count of at
+    least ``threshold``.  The first row that is not raises :class:`LineError`
+    naming its line.
     """
-    lookup = g.name_to_id() if g.labels else None
+    lookup = g.name_to_id()
     src, trg, count, line_nos = [], [], [], []
-    texts: dict[int, tuple[str, str]] = {}  # ids outside the graph, by row
     for line_no, raw in enumerate(lines, start=1):
         if raw.startswith("#") or not raw.strip():
             continue
@@ -338,11 +322,9 @@ def read_transitions(lines: Iterable[str], g: LinkGraph, threshold: int) -> Tran
         if len(fields) != 3:
             raise LineError(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
         a, b, c = fields
-        s, t = _article_ids(a, b, lookup, g.n_nodes, line_no)
+        s, t = lookup.get(a, -1), lookup.get(b, -1)
         if s < 0 or t < 0:
-            if lookup is not None:
-                raise LineError(line_no, f"article {a if s < 0 else b!r} is not in graph.tsv")
-            texts[len(src)] = (a, b)
+            raise LineError(line_no, f"article {a if s < 0 else b!r} is not in graph.tsv")
         try:
             n = int(c)
         except ValueError:
@@ -354,19 +336,14 @@ def read_transitions(lines: Iterable[str], g: LinkGraph, threshold: int) -> Tran
         count.append(n)
         line_nos.append(line_no)
 
-    # The first bad row: a repeated link, a count below the threshold, or no
-    # link (a repeated non-link never comes first: its first row fails).
+    # The first bad row: a repeated link, a count below the threshold, or no link.
     slots = g.edge_slots(src, trg)
     earlier = _repeats(slots)
     below = np.asarray(count, dtype=np.int64) < threshold
     bad = np.flatnonzero((earlier >= 0) | below | (slots < 0))
     if len(bad):
         i = bad[0]
-        if lookup is not None:
-            pair = f"{g.labels[src[i]]!r} -> {g.labels[trg[i]]!r}"
-        else:
-            a, b = texts.get(i, (src[i], trg[i]))
-            pair = f"{int(a)} -> {int(b)}"
+        pair = f"{g.labels[src[i]]!r} -> {g.labels[trg[i]]!r}"
         if earlier[i] >= 0:
             why = f"pair {pair} repeats line {line_nos[earlier[i]]}"
         elif below[i]:
@@ -469,16 +446,17 @@ def _row_values(fields: list[str], numeric: list[tuple[str, int]],
 
 
 def _parse_rows(rows: list[tuple[int, str]], width: int, colpos: dict[str, int],
-                numeric: list[tuple[str, int]], name_to_id: dict[str, int] | None,
+                numeric: list[tuple[str, int]], name_to_id: dict[str, int],
                 graph: LinkGraph | None, delimiter: str) -> tuple:
     """The parse half of :func:`load_feature_table`, one row at a time: one
     entry per data row, with the fault the row has on its own.
 
-    Returns line numbers, source and target ids (-1 where unknown), the
-    numbers as a rows x ``numeric`` array (NaN for a row that is never
-    kept), regions, field count and id faults (``early``, ranked before the
-    join's), value faults (``late``, ranked after them) and the names that a
-    row's ids do not give back (``texts``), the last three keyed by row.
+    Returns line numbers, source and target ids (-1 for a name not in
+    ``name_to_id``, which without a ``graph`` interns them), the numbers as a
+    rows x ``numeric`` array (NaN for a row that is never kept), regions,
+    field count faults (``early``, ranked before the join's), value faults
+    (``late``, ranked after them) and the names of rows with an unknown
+    article (``texts``), the last three keyed by row.
     """
     sims = [(c, [n for n, _ in numeric].index(c)) for c in ("text_sim", "topic_sim")]
     blank = [math.nan] * len(numeric)  # the numbers of a row that is never kept
@@ -499,16 +477,12 @@ def _parse_rows(rows: list[tuple[int, str]], width: int, colpos: dict[str, int],
                 s = name_to_id.setdefault(a, len(name_to_id))
                 t = name_to_id.setdefault(b, len(name_to_id))
             else:
-                try:
-                    s, t = _article_ids(a, b, name_to_id, graph.n_nodes, line_no)
-                except LineError:
-                    early[row] = "non-integer id in unlabeled graph"
-            if name_to_id is None or s < 0 or t < 0:
+                s, t = name_to_id.get(a, -1), name_to_id.get(b, -1)
+            if s < 0 or t < 0:
                 texts[row] = (a, b)
-            if row not in early:
-                cells, why = _row_values(fields, numeric, sims, colpos["region"])
-                if why is not None:
-                    late[row] = why
+            cells, why = _row_values(fields, numeric, sims, colpos["region"])
+            if why is not None:
+                late[row] = why
         line_nos.append(line_no)
         src_ids.append(s)
         trg_ids.append(t)
@@ -521,8 +495,8 @@ def _parse_rows(rows: list[tuple[int, str]], width: int, colpos: dict[str, int],
 def _parse_columns(rows: list[tuple[int, str]], width: int, colpos: dict[str, int],
                    numeric: list[tuple[str, int]], name_to_id: dict[str, int],
                    delimiter: str) -> tuple | None:
-    """:func:`_parse_rows`' result for a labelled graph's table in which no
-    row has a fault of its own, or None for any other table.
+    """:func:`_parse_rows`' result for a graph's table in which no row has a
+    fault of its own, or None for any other table.
 
     The names and the region come from one streamed pass (src and trg must
     be the first two columns and region the last), the numbers from one
@@ -583,15 +557,15 @@ def load_feature_table(
     unobserved).
 
     Every column but src, trg and region, an extra one too, holds numbers.
-    A row is rejected for its first fault: a wrong field count or a
-    non-integer id, then no edge of the graph, then a repeat of a kept row's
-    link, then its values (see :func:`_row_values`).  All are counted in the
-    report, the first ``REJECTED_LISTED`` listed, by line number in the input.
+    src and trg name articles of a labelled graph.  A row is rejected for its
+    first fault: a wrong field count, then no edge of the graph, then a repeat
+    of a kept row's link, then its values (see :func:`_row_values`).  All are
+    counted in the report, the first ``REJECTED_LISTED`` listed, by line number in the input.
 
-    The rows are parsed, then joined.  A labelled graph's table is parsed a
+    The rows are parsed, then joined.  With a graph, the table is parsed a
     column at a time (:func:`_parse_columns`) unless a row has a fault of its
-    own; then, and for every other table, one row at a time
-    (:func:`_parse_rows`).  Both give the join the same ids and bits.
+    own; then, and without a graph, one row at a time (:func:`_parse_rows`).
+    Both give the join the same ids and bits.
 
     ``graph=None`` skips edge validation and interns names from the file
     itself (useful for standalone inspection of published feature files).
@@ -612,14 +586,11 @@ def load_feature_table(
     if missing:
         raise SchemaError(f"feature file missing mandatory columns: {', '.join(missing)}")
 
-    if graph is None:
-        name_to_id: dict[str, int] | None = {}  # grown on the fly
-    else:
-        name_to_id = graph.name_to_id() if graph.labels is not None else None
+    name_to_id = {} if graph is None else graph.name_to_id()  # without a graph, grown on the fly
     numeric = [(c, i) for c, i in colpos.items() if c not in ("src", "trg", "region")]
     rows = list(numbered)
     parsed = None
-    if graph is not None and name_to_id is not None:
+    if graph is not None:
         parsed = _parse_columns(rows, len(header), colpos, numeric, name_to_id, delimiter)
     if parsed is None:
         parsed = _parse_rows(rows, len(header), colpos, numeric, name_to_id, graph, delimiter)
@@ -673,9 +644,9 @@ def load_feature_table(
 
 def read_visual(lines: Iterable[str], g: LinkGraph) -> tuple:
     """Per-edge x, y, region and covered arrays, and the count of rows that are
-    not edges, from a src/trg/x_coord/y_coord/region file.  A second row for
-    the same link raises :class:`LineError`."""
-    lookup = g.name_to_id() if g.labels else None
+    not edges, from a src/trg/x_coord/y_coord/region file naming articles of
+    the labelled graph ``g``.  A second row for one link raises :class:`LineError`."""
+    lookup = g.name_to_id()
     src, trg, x_rows, y_rows, regions, line_nos = [], [], [], [], [], []
     header = None
     for line_no, line in _content_lines(lines):
@@ -690,11 +661,10 @@ def read_visual(lines: Iterable[str], g: LinkGraph) -> tuple:
         if len(fields) != len(header):
             raise LineError(line_no, f"expected {len(header)} tab-separated fields, "
                                      f"got {len(fields)}")
-        s, t = _article_ids(fields[pos["src"]], fields[pos["trg"]], lookup, g.n_nodes, line_no)
-        src.append(s)
-        trg.append(t)
-        x_rows.append(_number(float, fields[pos["x_coord"]], "x_coord", line_no))
-        y_rows.append(_number(float, fields[pos["y_coord"]], "y_coord", line_no))
+        src.append(lookup.get(fields[pos["src"]], -1))
+        trg.append(lookup.get(fields[pos["trg"]], -1))
+        x_rows.append(_number(fields[pos["x_coord"]], "x_coord", line_no))
+        y_rows.append(_number(fields[pos["y_coord"]], "y_coord", line_no))
         regions.append(fields[pos["region"]])
         line_nos.append(line_no)
     if header is None:
@@ -767,9 +737,9 @@ def _number_texts(values: np.ndarray) -> list[str]:
     return texts
 
 
-def feature_table_lines(table: LinkFeatureTable, delimiter: str = "\t") -> Iterable[str]:
+def feature_table_lines(table: LinkFeatureTable) -> Iterable[str]:
     """Serialize a table in the fixed column order (names when labeled), a column at a time."""
-    yield delimiter.join(FEATURE_COLUMNS) + "\n"
+    yield "\t".join(FEATURE_COLUMNS) + "\n"
     labels = table.labels
     columns = []
     for col in FEATURE_COLUMNS:
@@ -781,7 +751,7 @@ def feature_table_lines(table: LinkFeatureTable, delimiter: str = "\t") -> Itera
         else:
             columns.append(_number_texts(table.data[col]))
     for cells in zip(*columns):
-        yield delimiter.join(cells) + "\n"
+        yield "\t".join(cells) + "\n"
 
 
 def table_stats(table: LinkFeatureTable) -> tuple[int, int, float]:

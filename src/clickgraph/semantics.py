@@ -259,10 +259,9 @@ def edge_similarities(
     Edges whose endpoints are missing from the corpus get similarity 0; the
     count of such edges is returned alongside.
     """
-    if g.labels is None:
-        raise MalformedInputError("graph carries no node labels")
+    labels = g.labels if g.labels is not None else tuple(g.name_to_id())  # () or refused
     lookup = proj.name_to_idx.get
-    doc_idx = np.fromiter((lookup(name, -1) for name in g.labels), dtype=np.int64, count=g.n_nodes)
+    doc_idx = np.fromiter((lookup(name, -1) for name in labels), dtype=np.int64, count=g.n_nodes)
     ia, ib = doc_idx[g.edge_sources], doc_idx[g.out_indices]
     found = np.flatnonzero((ia >= 0) & (ib >= 0))
     ia, ib = ia[found], ib[found]

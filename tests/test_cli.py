@@ -709,6 +709,19 @@ class TestBuildInput:
         assert capsys.readouterr().err == (
             "error: total transition count 12000000000000000000 outside the int64 range\n")
 
+    def test_empty_edge_list_builds_and_runs_features_and_attention(self, toy_inputs, tmp_path):
+        # graph.tsv has no label line for a graph of no nodes; it still reads as labelled.
+        edges, clicks = tmp_path / "edges.tsv", tmp_path / "clicks.tsv"
+        edges.write_text("")
+        clicks.write_text("")
+        out = str(tmp_path / "o")
+        assert main(["build", "--edges", str(edges), "--clickstream", str(clicks),
+                     "--out", out]) == 0
+        assert main(["features", "--corpus", toy_inputs["corpus"],
+                     "--categories", toy_inputs["categories"], "--visual", toy_inputs["visual"],
+                     "--out", out]) == 0
+        assert main(["attention", "--out", out]) == 0
+
 
 class TestTransitionsInput:
     @pytest.mark.parametrize("row, message", [
@@ -770,6 +783,18 @@ class TestGraphInput:
         assert main(["attention", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: line {len(lines) + 1}: {message}\n"
 
+    def test_graph_without_labels_is_refused(self, toy_inputs, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["build", "--edges", toy_inputs["edges"],
+                     "--clickstream", toy_inputs["clickstream"], "--out", str(out)]) == 0
+        path = out / ARTIFACTS["graph"]
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if not line.startswith("label\t")),
+                        encoding="utf-8")
+        capsys.readouterr()
+        assert main(["attention", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: graph.tsv carries no node labels; rerun `clickgraph build`\n")
 
     @pytest.mark.parametrize("row, message", [
         ("99999999999999999999\t1\n", "edge id 99999999999999999999 outside [0, 20)"),

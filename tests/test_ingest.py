@@ -1,6 +1,7 @@
 """Edge-list, clickstream, transitions, visual and feature-table parsing."""
 
 import os
+import re
 import tempfile
 import warnings
 
@@ -444,13 +445,7 @@ def reference_load_feature_table(lines, graph, transitions=None, recompute_netwo
         missing += [c for c in ingest.NETWORK_COLUMNS if c not in colpos]
     if missing:
         raise SchemaError(f"feature file missing mandatory columns: {', '.join(missing)}")
-    if graph is not None and graph.labels is not None:
-        name_to_id, intern = graph.name_to_id(), None
-    elif graph is not None:
-        name_to_id, intern = None, None
-    else:
-        name_to_id = {}
-        intern = name_to_id
+    name_to_id = {} if graph is None else graph.name_to_id()
     report = ingest.JoinReport()
     src_ids, trg_ids = [], []
     raw_cols = {c: [] for c in header if c not in ("src", "trg")}
@@ -467,19 +462,12 @@ def reference_load_feature_table(lines, graph, transitions=None, recompute_netwo
             continue
         src_name = fields[colpos["src"]]
         trg_name = fields[colpos["trg"]]
-        if name_to_id is not None:
-            if intern is not None:
-                s = name_to_id.setdefault(src_name, len(name_to_id))
-                t = name_to_id.setdefault(trg_name, len(name_to_id))
-            else:
-                s = name_to_id.get(src_name, -1)
-                t = name_to_id.get(trg_name, -1)
+        if graph is None:
+            s = name_to_id.setdefault(src_name, len(name_to_id))
+            t = name_to_id.setdefault(trg_name, len(name_to_id))
         else:
-            try:
-                s, t = int(src_name), int(trg_name)
-            except ValueError:
-                report.reject(line_no, src_name, trg_name, "non-integer id in unlabeled graph")
-                continue
+            s = name_to_id.get(src_name, -1)
+            t = name_to_id.get(trg_name, -1)
         if graph is not None and not reference_has_edge(graph, s, t):
             report.reject(line_no, src_name, trg_name, "not an edge of the graph")
             continue
@@ -711,15 +699,6 @@ class TestLoadFeatureTableMatchesReference:
             reference_load_feature_table(lines, g, log, recompute_network=recompute))
 
     @settings(max_examples=200, deadline=None)
-    @given(labeled_graphs(), st.data())
-    def test_unlabeled_graph(self, g, data):
-        g = G.build_graph(list(zip(g.edge_sources, g.out_indices)), n_nodes=g.n_nodes)
-        ids = st.sampled_from(["0", "1", "2", "5", "01", "+1", " 2", "-1", "6", "x", "9" * 25])
-        links = st.sampled_from([(str(s), str(t)) for s, t in zip(g.edge_sources, g.out_indices)])
-        lines = data.draw(feature_files(st.one_of(links, links, st.tuples(ids, ids)), links))
-        assert_same_table(load_quietly(lines, g), reference_load_feature_table(lines, g))
-
-    @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_without_graph(self, data):
         names = st.sampled_from(NAMES + ("Z",))
@@ -762,18 +741,18 @@ class TestArtifactRoundTrip:
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-class TestReadersOnUnlabelledGraphs:
-    def test_ids_outside_the_graph_are_not_links(self):
-        g = G.build_graph([(0, 1), (1, 0)])
-        huge = "9" * 25
-        with pytest.raises(LineError, match=f"^line 2: pair {huge} -> 0 is not a link in graph.tsv$"):
-            ingest.read_transitions(["0\t1\t10\n", f"{huge}\t0\t10\n"], g, 10)
-        x, _, region, covered, non_edge = ingest.read_visual(
-            ["src\ttrg\tx_coord\ty_coord\tregion\n", f"{huge}\t0\t1\t2\tbody\n",
-             "2\t0\t1\t2\tbody\n", "0\t1\t3\t4\tlead\n"], g)
-        assert non_edge == 2
-        assert covered.tolist() == [True, False] and x.tolist() == [3.0, 0.0]
-        assert region.tolist() == ["lead", None]
+class TestReadersNeedLabels:
+    UNLABELLED = "graph.tsv carries no node labels; rerun `clickgraph build`"
+
+    @pytest.mark.parametrize("read, header", [
+        (lambda lines, g: ingest.read_transitions(lines, g, 10), "# threshold=10\n"),
+        (ingest.read_visual, "src\ttrg\tx_coord\ty_coord\tregion\n"),
+        (ingest.load_feature_table, "\t".join(ingest.FEATURE_COLUMNS) + "\n"),
+    ], ids=["read_transitions", "read_visual", "load_feature_table"])
+    def test_unlabelled_graph_is_refused_unless_it_has_no_nodes(self, read, header):
+        with pytest.raises(MalformedInputError, match=f"^{re.escape(self.UNLABELLED)}$"):
+            read([header, "A\tB\t10\n"], G.build_graph([(0, 1), (1, 0)]))
+        read([header], G.build_graph([], n_nodes=0))  # graph.tsv writes no label line for it
 
 
 class TestReadVisual:
