@@ -413,8 +413,11 @@ def fit_distributions(samples, xmin: int = 1) -> FitReport:
     """MLE fits of the four candidate families on samples >= xmin, AIC-compared.
 
     Families that fail to converge are recorded and excluded from the
-    comparison; the winner is the smallest-AIC converged family.
+    comparison; the winner is the smallest-AIC converged family.  The discrete
+    families live on x >= 1, so an ``xmin`` below 1 is refused.
     """
+    if xmin < 1:
+        raise DegenerateInputError(f"xmin={xmin} is below 1, where the discrete families start")
     x = np.asarray(samples, dtype=np.float64)
     x = x[x >= xmin]
     if len(x) < 50:

@@ -106,7 +106,6 @@ class HurdleFit:
     theta: float | None = None
     iterations: int = 0
     grad_norm: float = math.nan
-    converged: bool = False
     ll_trace: tuple[float, ...] = ()
     n_rows: int = 0
 
@@ -163,8 +162,7 @@ def fit_logistic(design: DesignMatrix, tol: float = 1e-10, max_iter: int = 100) 
         if gnorm <= tol:
             return HurdleFit(
                 stage="binomial", coef=beta, columns=design.columns, loglik=ll,
-                iterations=it, grad_norm=gnorm, converged=True,
-                ll_trace=tuple(trace), n_rows=n,
+                iterations=it, grad_norm=gnorm, ll_trace=tuple(trace), n_rows=n,
             )
 
         w = prob * (1.0 - prob)
@@ -318,7 +316,7 @@ def fit_ztnb(design: DesignMatrix, theta_init: float = 1.0, max_iter: int = 500)
     return HurdleFit(
         stage="ztnb", coef=res.x[:-1], columns=design.columns, loglik=ll,
         theta=float(math.exp(res.x[-1])), iterations=int(res.nit),
-        grad_norm=gnorm, converged=True, ll_trace=tuple(trace), n_rows=n,
+        grad_norm=gnorm, ll_trace=tuple(trace), n_rows=n,
     )
 
 
@@ -373,11 +371,7 @@ def _battery_feature(table: LinkFeatureTable, spec: str) -> np.ndarray:
     return np.asarray(table.data[spec], dtype=np.float64)
 
 
-def feature_battery(
-    table: LinkFeatureTable,
-    threshold: int = 10,
-    features: tuple[tuple[str, str], ...] = BATTERY,
-) -> list[BatteryRow]:
+def feature_battery(table: LinkFeatureTable, threshold: int = 10) -> list[BatteryRow]:
     """One-feature-at-a-time hurdle fits with LRT against intercept-only.
 
     Per-feature failures (separation, collinearity, non-convergence) are
@@ -399,7 +393,7 @@ def feature_battery(
     except Exception as exc:
         reduced_cnt_err = f"{type(exc).__name__}: {exc}"
 
-    for spec, transform in features:
+    for spec, transform in BATTERY:
         values = _battery_feature(table, spec)
         kw: dict = {"feature": spec, "transformation": transform}
         try:

@@ -8,6 +8,8 @@ and ``features.tsv`` (:func:`load_feature_table`, :func:`feature_table_lines`).
 ``graph.tsv`` is read and written in :mod:`clickgraph.graph`.  Every reader
 resolves all its rows with one :meth:`LinkGraph.edge_slots` call, and article
 names become dense integer ids so the rest of the toolkit never touches them.
+A feature table has one parse: one pass over its lines, then one
+``np.loadtxt`` call for its numbers (see :func:`_parse_rows`).
 """
 
 from __future__ import annotations
@@ -426,30 +428,17 @@ def _node_feature_columns(per_node: dict[str, np.ndarray], src: np.ndarray, trg:
     return cols
 
 
-def _row_values(fields: list[str], numeric: list[tuple[str, int]],
-                sims: list[tuple[str, int]], region_at: int) -> tuple[list[float] | None, str | None]:
-    """A feature row's numbers, ``numeric``'s (column, field) pairs in turn, or
-    None and why its values fail: first a non-numeric cell, then a similarity
-    (at ``sims``' places in the numbers) outside [0, 1], then an unknown region."""
-    values = []
-    for col, i in numeric:
-        try:
-            values.append(float(fields[i]))
-        except ValueError:
-            return None, f"non-numeric value {fields[i]!r} in column {col}"
-    for col, k in sims:
-        if not 0.0 <= values[k] <= 1.0:
-            return None, f"{col} {values[k]} outside [0, 1]"
-    if fields[region_at] not in REGIONS:
-        return None, f"unknown region label {fields[region_at]!r}"
-    return values, None
-
-
 def _parse_rows(rows: list[tuple[int, str]], width: int, colpos: dict[str, int],
                 numeric: list[tuple[str, int]], name_to_id: dict[str, int],
                 graph: LinkGraph | None, delimiter: str) -> tuple:
-    """The parse half of :func:`load_feature_table`, one row at a time: one
-    entry per data row, with the fault the row has on its own.
+    """The parse half of :func:`load_feature_table`: one entry per data row,
+    with the fault the row has on its own.
+
+    One pass splits each line, resolves its names and keeps its region, then
+    one ``np.loadtxt`` call reads the numbers of the rows of the right width.
+    It reads what ``float`` reads, to the same bits, but for ``1_0``, non-ASCII
+    digits and the separators U+001C to U+001F (which it alone strips as
+    whitespace); where those may occur, ``float`` reads a row at a time.
 
     Returns line numbers, source and target ids (-1 for a name not in
     ``name_to_id``, which without a ``graph`` interns them), the numbers as a
@@ -458,86 +447,73 @@ def _parse_rows(rows: list[tuple[int, str]], width: int, colpos: dict[str, int],
     (``late``, ranked after them) and the names of rows with an unknown
     article (``texts``), the last three keyed by row.
     """
-    sims = [(c, [n for n, _ in numeric].index(c)) for c in ("text_sim", "topic_sim")]
-    blank = [math.nan] * len(numeric)  # the numbers of a row that is never kept
-    line_nos, src_ids, trg_ids, values, regions = [], [], [], [], []
+    at_src, at_trg, at_region = colpos["src"], colpos["trg"], colpos["region"]
+    src_ids, trg_ids, regions = [-1] * len(rows), [-1] * len(rows), [None] * len(rows)
     early: dict[int, str] = {}
     late: dict[int, str] = {}
     texts: dict[int, tuple[str, str]] = {}
-    for line_no, line in rows:
-        row = len(line_nos)
+    wide, odd_region = [], []  # rows of the right width; those with an unknown region
+    separators = False  # whether a line holds U+001C to U+001F
+    for row, (_, line) in enumerate(rows):
         fields = line.split(delimiter)
-        s, t, cells = -1, -1, None  # what a row that fails before its values keeps
         if len(fields) != width:
             early[row] = f"expected {width} fields, got {len(fields)}"
             texts[row] = ("", "")
+            continue
+        a, b, region = fields[at_src], fields[at_trg], fields[at_region]
+        if graph is None:
+            s, t = name_to_id.setdefault(a, len(name_to_id)), name_to_id.setdefault(b, len(name_to_id))
         else:
-            a, b = fields[colpos["src"]], fields[colpos["trg"]]
-            if graph is None:
-                s = name_to_id.setdefault(a, len(name_to_id))
-                t = name_to_id.setdefault(b, len(name_to_id))
-            else:
-                s, t = name_to_id.get(a, -1), name_to_id.get(b, -1)
+            s, t = name_to_id.get(a, -1), name_to_id.get(b, -1)
             if s < 0 or t < 0:
                 texts[row] = (a, b)
-            cells, why = _row_values(fields, numeric, sims, colpos["region"])
-            if why is not None:
-                late[row] = why
-        line_nos.append(line_no)
-        src_ids.append(s)
-        trg_ids.append(t)
-        values.extend(blank if cells is None else cells)
-        regions.append(None if cells is None else fields[colpos["region"]])
-    values = np.array(values, dtype=np.float64).reshape(-1, len(numeric))
-    return line_nos, src_ids, trg_ids, values, regions, early, late, texts
+        src_ids[row], trg_ids[row], regions[row] = s, t, region
+        if region not in REGIONS:
+            odd_region.append(row)
+        separators = separators or ("\x1c" in line or "\x1d" in line
+                                    or "\x1e" in line or "\x1f" in line)
+        wide.append(row)
 
+    cols = [i for _, i in numeric]
+    values = None
+    if wide and len(delimiter) == 1 and not separators:
+        try:
+            values = np.loadtxt((rows[row][1] for row in wide), dtype=np.float64, comments=None,
+                                delimiter=delimiter, quotechar=None, usecols=cols, ndmin=2)
+        except ValueError:
+            pass
+    if values is None or values.shape != (len(wide), len(cols)):
+        # float, one row at a time; the first cell it refuses is the row's fault
+        blank = [math.nan] * len(cols)
+        values = []
+        for row in wide:
+            fields, cells = rows[row][1].split(delimiter), []
+            for col, i in numeric:
+                try:
+                    cells.append(float(fields[i]))
+                except ValueError:
+                    late[row] = f"non-numeric value {fields[i]!r} in column {col}"
+                    cells = blank
+                    break
+            values.extend(cells)
+        values = np.array(values, dtype=np.float64).reshape(-1, len(cols))
+    if early:  # the right-width rows' numbers into their places among all rows
+        full = np.full((len(rows), len(cols)), math.nan)
+        full[wide] = values
+        values = full
 
-def _parse_columns(rows: list[tuple[int, str]], width: int, colpos: dict[str, int],
-                   numeric: list[tuple[str, int]], name_to_id: dict[str, int],
-                   delimiter: str) -> tuple | None:
-    """:func:`_parse_rows`' result for a graph's table in which no row has a
-    fault of its own, or None for any other table.
-
-    The names and the region come from one streamed pass (src and trg must
-    be the first two columns and region the last), the numbers from one
-    ``np.loadtxt`` call.  ``loadtxt`` reads a subset of what ``float`` reads
-    (not ``1_0`` or non-ASCII digits), to the same bits, once the four
-    separators it alone strips as whitespace are ruled out.  So a
-    table this returns None for goes through the per-row parser, and its
-    rejections, reasons and line numbers are the per-row parser's.
-    """
-    if (not rows or len(delimiter) != 1
-            or (colpos["src"], colpos["trg"], colpos["region"]) != (0, 1, width - 1)):
-        return None
-    lookup = name_to_id.get
-    src_ids, trg_ids, regions = [], [], []
-    for _, line in rows:
-        # loadtxt strips the separators U+001C to U+001F around a number; float refuses them.
-        if (line.count(delimiter) != width - 1
-                or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line):
-            return None
-        a, b, _ = line.split(delimiter, 2)
-        region = line[line.rfind(delimiter) + 1:]
-        s, t = lookup(a, -1), lookup(b, -1)
-        if s < 0 or t < 0 or region not in REGIONS:
-            return None
-        src_ids.append(s)
-        trg_ids.append(t)
-        regions.append(region)
-    try:
-        values = np.loadtxt((line for _, line in rows), dtype=np.float64, comments=None,
-                            delimiter=delimiter, quotechar=None, usecols=[i for _, i in numeric],
-                            ndmin=2)
-    except ValueError:
-        return None
-    if values.shape != (len(rows), len(numeric)):
-        return None
-    names = [n for n, _ in numeric]
-    for col in ("text_sim", "topic_sim"):
-        sim = values[:, names.index(col)]
-        if not ((sim >= 0.0) & (sim <= 1.0)).all():
-            return None
-    return [n for n, _ in rows], src_ids, trg_ids, values, regions, {}, {}, {}
+    # Then a similarity outside [0, 1] (NaN too), text_sim first, then the region.
+    names = [c for c, _ in numeric]
+    sims = [(c, names.index(c)) for c in ("text_sim", "topic_sim")]
+    sim = values[:, [k for _, k in sims]]
+    outside = ~((sim >= 0.0) & (sim <= 1.0)).all(axis=1)
+    outside[odd_region] = True
+    for row in np.flatnonzero(outside).tolist():
+        if row not in early and row not in late:
+            why = next((f"{c} {values[row, k].item()} outside [0, 1]" for c, k in sims
+                        if not 0.0 <= values[row, k] <= 1.0), None)
+            late[row] = why or f"unknown region label {regions[row]!r}"
+    return [n for n, _ in rows], src_ids, trg_ids, values, regions, early, late, texts
 
 
 def load_feature_table(
@@ -559,13 +535,13 @@ def load_feature_table(
     Every column but src, trg and region, an extra one too, holds numbers.
     src and trg name articles of a labelled graph.  A row is rejected for its
     first fault: a wrong field count, then no edge of the graph, then a repeat
-    of a kept row's link, then its values (see :func:`_row_values`).  All are
-    counted in the report, the first ``REJECTED_LISTED`` listed, by line number in the input.
+    of a kept row's link, then its values: a cell that is no number, then a
+    similarity outside [0, 1], text_sim first, then an unknown region.  All
+    are counted in the report, the first ``REJECTED_LISTED`` listed, by line
+    number in the input.
 
-    The rows are parsed, then joined.  With a graph, the table is parsed a
-    column at a time (:func:`_parse_columns`) unless a row has a fault of its
-    own; then, and without a graph, one row at a time (:func:`_parse_rows`).
-    Both give the join the same ids and bits.
+    The rows are parsed in one pass (:func:`_parse_rows`), their numbers read
+    with one ``np.loadtxt`` call where it reads what ``float`` reads, then joined.
 
     ``graph=None`` skips edge validation and interns names from the file
     itself (useful for standalone inspection of published feature files).
@@ -588,13 +564,8 @@ def load_feature_table(
 
     name_to_id = {} if graph is None else graph.name_to_id()  # without a graph, grown on the fly
     numeric = [(c, i) for c, i in colpos.items() if c not in ("src", "trg", "region")]
-    rows = list(numbered)
-    parsed = None
-    if graph is not None:
-        parsed = _parse_columns(rows, len(header), colpos, numeric, name_to_id, delimiter)
-    if parsed is None:
-        parsed = _parse_rows(rows, len(header), colpos, numeric, name_to_id, graph, delimiter)
-    line_nos, src_ids, trg_ids, values, regions, early, late, texts = parsed
+    line_nos, src_ids, trg_ids, values, regions, early, late, texts = _parse_rows(
+        list(numbered), len(header), colpos, numeric, name_to_id, graph, delimiter)
 
     src = np.asarray(src_ids, dtype=np.int64)
     trg = np.asarray(trg_ids, dtype=np.int64)

@@ -250,9 +250,10 @@ def hyptrails(cfg, g, log, table):
         [(c.hypothesis, k, c.log_evidence[i], c.log_bayes_factor[i], c.verdicts[i])
          for c in [base_curve] + curves for i, k in enumerate(c.kappas)],
     )
-    best = max(curves, key=lambda c: c.log_bayes_factor[-1])
+    last = [c.log_bayes_factor[-1] for c in curves]  # a tie for the largest names no best
+    best = curves[last.index(max(last))].hypothesis if last.count(max(last)) == 1 else "none"
     return ({"hyptrails": (notes, lines)},
-            f"{len(curves)} hypotheses; best at largest kappa: {best.hypothesis}")
+            f"{len(curves)} hypotheses; best at largest kappa: {best}")
 
 
 def pagerank(cfg, g, log, table):

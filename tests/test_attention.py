@@ -190,6 +190,15 @@ class TestFitDistributions:
         with pytest.raises(InsufficientDataError):
             A.fit_distributions(np.arange(1, 30), xmin=1)
 
+    @pytest.mark.parametrize("xmin", [0, -1])
+    def test_xmin_below_one_is_refused_before_the_sample_count(self, xmin):
+        # The discrete families start at 1; a zero in the tail made -inf logliks.
+        samples = np.random.default_rng(5).zipf(2.2, 500) - 1
+        with pytest.raises(DegenerateInputError, match=f"xmin={xmin} is below 1"):
+            A.fit_distributions(samples, xmin=xmin)
+        with pytest.raises(DegenerateInputError, match=f"xmin={xmin} is below 1"):
+            A.fit_distributions(samples[:3], xmin=xmin)
+
     def test_reported_params_reproduce_reported_loglik(self):
         rng = np.random.default_rng(9)
         samples = rng.geometric(0.3, size=5_000)

@@ -900,6 +900,46 @@ class TestHurdleSummary:
         assert errors == ["ConvergenceError: no optimum"]
 
 
+class TestHyptrailsSummary:
+    def test_a_tie_names_no_best_hypothesis(self, toy_inputs, tmp_path, capsys):
+        # No transitions: every hypothesis has Bayes factor 0.0 at every kappa.
+        clicks = tmp_path / "clicks.tsv"
+        clicks.write_text("")
+        out = str(tmp_path / "out")
+        assert main(["build", "--edges", toy_inputs["edges"], "--clickstream", str(clicks),
+                     "--out", out]) == 0
+        assert main(["features", "--corpus", toy_inputs["corpus"], "--categories",
+                     toy_inputs["categories"], "--visual", toy_inputs["visual"], "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["hyptrails", "--out", out]) == 0
+        assert capsys.readouterr().out == "hyptrails: 7 hypotheses; best at largest kappa: none\n"
+
+
+class TestAttentionFits:
+    def test_xmin_below_one_is_an_unavailable_section_and_no_warning(self, tmp_path):
+        rng = np.random.default_rng(3)
+        edges, clicks = [], []
+        for i in range(120):
+            for t in rng.choice(119, size=int(rng.integers(1, 6)), replace=False):
+                t = int(t) + (t >= i)
+                edges.append(f"a{i}\ta{t}\n")
+                clicks.append(f"a{i}\ta{t}\t{int(rng.integers(10, 60))}\n")
+        (tmp_path / "edges.tsv").write_text("".join(edges))
+        (tmp_path / "clicks.tsv").write_text("".join(clicks))
+        out = str(tmp_path / "out")
+        assert main(["build", "--edges", str(tmp_path / "edges.tsv"),
+                     "--clickstream", str(tmp_path / "clicks.tsv"), "--out", out]) == 0
+        # A fresh interpreter, so a warning prints as it would on stderr, here into stdout.
+        code = ("import sys\nsys.stderr = sys.stdout\n"
+                "from clickgraph.cli import main\nprint(main(sys.argv[1:]))\n")
+        printed = run_fresh(code, "attention", "--xmin-degrees", "0", "--out", out).splitlines()
+        assert [line.split(":")[0] for line in printed] == ["attention", "0"]  # summary, exit code
+        with open(os.path.join(out, ARTIFACTS["attention_fits"]), encoding="utf-8") as fh:
+            fits = fh.read()
+        refusal = "  unavailable: xmin=0 is below 1, where the discrete families start\n"
+        assert fits.count(refusal) == 2  # both out-degree sections
+
+
 class TestVisualInput:
     @pytest.mark.parametrize("row, message", [
         ("Graph_theory\tNetwork_science\t10\n", "expected 5 tab-separated fields, got 3"),

@@ -207,6 +207,23 @@ def feature_file_lines(g, log, extra_row=None, drop_cols=(), transitions_col=Tru
     return lines
 
 
+def spy_on_loadtxt(monkeypatch) -> list:
+    """Record each ``np.loadtxt`` call's outcome: the shape it returned, or the error type it raised."""
+    calls, loadtxt = [], np.loadtxt
+
+    def spy(*args, **kwargs):
+        try:
+            values = loadtxt(*args, **kwargs)
+        except Exception as exc:
+            calls.append(type(exc))
+            raise
+        calls.append(values.shape)
+        return values
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return calls
+
+
 class TestLoadFeatureTable:
     def setup_method(self):
         self.g, self.names = small_graph()
@@ -262,17 +279,19 @@ class TestLoadFeatureTable:
         assert any("duplicate" in r[3] for r in report.rejected)
 
     def test_written_table_is_parsed_a_column_at_a_time(self, monkeypatch):
-        # Non-edges and repeats are the join's to reject: they keep the columnar parse.
+        # Faulty rows of every kind still leave the numbers to one loadtxt call.
         bad = "B\tC\t0\t1\t1\t1\t1\t1\t1\t1\t1\t0.1\t0.1\t0.5\t0.5\t0\t0\tbody\n"
         lines = ["# notes\n", *feature_file_lines(self.g, self.log, extra_row=bad)]
-        lines.append(lines[2])
+        lines[3] = lines[3].replace("\tbody\n", "\tsidebar\n")
+        lines += [lines[2], "A\tB\t1\n"]
         want = reference_load_feature_table(lines, self.g, self.log)
-
-        def refuse(*_args):
-            raise AssertionError("the per-row parser ran")
-
-        monkeypatch.setattr(ingest, "_parse_rows", refuse)
+        assert [r[3] for r in want[1].rejected] == [
+            "unknown region label 'sidebar'", "not an edge of the graph", "duplicate link row",
+            "expected 18 fields, got 3"]
+        calls = spy_on_loadtxt(monkeypatch)
         assert_same_table(load_quietly(lines, self.g, self.log), want)
+        # Every row of the right width: all but the comment, the header and the short row.
+        assert calls == [(len(lines) - 3, len(ingest.FEATURE_COLUMNS) - 3)]
 
     @pytest.mark.parametrize("value", ["1_0", "\u0661", "\x1c1", "\x1f1", "1\r", "x"])
     def test_a_value_loadtxt_refuses_or_misreads_goes_through_the_per_row_parser(
@@ -281,11 +300,20 @@ class TestLoadFeatureTable:
         fields = lines[2].rstrip("\n").split("\t")
         fields[ingest.FEATURE_COLUMNS.index("x_coord")] = value
         lines[2] = "\t".join(fields) + "\n"
-        parse_rows, calls = ingest._parse_rows, []
-        monkeypatch.setattr(ingest, "_parse_rows", lambda *args: calls.append(1) or parse_rows(*args))
+        calls = spy_on_loadtxt(monkeypatch)
         assert_same_table(load_quietly(lines, self.g, self.log),
                           reference_load_feature_table(lines, self.g, self.log))
-        assert calls == [1]
+        if value in ("\x1c1", "\x1f1"):  # loadtxt would strip the separator float refuses
+            assert calls == []
+        else:  # loadtxt refuses the rows, so float reads them
+            assert calls == [ValueError]
+
+    def test_table_without_graph_reads_its_numbers_with_loadtxt(self, monkeypatch):
+        lines = [line.replace("\t", ",") for line in feature_file_lines(self.g, self.log)]
+        calls = spy_on_loadtxt(monkeypatch)
+        assert_same_table(load_quietly(lines, None, delimiter=","),
+                          reference_load_feature_table(lines, None, delimiter=","))
+        assert calls == [(self.g.n_edges, len(ingest.FEATURE_COLUMNS) - 3)]
 
     def test_rejected_list_is_capped_and_every_rejection_counted(self):
         lines = feature_file_lines(self.g, self.log)
