@@ -151,7 +151,6 @@ def per_article_gini(g: LinkGraph, log: TransitionLog) -> tuple[np.ndarray, int]
 
 @dataclass(frozen=True)
 class FamilyFit:
-    family: str
     params: dict[str, float]
     loglik: float
     aic: float
@@ -320,7 +319,7 @@ def _fit_power_law(x: np.ndarray, xmin: int) -> FamilyFit:
     res = optimize.minimize_scalar(nll, bounds=(1.0001, 20.0), method="bounded")
     params = {"alpha": float(res.x)}
     ll = -float(res.fun)
-    return FamilyFit("power_law", params, ll, 2 * 1 - 2 * ll, bool(res.success), str(res.message))
+    return FamilyFit(params, ll, 2 * 1 - 2 * ll, bool(res.success), str(res.message))
 
 
 def _fit_truncated_power_law(x: np.ndarray, xmin: int) -> FamilyFit:
@@ -350,9 +349,7 @@ def _fit_truncated_power_law(x: np.ndarray, xmin: int) -> FamilyFit:
     alpha, lam = float(best.x[0]), float(max(math.exp(best.x[1]), 1e-9))
     params = {"alpha": max(alpha, 0.0), "lambda": lam}
     ll = -float(best.fun)
-    return FamilyFit(
-        "truncated_power_law", params, ll, 2 * 2 - 2 * ll, bool(best.success), str(best.message)
-    )
+    return FamilyFit(params, ll, 2 * 2 - 2 * ll, bool(best.success), str(best.message))
 
 
 def _fit_lognormal(x: np.ndarray, xmin: int) -> FamilyFit:
@@ -397,7 +394,7 @@ def _fit_lognormal(x: np.ndarray, xmin: int) -> FamilyFit:
     )
     params = {"mu": float(res.x[0]), "sigma": float(math.exp(res.x[1]))}
     ll = -float(res.fun)
-    return FamilyFit("lognormal", params, ll, 2 * 2 - 2 * ll, bool(res.success), str(res.message))
+    return FamilyFit(params, ll, 2 * 2 - 2 * ll, bool(res.success), str(res.message))
 
 
 def _fit_exponential(x: np.ndarray, xmin: int) -> FamilyFit:
@@ -406,7 +403,7 @@ def _fit_exponential(x: np.ndarray, xmin: int) -> FamilyFit:
     lam = math.log((1.0 + m) / m)
     params = {"lambda": lam}
     ll = family_loglik("exponential", params, x, xmin)
-    return FamilyFit("exponential", params, ll, 2 * 1 - 2 * ll, True)
+    return FamilyFit(params, ll, 2 * 1 - 2 * ll, True)
 
 
 def fit_distributions(samples, xmin: int = 1) -> FitReport:
@@ -435,7 +432,7 @@ def fit_distributions(samples, xmin: int = 1) -> FitReport:
         try:
             fits[family] = fitter(x, xmin)
         except Exception as exc:  # per-family failure; comparison proceeds
-            fits[family] = FamilyFit(family, {}, math.nan, math.inf, False, str(exc))
+            fits[family] = FamilyFit({}, math.nan, math.inf, False, str(exc))
 
     converged = {f: fit for f, fit in fits.items() if fit.converged and math.isfinite(fit.aic)}
     if not converged:

@@ -281,6 +281,22 @@ def _load_manifest(outdir: str) -> dict:
         return json.load(fh)
 
 
+def _record(outdir: str, name: str, entry: dict) -> None:
+    """Set stage ``name``'s entry in a manifest re-read under an exclusive
+    ``flock`` on ``outdir``, so stages run at once into it lose no entry."""
+    import fcntl
+
+    fd = os.open(outdir, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        manifest = _load_manifest(outdir)
+        manifest["stages"][name] = entry
+        _atomic_write(os.path.join(outdir, MANIFEST),
+                      [json.dumps(manifest, sort_keys=True, indent=1) + "\n"])
+    finally:
+        os.close(fd)  # releases the lock
+
+
 def _artifact_path(cfg: RunConfig, key: str) -> str:
     return os.path.join(cfg.out, ARTIFACTS[key])
 
@@ -367,10 +383,9 @@ def run_stage(name: str, cfg: RunConfig) -> int:
                                   f"run `clickgraph {_PRODUCER[artifact]}` first")
     inputs = tuple(f.name for f in _FIELDS if f.kind is _PATH and name in f.stages)
     _validate_inputs(cfg, inputs)
-    manifest = _load_manifest(cfg.out)
     files = _key_files(cfg, stage.keys + inputs)
     key = {"config": cfg.hash(), "inputs": {n: _sha256(p) for n, p in files.items()}}
-    entry = manifest["stages"].get(name)
+    entry = _load_manifest(cfg.out)["stages"].get(name)
     if entry is not None and entry.get("key") == key and all(
             os.path.exists(os.path.join(cfg.out, f)) for f in entry.get("outputs", [])):
         print(f"{name}: cache hit, outputs unchanged")
@@ -399,9 +414,7 @@ def run_stage(name: str, cfg: RunConfig) -> int:
     for n, p in files.items():
         if os.path.realpath(p) in written:
             key["inputs"][n] = _sha256(p)
-    manifest["stages"][name] = {"key": key, "outputs": [ARTIFACTS[a] for a in stage.writes]}
-    _atomic_write(os.path.join(cfg.out, MANIFEST),
-                  [json.dumps(manifest, sort_keys=True, indent=1) + "\n"])
+    _record(cfg.out, name, {"key": key, "outputs": [ARTIFACTS[a] for a in stage.writes]})
     print(f"{name}: {summary}")
     for line in warnings:
         print(f"{name}: {line}", file=sys.stderr)

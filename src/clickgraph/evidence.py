@@ -62,21 +62,19 @@ def structural_hypothesis(g: LinkGraph) -> HypothesisMatrix:
     return HypothesisMatrix("structural", g, np.ones(g.n_edges))
 
 
-def kcore_hypothesis(g: LinkGraph, kcore: CentralityVector, smooth: bool = True) -> HypothesisMatrix:
-    """Belief 1/sqrt(target core number), cores floored at 1."""
+def kcore_hypothesis(g: LinkGraph, kcore: CentralityVector) -> HypothesisMatrix:
+    """Belief 1/sqrt(target core number), cores floored at 1, plus ``SMOOTHING_WEIGHT``."""
     cores = np.asarray(kcore.values, dtype=np.float64)
     if len(cores) != g.n_nodes:
         raise AlignmentError(f"{len(cores)} core numbers for {g.n_nodes} nodes")
     if len(cores) and cores.min() < 0:
         raise ValueError("core numbers must be nonnegative")
-    values = 1.0 / np.sqrt(np.maximum(cores[g.out_indices], 1.0))
-    if smooth:
-        values = values + SMOOTHING_WEIGHT
+    values = 1.0 / np.sqrt(np.maximum(cores[g.out_indices], 1.0)) + SMOOTHING_WEIGHT
     return HypothesisMatrix("kcore", g, values)
 
 
-def textsim_hypothesis(g: LinkGraph, sims: np.ndarray, smooth: bool = True) -> HypothesisMatrix:
-    """Belief equal to the text similarity of the linked articles.
+def textsim_hypothesis(g: LinkGraph, sims: np.ndarray) -> HypothesisMatrix:
+    """Belief equal to the linked articles' text similarity, plus ``SMOOTHING_WEIGHT``.
 
     NaN similarities (edges missing from the feature source) count as 0 and
     are tallied in ``filled``.
@@ -88,13 +86,11 @@ def textsim_hypothesis(g: LinkGraph, sims: np.ndarray, smooth: bool = True) -> H
     values = np.where(missing, 0.0, sims)
     if len(values) and (values.min() < 0 or values.max() > 1):
         raise ValueError("similarities must lie in [0, 1]")
-    if smooth:
-        values = values + SMOOTHING_WEIGHT
-    return HypothesisMatrix("text_sim", g, values, filled=int(missing.sum()))
+    return HypothesisMatrix("text_sim", g, values + SMOOTHING_WEIGHT, filled=int(missing.sum()))
 
 
-def visual_hypothesis(g: LinkGraph, regions: np.ndarray, smooth: bool = True) -> HypothesisMatrix:
-    """Belief 1 for links in the lead, left body strip, or infobox; else 0.
+def visual_hypothesis(g: LinkGraph, regions: np.ndarray) -> HypothesisMatrix:
+    """Belief 1 for lead, left-body and infobox links, else 0, plus ``SMOOTHING_WEIGHT``.
 
     ``regions`` holds one label per edge; None marks edges without visual
     data (belief 0, tallied).  Unknown labels raise :class:`SchemaError`.
@@ -106,9 +102,7 @@ def visual_hypothesis(g: LinkGraph, regions: np.ndarray, smooth: bool = True) ->
     unknown = ~missing & ~np.isin(regions, REGIONS)
     if unknown.any():
         raise SchemaError(f"unknown region label {regions[np.argmax(unknown)]!r}")
-    values = np.isin(regions, sorted(PROMOTED_REGIONS)).astype(np.float64)
-    if smooth:
-        values = values + SMOOTHING_WEIGHT
+    values = np.isin(regions, sorted(PROMOTED_REGIONS)).astype(np.float64) + SMOOTHING_WEIGHT
     return HypothesisMatrix("visual", g, values, filled=int(np.count_nonzero(missing)))
 
 
@@ -130,16 +124,9 @@ def combine(hyps: list[HypothesisMatrix], name: str | None = None) -> Hypothesis
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ElicitedPrior:
-    """Per-edge Dirichlet parameters: 1 + kappa * row-normalized belief."""
-
-    graph: LinkGraph
-    alpha: np.ndarray
-
-
-def elicit_prior(h: HypothesisMatrix, kappa: float) -> ElicitedPrior:
-    """Turn beliefs into Dirichlet parameters at belief strength ``kappa``.
+def elicit_prior(h: HypothesisMatrix, kappa: float) -> np.ndarray:
+    """Per-edge Dirichlet parameters at belief strength ``kappa``:
+    1 + kappa * row-normalized belief, on the slots of ``h.graph``.
 
     Rows without out-edges get no parameters; a row whose beliefs sum to zero
     cannot be normalized and raises :class:`ElicitationError` (smoothing
@@ -155,12 +142,12 @@ def elicit_prior(h: HypothesisMatrix, kappa: float) -> ElicitedPrior:
         raise ElicitationError(
             f"{int(dead.sum())} rows have all-zero beliefs; apply smoothing first"
         )
-    alpha = 1.0 + kappa * h.values / row_sum[src]
-    return ElicitedPrior(graph=g, alpha=alpha)
+    return 1.0 + kappa * h.values / row_sum[src]
 
 
-def log_evidence(prior: ElicitedPrior, counts) -> float:
-    """Log marginal likelihood of grouped transition counts under the prior.
+def log_evidence(g: LinkGraph, alpha, counts) -> float:
+    """Log marginal likelihood of grouped transition counts on ``g`` under
+    the per-edge Dirichlet parameters ``alpha`` (see :func:`elicit_prior`).
 
     counts may be a :class:`TransitionLog` or a dense per-edge-slot vector of
     finite nonnegative counts.  Evidence is the product over source rows of
@@ -171,12 +158,11 @@ def log_evidence(prior: ElicitedPrior, counts) -> float:
     other term is gammaln(a) - gammaln(a + 0.0), which is exactly +0.0 when
     gammaln(a) is finite, so those terms stay zeros in arrays of full length
     and both sums add the same values in the same order: the result is
-    bit-equal to the sum over all slots and rows.  A prior whose parameters
-    or row sums leave gammaln's finite range [``ALPHA_MIN``, ``ALPHA_MAX``)
-    raises :class:`ElicitationError`; there the full sums are NaN or
-    meaningless anyway.
+    bit-equal to the sum over all slots and rows.  Parameters or row sums
+    outside gammaln's finite range [``ALPHA_MIN``, ``ALPHA_MAX``) raise
+    :class:`ElicitationError`; there the full sums are NaN or meaningless
+    anyway.
     """
-    g = prior.graph
     if isinstance(counts, TransitionLog):
         n = counts.aligned_counts(g)
     else:
@@ -189,7 +175,7 @@ def log_evidence(prior: ElicitedPrior, counts) -> float:
                 raise ValueError("counts must be finite")
             if lo < 0:
                 raise ValueError("counts must be nonnegative")
-    alpha = np.asarray(prior.alpha, dtype=np.float64)
+    alpha = np.asarray(alpha, dtype=np.float64)
     if len(alpha) != g.n_edges:
         raise AlignmentError(f"{len(alpha)} Dirichlet parameters for {g.n_edges} edges")
     src = g.edge_sources
@@ -280,13 +266,13 @@ def bayes_factor_curve(
     g = baseline.graph
     if isinstance(counts, TransitionLog):
         counts = counts.aligned_counts(g)
-    base_ev = np.array([log_evidence(elicit_prior(baseline, k), counts) for k in kappas])
+    base_ev = np.array([log_evidence(g, elicit_prior(baseline, k), counts) for k in kappas])
 
     curves = []
     for h in hyps:
         if not same_structure(g, h.graph):
             raise AlignmentError(f"hypothesis {h.name!r} is defined on a different graph")
-        ev = np.array([log_evidence(elicit_prior(h, k), counts) for k in kappas])
+        ev = np.array([log_evidence(h.graph, elicit_prior(h, k), counts) for k in kappas])
         bf = ev - base_ev
         curves.append(
             EvidenceCurve(

@@ -8,6 +8,7 @@ share across threads.
 from __future__ import annotations
 
 import io
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -239,7 +240,7 @@ def pagerank(
     g: LinkGraph,
     alpha: float = 0.85,
     tol: float = 1e-10,
-    max_iter: int = 200,
+    max_iter: int | None = None,
 ) -> CentralityVector:
     """Classic PageRank by power iteration from a uniform start.
 
@@ -255,7 +256,7 @@ def power_iteration(
     weights: np.ndarray,
     alpha: float,
     tol: float,
-    max_iter: int,
+    max_iter: int | None,
     name: str,
 ) -> CentralityVector:
     """The PageRank kernel shared by classic and weighted PageRank.
@@ -264,12 +265,16 @@ def power_iteration(
     ``weights[e]`` over the sum of its row's weights; nodes whose weights sum
     to zero (dangling nodes among them) spread theirs over all nodes.
     ``name`` labels the :class:`ConvergenceError` raised when the L1 change
-    stays above ``tol`` after ``max_iter`` steps.
+    stays above ``tol`` after ``max_iter`` steps, by default at least 200 and
+    enough for a change of 2 that shrinks by ``alpha`` a step (as on a
+    periodic component) to reach ``tol``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if max_iter is None:
+        max_iter = max(200, 1 + math.ceil(math.log(tol / 2.0) / math.log(alpha)))
     n = g.n_nodes
     if n == 0:
         return CentralityVector("pagerank", np.zeros(0))

@@ -99,14 +99,12 @@ def split_hurdle(table: LinkFeatureTable, threshold: int = 10) -> HurdleSplit:
 
 @dataclass(frozen=True, eq=False)
 class HurdleFit:
-    stage: str                # "binomial" | "ztnb"
     coef: np.ndarray
     columns: tuple[str, ...]
     loglik: float
     theta: float | None = None
     iterations: int = 0
     grad_norm: float = math.nan
-    ll_trace: tuple[float, ...] = ()
     n_rows: int = 0
 
     @property
@@ -147,7 +145,6 @@ def fit_logistic(design: DesignMatrix, tol: float = 1e-10, max_iter: int = 100) 
     beta = np.zeros(p)
     eta = X @ beta
     ll = _logistic_ll(eta, y)
-    trace = [ll]
     for it in range(max_iter + 1):
         prob = special.expit(eta)
         grad = X.T @ (y - prob)
@@ -160,10 +157,8 @@ def fit_logistic(design: DesignMatrix, tol: float = 1e-10, max_iter: int = 100) 
                     "perfect separation: deviance collapsing, coefficients diverging"
                 )
         if gnorm <= tol:
-            return HurdleFit(
-                stage="binomial", coef=beta, columns=design.columns, loglik=ll,
-                iterations=it, grad_norm=gnorm, ll_trace=tuple(trace), n_rows=n,
-            )
+            return HurdleFit(coef=beta, columns=design.columns, loglik=ll,
+                             iterations=it, grad_norm=gnorm, n_rows=n)
 
         w = prob * (1.0 - prob)
         hess = X.T @ (X * w[:, None])
@@ -183,7 +178,6 @@ def fit_logistic(design: DesignMatrix, tol: float = 1e-10, max_iter: int = 100) 
         else:
             break
         beta, eta, ll = cand, cand_eta, cand_ll
-        trace.append(ll)
     raise ConvergenceError(f"logistic fit did not converge in {max_iter} iterations",
                            last=beta, iterations=max_iter)
 
@@ -275,9 +269,8 @@ def fit_ztnb(design: DesignMatrix, theta_init: float = 1.0, max_iter: int = 500)
     """Joint quasi-Newton ascent over (beta, ln theta).
 
     One :func:`ztnb_loglik` call per point L-BFGS-B evaluates, sharing one
-    :func:`ztnb_counts`; the trace is the likelihood it reports at each
-    iterate.  All outcomes must be >= 1; a fit that stops short of the
-    gradient tolerance raises :class:`ConvergenceError`.
+    :func:`ztnb_counts`.  All outcomes must be >= 1; a fit that stops short
+    of the gradient tolerance raises :class:`ConvergenceError`.
     """
     X, y = design.X, design.y
     if y.min() < 1:
@@ -291,19 +284,14 @@ def fit_ztnb(design: DesignMatrix, theta_init: float = 1.0, max_iter: int = 500)
     x0[0] = math.log(float(y.mean()))
     x0[-1] = math.log(theta_init)
 
-    trace: list[float] = []
     counts = ztnb_counts(y)
 
     def objective(params):
         ll, grad = ztnb_loglik(params, X, y, counts)
         return -ll, -grad
 
-    def record(intermediate_result):
-        trace.append(-intermediate_result.fun)
-
     res = optimize.minimize(
         objective, x0, jac=True, method="L-BFGS-B",
-        callback=record,
         options={"maxiter": max_iter, "ftol": 1e-14, "gtol": 1e-9},
     )
     ll = -float(res.fun)
@@ -314,9 +302,8 @@ def fit_ztnb(design: DesignMatrix, theta_init: float = 1.0, max_iter: int = 500)
             last=res.x, iterations=int(res.nit),
         )
     return HurdleFit(
-        stage="ztnb", coef=res.x[:-1], columns=design.columns, loglik=ll,
-        theta=float(math.exp(res.x[-1])), iterations=int(res.nit),
-        grad_norm=gnorm, ll_trace=tuple(trace), n_rows=n,
+        coef=res.x[:-1], columns=design.columns, loglik=ll, theta=float(math.exp(res.x[-1])),
+        iterations=int(res.nit), grad_norm=gnorm, n_rows=n,
     )
 
 

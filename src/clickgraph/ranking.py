@@ -33,7 +33,7 @@ def weighted_pagerank(
     h: HypothesisMatrix,
     alpha: float = 0.85,
     tol: float = 1e-10,
-    max_iter: int = 200,
+    max_iter: int | None = None,
 ) -> CentralityVector:
     """PageRank where a node's mass flows along edge (i, j) proportionally to
     the belief m_ij, normalized by the row sum over i's out-links.
@@ -149,13 +149,20 @@ def evaluate_all(
 
     The correlation universe is all articles by default (unviewed articles
     count 0 views); ``restrict_to_viewed`` drops articles without any
-    incoming transitions instead.  Each weighted row carries Steiger's test
-    against the baseline at the same damping factor.
+    incoming transitions instead; one of fewer than 3 articles, or of equal
+    views, is refused before any PageRank runs.  Each weighted row carries
+    Steiger's test against the baseline at the same damping factor, or None
+    where the test is undefined (a correlation of +-1, or n < 10).
     """
     views = incoming_transition_sums(log, g.n_nodes)
     mask = views >= 1 if restrict_to_viewed else np.ones(g.n_nodes, dtype=bool)
     v = views[mask]
     n = int(mask.sum())
+    if n < 3:
+        raise PreconditionError(f"{n} articles ranked; Spearman's rho needs at least 3")
+    if v.min() == v.max():
+        raise DegenerateInputError(f"all {n} articles ranked have {v[0]:.0f} views; "
+                                   "Spearman's rho against views is undefined")
 
     def evaluate_cell(hyp: HypothesisMatrix | None, alpha: float, baseline):
         if hyp is None:
@@ -165,11 +172,13 @@ def evaluate_all(
         pr = weighted_pagerank(g, hyp, alpha=alpha).values
         sp = spearman(pr[mask], v)
         r23 = spearman(pr[mask], baseline.pagerank[mask]).rho
-        st = steiger_test(sp.rho, baseline.rho, r23, n)
-        return RankEvaluation(
-            hyp.name, alpha, pr, sp.rho, sp.p,
-            steiger_z=st.z, steiger_p=st.p_one_tailed, improved=sp.rho > baseline.rho,
-        )
+        try:
+            st = steiger_test(sp.rho, baseline.rho, r23, n)
+            z, p = st.z, st.p_one_tailed
+        except (DegenerateInputError, PreconditionError):
+            z = p = None
+        return RankEvaluation(hyp.name, alpha, pr, sp.rho, sp.p,
+                              steiger_z=z, steiger_p=p, improved=sp.rho > baseline.rho)
 
     baselines = {a: evaluate_cell(None, a, None) for a in alphas}
     cells = [(h, a) for a in alphas for h in hypotheses]

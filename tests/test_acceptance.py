@@ -52,8 +52,7 @@ def test_criterion_1_evidence_kernel_matches_polya_oracle():
         alpha = rng.uniform(0.05, 8.0, size=g.n_edges)
         budget = int(rng.integers(0, 11))
         counts = rng.multinomial(budget, np.full(g.n_edges, 1.0 / g.n_edges)).astype(float)
-        prior = E.ElicitedPrior(graph=g, alpha=alpha)
-        got = E.log_evidence(prior, counts)
+        got = E.log_evidence(g, alpha, counts)
         rows = [alpha[:n_states]] + ([alpha[n_states:]] if extra_row else [])
         cnts = [counts[:n_states]] + ([counts[n_states:]] if extra_row else [])
         expected = polya_evidence_oracle(rows, cnts)

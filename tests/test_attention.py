@@ -375,9 +375,7 @@ def reference_fit_truncated_power_law(x, xmin):
     alpha, lam = float(best.x[0]), float(max(math.exp(best.x[1]), 1e-9))
     params = {"alpha": max(alpha, 0.0), "lambda": lam}
     ll = -float(best.fun)
-    return A.FamilyFit(
-        "truncated_power_law", params, ll, 2 * 2 - 2 * ll, bool(best.success), str(best.message)
-    )
+    return A.FamilyFit(params, ll, 2 * 2 - 2 * ll, bool(best.success), str(best.message))
 
 
 def reference_fit_lognormal(x, xmin):
@@ -402,7 +400,7 @@ def reference_fit_lognormal(x, xmin):
     )
     params = {"mu": float(res.x[0]), "sigma": float(math.exp(res.x[1]))}
     ll = -float(res.fun)
-    return A.FamilyFit("lognormal", params, ll, 2 * 2 - 2 * ll, bool(res.success), str(res.message))
+    return A.FamilyFit(params, ll, 2 * 2 - 2 * ll, bool(res.success), str(res.message))
 
 
 def _fit_outcome(samples, xmin):

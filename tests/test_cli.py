@@ -281,6 +281,32 @@ class TestPipeline:
         assert "cache hit" not in capsys.readouterr().out
 
 
+class TestManifest:
+    def test_a_stage_finishing_inside_another_keeps_both_entries(self, toy_inputs, tmp_path,
+                                                                monkeypatch):
+        # hurdle records its entry while attention's body runs, as when both
+        # run at once into one --out; attention's write must not drop it.
+        from clickgraph import stages
+
+        out = str(tmp_path / "out")
+        assert main(["build", "--edges", toy_inputs["edges"], "--clickstream",
+                     toy_inputs["clickstream"], "--out", out]) == 0
+        assert main(["features", "--corpus", toy_inputs["corpus"], "--categories",
+                     toy_inputs["categories"], "--visual", toy_inputs["visual"],
+                     "--projection-dim", "64", "--out", out]) == 0
+        attention = stages.attention
+
+        def hurdle_meanwhile(cfg, g, log):
+            assert cli.run_stage("hurdle", cfg) == 0
+            return attention(cfg, g, log)
+
+        monkeypatch.setattr(stages, "attention", hurdle_meanwhile)
+        assert main(["attention", "--out", out]) == 0
+        with open(os.path.join(out, MANIFEST), encoding="utf-8") as fh:
+            recorded = json.load(fh)["stages"]
+        assert sorted(recorded) == ["attention", "build", "features", "hurdle"]
+
+
 class TestPrintedOutput:
     COLD = (
         "build: 20 articles, 78 links (0 self-loops); kept 33 transition pairs\n"
@@ -913,6 +939,40 @@ class TestHyptrailsSummary:
         capsys.readouterr()
         assert main(["hyptrails", "--out", out]) == 0
         assert capsys.readouterr().out == "hyptrails: 7 hypotheses; best at largest kappa: none\n"
+
+
+class TestPagerankUniverse:
+    def test_viewed_only_writes_na_where_steiger_is_undefined(self, toy_inputs, tmp_path):
+        # On the 17 viewed toy articles kcore ranks exactly as the baseline
+        # at alpha 0.85 and 0.9 (r23 = 1); that once exited 2.
+        out = str(tmp_path / "out")
+        assert main(["build", "--edges", toy_inputs["edges"], "--clickstream",
+                     toy_inputs["clickstream"], "--out", out]) == 0
+        assert main(["features", "--corpus", toy_inputs["corpus"], "--categories",
+                     toy_inputs["categories"], "--visual", toy_inputs["visual"],
+                     "--projection-dim", "64", "--out", out]) == 0
+        assert main(["pagerank", "--viewed-only", "--out", out]) == 0
+        rows = [r for r in _rows(os.path.join(out, ARTIFACTS["pagerank"]))[1:] if r[0] == "kcore"]
+        assert [r[1] for r in rows] == ["0.8", "0.85", "0.9"]
+        assert rows[0][4:] != ["NA", "NA", "false"]
+        assert [r[4:] for r in rows[1:]] == [["NA", "NA", "false"]] * 2
+
+    @pytest.mark.parametrize("flags, message", [
+        ((), "all 20 articles ranked have 0 views; Spearman's rho against views is undefined"),
+        (("--viewed-only",), "0 articles ranked; Spearman's rho needs at least 3"),
+    ], ids=["all-articles", "viewed-only"])
+    def test_log_without_views_is_refused_with_its_reason(self, toy_inputs, tmp_path, capsys,
+                                                           flags, message):
+        clicks = tmp_path / "clicks.tsv"
+        clicks.write_text("")
+        out = str(tmp_path / "out")
+        assert main(["build", "--edges", toy_inputs["edges"], "--clickstream", str(clicks),
+                     "--out", out]) == 0
+        assert main(["features", "--corpus", toy_inputs["corpus"], "--categories",
+                     toy_inputs["categories"], "--visual", toy_inputs["visual"], "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["pagerank", *flags, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestAttentionFits:

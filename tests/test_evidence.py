@@ -42,26 +42,26 @@ class TestStructuralHypothesis:
 
     def test_row_normalized_form_is_uniform(self):
         g = fan_graph()
-        prior = E.elicit_prior(E.structural_hypothesis(g), kappa=3.0)
-        np.testing.assert_allclose(prior.alpha[:3], 1.0 + 3.0 / 3.0)
+        alpha = E.elicit_prior(E.structural_hypothesis(g), kappa=3.0)
+        np.testing.assert_allclose(alpha[:3], 1.0 + 3.0 / 3.0)
 
 
 class TestKcoreHypothesis:
     def test_formula_before_smoothing(self):
         g = G.build_graph([(0, 1)])
         cores = CentralityVector("kcore", np.array([1, 4]))
-        h = E.kcore_hypothesis(g, cores, smooth=False)
-        assert h.values[0] == pytest.approx(0.5)
+        h = E.kcore_hypothesis(g, cores)
+        assert h.values[0] - E.SMOOTHING_WEIGHT == pytest.approx(0.5)
 
     def test_core_one_gives_one(self):
         g = G.build_graph([(0, 1)])
         cores = CentralityVector("kcore", np.array([1, 1]))
-        assert E.kcore_hypothesis(g, cores, smooth=False).values[0] == 1.0
+        assert E.kcore_hypothesis(g, cores).values[0] == 1.0 + E.SMOOTHING_WEIGHT
 
     def test_core_zero_floored_to_one(self):
         g = G.build_graph([(0, 1)])
         cores = CentralityVector("kcore", np.array([0, 0]))
-        assert E.kcore_hypothesis(g, cores, smooth=False).values[0] == 1.0
+        assert E.kcore_hypothesis(g, cores).values[0] == 1.0 + E.SMOOTHING_WEIGHT
 
     def test_smoothing_adds_structural(self):
         g = G.build_graph([(0, 1)])
@@ -125,19 +125,18 @@ class TestVisualHypothesis:
             with pytest.raises(SchemaError, match=f"^{re.escape(str(exc))}$"):
                 E.visual_hypothesis(g, regions)
             return
-        h = E.visual_hypothesis(g, regions, smooth=False)
-        assert h.values.tobytes() == values.tobytes()
+        h = E.visual_hypothesis(g, regions)
+        assert h.values.tobytes() == (values + E.SMOOTHING_WEIGHT).tobytes()
         assert h.filled == filled
 
     def test_region_rules(self):
         g = G.build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 0), (2, 1), (2, 3)])
         regions = np.asarray(["lead", "navbox", "infobox", "left-body", "right-body",
                               None, np.nan, float("nan")], dtype=object)
-        h = E.visual_hypothesis(g, regions, smooth=False)
-        assert h.values.tobytes() == np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]).tobytes()
+        h = E.visual_hypothesis(g, regions)
+        promoted = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+        assert h.values.tobytes() == (promoted + E.SMOOTHING_WEIGHT).tobytes()
         assert h.filled == 3
-        smoothed = E.visual_hypothesis(g, regions).values
-        assert smoothed.tobytes() == (h.values + E.SMOOTHING_WEIGHT).tobytes()
 
     def test_unknown_label_is_schema_error(self):
         g = G.build_graph([(0, 1), (0, 2), (0, 3), (1, 2)])
@@ -151,7 +150,7 @@ class TestVisualHypothesis:
         s = E.structural_hypothesis(g)
         for kappa in (1.0, 5.0):
             np.testing.assert_allclose(
-                E.elicit_prior(h, kappa).alpha, E.elicit_prior(s, kappa).alpha, atol=1e-12
+                E.elicit_prior(h, kappa), E.elicit_prior(s, kappa), atol=1e-12
             )
 
     def test_missing_region_tallied(self):
@@ -167,7 +166,7 @@ class TestCombine:
         c = E.combine([s, s])
         for kappa in (2.0, 7.0):
             np.testing.assert_allclose(
-                E.elicit_prior(c, kappa).alpha, E.elicit_prior(s, kappa).alpha, atol=1e-12
+                E.elicit_prior(c, kappa), E.elicit_prior(s, kappa), atol=1e-12
             )
 
     def test_elementwise_sum(self):
@@ -197,19 +196,19 @@ class TestCombine:
 class TestElicitPrior:
     def test_uniform_two_edge_row(self):
         g = G.build_graph([(0, 1), (0, 2)])
-        prior = E.elicit_prior(E.structural_hypothesis(g), kappa=4.0)
-        np.testing.assert_allclose(prior.alpha, [3.0, 3.0])
+        alpha = E.elicit_prior(E.structural_hypothesis(g), kappa=4.0)
+        np.testing.assert_allclose(alpha, [3.0, 3.0])
 
     def test_weighted_row(self):
         g = G.build_graph([(0, 1), (0, 2)])
         h = E.HypothesisMatrix("w", g, np.array([3.0, 1.0]))
-        prior = E.elicit_prior(h, kappa=8.0)
-        np.testing.assert_allclose(prior.alpha, [7.0, 3.0])
+        alpha = E.elicit_prior(h, kappa=8.0)
+        np.testing.assert_allclose(alpha, [7.0, 3.0])
 
     def test_kappa_to_zero_limit_is_uninformed(self):
         g = fan_graph()
-        prior = E.elicit_prior(E.structural_hypothesis(g), kappa=1e-15)
-        np.testing.assert_allclose(prior.alpha, 1.0, atol=1e-14)
+        alpha = E.elicit_prior(E.structural_hypothesis(g), kappa=1e-15)
+        np.testing.assert_allclose(alpha, 1.0, atol=1e-14)
 
     def test_zero_sum_row_raises(self):
         g = G.build_graph([(0, 1), (1, 2)])
@@ -235,16 +234,15 @@ class TestElicitPrior:
             E.HypothesisMatrix("h", g, np.array([1.0, bad, 1.0, 1.0, 1.0]))
 
 
-def reference_log_evidence(prior, counts):
+def reference_log_evidence(g, alpha, counts):
     """The former kernel: gammaln on every edge slot and on every row with out-edges."""
-    g = prior.graph
     n = counts.aligned_counts(g) if isinstance(counts, TransitionLog) else np.asarray(counts, dtype=np.float64)
     src = g.edge_sources
-    row_a = np.bincount(src, weights=prior.alpha, minlength=g.n_nodes)
+    row_a = np.bincount(src, weights=alpha, minlength=g.n_nodes)
     row_n = np.bincount(src, weights=n, minlength=g.n_nodes)
     rows = g.out_degrees() > 0
     total = float((gammaln(row_a[rows]) - gammaln(row_a[rows] + row_n[rows])).sum())
-    total += float((gammaln(prior.alpha + n) - gammaln(prior.alpha)).sum())
+    total += float((gammaln(alpha + n) - gammaln(alpha)).sum())
     return total
 
 
@@ -265,20 +263,19 @@ def evidence_cases(draw):
         counts[:] = 0.0
     elif mode == "one row" and g.n_edges:
         counts[g.edge_sources != g.edge_sources[draw(st.integers(0, g.n_edges - 1))]] = 0.0
-    return E.elicit_prior(h, kappa), counts
+    return g, E.elicit_prior(h, kappa), counts
 
 
 class TestLogEvidence:
     def test_zero_counts_give_zero(self):
         g = fan_graph()
-        prior = E.elicit_prior(E.structural_hypothesis(g), kappa=2.0)
-        assert E.log_evidence(prior, np.zeros(g.n_edges)) == 0.0
+        alpha = E.elicit_prior(E.structural_hypothesis(g), kappa=2.0)
+        assert E.log_evidence(g, alpha, np.zeros(g.n_edges)) == 0.0
 
     def test_single_row_uniform_prior_two_observations(self):
         # alpha=(1,1), counts=(1,1): (1/2) * (1/3)
         g = G.build_graph([(0, 1), (0, 2)])
-        prior = E.ElicitedPrior(graph=g, alpha=np.array([1.0, 1.0]))
-        assert E.log_evidence(prior, np.array([1.0, 1.0])) == pytest.approx(
+        assert E.log_evidence(g, np.array([1.0, 1.0]), np.array([1.0, 1.0])) == pytest.approx(
             math.log(1 / 6), abs=1e-12
         )
 
@@ -293,39 +290,37 @@ class TestLogEvidence:
                 rng.integers(0, 4, size=n_states).astype(float),
                 rng.integers(0, 4, size=1).astype(float),
             ])
-            prior = E.ElicitedPrior(graph=g, alpha=alpha)
             expected = polya_evidence_oracle(
                 [alpha_row0, alpha[-1:]], [counts[:-1], counts[-1:]]
             )
-            assert E.log_evidence(prior, counts) == pytest.approx(expected, abs=1e-9)
+            assert E.log_evidence(g, alpha, counts) == pytest.approx(expected, abs=1e-9)
 
     def test_matches_monte_carlo_dirichlet_average(self):
         # 3-state toy chain: evidence == E_p~Dir(alpha) [ prod p^n ]
         g = G.build_graph([(0, 1), (0, 2), (0, 3)])
         alpha = np.array([1.5, 2.0, 0.8])
         counts = np.array([3.0, 1.0, 2.0])
-        prior = E.ElicitedPrior(graph=g, alpha=alpha)
         rng = np.random.default_rng(99)
         draws = rng.dirichlet(alpha, size=1_000_000)
         vals = np.prod(draws ** counts, axis=1)
         mc = vals.mean()
         se = vals.std(ddof=1) / math.sqrt(len(vals))
-        assert abs(math.exp(E.log_evidence(prior, counts)) - mc) <= 3 * se
+        assert abs(math.exp(E.log_evidence(g, alpha, counts)) - mc) <= 3 * se
 
     def test_count_on_non_edge_is_support_error(self):
         g = fan_graph()
         other = G.build_graph([(2, 0), (3, 1)])
         log = TransitionLog.from_pairs([2], [0], [15], graph=other)
-        prior = E.elicit_prior(E.structural_hypothesis(g), kappa=1.0)
+        alpha = E.elicit_prior(E.structural_hypothesis(g), kappa=1.0)
         with pytest.raises(SupportError):
-            E.log_evidence(prior, log)
+            E.log_evidence(g, alpha, log)
 
     def test_rows_without_transitions_change_nothing(self):
         # growing the graph by rows that saw no transitions leaves evidence exact
         g = random_graph(30, 0.15, seed=2)
         log = multinomial_log(g, np.ones(g.n_edges), trips_per_source=20, seed=3)
         counts = log.aligned_counts(g)
-        base = E.log_evidence(E.elicit_prior(E.structural_hypothesis(g), 2.0), counts)
+        base = E.log_evidence(g, E.elicit_prior(E.structural_hypothesis(g), 2.0), counts)
 
         pairs = np.stack([g.edge_sources, g.out_indices], axis=1)
         extra = np.array([[30, 0], [30, 5], [31, 2]])
@@ -333,42 +328,42 @@ class TestLogEvidence:
         counts2 = np.zeros(g2.n_edges)
         slots = g2.edge_slots(g.edge_sources, g.out_indices)
         counts2[slots] = counts
-        grown = E.log_evidence(E.elicit_prior(E.structural_hypothesis(g2), 2.0), counts2)
+        grown = E.log_evidence(g2, E.elicit_prior(E.structural_hypothesis(g2), 2.0), counts2)
         assert grown == base
 
     @settings(max_examples=300, deadline=None)
     @given(evidence_cases())
     def test_bit_equal_to_the_full_slot_reference(self, case):
-        prior, counts = case
-        assert E.log_evidence(prior, counts).hex() == reference_log_evidence(prior, counts).hex()
+        g, alpha, counts = case
+        assert E.log_evidence(g, alpha, counts).hex() == reference_log_evidence(g, alpha, counts).hex()
 
     def test_transition_log_bit_equal_to_the_full_slot_reference(self):
         g = random_graph(60, 0.1, seed=12)
         log = multinomial_log(g, np.ones(g.n_edges), trips_per_source=5, seed=13)
         for kappa in E.default_kappa_grid(g):
-            prior = E.elicit_prior(E.kcore_hypothesis(g, G.kcore(g)), kappa)
-            assert E.log_evidence(prior, log) == reference_log_evidence(prior, log)
+            alpha = E.elicit_prior(E.kcore_hypothesis(g, G.kcore(g)), kappa)
+            assert E.log_evidence(g, alpha, log) == reference_log_evidence(g, alpha, log)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_dense_counts_rejected(self, bad):
         g = G.build_graph([(0, 1), (0, 2), (1, 2), (2, 0)])
-        prior = E.elicit_prior(E.structural_hypothesis(g), kappa=2.0)
+        alpha = E.elicit_prior(E.structural_hypothesis(g), kappa=2.0)
         with pytest.raises(ValueError, match="^counts must be finite$"):
-            E.log_evidence(prior, np.array([1.0, 0.0, 2.0, bad]))
+            E.log_evidence(g, alpha, np.array([1.0, 0.0, 2.0, bad]))
 
     def test_negative_counts_rejected(self):
         g = fan_graph()
-        prior = E.elicit_prior(E.structural_hypothesis(g), kappa=2.0)
+        alpha = E.elicit_prior(E.structural_hypothesis(g), kappa=2.0)
         with pytest.raises(ValueError, match="^counts must be nonnegative$"):
-            E.log_evidence(prior, np.array([1.0, 0.0, -2.0, 0.0, 0.0]))
+            E.log_evidence(g, alpha, np.array([1.0, 0.0, -2.0, 0.0, 0.0]))
 
     def test_bounds_of_the_accepted_parameters_keep_gammaln_finite(self):
         assert np.isfinite(gammaln(E.ALPHA_MIN))
         assert np.isfinite(gammaln(E.ALPHA_MAX))
         g = G.build_graph([(0, 1), (0, 2), (1, 2)])
-        prior = E.ElicitedPrior(g, np.array([E.ALPHA_MIN, 1.0, np.nextafter(E.ALPHA_MAX, 0.0)]))
+        alpha = np.array([E.ALPHA_MIN, 1.0, np.nextafter(E.ALPHA_MAX, 0.0)])
         counts = np.array([0.0, 3.0, 0.0])
-        assert E.log_evidence(prior, counts) == reference_log_evidence(prior, counts)
+        assert E.log_evidence(g, alpha, counts) == reference_log_evidence(g, alpha, counts)
 
     @pytest.mark.parametrize("alpha", [
         [0.0, 1.0, 1.0],                  # zero
@@ -382,21 +377,20 @@ class TestLogEvidence:
     ])
     def test_prior_outside_the_finite_range_of_gammaln_rejected(self, alpha):
         g = G.build_graph([(0, 1), (0, 2), (1, 2)])
-        prior = E.ElicitedPrior(g, np.array(alpha))
         with pytest.raises(ElicitationError, match="Dirichlet parameters"):
-            E.log_evidence(prior, np.array([0.0, 0.0, 1.0]))
+            E.log_evidence(g, np.array(alpha), np.array([0.0, 0.0, 1.0]))
 
     def test_prior_of_another_length_is_an_alignment_error(self):
         g = G.build_graph([(0, 1), (0, 2), (1, 2)])
         with pytest.raises(AlignmentError, match="^2 Dirichlet parameters for 3 edges$"):
-            E.log_evidence(E.ElicitedPrior(g, np.ones(2)), np.zeros(3))
+            E.log_evidence(g, np.ones(2), np.zeros(3))
 
     def test_elicited_priors_pass_the_guard_at_extreme_kappa(self):
         g = fan_graph()
         h = E.HypothesisMatrix("w", g, np.array([1e-300, 1.0, 4.0, 0.0, 3.0]))
         for kappa in (1e-300, 1.0, 1e300):  # alpha spans [1, 1 + kappa]
-            prior = E.elicit_prior(h, kappa)
-            assert E.log_evidence(prior, np.ones(g.n_edges)) == reference_log_evidence(prior, np.ones(g.n_edges))
+            alpha = E.elicit_prior(h, kappa)
+            assert E.log_evidence(g, alpha, np.ones(g.n_edges)) == reference_log_evidence(g, alpha, np.ones(g.n_edges))
 
 
 class TestInvariants:
@@ -411,7 +405,7 @@ class TestInvariants:
             E.textsim_hypothesis(g, np.random.default_rng(1).random(g.n_edges)),
         ]
         kappa = 1e-13
-        values = [E.log_evidence(E.elicit_prior(h, kappa), counts) for h in hyps]
+        values = [E.log_evidence(g, E.elicit_prior(h, kappa), counts) for h in hyps]
         assert max(values) - min(values) <= 1e-9
 
     def test_global_scaling_leaves_evidence_unchanged(self):
@@ -422,8 +416,8 @@ class TestInvariants:
         base = E.HypothesisMatrix("w", g, rng.uniform(0.1, 2.0, g.n_edges))
         scaled = E.HypothesisMatrix("w_scaled", g, base.values * 137.5)
         for kappa in (1.0, 10.0):
-            a = E.log_evidence(E.elicit_prior(base, kappa), counts)
-            b = E.log_evidence(E.elicit_prior(scaled, kappa), counts)
+            a = E.log_evidence(g, E.elicit_prior(base, kappa), counts)
+            b = E.log_evidence(g, E.elicit_prior(scaled, kappa), counts)
             assert a == pytest.approx(b, abs=1e-12)
 
 

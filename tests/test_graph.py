@@ -251,6 +251,15 @@ class TestPagerank:
             pr = G.pagerank(g, alpha=0.85).values
             np.testing.assert_allclose(pr, dense_pagerank_oracle(g, 0.85), atol=1e-8)
 
+    @pytest.mark.parametrize("alpha", [0.9, 0.99])
+    def test_periodic_component_converges_at_high_damping(self, alpha):
+        # The 2-cycle 1 <-> 2 holds an L1 change that shrinks only by alpha a
+        # step: at 0.9 it needs more than 200 steps to reach 1e-10, and once
+        # raised ConvergenceError.
+        g = G.build_graph([(0, 0), (0, 1), (1, 2), (2, 1)], n_nodes=3)
+        pr = G.pagerank(g, alpha=alpha).values
+        np.testing.assert_allclose(pr, dense_pagerank_oracle(g, alpha), atol=1e-9)
+
     def test_probability_vector_on_every_input(self):
         for seed in range(8):
             g = random_graph(70, 0.03, seed=100 + seed)

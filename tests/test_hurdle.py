@@ -101,13 +101,15 @@ class TestFitLogistic:
             H.fit_logistic(design)
         assert "x1_copy" in exc.value.columns
 
-    def test_loglik_nondecreasing_across_iterations(self):
+    def test_loglik_not_below_the_starting_point(self):
+        # Each damped Newton step is taken only if the likelihood does not fall.
         rng = np.random.default_rng(5)
         x = rng.normal(size=500)
         y = (rng.random(500) < 1 / (1 + np.exp(-x))).astype(float)
-        fit = H.fit_logistic(H.make_design(x, y, "x", standardize=True))
-        diffs = np.diff(fit.ll_trace)
-        assert (diffs >= -1e-12).all()
+        design = H.make_design(x, y, "x", standardize=True)
+        fit = H.fit_logistic(design)
+        assert fit.iterations > 0
+        assert fit.loglik > H._logistic_ll(np.zeros(len(y)), y)
 
     def test_standardization_invariance(self):
         rng = np.random.default_rng(6)
@@ -271,7 +273,7 @@ class TestZtnbDistinctCounts:
         for fit, ref in zip(fits, refs):
             assert fit.coef.tobytes() == ref.coef.tobytes()
             assert (fit.loglik, fit.theta, fit.grad_norm) == (ref.loglik, ref.theta, ref.grad_norm)
-            assert (fit.iterations, fit.ll_trace) == (ref.iterations, ref.ll_trace)
+            assert fit.iterations == ref.iterations
 
     def test_zero_probability_rounding_to_one_is_a_convergence_error(self):
         # mu = e^-200 against theta = 1: theta + mu == theta, so log p0 == 0.0
@@ -301,16 +303,19 @@ class TestFitZtnb:
         assert fit.theta == pytest.approx(2.0, rel=0.10)
         assert fit.grad_norm <= 1e-6
 
-    def test_loglik_nondecreasing_across_iterations(self):
+    def test_loglik_not_below_the_starting_point(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=800)
         y = sample_ztnb(rng, np.exp(1.0 + 0.3 * x), theta=1.2)
-        fit = H.fit_ztnb(H.make_design(x, y, "x", standardize=True))
-        assert (np.diff(fit.ll_trace) >= -1e-9).all()
+        design = H.make_design(x, y, "x", standardize=True)
+        fit = H.fit_ztnb(design)
+        start = np.array([np.log(y.mean()), 0.0, 0.0])  # fit_ztnb's x0 at theta_init 1
+        assert fit.iterations > 0
+        assert fit.loglik > H.ztnb_loglik(start, design.X, y)[0]
 
-    def test_trace_reuses_the_evaluated_objective(self, monkeypatch):
-        # One kernel call per point the optimiser evaluates; the iteration
-        # trace adds no calls of its own and only repeats returned values.
+    def test_one_kernel_call_per_evaluated_point(self, monkeypatch):
+        # One kernel call per point the optimiser evaluates, and the fit
+        # reports a value the kernel returned.
         points, values = [], []
         kernel = H.ztnb_loglik
 
@@ -325,9 +330,7 @@ class TestFitZtnb:
         x = rng.normal(size=800)
         y = sample_ztnb(rng, np.exp(1.0 + 0.3 * x), theta=1.2)
         fit = H.fit_ztnb(H.make_design(x, y, "x", standardize=True))
-        assert len(fit.ll_trace) == fit.iterations
-        assert fit.ll_trace[-1] == fit.loglik
-        assert set(fit.ll_trace) <= set(values)
+        assert fit.loglik in values
         assert len(set(points)) == len(points)
 
     def test_standardization_invariance(self):
@@ -363,7 +366,7 @@ class TestLrt:
     def test_p_for_statistic_3841_df_1_matches_quadrature_oracle(self):
         full, reduced = self._fits()
         fake_full = H.HurdleFit(
-            stage="binomial", coef=full.coef, columns=full.columns,
+            coef=full.coef, columns=full.columns,
             loglik=reduced.loglik + 3.841 / 2, n_rows=full.n_rows,
         )
         res = H.lrt(fake_full, reduced)
@@ -377,7 +380,7 @@ class TestLrt:
     def test_nesting_violation_detected(self):
         full, reduced = self._fits()
         worse = H.HurdleFit(
-            stage="binomial", coef=full.coef, columns=full.columns,
+            coef=full.coef, columns=full.columns,
             loglik=reduced.loglik - 1.0, n_rows=full.n_rows,
         )
         with pytest.raises(ConvergenceError):

@@ -1,10 +1,11 @@
 """Weighted PageRank, rank correlations, and the evaluation grid."""
 
 import math
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -16,8 +17,10 @@ from clickgraph.errors import (
     DegenerateInputError,
     PreconditionError,
 )
+from clickgraph import ingest
 from clickgraph.ingest import TransitionLog
 
+from conftest import write_toy_inputs
 from helpers import (
     brute_force_spearman_rho,
     dense_pagerank_oracle,
@@ -281,3 +284,72 @@ class TestEvaluateAll:
         views = R.incoming_transition_sums(log, g.n_nodes)
         if (views == 0).any():
             assert all_nodes.rho != viewed.rho
+
+    def test_unweighted_hypothesis_leaves_steiger_undefined(self):
+        # A hypothesis that ranks exactly as the baseline has r23 = 1, where
+        # Steiger's Fisher transform is undefined: NA fields, not an error.
+        g, _hyps, log = self._setup()
+        for restrict in (False, True):
+            evals = R.evaluate_all(g, [E.structural_hypothesis(g)], log, restrict_to_viewed=restrict)
+            rows = [r for r in evals if r.hypothesis == "structural"]
+            assert len(rows) == 3
+            for r in rows:
+                assert (r.steiger_z, r.steiger_p, r.improved) == (None, None, False)
+
+    def test_universe_without_views_is_refused_before_any_pagerank(self, monkeypatch):
+        g, hyps, _log = self._setup()
+        empty = TransitionLog.from_pairs([], [], [], graph=g)
+        monkeypatch.setattr(G, "pagerank", None)  # any PageRank would fail with a TypeError
+        with pytest.raises(DegenerateInputError, match=(
+                "^all 200 articles ranked have 0 views; Spearman's rho against views is undefined$")):
+            R.evaluate_all(g, hyps, empty)
+        with pytest.raises(PreconditionError,
+                           match="^0 articles ranked; Spearman's rho needs at least 3$"):
+            R.evaluate_all(g, hyps, empty, restrict_to_viewed=True)
+
+
+def _toy_graph_and_log():
+    """The toy fixture's graph and transition log, as ``clickgraph build`` reads them."""
+    with tempfile.TemporaryDirectory() as directory:
+        paths = write_toy_inputs(directory)
+        with open(paths["edges"], encoding="utf-8") as fh:
+            edges, name_to_id = ingest.parse_edge_list(fh)
+        g = G.build_graph(edges, labels=list(name_to_id))
+        with open(paths["clickstream"], encoding="utf-8") as fh:
+            log, _stats = ingest.parse_clickstream(fh, name_to_id, g)
+    return g, log
+
+
+@st.composite
+def graphs_and_logs(draw):
+    """A small graph and a log of counts on some of its edges."""
+    n = draw(st.integers(1, 14))
+    node = st.integers(0, n - 1)
+    g = G.build_graph(draw(st.lists(st.tuples(node, node), max_size=50)), n_nodes=n)
+    counts = draw(st.lists(st.sampled_from([0, 0, 1, 2, 7, 40]), min_size=g.n_edges,
+                           max_size=g.n_edges))
+    used = [e for e, c in enumerate(counts) if c]
+    log = TransitionLog.from_pairs(g.edge_sources[used], g.out_indices[used],
+                                   [counts[e] for e in used], threshold=1, graph=g)
+    return g, log
+
+
+class TestEvaluateAllProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_and_logs(), st.booleans())
+    # the toy fixture's viewed articles, where kcore ranks as the baseline at 0.85 and 0.9
+    @example(_toy_graph_and_log(), True)
+    def test_full_grid_or_a_typed_refusal(self, case, restrict):
+        g, log = case
+        hyps = [E.kcore_hypothesis(g, G.kcore(g)), E.structural_hypothesis(g)]
+        alphas = (0.8, 0.85, 0.9)
+        try:
+            evals = R.evaluate_all(g, hyps, log, alphas=alphas, restrict_to_viewed=restrict)
+        except (PreconditionError, DegenerateInputError):
+            return
+        assert len(evals) == len(alphas) * (1 + len(hyps))
+        for r in evals:
+            if r.hypothesis == "baseline":
+                continue
+            fields = (r.steiger_z, r.steiger_p)
+            assert fields == (None, None) or all(math.isfinite(v) for v in fields)
