@@ -46,6 +46,11 @@ FAMILIES = ("power_law", "truncated_power_law", "lognormal", "exponential")
 # normalization series is a midpoint-corrected integral.
 _NORM_EXACT_TERMS = 20000
 
+# np.exp returns +0.0 below ln(2**-1075) ~ -745.1332; a shifted head term
+# below this bound is written as that +0.0 instead of being passed to exp,
+# whose subnormal path is several times slower.
+_EXP_ZERO = -745.2
+
 
 @dataclass(frozen=True)
 class DegreeDistribution:
@@ -166,11 +171,12 @@ class FitReport:
     delta_aic: dict[str, float]
 
 
-def _tail_integral(log_f, a: float) -> float:
-    """Integral of f over [a, inf) for a smooth decaying log-density."""
+def _tail_integral(alpha: float, lam: float, a: float) -> float:
+    """Integral of t^-alpha e^(-lam t) over [a, inf), the truncated power law's tail."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _err = integrate.quad(lambda t: math.exp(log_f(t)), a, np.inf, limit=200)
+        val, _err = integrate.quad(lambda t: math.exp(-alpha * math.log(t) - lam * t),
+                                   a, np.inf, limit=200)
     return val
 
 
@@ -199,11 +205,19 @@ def _logsumexp(a: np.ndarray, out: np.ndarray | None = None) -> np.float64:
     sum would only add invalid-value warnings.  The shifted terms go to
     ``out``, a float64 array of ``a``'s shape that may be ``a`` itself;
     without it they go to a new array and ``a`` is left alone.
+
+    When an end of ``a`` lies below ``a_max + _EXP_ZERO``, exp runs only on
+    the terms above that bound and the rest are written as the +0.0 exp
+    would return, so the sum keeps every bit.  The ends suffice: on both
+    heads' grids the smallest term lies at an end (the truncated power
+    law's terms never increase, the log-normal's are concave in log x); a
+    wrong guess would cost time, not bits.
     """
     i = int(a.argmax())  # the first maximum, or the first NaN
     a_max = a[i]
     if not np.isfinite(a_max):
         return a_max
+    deep = min(a[0], a[-1]) - a_max < _EXP_ZERO  # read before `out` may overwrite `a`
     shifted = np.subtract(a, a_max, out=out)
     shifted[i] = -np.inf
     m = 1
@@ -213,7 +227,13 @@ def _logsumexp(a: np.ndarray, out: np.ndarray | None = None) -> np.float64:
         tied = shifted == 0
         m += np.count_nonzero(tied)
         shifted[tied] = -np.inf
-    s = np.exp(shifted, out=shifted).sum()
+    if deep:
+        live = shifted >= _EXP_ZERO
+        np.exp(shifted, out=shifted, where=live)
+        shifted[~live] = 0.0
+    else:
+        np.exp(shifted, out=shifted)
+    s = shifted.sum()
     m = np.float64(m)
     if s != 0:
         s = s / m
@@ -235,7 +255,7 @@ def _log_norm_tpl(alpha: float, lam: float, xmin: int, work: np.ndarray | None =
     np.multiply(lx, -alpha, out=terms)
     np.subtract(terms, np.multiply(x, lam, out=scratch), out=terms)
     head = _logsumexp(terms, out=terms)
-    tail = _tail_integral(lambda t: -alpha * math.log(t) - lam * t, upper - 0.5)
+    tail = _tail_integral(alpha, lam, upper - 0.5)
     return float(np.logaddexp(head, np.log(tail) if tail > 0 else -np.inf))
 
 

@@ -31,6 +31,13 @@ config-file values enter in ``load_config`` alone, which checks each one's
 type, then its range.  Nothing here parses a tab-separated artifact: each has
 one reader beside its writer, in :mod:`clickgraph.graph` for ``graph.tsv`` and
 :mod:`clickgraph.ingest` for the rest.
+
+A stage process (the ``clickgraph`` console script, ``python -m
+clickgraph.cli``) ends in ``entry_point``: it flushes stdout and stderr and
+calls ``os._exit``, skipping the interpreter's teardown, which cost a stage
+30-170 ms and a cache hit about a tenth of its time.  In that process atexit
+handlers and finalisers do not run, so every file a stage writes is closed
+before ``main`` returns.  ``main`` called in-process returns its exit code.
 """
 
 from __future__ import annotations
@@ -465,5 +472,28 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry_point() -> None:
+    """Run ``main`` on this process's command line, then end the process at once.
+
+    The ``clickgraph`` console script and ``python -m clickgraph.cli`` end
+    here.  After ``main`` returns (0, or 2 for a typed error) stdout and
+    stderr are flushed and ``os._exit`` ends the process without the
+    interpreter's teardown, so atexit handlers and finalisers do not run:
+    every file a stage writes is closed, and its thread pool joined, before
+    ``main`` returns.  A ``SystemExit`` from argparse and an uncaught
+    exception propagate as usual, and a flush that fails (a closed pipe, a
+    full disk) falls back to ``sys.exit``, so Python reports it as it would
+    without this function.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at startup
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry_point()

@@ -150,9 +150,11 @@ def evaluate_all(
     The correlation universe is all articles by default (unviewed articles
     count 0 views); ``restrict_to_viewed`` drops articles without any
     incoming transitions instead; one of fewer than 3 articles, or of equal
-    views, is refused before any PageRank runs.  Each weighted row carries
-    Steiger's test against the baseline at the same damping factor, or None
-    where the test is undefined (a correlation of +-1, or n < 10).
+    views, is refused before any PageRank runs, and a ranking equal on every
+    article of the universe is refused by its name and damping factor.  Each
+    weighted row carries Steiger's test against the baseline at the same
+    damping factor, or None where the test is undefined (a correlation of
+    +-1, or n < 10).
     """
     views = incoming_transition_sums(log, g.n_nodes)
     mask = views >= 1 if restrict_to_viewed else np.ones(g.n_nodes, dtype=bool)
@@ -164,14 +166,22 @@ def evaluate_all(
         raise DegenerateInputError(f"all {n} articles ranked have {v[0]:.0f} views; "
                                    "Spearman's rho against views is undefined")
 
+    def ranked(name: str, alpha: float, pr: np.ndarray) -> np.ndarray:
+        r = pr[mask]
+        if r.min() == r.max():
+            raise DegenerateInputError(f"{name} PageRank at alpha={alpha} is equal on all {n} "
+                                       "ranked articles; Spearman's rho is undefined")
+        return r
+
     def evaluate_cell(hyp: HypothesisMatrix | None, alpha: float, baseline):
         if hyp is None:
             pr = graphmod.pagerank(g, alpha=alpha).values
-            sp = spearman(pr[mask], v)
+            sp = spearman(ranked("baseline", alpha, pr), v)
             return RankEvaluation("baseline", alpha, pr, sp.rho, sp.p)
         pr = weighted_pagerank(g, hyp, alpha=alpha).values
-        sp = spearman(pr[mask], v)
-        r23 = spearman(pr[mask], baseline.pagerank[mask]).rho
+        r = ranked(hyp.name, alpha, pr)
+        sp = spearman(r, v)
+        r23 = spearman(r, baseline.pagerank[mask]).rho
         try:
             st = steiger_test(sp.rho, baseline.rho, r23, n)
             z, p = st.z, st.p_one_tailed

@@ -27,11 +27,15 @@ LEGAL_NAMES = st.text(st.characters(exclude_categories=("Cs",), exclude_characte
                       min_size=1).filter(lambda name: not name.startswith("#"))
 
 
+def fresh_env() -> dict[str, str]:
+    """The environment under which a fresh interpreter imports this checkout's clickgraph."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(clickgraph.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_fresh(code: str, *args: str) -> str:
     """stdout of ``code`` run by a fresh interpreter that imports this checkout's clickgraph."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(clickgraph.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+    done = subprocess.run([sys.executable, "-c", code, *args], env=fresh_env(),
                           capture_output=True, text=True, check=True, timeout=120)
     return done.stdout
 

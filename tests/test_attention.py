@@ -336,11 +336,38 @@ def reference_logsumexp(a):
     return np.log1p(s) + np.log(m) + a_max
 
 
+def reference_logsumexp_every_lane(a, out=None):
+    """``_logsumexp`` as it ran before it skipped the lanes where exp is +0.0."""
+    i = int(a.argmax())
+    a_max = a[i]
+    if not np.isfinite(a_max):
+        return a_max
+    shifted = np.subtract(a, a_max, out=out)
+    shifted[i] = -np.inf
+    m = 1
+    if shifted.max() == 0:
+        tied = shifted == 0
+        m += np.count_nonzero(tied)
+        shifted[tied] = -np.inf
+    s = np.exp(shifted, out=shifted).sum()
+    m = np.float64(m)
+    if s != 0:
+        s = s / m
+    return np.log1p(s) + np.log(m) + a_max
+
+
+def reference_tail_integral(log_f, a):
+    with A.warnings.catch_warnings():
+        A.warnings.simplefilter("ignore", A.integrate.IntegrationWarning)
+        val, _err = A.integrate.quad(lambda t: math.exp(log_f(t)), a, np.inf, limit=200)
+    return val
+
+
 def reference_log_norm_tpl(alpha, lam, xmin):
     upper = xmin + A._NORM_EXACT_TERMS
     x, lx = A._grid(xmin)
     head = reference_logsumexp(-alpha * lx - lam * x)
-    tail = A._tail_integral(lambda t: -alpha * math.log(t) - lam * t, upper - 0.5)
+    tail = reference_tail_integral(lambda t: -alpha * math.log(t) - lam * t, upper - 0.5)
     return float(np.logaddexp(head, np.log(tail) if tail > 0 else -np.inf))
 
 
@@ -437,6 +464,27 @@ class TestNormaliserMatchesReference:
         work = a.copy()
         with np.errstate(over="ignore", invalid="ignore"):
             assert _same_float(A._logsumexp(work, out=work), reference_logsumexp(a))
+
+    # Offsets from the maximum: far below, around and inside exp's +0.0
+    # bound (-745.2), the subnormal band, ordinary terms, ties, -inf and NaN.
+    @settings(max_examples=400, deadline=None)
+    @given(base=st.floats(-1e3, 1e3), offsets=st.lists(st.one_of(
+        st.floats(-2e3, -745.3), st.floats(-745.25, -745.1), st.floats(-745.1332, -708.4),
+        st.floats(-60.0, 0.0), st.sampled_from([0.0, -745.2, -np.inf, np.nan])), min_size=1,
+        max_size=60))
+    @example(base=0.0, offsets=[-745.0, -800.0])  # a subnormal sum that a wider skip would lose
+    def test_logsumexp_skipping_zero_lanes_matches_every_lane(self, base, offsets):
+        terms = base + np.array([0.0, *offsets])
+        for a in (terms, terms[::-1], terms[1:] if len(terms) > 1 else terms):
+            want = reference_logsumexp_every_lane(a.copy())
+            assert A._logsumexp(a).hex() == want.hex()
+            work = a.copy()
+            assert A._logsumexp(work, out=work).hex() == want.hex()
+
+    def test_exp_is_positive_zero_below_the_skip_bound(self):
+        grid = np.linspace(-800.0, A._EXP_ZERO, 1_000_001)
+        zeros = np.exp(grid)
+        assert not zeros.any() and not np.signbit(zeros).any()
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 400),

@@ -5,6 +5,8 @@ import filecmp
 import json
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -17,7 +19,7 @@ from clickgraph import attention as A
 from clickgraph.cli import ARTIFACTS, MANIFEST, build_parser, load_config, main
 from clickgraph.errors import ConfigError
 
-from helpers import LEGAL_NAMES, discrete_power_law_sample, run_fresh
+from helpers import LEGAL_NAMES, discrete_power_law_sample, fresh_env, run_fresh
 
 
 def run_pipeline(inputs: dict[str, str], out: str, projection_dim: int = 64) -> None:
@@ -149,7 +151,10 @@ class TestImports:
     def test_cache_miss_under_python_m_loads_no_second_cli(self, toy_inputs, tmp_path):
         # Under `python -m clickgraph.cli` the driver is __main__: a stage body
         # importing clickgraph.cli would compile and run a second copy of it.
-        code = ("import runpy, sys\n"
+        # The module ends the process with os._exit; here that raises SystemExit instead.
+        code = ("import os, runpy, sys\n"
+                "def _exit(code):\n    raise SystemExit(code)\n"
+                "os._exit = _exit\n"
                 "try:\n    runpy.run_module('clickgraph.cli', run_name='__main__', alter_sys=True)\n"
                 "except SystemExit as exc:\n    print(exc.code)\n"
                 "print(sorted(m for m in sys.modules if m.startswith('clickgraph')))")
@@ -158,6 +163,111 @@ class TestImports:
         summary, rc, modules = printed.splitlines()
         assert summary.startswith("build: ") and rc == "0"
         assert "'clickgraph.stages'" in modules and "'clickgraph.cli'" not in modules
+
+
+# `python -m clickgraph.cli`, which ends the process with os._exit after main
+# returns; OLD_ENDING ends it through sys.exit and the interpreter's teardown.
+PYTHON_M = [sys.executable, "-m", "clickgraph.cli"]
+OLD_ENDING = [sys.executable, "-c", "import sys; from clickgraph.cli import main; sys.exit(main())"]
+
+
+def _run(command, argv, cwd=None, stdout=subprocess.PIPE, **env):
+    """Exit code, stdout and stderr of ``command argv`` in a fresh process;
+    ``env`` sets variables, and a None value removes one."""
+    environ = {k: v for k, v in {**fresh_env(), **env}.items() if v is not None}
+    done = subprocess.run([*command, *argv], cwd=cwd, env=environ, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _tree(directory: str) -> dict[str, bytes]:
+    files = {}
+    for root, _dirs, names in os.walk(directory):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, directory)] = fh.read()
+    return files
+
+
+@pytest.fixture(scope="class")
+def hit_out(toy_inputs, tmp_path_factory) -> str:
+    """An output directory where every stage is a cache hit."""
+    out = str(tmp_path_factory.mktemp("hits") / "out")
+    run_pipeline(toy_inputs, out)
+    return out
+
+
+class TestProcessEnding:
+    def test_python_m_prints_exits_and_writes_as_main_returns(self, toy_inputs, tmp_path,
+                                                               capsys, monkeypatch):
+        clicks = tmp_path / "clicks.tsv"  # one malformed line: build warns on stderr
+        clicks.write_text(open(toy_inputs["clickstream"], encoding="utf-8").read()
+                          + "Graph_theory\tProbability\tmany\n")
+        stages = [
+            ["build", "--edges", toy_inputs["edges"], "--clickstream", str(clicks)],
+            ["features", "--corpus", toy_inputs["corpus"], "--categories", toy_inputs["categories"],
+             "--visual", toy_inputs["visual"], "--projection-dim", "64"],
+            ["sample", "--sample-size", "5"],
+            *([stage] for stage in ("attention", "hurdle", "hyptrails", "pagerank")),
+        ]
+        refused = [["pagerank", "--alphas", "1.5"], ["hurdle", "--bogus"]]
+        runs = [[*argv, "--out", "out"] for argv in stages + refused + stages]
+        (tmp_path / "m").mkdir()
+        (tmp_path / "main").mkdir()
+        # Block-buffered stdout, as on a pipe: a line not flushed before the exit would be lost.
+        by_python_m = [_run(PYTHON_M, argv, cwd=tmp_path / "m", PYTHONUNBUFFERED=None)
+                       for argv in runs]
+        monkeypatch.chdir(tmp_path / "main")
+        by_main = []
+        for argv in runs:
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            captured = capsys.readouterr()
+            by_main.append((rc, captured.out, captured.err))
+        assert by_python_m == by_main
+        assert [rc for rc, _, _ in by_main] == [0] * 7 + [2, 2] + [0] * 7
+        assert "build: skipped 1 malformed" in by_main[0][2]
+        assert all(out.endswith(": cache hit, outputs unchanged\n") for _, out, _ in by_main[9:])
+        assert _tree(str(tmp_path / "m" / "out")) == _tree(str(tmp_path / "main" / "out"))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    def test_full_disk_ends_as_before(self, hit_out, unbuffered):
+        ends = []
+        for command in (PYTHON_M, OLD_ENDING):
+            with open("/dev/full", "w") as full:
+                ends.append(_run(command, ["hurdle", "--out", hit_out], stdout=full,
+                                 PYTHONUNBUFFERED=unbuffered))
+        (rc, _, err), (old_rc, _, old_err) = ends
+        last = "OSError: [Errno 28] No space left on device"
+        if unbuffered:  # print itself raises: a traceback through main
+            assert (rc, err.splitlines()[-1]) == (old_rc, old_err.splitlines()[-1]) == (1, last)
+        else:  # the flush at the end fails
+            assert (rc, err) == (old_rc, old_err)
+            assert rc == 120 and err.splitlines()[-1] == last
+
+    def test_closed_pipe_ends_as_before(self, hit_out):
+        ends = []
+        for command in (PYTHON_M, OLD_ENDING):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                ends.append(_run(command, ["hurdle", "--out", hit_out], stdout=write,
+                                 PYTHONUNBUFFERED=None))
+            finally:
+                os.close(write)
+        (rc, _, err), (old_rc, _, old_err) = ends
+        assert (rc, err) == (old_rc, old_err)
+        assert rc == 120 and err.splitlines()[-1] == "BrokenPipeError: [Errno 32] Broken pipe"
+
+    def test_stdout_closed_at_startup_ends_as_before(self, hit_out):
+        # sys.stdout is None there: print writes nothing, and there is nothing to flush.
+        ends = [_run(["sh", "-c", '"$@" >&-', "sh", *command], ["hurdle", "--out", hit_out])
+                for command in (PYTHON_M, OLD_ENDING)]
+        assert ends[0] == ends[1] == (0, "", "")
 
 
 class TestHelpAndUsage:
@@ -973,6 +1083,29 @@ class TestPagerankUniverse:
         capsys.readouterr()
         assert main(["pagerank", *flags, "--out", out]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_constant_ranking_is_refused_with_its_name(self, tmp_path, capsys):
+        # Every article of a 3-cycle has the same PageRank.
+        files = {
+            "edges": "a\tb\nb\tc\nc\ta\n",
+            "clickstream": "a\tb\t10\nb\tc\t20\n",
+            "corpus": "a\tgraph\nb\tgraph\tnode\nc\tnode\n",
+            "categories": "a\tx\nb\tx\nc\ty\n",
+            "visual": "src\ttrg\tx_coord\ty_coord\tregion\n"
+                      "a\tb\t1\t1\tlead\nb\tc\t1\t1\tbody\nc\ta\t1\t1\tnavbox\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        out = str(tmp_path / "out")
+        assert main(["build", "--edges", str(tmp_path / "edges"),
+                     "--clickstream", str(tmp_path / "clickstream"), "--out", out]) == 0
+        assert main(["features", *(f"--{name}={tmp_path / name}"
+                                   for name in ("corpus", "categories", "visual")),
+                     "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["pagerank", "--out", out]) == 2
+        assert capsys.readouterr().err == ("error: baseline PageRank at alpha=0.8 is equal on all "
+                                           "3 ranked articles; Spearman's rho is undefined\n")
 
 
 class TestAttentionFits:

@@ -307,6 +307,24 @@ class TestEvaluateAll:
                            match="^0 articles ranked; Spearman's rho needs at least 3$"):
             R.evaluate_all(g, hyps, empty, restrict_to_viewed=True)
 
+    def test_constant_ranking_is_refused_by_name_and_damping(self):
+        # On the 3-cycle every article has PageRank 1/3: no rank correlation.
+        g = G.build_graph([(0, 1), (1, 2), (2, 0)], labels=["a", "b", "c"])
+        log = TransitionLog.from_pairs([0, 1], [1, 2], [10, 20], threshold=1, graph=g)
+        with pytest.raises(DegenerateInputError, match=(
+                r"^baseline PageRank at alpha=0\.8 is equal on all 3 ranked articles; "
+                r"Spearman's rho is undefined$")):
+            R.evaluate_all(g, [E.structural_hypothesis(g)], log)
+        # A chord the hypothesis gives no belief: the baseline varies, its walk is the cycle.
+        g = G.build_graph([(0, 1), (1, 2), (2, 0), (0, 2)], labels=["a", "b", "c"])
+        log = TransitionLog.from_pairs([0, 1], [1, 2], [10, 20], threshold=1, graph=g)
+        beliefs = (g.edge_sources != 0) | (g.out_indices != 2)
+        cycle = E.HypothesisMatrix("cycle", g, beliefs.astype(np.float64))
+        with pytest.raises(DegenerateInputError, match=(
+                r"^cycle PageRank at alpha=0\.85 is equal on all 3 ranked articles; "
+                r"Spearman's rho is undefined$")):
+            R.evaluate_all(g, [cycle], log, alphas=(0.85,))
+
 
 def _toy_graph_and_log():
     """The toy fixture's graph and transition log, as ``clickgraph build`` reads them."""
