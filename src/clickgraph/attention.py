@@ -16,9 +16,9 @@ its iteration cap), Nelder-Mead asks again for points it has already
 scored; a memo local to the fit, keyed on the point's exact bytes, answers
 those with the value computed the first time.  The optimiser sees the same
 values in the same order, so its path, call count and result are unchanged.
-Within a log-normal step the head runs in one work row and folds the sign
-of ``-log x`` into its quadratic term instead of negating ``log x`` again,
-and the data term runs in place in two buffers made once per fit; both keep
+Within a log-normal step the head runs in place in one row and folds the
+sign of ``-log x`` into its quadratic term instead of negating ``log x``
+again, and the data term is computed once per distinct count; both keep
 every bit.
 """
 
@@ -240,37 +240,29 @@ def _logsumexp(a: np.ndarray, out: np.ndarray | None = None) -> np.float64:
     return np.log1p(s) + np.log(m) + a_max
 
 
-def _norm_work() -> np.ndarray:
-    """Scratch rows for the exact heads, made once per fit and reused by
-    every optimiser step (never shared between fits, so threads are safe)."""
-    return np.empty((2, _NORM_EXACT_TERMS))
-
-
-def _log_norm_tpl(alpha: float, lam: float, xmin: int, work: np.ndarray | None = None) -> float:
+def _log_norm_tpl(alpha: float, lam: float, xmin: int) -> float:
     # Z = sum_{x >= xmin} x^-alpha e^(-lam x): exact head plus midpoint tail.
     upper = xmin + _NORM_EXACT_TERMS
     x, lx = _grid(xmin)
-    terms, scratch = _norm_work() if work is None else work
-    # -alpha * lx - lam * x, term by term, in the scratch rows
-    np.multiply(lx, -alpha, out=terms)
-    np.subtract(terms, np.multiply(x, lam, out=scratch), out=terms)
+    # -alpha * lx - lam * x, term by term, in place
+    terms = np.multiply(lx, -alpha)
+    terms -= x * lam
     head = _logsumexp(terms, out=terms)
     tail = _tail_integral(alpha, lam, upper - 0.5)
     return float(np.logaddexp(head, np.log(tail) if tail > 0 else -np.inf))
 
 
-def _log_norm_lognormal(mu: float, sigma: float, xmin: int, work: np.ndarray | None = None) -> float:
+def _log_norm_lognormal(mu: float, sigma: float, xmin: int) -> float:
     upper = xmin + _NORM_EXACT_TERMS
     _x, lx = _grid(xmin)
-    terms = (_norm_work() if work is None else work)[0]
-    # -lx - 0.5 * ((lx - mu) / sigma) ** 2, term by term, in one scratch row,
-    # as -0.5 * (...) ** 2 - lx: rounding is symmetric in sign, so this is
-    # the same value bit for bit without a pass that negates lx
-    np.subtract(lx, mu, out=terms)
-    np.divide(terms, sigma, out=terms)
+    # -lx - 0.5 * ((lx - mu) / sigma) ** 2, term by term, in place, as
+    # -0.5 * (...) ** 2 - lx: rounding is symmetric in sign, so this is the
+    # same value bit for bit without a pass that negates lx
+    terms = np.subtract(lx, mu)
+    terms /= sigma
     np.square(terms, out=terms)
-    np.multiply(terms, -0.5, out=terms)
-    np.subtract(terms, lx, out=terms)
+    terms *= -0.5
+    terms -= lx
     head = _logsumexp(terms, out=terms)
     # Closed-form Gaussian tail: integral of (1/t) exp(-(ln t - mu)^2 / 2 s^2).
     z = (math.log(upper - 0.5) - mu) / sigma
@@ -346,14 +338,13 @@ def _fit_truncated_power_law(x: np.ndarray, xmin: int) -> FamilyFit:
     logs = np.log(x).sum()
     total = x.sum()
     n = len(x)
-    work = _norm_work()
 
     def nll(p: np.ndarray) -> float:
         # Python floats: the quad integrand does scalar arithmetic in them
         alpha, lam = float(p[0]), max(math.exp(p[1]), 1e-9)
         if alpha < 0.0:  # keep the family on its valid range
             return 1e18 * (1.0 + alpha * alpha)
-        return alpha * logs + lam * total + n * _log_norm_tpl(alpha, lam, xmin, work)
+        return alpha * logs + lam * total + n * _log_norm_tpl(alpha, lam, xmin)
 
     best = None
     scored = _memo(nll)  # shared by both starts
@@ -380,31 +371,18 @@ def _fit_lognormal(x: np.ndarray, xmin: int) -> FamilyFit:
     before the sum.  Each row then holds the value the per-row expression
     gives it, and the sum adds them in the same order: the objective, and
     so the whole fit, is bit-equal to evaluating the term on every row.
-    The term and its gather run in place in buffers made once per fit.
     """
     lx = np.log(x)
     n = len(x)
-    work = _norm_work()
     _distinct, first, row_of = np.unique(x, return_index=True, return_inverse=True)
     lu = lx[first]  # the logs of the distinct counts, not recomputed
-    term, rows = np.empty_like(lu), np.empty_like(lx)
 
     def nll(p: np.ndarray) -> float:
         mu, sigma = float(p[0]), math.exp(p[1])
         if sigma == 0.0:  # exp underflow; the step would score NaN or raise
             return math.inf
-        # lu + 0.5 * ((lu - mu) / sigma) ** 2, step by step, in place; the
-        # indices are in range, and mode="clip" writes straight into ``rows``
-        # where the default mode would gather into a temporary first
-        np.subtract(lu, mu, out=term)
-        np.divide(term, sigma, out=term)
-        np.square(term, out=term)
-        np.multiply(term, 0.5, out=term)
-        np.add(lu, term, out=term)
-        return float(
-            np.take(term, row_of, out=rows, mode="clip").sum()
-            + n * _log_norm_lognormal(mu, sigma, xmin, work)
-        )
+        return float((lu + 0.5 * ((lu - mu) / sigma) ** 2)[row_of].sum()
+                     + n * _log_norm_lognormal(mu, sigma, xmin))
 
     res = optimize.minimize(
         _memo(nll),

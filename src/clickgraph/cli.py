@@ -98,6 +98,7 @@ _NUMBERS = _Kind("a list of numbers",
 _SWITCH = _Kind("true or false", lambda v: isinstance(v, bool), None)
 
 _AT_LEAST_0 = ("be >= 0", lambda v: v >= 0)
+_AT_LEAST_1 = ("be >= 1", lambda v: v >= 1)
 
 #: One row per run setting.  The order is the order of the subcommands' flags
 #: (shared ones first) and of the problems a ConfigError lists.  A path row's
@@ -113,7 +114,7 @@ _FIELDS = (
     _Field("visual", None, _PATH, ("features",),
            "per-link visual file (src trg x_coord y_coord region)"),
     _Field("projection_dim", 512, _INT, ("features",), "tf-idf projection dimensions (default 512)",
-           ("be >= 1", lambda v: v >= 1)),
+           _AT_LEAST_1),
     _Field("projection_seed", 0, _INT, ("features",), "tf-idf projection seed (default 0)",
            _AT_LEAST_0),
     _Field("damping", 0.85, _NUMBER, ("features",), "damping for the pagerank feature",
@@ -122,22 +123,25 @@ _FIELDS = (
            "recompute network columns from the graph and report mismatches"),
     _Field("kappa_multipliers", (1, 2, 3, 4, 5), _NUMBERS, ("hyptrails",),
            "comma-separated multiples of the mean out-degree",
-           ("be one or more finite values > 0", lambda v: v and all(0 < k < math.inf for k in v))),
+           ("be one or more strictly increasing finite values > 0",
+            lambda v: v and all(0 < k < math.inf for k in v) and sorted(set(v)) == list(v))),
     _Field("log_spaced", False, _SWITCH, ("hyptrails",),
            "space the kappa grid geometrically over the same range"),
     _Field("alphas", (0.80, 0.85, 0.90), _NUMBERS, ("pagerank",), "comma-separated damping factors",
-           ("be one or more values in (0, 1)", lambda v: v and all(0 < a < 1 for a in v))),
+           ("be one or more strictly increasing values in (0, 1)",
+            lambda v: v and all(0 < a < 1 for a in v) and sorted(set(v)) == list(v))),
     _Field("restrict_to_viewed", False, _SWITCH, ("pagerank",),
            "correlate only over articles with at least one view", flag="--viewed-only"),
     _Field("sample_size", 10000, _INT, ("sample",), "articles to sample (default 10000)",
            _AT_LEAST_0),
-    _Field("xmin_degrees", 1, _INT, ("attention",), "out-degree fits' lower cutoff (default 1)"),
+    _Field("xmin_degrees", 1, _INT, ("attention",), "out-degree fits' lower cutoff (default 1)",
+           _AT_LEAST_1),
     _Field("xmin_transitions", 10, _INT, ("attention",),
-           "transition-count fit's lower cutoff (default 10)"),
+           "transition-count fit's lower cutoff (default 10)", _AT_LEAST_1),
     _Field("out", "out", _TEXT, (), "output directory (default: out)"),
     _Field("seed", 0, _INT, (), "sampling seed", _AT_LEAST_0),
-    _Field("threads", 1, _INT, (), "worker threads for grid evaluations"),
-    _Field("threshold", 10, _INT, (), "minimum transition count (default 10)"),
+    _Field("threads", 1, _INT, (), "worker threads for grid evaluations", _AT_LEAST_1),
+    _Field("threshold", 10, _INT, (), "minimum transition count (default 10)", _AT_LEAST_1),
 )
 
 #: Each field's flag, ``{field: "--option"}``; every ConfigError names a field by it.

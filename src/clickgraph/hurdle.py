@@ -122,8 +122,9 @@ def _check_collinearity(X: np.ndarray, columns: tuple[str, ...]) -> None:
 
 
 def _logistic_ll(eta: np.ndarray, y: np.ndarray) -> float:
-    # log sigma(eta) = -log(1 + e^-eta) without overflow
-    return float(np.where(y > 0, -np.logaddexp(0.0, -eta), -np.logaddexp(0.0, eta)).sum())
+    # log sigma(+-eta) = -log(1 + e^-+eta) without overflow; each row is
+    # negated before the sum, as a sum of -0.0 terms is +0.0
+    return float((-np.logaddexp(0.0, np.where(y > 0, -eta, eta))).sum())
 
 
 def fit_logistic(design: DesignMatrix, tol: float = 1e-10, max_iter: int = 100) -> HurdleFit:
@@ -188,13 +189,11 @@ def fit_logistic(design: DesignMatrix, tol: float = 1e-10, max_iter: int = 100) 
 
 
 def _log1mexp(z: np.ndarray) -> np.ndarray:
-    # log(1 - e^z) for z < 0, stable on both ends
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    small = z > -0.6931471805599453  # ln 2
-    out[small] = np.log(-np.expm1(z[small]))
-    out[~small] = np.log1p(-np.exp(z[~small]))
-    return out
+    # log(1 - e^z) for z < 0, stable on both ends: each row takes the branch
+    # that is stable for it (the first above -ln 2); the other may divide by
+    # zero there, which is ignored
+    with np.errstate(divide="ignore"):
+        return np.where(z > -0.6931471805599453, np.log(-np.expm1(z)), np.log1p(-np.exp(z)))
 
 
 def ztnb_counts(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -115,9 +115,9 @@ def features(cfg, g, log):
 
 def sample(cfg, g, log, table):
     import numpy as np
-    from . import ingest
+    from . import graph as graphmod, ingest
 
-    eligible = np.unique(log.src)  # sources with at least one outgoing transition
+    eligible = graphmod._sorted_unique(log.src)  # sources with at least one outgoing transition
     if cfg.sample_size > len(eligible):
         raise ClickgraphError(
             f"sample size {cfg.sample_size} exceeds the {len(eligible)} eligible articles")

@@ -437,10 +437,6 @@ def _fit_outcome(samples, xmin):
         return type(exc), str(exc)
 
 
-#: One work buffer for every example, so a value left over from an earlier call would show.
-SHARED_WORK = A._norm_work()
-
-
 class TestNormaliserMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(alpha=st.floats(-1.0, 6.0), log_lam=st.floats(-21.0, 3.0), xmin=st.integers(1, 60))
@@ -448,7 +444,6 @@ class TestNormaliserMatchesReference:
         lam = math.exp(log_lam)
         want = reference_log_norm_tpl(np.float64(alpha), lam, xmin).hex()
         assert A._log_norm_tpl(alpha, lam, xmin).hex() == want
-        assert A._log_norm_tpl(alpha, lam, xmin, SHARED_WORK).hex() == want
 
     @settings(max_examples=200, deadline=None)
     @given(mu=st.floats(-2e6, 60.0), log_sigma=st.floats(-7.0, 7.0), xmin=st.integers(1, 60))
@@ -456,7 +451,6 @@ class TestNormaliserMatchesReference:
         sigma = math.exp(log_sigma)
         want = reference_log_norm_lognormal(np.float64(mu), sigma, xmin).hex()
         assert A._log_norm_lognormal(mu, sigma, xmin).hex() == want
-        assert A._log_norm_lognormal(mu, sigma, xmin, SHARED_WORK).hex() == want
 
     @settings(max_examples=300, deadline=None)
     @given(hnp.arrays(np.float64, st.integers(1, 40)))
@@ -550,6 +544,94 @@ class TestLognormalDistinctCounts:
         fit = A._fit_lognormal(x, 9)
         assert fit.params["mu"] < -1e5  # the walk towards the power-law limit
         assert repr(fit) == repr(reference_fit_lognormal(x, 9))
+
+
+# The two heads and the log-normal objective as they ran before each call
+# allocated its own rows: in two work rows made once per fit, and the data
+# term in two buffers made once per fit, gathered by ``np.take(..., out=,
+# mode="clip")``.
+
+
+def work_rows_log_norm_tpl(alpha, lam, xmin, work):
+    upper = xmin + A._NORM_EXACT_TERMS
+    x, lx = A._grid(xmin)
+    terms, scratch = work
+    np.multiply(lx, -alpha, out=terms)
+    np.subtract(terms, np.multiply(x, lam, out=scratch), out=terms)
+    head = A._logsumexp(terms, out=terms)
+    tail = A._tail_integral(alpha, lam, upper - 0.5)
+    return float(np.logaddexp(head, np.log(tail) if tail > 0 else -np.inf))
+
+
+def work_rows_log_norm_lognormal(mu, sigma, xmin, work):
+    upper = xmin + A._NORM_EXACT_TERMS
+    _x, lx = A._grid(xmin)
+    terms = work[0]
+    np.subtract(lx, mu, out=terms)
+    np.divide(terms, sigma, out=terms)
+    np.square(terms, out=terms)
+    np.multiply(terms, -0.5, out=terms)
+    np.subtract(terms, lx, out=terms)
+    head = A._logsumexp(terms, out=terms)
+    z = (math.log(upper - 0.5) - mu) / sigma
+    tail = math.sqrt(2.0 * math.pi) * sigma * special.ndtr(-z)
+    return float(np.logaddexp(head, np.log(tail) if tail > 0 else -np.inf))
+
+
+def work_rows_lognormal_objective(x, xmin):
+    lx = np.log(x)
+    n = len(x)
+    work = np.empty((2, A._NORM_EXACT_TERMS))
+    _distinct, first, row_of = np.unique(x, return_index=True, return_inverse=True)
+    lu = lx[first]
+    term, rows = np.empty_like(lu), np.empty_like(lx)
+
+    def nll(p):
+        mu, sigma = float(p[0]), math.exp(p[1])
+        if sigma == 0.0:
+            return math.inf
+        np.subtract(lu, mu, out=term)
+        np.divide(term, sigma, out=term)
+        np.square(term, out=term)
+        np.multiply(term, 0.5, out=term)
+        np.add(lu, term, out=term)
+        return float(np.take(term, row_of, out=rows, mode="clip").sum()
+                     + n * work_rows_log_norm_lognormal(mu, sigma, xmin, work))
+
+    return nll
+
+
+#: The pipeline's two xmins (out-degree and transition-count sections), then any.
+XMINS = st.sampled_from([1, 10]) | st.integers(1, 60)
+
+
+class TestKernelsMatchWorkRows:
+    # One set of work rows for every example, as one fit reused them for every step.
+    WORK = np.empty((2, A._NORM_EXACT_TERMS))
+
+    @settings(max_examples=150, deadline=None)
+    @given(alpha=st.floats(-1.0, 6.0), log_lam=st.floats(-21.0, 3.0), xmin=XMINS)
+    def test_truncated_power_law_head(self, alpha, log_lam, xmin):
+        lam = math.exp(log_lam)
+        want = work_rows_log_norm_tpl(alpha, lam, xmin, self.WORK)
+        assert A._log_norm_tpl(alpha, lam, xmin).hex() == want.hex()
+
+    @settings(max_examples=150, deadline=None)
+    @given(mu=st.floats(-2e6, 60.0), log_sigma=st.floats(-7.0, 10.0), xmin=XMINS)
+    @example(mu=-1.5e6, log_sigma=math.log(1e3), xmin=10)
+    def test_lognormal_head(self, mu, log_sigma, xmin):
+        sigma = math.exp(log_sigma)
+        want = work_rows_log_norm_lognormal(mu, sigma, xmin, self.WORK)
+        assert A._log_norm_lognormal(mu, sigma, xmin).hex() == want.hex()
+
+    @settings(max_examples=150, deadline=None)
+    @given(mu=st.floats(-2e6, 60.0), log_sigma=st.floats(-7.0, 10.0), xmin=st.sampled_from([1, 10]))
+    @example(mu=-1.5e6, log_sigma=math.log(1e3), xmin=10)
+    def test_lognormal_objective_data_term_and_head(self, mu, log_sigma, xmin):
+        x = zipf_tail(3000) - 9 + xmin  # 216 distinct counts, the least at xmin
+        p = np.array([mu, log_sigma])
+        want = work_rows_lognormal_objective(x, xmin)(p)
+        assert lognormal_objective(x, xmin)(p).hex() == want.hex()
 
 
 class TestMemo:

@@ -529,23 +529,44 @@ class TestPathsRefusedBeforeReading:
 class TestConfigRanges:
     @pytest.mark.parametrize("argv, problem", [
         (["features", "--damping", "1.5"], "--damping must lie in (0, 1), got 1.5"),
-        (["pagerank", "--alphas", "1.0"], "--alphas must be one or more values in (0, 1), got 1.0"),
+        (["pagerank", "--alphas", "1.0"],
+         "--alphas must be one or more strictly increasing values in (0, 1), got 1.0"),
         (["pagerank", "--alphas", "0.85,nan"],
-         "--alphas must be one or more values in (0, 1), got 0.85,nan"),
+         "--alphas must be one or more strictly increasing values in (0, 1), got 0.85,nan"),
         (["hyptrails", "--kappa-multipliers", "0,1"],
-         "--kappa-multipliers must be one or more finite values > 0, got 0.0,1.0"),
+         "--kappa-multipliers must be one or more strictly increasing finite values > 0, "
+         "got 0.0,1.0"),
         (["hyptrails", "--kappa-multipliers", "0,1", "--log-spaced"],
-         "--kappa-multipliers must be one or more finite values > 0, got 0.0,1.0"),
+         "--kappa-multipliers must be one or more strictly increasing finite values > 0, "
+         "got 0.0,1.0"),
         (["hyptrails", "--kappa-multipliers", "nan"],
-         "--kappa-multipliers must be one or more finite values > 0, got nan"),
+         "--kappa-multipliers must be one or more strictly increasing finite values > 0, got nan"),
         (["hyptrails", "--kappa-multipliers", "1,inf"],
-         "--kappa-multipliers must be one or more finite values > 0, got 1.0,inf"),
+         "--kappa-multipliers must be one or more strictly increasing finite values > 0, "
+         "got 1.0,inf"),
+        # "best at largest kappa" reads the last kappa, and --log-spaced spans first to last
+        (["hyptrails", "--kappa-multipliers", "5,1"],
+         "--kappa-multipliers must be one or more strictly increasing finite values > 0, "
+         "got 5.0,1.0"),
+        (["hyptrails", "--kappa-multipliers", "1,5,2", "--log-spaced"],
+         "--kappa-multipliers must be one or more strictly increasing finite values > 0, "
+         "got 1.0,5.0,2.0"),
+        (["pagerank", "--alphas", "0.85,0.85"],
+         "--alphas must be one or more strictly increasing values in (0, 1), got 0.85,0.85"),
+        (["pagerank", "--alphas", "0.9,0.8"],
+         "--alphas must be one or more strictly increasing values in (0, 1), got 0.9,0.8"),
         (["features", "--projection-dim", "0"], "--projection-dim must be >= 1, got 0"),
         (["features", "--projection-seed", "-2"], "--projection-seed must be >= 0, got -2"),
         (["sample", "--sample-size", "-1"], "--sample-size must be >= 0, got -1"),
         (["sample", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (["sample", "--sample-size", "-1", "--seed", "-1"],
          "--sample-size must be >= 0, got -1; --seed must be >= 0, got -1"),
+        (["build", "--threshold", "0"], "--threshold must be >= 1, got 0"),
+        (["features", "--threshold", "0"], "--threshold must be >= 1, got 0"),
+        (["attention", "--xmin-degrees", "-5"], "--xmin-degrees must be >= 1, got -5"),
+        (["attention", "--xmin-transitions", "0"], "--xmin-transitions must be >= 1, got 0"),
+        (["pagerank", "--threads", "-4"], "--threads must be >= 1, got -4"),
+        (["hyptrails", "--threads", "0"], "--threads must be >= 1, got 0"),
     ])
     def test_out_of_range_value_stops_with_an_error_and_writes_nothing(
             self, toy_inputs, tmp_path, capsys, argv, problem):
@@ -558,13 +579,21 @@ class TestConfigRanges:
         assert capsys.readouterr() == ("", f"error: {problem}\n")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_refused_build_makes_no_output_directory(self, toy_inputs, tmp_path, capsys):
+        # --threshold 0 once ran build and features with exit 0 and stopped only at hurdle.
+        out = tmp_path / "fresh"
+        assert main(["build", "--edges", toy_inputs["edges"], "--clickstream",
+                     toy_inputs["clickstream"], "--threshold", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: --threshold must be >= 1, got 0\n")
+        assert not out.exists()
+
     def test_config_file_value_is_checked_too(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"alphas": [], "damping": 0}))
         assert main(["pagerank", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
             "error: --damping must lie in (0, 1), got 0; "
-            "--alphas must be one or more values in (0, 1), got nothing\n")
+            "--alphas must be one or more strictly increasing values in (0, 1), got nothing\n")
 
     @pytest.mark.parametrize("values, problem", [
         ({"damping": "x"}, "--damping must be a number, got 'x'"),
@@ -585,8 +614,12 @@ class TestConfigRanges:
          "within the float range, got an integer of 401 digits"),
         ({"damping": "x", "seed": 1.5, "sample_size": -1, "alphas": []},
          "--damping must be a number, got 'x'; --seed must be an integer, got 1.5; "
-         "--alphas must be one or more values in (0, 1), got nothing; "
+         "--alphas must be one or more strictly increasing values in (0, 1), got nothing; "
          "--sample-size must be >= 0, got -1"),
+        ({"kappa_multipliers": [5, 1], "threshold": 0, "xmin_degrees": 0, "threads": 0},
+         "--kappa-multipliers must be one or more strictly increasing finite values > 0, "
+         "got 5.0,1.0; --xmin-degrees must be >= 1, got 0; --threads must be >= 1, got 0; "
+         "--threshold must be >= 1, got 0"),
     ])
     def test_config_file_value_of_a_wrong_type_stops_with_an_error_and_writes_nothing(
             self, toy_inputs, tmp_path, capsys, values, problem):
@@ -664,9 +697,11 @@ class TestConfigRanges:
         assert load_config(args).hash() == digest
 
     @pytest.mark.parametrize("argv", [
-        ["build", "--threshold", "0"],
-        ["attention", "--xmin-degrees", "0", "--xmin-transitions", "-1", "--threads", "0"],
+        ["build", "--threshold", "1"],
+        ["attention", "--xmin-degrees", "1", "--xmin-transitions", "1", "--threads", "1"],
         ["sample", "--sample-size", "0", "--seed", "0"],
+        ["pagerank", "--alphas", "0.5"],
+        ["hyptrails", "--kappa-multipliers", "0.5,1,7.5", "--log-spaced"],
     ])
     def test_values_that_run_stay_accepted(self, argv):
         args = build_parser().parse_args([*argv, "--out", "o"])
@@ -1109,28 +1144,20 @@ class TestPagerankUniverse:
 
 
 class TestAttentionFits:
-    def test_xmin_below_one_is_an_unavailable_section_and_no_warning(self, tmp_path):
-        rng = np.random.default_rng(3)
-        edges, clicks = [], []
-        for i in range(120):
-            for t in rng.choice(119, size=int(rng.integers(1, 6)), replace=False):
-                t = int(t) + (t >= i)
-                edges.append(f"a{i}\ta{t}\n")
-                clicks.append(f"a{i}\ta{t}\t{int(rng.integers(10, 60))}\n")
-        (tmp_path / "edges.tsv").write_text("".join(edges))
-        (tmp_path / "clicks.tsv").write_text("".join(clicks))
+    def test_xmin_below_one_is_refused_before_any_fit(self, toy_inputs, tmp_path):
+        # It once ran with exit 0 and wrote both out-degree sections as
+        # "unavailable: xmin=0 is below 1"; the fits start at x >= 1.
         out = str(tmp_path / "out")
-        assert main(["build", "--edges", str(tmp_path / "edges.tsv"),
-                     "--clickstream", str(tmp_path / "clicks.tsv"), "--out", out]) == 0
+        assert main(["build", "--edges", toy_inputs["edges"],
+                     "--clickstream", toy_inputs["clickstream"], "--out", out]) == 0
+        before = {name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)}
         # A fresh interpreter, so a warning prints as it would on stderr, here into stdout.
         code = ("import sys\nsys.stderr = sys.stdout\n"
                 "from clickgraph.cli import main\nprint(main(sys.argv[1:]))\n")
-        printed = run_fresh(code, "attention", "--xmin-degrees", "0", "--out", out).splitlines()
-        assert [line.split(":")[0] for line in printed] == ["attention", "0"]  # summary, exit code
-        with open(os.path.join(out, ARTIFACTS["attention_fits"]), encoding="utf-8") as fh:
-            fits = fh.read()
-        refusal = "  unavailable: xmin=0 is below 1, where the discrete families start\n"
-        assert fits.count(refusal) == 2  # both out-degree sections
+        printed = run_fresh(code, "attention", "--xmin-degrees", "0", "--out", out)
+        assert printed == "error: --xmin-degrees must be >= 1, got 0\n2\n"
+        assert {name: open(os.path.join(out, name), "rb").read()
+                for name in os.listdir(out)} == before
 
 
 class TestVisualInput:

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import integrate, special, stats
@@ -122,6 +122,55 @@ class TestFitLogistic:
         assert scaled.coef[1] == pytest.approx(raw.coef[1] * sd, rel=1e-6)
 
 
+# _logistic_ll and _log1mexp as written before each became one expression;
+# the ztnb references below use this _log1mexp.
+
+
+def reference_logistic_ll(eta, y):
+    return float(np.where(y > 0, -np.logaddexp(0.0, -eta), -np.logaddexp(0.0, eta)).sum())
+
+
+def reference_log1mexp(z):
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    small = z > -0.6931471805599453  # ln 2
+    out[small] = np.log(-np.expm1(z[small]))
+    out[~small] = np.log1p(-np.exp(z[~small]))
+    return out
+
+
+LN2 = math.log(2.0)
+
+
+class TestKernelsMatchMaskedReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+        hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3) | st.floats(
+            allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 800.0, -800.0])),
+        hnp.arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])))))
+    @example((np.array([800.0, -800.0]), np.array([1.0, 0.0])))  # every row -0.0, the sum +0.0
+    @example((np.array([0.0, -0.0]), np.array([1.0, 0.0])))
+    def test_logistic_ll_is_one_logaddexp(self, problem):
+        eta, y = problem
+        with np.errstate(over="ignore"):  # a sum of terms near the float maximum
+            assert H._logistic_ll(eta, y).hex() == reference_logistic_ll(eta, y).hex()
+
+    # Both sides of -ln 2 and the values next to it, the subnormals, the far
+    # tail where e^z underflows, 0 at the top of the range, -inf and NaN.
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 40), elements=st.one_of(
+        st.floats(-3.0, 0.0), st.floats(-LN2 - 1e-9, -LN2 + 1e-9),
+        st.sampled_from([-LN2, np.nextafter(-LN2, 0.0), np.nextafter(-LN2, -1.0),
+                         -5e-324, -2.2250738585072014e-308, 0.0, -0.0, -np.inf, np.nan]),
+        st.floats(-2.2250738585072014e-308, -5e-324), st.floats(-1e308, -3.0))))
+    def test_log1mexp_is_one_where(self, z):
+        with np.errstate(divide="ignore"):
+            want = reference_log1mexp(z)
+        got = H._log1mexp(z)
+        assert got.dtype == np.float64 and got.shape == z.shape
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
 class TestZtnbGradient:
     def test_matches_central_finite_differences_at_random_points(self):
         rng = np.random.default_rng(11)
@@ -155,7 +204,7 @@ def reference_ztnb_loglik(params, X, y):
         - special.gammaln(y + 1.0)
         + theta * log_ratio
         + y * (eta - np.log(theta + mu))
-        - H._log1mexp(log_p0)
+        - reference_log1mexp(log_p0)
     )
     return float(ll.sum())
 
@@ -169,7 +218,7 @@ def reference_ztnb_gradient(params, X, y):
     log_ratio = math.log(theta) - np.log(denom)
     log_p0 = theta * log_ratio
     # p0 / (1 - p0), stable while p0 -> 1
-    p0_over_1mp0 = np.exp(log_p0 - H._log1mexp(log_p0))
+    p0_over_1mp0 = np.exp(log_p0 - reference_log1mexp(log_p0))
 
     # d ll / d eta = y - (y + theta) mu / denom - theta mu / denom * p0/(1-p0)
     dll_deta = y - (y + theta) * mu / denom - theta * mu / denom * p0_over_1mp0
@@ -229,7 +278,7 @@ def reference_fused_ztnb_loglik(params, X, y):
     log_denom = np.log(denom)
     log_ratio = log_theta - log_denom
     log_p0 = theta * log_ratio
-    log_1mp0 = H._log1mexp(log_p0)
+    log_1mp0 = reference_log1mexp(log_p0)
     ll = (
         special.gammaln(y + theta)
         - special.gammaln(theta)
