@@ -53,19 +53,6 @@ _EXP_ZERO = -745.2
 
 
 @dataclass(frozen=True)
-class DegreeDistribution:
-    """Out-degree histogram of one network, restricted to shared source nodes."""
-
-    histogram: dict[int, int]
-    source: str  # "wiki" | "trans"
-    restriction: str
-
-    @property
-    def total(self) -> int:
-        return sum(self.histogram.values())
-
-
-@dataclass(frozen=True)
 class ConcentrationStats:
     total_transitions: int
     top_k: int | None          # smallest k with top-k links >= half the transitions
@@ -85,27 +72,15 @@ def transition_histogram(log: TransitionLog) -> tuple[dict[int, int], Concentrat
     return hist, ConcentrationStats(total, k, float(cum[k - 1] / total))
 
 
-def outdegree_comparison(
-    g: LinkGraph, log: TransitionLog
-) -> tuple[DegreeDistribution, DegreeDistribution]:
-    """Out-degree histograms of the full network and of the used subnetwork.
+def outdegree_comparison(g: LinkGraph, log: TransitionLog) -> tuple[np.ndarray, np.ndarray]:
+    """Out-degrees in the full network and in the used subnetwork, in node order.
 
-    Only nodes appearing as transition sources enter either histogram, so the
-    two distributions range over the same node set.
+    Only nodes appearing as transition sources enter either sample, so the
+    two range over the same node set.
     """
-    wiki_out = g.out_degrees()
-    trans_out = np.bincount(log.src, minlength=g.n_nodes) if len(log) else np.zeros(g.n_nodes, dtype=np.int64)
+    trans_out = np.bincount(log.src, minlength=g.n_nodes)
     shared = trans_out > 0  # a transition source always has wiki out-links too
-    note = "sources present in both networks"
-
-    def hist(vec: np.ndarray) -> dict[int, int]:
-        values, freqs = np.unique(vec[shared], return_counts=True)
-        return {int(v): int(f) for v, f in zip(values, freqs)}
-
-    return (
-        DegreeDistribution(hist(wiki_out), "wiki", note),
-        DegreeDistribution(hist(trans_out), "trans", note),
-    )
+    return g.out_degrees()[shared], trans_out[shared]
 
 
 def gini(values) -> float:

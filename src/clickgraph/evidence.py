@@ -106,8 +106,8 @@ def visual_hypothesis(g: LinkGraph, regions: np.ndarray) -> HypothesisMatrix:
     return HypothesisMatrix("visual", g, values, filled=int(np.count_nonzero(missing)))
 
 
-def combine(hyps: list[HypothesisMatrix], name: str | None = None) -> HypothesisMatrix:
-    """Element-wise sum of already-smoothed hypotheses; no extra smoothing."""
+def combine(hyps: list[HypothesisMatrix]) -> HypothesisMatrix:
+    """Element-wise sum of already-smoothed hypotheses, named ``a+b``; no extra smoothing."""
     if not hyps:
         raise DegenerateInputError("cannot combine an empty list of hypotheses")
     base = hyps[0]
@@ -117,7 +117,7 @@ def combine(hyps: list[HypothesisMatrix], name: str | None = None) -> Hypothesis
             raise AlignmentError(f"hypothesis {h.name!r} is defined on a different graph")
         values += h.values
     return HypothesisMatrix(
-        name or "+".join(h.name for h in hyps),
+        "+".join(h.name for h in hyps),
         base.graph,
         values,
         filled=sum(h.filled for h in hyps),

@@ -24,6 +24,9 @@ GRAPH_MAGIC = "#%clickgraph-graph v1"
 #: ``src * n_nodes + trg`` is exact.
 _MAX_NODES = 3_037_000_499
 
+#: L1 change at which classic and weighted PageRank stop iterating.
+PAGERANK_TOL = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class CentralityVector:
@@ -236,19 +239,14 @@ def kcore(g: LinkGraph) -> CentralityVector:
     return CentralityVector("kcore", core)
 
 
-def pagerank(
-    g: LinkGraph,
-    alpha: float = 0.85,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> CentralityVector:
+def pagerank(g: LinkGraph, alpha: float = 0.85) -> CentralityVector:
     """Classic PageRank by power iteration from a uniform start.
 
     Dangling nodes (out-degree 0) spread their mass uniformly over all
-    nodes.  Iteration stops when the L1 change drops to ``tol``; failure to
-    converge raises :class:`ConvergenceError` carrying the last iterate.
+    nodes.  Iteration stops at an L1 change of ``PAGERANK_TOL``; failure
+    to converge raises :class:`ConvergenceError` carrying the last iterate.
     """
-    return power_iteration(g, np.ones(g.n_edges), alpha, tol, max_iter, "pagerank")
+    return power_iteration(g, np.ones(g.n_edges), alpha, PAGERANK_TOL, None, "pagerank")
 
 
 def power_iteration(

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
     SeparationError,
 )
-from .ingest import REGIONS, LinkFeatureTable
+from .ingest import LinkFeatureTable
 
 #: Feature battery in report order: (column or region indicator, transformation).
 BATTERY = (
@@ -42,6 +42,12 @@ BATTERY = (
     ("x_coord", "scale"),
     ("y_coord", "scale"),
 )
+
+#: Newton iterations stop when the largest score component over n reaches this.
+LOGISTIC_TOL = 1e-10
+LOGISTIC_MAX_ITER = 100
+#: L-BFGS-B iteration cap of a ZTNB fit, which starts at theta = 1.
+ZTNB_MAX_ITER = 500
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +133,7 @@ def _logistic_ll(eta: np.ndarray, y: np.ndarray) -> float:
     return float((-np.logaddexp(0.0, np.where(y > 0, -eta, eta))).sum())
 
 
-def fit_logistic(design: DesignMatrix, tol: float = 1e-10, max_iter: int = 100) -> HurdleFit:
+def fit_logistic(design: DesignMatrix) -> HurdleFit:
     """Bernoulli logistic regression by damped Newton iterations.
 
     Each Newton step reuses the linear predictor of the accepted line-search
@@ -146,7 +152,7 @@ def fit_logistic(design: DesignMatrix, tol: float = 1e-10, max_iter: int = 100) 
     beta = np.zeros(p)
     eta = X @ beta
     ll = _logistic_ll(eta, y)
-    for it in range(max_iter + 1):
+    for it in range(LOGISTIC_MAX_ITER + 1):
         prob = special.expit(eta)
         grad = X.T @ (y - prob)
         gnorm = float(np.abs(grad).max()) / n
@@ -157,7 +163,7 @@ def fit_logistic(design: DesignMatrix, tol: float = 1e-10, max_iter: int = 100) 
                 raise SeparationError(
                     "perfect separation: deviance collapsing, coefficients diverging"
                 )
-        if gnorm <= tol:
+        if gnorm <= LOGISTIC_TOL:
             return HurdleFit(coef=beta, columns=design.columns, loglik=ll,
                              iterations=it, grad_norm=gnorm, n_rows=n)
 
@@ -179,8 +185,8 @@ def fit_logistic(design: DesignMatrix, tol: float = 1e-10, max_iter: int = 100) 
         else:
             break
         beta, eta, ll = cand, cand_eta, cand_ll
-    raise ConvergenceError(f"logistic fit did not converge in {max_iter} iterations",
-                           last=beta, iterations=max_iter)
+    raise ConvergenceError(f"logistic fit did not converge in {LOGISTIC_MAX_ITER} iterations",
+                           last=beta, iterations=LOGISTIC_MAX_ITER)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +270,7 @@ def ztnb_loglik(
     return float(ll.sum()), np.concatenate([X.T @ dll_deta, [theta * dll_dtheta.sum()]])
 
 
-def fit_ztnb(design: DesignMatrix, theta_init: float = 1.0, max_iter: int = 500) -> HurdleFit:
+def fit_ztnb(design: DesignMatrix) -> HurdleFit:
     """Joint quasi-Newton ascent over (beta, ln theta).
 
     One :func:`ztnb_loglik` call per point L-BFGS-B evaluates, sharing one
@@ -274,14 +280,11 @@ def fit_ztnb(design: DesignMatrix, theta_init: float = 1.0, max_iter: int = 500)
     X, y = design.X, design.y
     if y.min() < 1:
         raise PreconditionError("zero-truncated outcome must be >= 1")
-    if theta_init <= 0:
-        raise PreconditionError("theta_init must be positive")
     _check_collinearity(X, design.columns)
     n, p = X.shape
 
-    x0 = np.zeros(p + 1)
+    x0 = np.zeros(p + 1)  # ln theta starts at 0
     x0[0] = math.log(float(y.mean()))
-    x0[-1] = math.log(theta_init)
 
     counts = ztnb_counts(y)
 
@@ -291,7 +294,7 @@ def fit_ztnb(design: DesignMatrix, theta_init: float = 1.0, max_iter: int = 500)
 
     res = optimize.minimize(
         objective, x0, jac=True, method="L-BFGS-B",
-        options={"maxiter": max_iter, "ftol": 1e-14, "gtol": 1e-9},
+        options={"maxiter": ZTNB_MAX_ITER, "ftol": 1e-14, "gtol": 1e-9},
     )
     ll = -float(res.fun)
     gnorm = float(np.abs(res.jac).max()) / n
@@ -349,11 +352,8 @@ class BatteryRow:
 
 
 def _battery_feature(table: LinkFeatureTable, spec: str) -> np.ndarray:
-    if spec.startswith("position = "):
-        label = spec.split(" = ", 1)[1]
-        if label not in REGIONS:
-            raise PreconditionError(f"unknown region {label!r}")
-        return (table.data["region"] == label).astype(np.float64)
+    if spec.startswith("position = "):  # every BATTERY label is one of ingest.REGIONS
+        return (table.data["region"] == spec.split(" = ", 1)[1]).astype(np.float64)
     return np.asarray(table.data[spec], dtype=np.float64)
 
 
@@ -361,45 +361,37 @@ def feature_battery(table: LinkFeatureTable, threshold: int = 10) -> list[Batter
     """One-feature-at-a-time hurdle fits with LRT against intercept-only.
 
     Per-feature failures (separation, collinearity, non-convergence) are
-    recorded in the row rather than aborting the battery.
+    recorded in the row rather than aborting the battery; when a part's
+    intercept-only fit fails, every row of that part carries its error.
     """
     split = split_hurdle(table, threshold)
+    # (part, fitter, outcome, rows), built per call so that the fitters are
+    # the module's at call time
+    parts = (("binomial", fit_logistic, split.binary_y, slice(None)),
+             ("ztnb", fit_ztnb, split.count_y, split.count_rows))
+    reduced: dict[str, HurdleFit | str] = {}
+    for part, fit, y, _rows in parts:
+        try:
+            if not len(y):
+                raise PreconditionError(f"no links reach the {part} stage")
+            reduced[part] = fit(intercept_design(y))
+        except Exception as exc:
+            reduced[part] = f"{type(exc).__name__}: {exc}"
+
     rows: list[BatteryRow] = []
-
-    reduced_bin, reduced_bin_err = None, ""
-    try:
-        reduced_bin = fit_logistic(intercept_design(split.binary_y))
-    except Exception as exc:
-        reduced_bin_err = f"{type(exc).__name__}: {exc}"
-    reduced_cnt, reduced_cnt_err = None, ""
-    try:
-        if not len(split.count_rows):
-            raise PreconditionError("no links reach the count stage")
-        reduced_cnt = fit_ztnb(intercept_design(split.count_y))
-    except Exception as exc:
-        reduced_cnt_err = f"{type(exc).__name__}: {exc}"
-
     for spec, transform in BATTERY:
         values = _battery_feature(table, spec)
         kw: dict = {"feature": spec, "transformation": transform}
-        try:
-            if reduced_bin is None:
-                raise SeparationError(reduced_bin_err or "no baseline binomial fit")
-            design = make_design(values, split.binary_y, spec, transform == "scale")
-            fit = fit_logistic(design)
-            comp = lrt(fit, reduced_bin)
-            kw.update(binomial_coef=float(fit.coef[1]), binomial_lrt=comp.statistic, binomial_p=comp.p)
-        except Exception as exc:
-            kw.update(binomial_error=f"{type(exc).__name__}: {exc}")
-        try:
-            if reduced_cnt is None:
-                raise PreconditionError(reduced_cnt_err or "no baseline count fit")
-            sub = values[split.count_rows]
-            design = make_design(sub, split.count_y, spec, transform == "scale")
-            fit = fit_ztnb(design)
-            comp = lrt(fit, reduced_cnt)
-            kw.update(ztnb_coef=float(fit.coef[1]), ztnb_lrt=comp.statistic, ztnb_p=comp.p)
-        except Exception as exc:
-            kw.update(ztnb_error=f"{type(exc).__name__}: {exc}")
+        for part, fit, y, part_rows in parts:
+            if isinstance(reduced[part], str):
+                kw[f"{part}_error"] = reduced[part]
+                continue
+            try:
+                full = fit(make_design(values[part_rows], y, spec, transform == "scale"))
+                comp = lrt(full, reduced[part])
+                kw.update({f"{part}_coef": float(full.coef[1]), f"{part}_lrt": comp.statistic,
+                           f"{part}_p": comp.p})
+            except Exception as exc:
+                kw[f"{part}_error"] = f"{type(exc).__name__}: {exc}"
         rows.append(BatteryRow(**kw))
     return rows

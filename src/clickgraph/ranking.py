@@ -28,13 +28,7 @@ from .ingest import TransitionLog
 DEFAULT_ALPHAS = (0.80, 0.85, 0.90)
 
 
-def weighted_pagerank(
-    g: LinkGraph,
-    h: HypothesisMatrix,
-    alpha: float = 0.85,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> CentralityVector:
+def weighted_pagerank(g: LinkGraph, h: HypothesisMatrix, alpha: float = 0.85) -> CentralityVector:
     """PageRank where a node's mass flows along edge (i, j) proportionally to
     the belief m_ij, normalized by the row sum over i's out-links.
 
@@ -43,7 +37,8 @@ def weighted_pagerank(
     """
     if not graphmod.same_structure(h.graph, g):
         raise AlignmentError("hypothesis is defined on a different graph")
-    return graphmod.power_iteration(g, h.values, alpha, tol, max_iter, "weighted pagerank")
+    return graphmod.power_iteration(g, h.values, alpha, graphmod.PAGERANK_TOL, None,
+                                    "weighted pagerank")
 
 
 def incoming_transition_sums(log: TransitionLog, n_nodes: int) -> np.ndarray:

@@ -144,11 +144,12 @@ def attention(cfg, g, log):
         _table("count frequency", sorted(hist.items())),
     )
 
-    wiki, trans = attmod.outdegree_comparison(g, log)
+    wiki_out, trans_out = attmod.outdegree_comparison(g, log)
     outputs["attention_outdegree"] = (
-        (f"restriction={wiki.restriction}",),
-        _table("network out_degree frequency", [(dist.source, d, f) for dist in (wiki, trans)
-                                                for d, f in sorted(dist.histogram.items())]),
+        ("restriction=sources present in both networks",),
+        _table("network out_degree frequency",
+               [(network, d, f) for network, out in (("wiki", wiki_out), ("trans", trans_out))
+                for d, f in zip(*np.unique(out, return_counts=True))]),
     )
 
     ginis, skipped = attmod.per_article_gini(g, log)
@@ -159,12 +160,9 @@ def attention(cfg, g, log):
         _table("bin_lo bin_hi frequency", zip(bins[:-1], bins[1:], freq)),
     )
 
-    wiki_out = g.out_degrees()
-    trans_out = np.bincount(log.src, minlength=g.n_nodes) if len(log) else np.zeros(g.n_nodes, dtype=np.int64)
-    shared = trans_out > 0
     sections = (
-        ("wiki_out_degrees", wiki_out[shared], cfg.xmin_degrees),
-        ("trans_out_degrees", trans_out[shared], cfg.xmin_degrees),
+        ("wiki_out_degrees", wiki_out, cfg.xmin_degrees),
+        ("trans_out_degrees", trans_out, cfg.xmin_degrees),
         ("transition_counts", log.count, cfg.xmin_transitions),
     )
     lines = []

@@ -893,6 +893,19 @@ class TestBuildInput:
                      "--out", out]) == 0
         assert main(["attention", "--out", out]) == 0
 
+    def test_clickless_log_over_toy_graph_runs_attention(self, toy_inputs, tmp_path):
+        clicks = tmp_path / "clicks.tsv"
+        clicks.write_text("")
+        out = str(tmp_path / "o")
+        assert main(["build", "--edges", toy_inputs["edges"], "--clickstream", str(clicks),
+                     "--out", out]) == 0
+        assert main(["attention", "--out", out]) == 0
+        with open(os.path.join(out, ARTIFACTS["attention_fits"]), encoding="utf-8") as fh:
+            assert sum(line.startswith("  unavailable: ") for line in fh) == 3
+        with open(os.path.join(out, ARTIFACTS["attention_outdegree"]), encoding="utf-8") as fh:
+            assert [line for line in fh if not line.startswith("#")] == [
+                "network\tout_degree\tfrequency\n"]
+
 
 class TestTransitionsInput:
     @pytest.mark.parametrize("row, message", [
@@ -1048,27 +1061,29 @@ class TestFeatureFileInput:
 
 class TestHurdleSummary:
     def test_each_stage_counts_its_own_fits(self, toy_inputs, tmp_path, capsys, monkeypatch):
+        # The battery calls the fitters the module holds at call time.
         from clickgraph import hurdle
         from clickgraph.errors import ConvergenceError
 
-        fit_ztnb = hurdle.fit_ztnb
-
-        def fail_on_one_feature(design):
-            if design.columns[-1] == "trg_in_degree":
-                raise ConvergenceError("no optimum")
-            return fit_ztnb(design)
+        def fail_on(feature, fit):
+            def fitter(design):
+                if design.columns[-1] == feature:
+                    raise ConvergenceError("no optimum")
+                return fit(design)
+            return fitter
 
         out = str(tmp_path / "out")
         run_pipeline(toy_inputs, out)
         os.unlink(os.path.join(out, ARTIFACTS["hurdle"]))
-        monkeypatch.setattr(hurdle, "fit_ztnb", fail_on_one_feature)
+        monkeypatch.setattr(hurdle, "fit_ztnb", fail_on("trg_in_degree", hurdle.fit_ztnb))
+        monkeypatch.setattr(hurdle, "fit_logistic", fail_on("text_sim", hurdle.fit_logistic))
         capsys.readouterr()
         assert main(["hurdle", "--out", out, "--threshold", "10"]) == 0
-        assert capsys.readouterr().out == "hurdle: 15/15 binomial, 14/15 ztnb fits\n"
-        with open(os.path.join(out, ARTIFACTS["hurdle"]), encoding="utf-8") as fh:
-            rows = [line.rstrip("\n").split("\t") for line in fh]
-        errors = [row[-1] for row in rows if row[0] == "trg_in_degree"]
-        assert errors == ["ConvergenceError: no optimum"]
+        assert capsys.readouterr().out == "hurdle: 14/15 binomial, 14/15 ztnb fits\n"
+        rows = {row[0]: row for row in _rows(os.path.join(out, ARTIFACTS["hurdle"]))}
+        assert rows["trg_in_degree"][-1] == "ConvergenceError: no optimum"
+        assert rows["text_sim"][5] == "ConvergenceError: no optimum"
+        assert rows["trg_in_degree"][5] == rows["text_sim"][-1] == "-"
 
 
 class TestHyptrailsSummary:

@@ -270,12 +270,12 @@ class TestPagerank:
         with pytest.raises(ValueError):
             G.pagerank(g, alpha=1.0)
         with pytest.raises(ValueError):
-            G.pagerank(g, tol=0.0)
+            G.power_iteration(g, np.ones(g.n_edges), 0.85, 0.0, None, "pagerank")
 
     def test_nonconvergence_carries_last_iterate(self):
         g = random_graph(50, 0.1, seed=21)
         with pytest.raises(ConvergenceError) as exc:
-            G.pagerank(g, alpha=0.95, tol=1e-16, max_iter=3)
+            G.power_iteration(g, np.ones(g.n_edges), 0.95, 1e-16, 3, "pagerank")
         assert exc.value.last is not None
         assert len(exc.value.last) == 50
         assert exc.value.iterations == 3

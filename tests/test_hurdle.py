@@ -358,7 +358,7 @@ class TestFitZtnb:
         y = sample_ztnb(rng, np.exp(1.0 + 0.3 * x), theta=1.2)
         design = H.make_design(x, y, "x", standardize=True)
         fit = H.fit_ztnb(design)
-        start = np.array([np.log(y.mean()), 0.0, 0.0])  # fit_ztnb's x0 at theta_init 1
+        start = np.array([np.log(y.mean()), 0.0, 0.0])  # fit_ztnb's x0: theta 1
         assert fit.iterations > 0
         assert fit.loglik > H.ztnb_loglik(start, design.X, y)[0]
 
@@ -390,10 +390,6 @@ class TestFitZtnb:
         scaled = H.fit_ztnb(H.make_design(x, y, "x", standardize=True))
         assert scaled.loglik == pytest.approx(raw.loglik, abs=1e-6)
         assert scaled.coef[1] == pytest.approx(raw.coef[1] * x.std(), rel=1e-4)
-
-    def test_theta_init_must_be_positive(self):
-        with pytest.raises(PreconditionError):
-            H.fit_ztnb(H.intercept_design(np.array([1.0, 2.0])), theta_init=0.0)
 
 
 class TestLrt:
@@ -476,3 +472,27 @@ class TestFeatureBattery:
         table = toy_table(counts, region=["body"] * n)  # no infobox links at all
         rows = {r.feature: r for r in H.feature_battery(table, threshold=10)}
         assert "CollinearityError" in rows["position = infobox"].binomial_error
+
+    @pytest.mark.parametrize("counts, binomial, ztnb", [
+        ([0, 3, 9] * 20, "SeparationError: outcome is constant; logistic MLE does not exist",
+         "PreconditionError: no links reach the ztnb stage"),
+        ([10, 30, 90] * 20, "SeparationError: outcome is constant; logistic MLE does not exist",
+         None),
+    ], ids=["no-link-used", "every-link-used"])
+    def test_failed_baseline_error_is_each_rows_error_once(self, counts, binomial, ztnb):
+        rows = H.feature_battery(toy_table(counts), threshold=10)
+        assert [r.binomial_error for r in rows] == [binomial] * len(H.BATTERY)
+        assert all(r.binomial_coef is None for r in rows)
+        if ztnb is None:
+            assert rows[0].ztnb_coef is not None and not rows[0].ztnb_error
+        else:
+            assert [r.ztnb_error for r in rows] == [ztnb] * len(H.BATTERY)
+
+    def test_failed_ztnb_baseline_keeps_its_own_type(self, monkeypatch):
+        def no_optimum(design):
+            raise ConvergenceError("no optimum")
+
+        monkeypatch.setattr(H, "fit_ztnb", no_optimum)
+        rows = H.feature_battery(toy_table([0, 12, 40] * 20), threshold=10)
+        assert [r.ztnb_error for r in rows] == ["ConvergenceError: no optimum"] * len(H.BATTERY)
+        assert rows[0].binomial_coef is not None
