@@ -2,18 +2,20 @@
 
 Every analysis stage is a subcommand writing plot-ready delimited files into
 one output directory.  One table, ``STAGES``, names each stage's help line,
-the artifacts its cache key hashes beside its input files, the artifacts it
-reads and the ones it writes; ``run_stage`` does the rest for all of them.
-A stage's body is the function named after it in :mod:`clickgraph.stages`.
-A body only computes: it returns its artifacts' header notes and lines, its
-summary and its warnings.  The driver alone writes into the output directory,
-writes every header but ``graph.tsv``'s (which :func:`graph.save_graph`
-writes) and prefixes every printed line with the stage name.  Writes are
-atomic (temp file + rename), a manifest records config and input hashes so
-unchanged reruns are skipped (it is the only cache), and every output starts
-with a header naming the tool version, config hash, and seeds.  The cache is
-checked before any input is loaded, so a rerun on an unchanged directory
-parses nothing.
+the artifacts it reads and the ones it writes; ``run_stage`` does the rest
+for all of them.  A stage's body is the function named after it in
+:mod:`clickgraph.stages`.  A body only computes: it returns its artifacts'
+header notes and lines, its summary and its warnings.  The driver alone
+writes into the output directory, makes every header and prefixes every
+printed line with the stage name.  Writes are atomic (temp file + rename),
+a manifest records each stage's cache key so unchanged reruns are skipped
+(it is the only cache), and every output starts with a header naming the
+tool version, config hash, and seeds.  The key is the config hash and the
+sha256 of exactly what the stage reads: each artifact in its ``reads``,
+named by file name, and each input file it is given, named by its field
+(``edges``, ``corpus``, ...), never by path, so equal bytes give equal keys
+and headers wherever they lie.  The cache is checked before any input is
+loaded, so a rerun on an unchanged directory parses nothing.
 
 A cache hit compiles and runs no stage body: :mod:`clickgraph.stages` and
 the kernels are imported on a miss alone, and ``main`` builds the subparser of
@@ -102,7 +104,7 @@ _AT_LEAST_1 = ("be >= 1", lambda v: v >= 1)
 
 #: One row per run setting.  The order is the order of the subcommands' flags
 #: (shared ones first) and of the problems a ConfigError lists.  A path row's
-#: stages are the stages whose cache key hashes that file.
+#: stages are the stages that read that file and key it by the row's name.
 _FIELDS = (
     _Field("edges", None, _PATH, ("build",), "tab-separated src/trg article-name pairs"),
     _Field("clickstream", None, _PATH, ("build",), "referrer/resource/count transition rows"),
@@ -155,11 +157,13 @@ class RunConfig(namedtuple("RunConfig", [f.name for f in _FIELDS],
     __slots__ = ()
 
     def hash(self) -> str:
-        # out dir and thread count do not affect results; keep reruns into a
-        # different directory byte-identical.
+        # out dir and thread count do not affect results, and an input file is
+        # keyed by its bytes, not its path: keep reruns into a different
+        # directory, or on the same inputs elsewhere, byte-identical.
         d = self._asdict()
         d.pop("out")
         d.pop("threads")
+        d.update((f.name, None) for f in _FIELDS if f.kind is _PATH)
         blob = json.dumps(d, sort_keys=True, default=list)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
@@ -242,24 +246,25 @@ def _validate_inputs(cfg: RunConfig, inputs: tuple[str, ...]) -> None:
         raise ConfigError("; ".join(problems))
 
 
-def _atomic_write(path: str, content) -> None:
-    """Write ``path`` through a temp file and a rename.
+def _atomic_write(path: str, header: list[str], lines) -> None:
+    """Write ``header``, then ``lines``, to ``path`` through a temp file and a rename.
 
-    ``content`` is an iterable of lines, or a function that writes the file
-    at the path it is given.  The temp file is created with mode 0o666 less
-    the umask, as ``open`` would create ``path`` itself.
+    ``lines`` is an iterable of lines, or a function that writes the file,
+    ``header`` first, at the path it is given.  The temp file is created
+    with mode 0o666 less the umask, as ``open`` would create ``path`` itself.
     """
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        if callable(content):
+        if callable(lines):
             os.close(fd)
-            content(tmp)
+            lines(tmp, header)
         else:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.writelines(content)
+                fh.writelines(header)
+                fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -302,7 +307,7 @@ def _record(outdir: str, name: str, entry: dict) -> None:
         fcntl.flock(fd, fcntl.LOCK_EX)
         manifest = _load_manifest(outdir)
         manifest["stages"][name] = entry
-        _atomic_write(os.path.join(outdir, MANIFEST),
+        _atomic_write(os.path.join(outdir, MANIFEST), [],
                       [json.dumps(manifest, sort_keys=True, indent=1) + "\n"])
     finally:
         os.close(fd)  # releases the lock
@@ -312,49 +317,33 @@ def _artifact_path(cfg: RunConfig, key: str) -> str:
     return os.path.join(cfg.out, ARTIFACTS[key])
 
 
-def _key_files(cfg: RunConfig, keys: tuple[str, ...]) -> dict[str, str]:
-    """The existing files a cache key hashes, by the name the manifest gives them."""
-    # Artifacts inside the output directory are keyed by their relative name
-    # so manifests stay identical across runs into different directories.
-    out = os.path.abspath(cfg.out)
-    files = {}
-    for k in keys:
-        p = _artifact_path(cfg, k) if k in ARTIFACTS else getattr(cfg, k)
-        if p and os.path.exists(p):
-            ap = os.path.abspath(p)
-            files[os.path.relpath(ap, out) if ap.startswith(out + os.sep) else p] = p
-    return files
-
-
 # ---------------------------------------------------------------------------
 # Stage table and driver
 # ---------------------------------------------------------------------------
 
 
-#: One stage.  ``help``: its line in ``clickgraph --help``; ``keys``: the
-#: artifacts its cache key hashes, beside the stage's path fields; ``reads``:
-#: the earlier artifacts it needs, checked in this order; ``writes``: the
-#: artifacts its body returns, written in this order.  Its body is the function
-#: of the same name in :mod:`clickgraph.stages`.
-Stage = namedtuple("Stage", "help keys reads writes")
+#: One stage.  ``help``: its line in ``clickgraph --help``; ``reads``: the
+#: earlier artifacts it loads, checked in this order and hashed into its cache
+#: key beside the input files of its path fields; ``writes``: the artifacts its
+#: body returns, written in this order.  Its body is the function of the same
+#: name in :mod:`clickgraph.stages`.
+Stage = namedtuple("Stage", "help reads writes")
 
 _GRAPH = ("graph", "transitions")
 _TABLE = (*_GRAPH, "features")
 
 STAGES = {
-    "build": Stage("parse edge list + clickstream into graph artifacts", (), (), _GRAPH),
-    "features": Stage("assemble the per-link feature table", _GRAPH, _GRAPH,
+    "build": Stage("parse edge list + clickstream into graph artifacts", (), _GRAPH),
+    "features": Stage("assemble the per-link feature table", _GRAPH,
                       ("features", "features_report")),
-    "sample": Stage("seeded article sample of the feature table", _TABLE, _TABLE, ("sample",)),
-    "attention": Stage("concentration statistics and distribution fits", _GRAPH, _GRAPH,
+    "sample": Stage("seeded article sample of the feature table", _TABLE, ("sample",)),
+    "attention": Stage("concentration statistics and distribution fits", _GRAPH,
                        ("attention_transitions", "attention_outdegree", "attention_gini",
                         "attention_fits")),
-    "hurdle": Stage("two-stage regression battery over link features", ("features",), _TABLE,
-                    ("hurdle",)),
-    "hyptrails": Stage("Bayesian evidence curves for navigation hypotheses", _TABLE, _TABLE,
+    "hurdle": Stage("two-stage regression battery over link features", _TABLE, ("hurdle",)),
+    "hyptrails": Stage("Bayesian evidence curves for navigation hypotheses", _TABLE,
                        ("hyptrails",)),
-    "pagerank": Stage("weighted pagerank evaluation against views", _TABLE, _TABLE,
-                      ("pagerank",)),
+    "pagerank": Stage("weighted pagerank evaluation against views", _TABLE, ("pagerank",)),
 }
 
 _PRODUCER = {artifact: name for name, stage in STAGES.items() for artifact in stage.writes}
@@ -371,13 +360,14 @@ def _build_hypotheses(cfg: RunConfig, g, table) -> list:
 def run_stage(name: str, cfg: RunConfig) -> int:
     """Run one stage, or report a cache hit without loading any input.
 
-    The cache key hashes the config, the artifacts in ``STAGES[name].keys``
-    and the input files of the path fields whose rows name the stage.
-    On a miss, a stage that reads earlier artifacts gets graph and log (and
-    the feature table if it reads one); every artifact the body returns is
-    written atomically under this stage's header, then the key is recorded in
-    the manifest, and the body's summary and warnings are printed under the
-    stage's name.
+    The cache key hashes the config, the artifacts in ``STAGES[name].reads``
+    and the input files of the path fields whose rows name the stage, each
+    file by the name the manifest gives it: an artifact's file name, an
+    input's field.  On a miss, a stage that reads earlier artifacts gets
+    graph and log (and the feature table if it reads one); every artifact
+    the body returns is written atomically under this stage's header, then
+    the key is recorded in the manifest, and the body's summary and warnings
+    are printed under the stage's name.
     """
     stage = STAGES[name]
     # The first write makes --out's missing directories below the nearest one that exists.
@@ -394,7 +384,8 @@ def run_stage(name: str, cfg: RunConfig) -> int:
                                   f"run `clickgraph {_PRODUCER[artifact]}` first")
     inputs = tuple(f.name for f in _FIELDS if f.kind is _PATH and name in f.stages)
     _validate_inputs(cfg, inputs)
-    files = _key_files(cfg, stage.keys + inputs)
+    files = {ARTIFACTS[a]: _artifact_path(cfg, a) for a in stage.reads}
+    files.update({n: p for n in inputs if (p := getattr(cfg, n)) and os.path.exists(p)})
     key = {"config": cfg.hash(), "inputs": {n: _sha256(p) for n, p in files.items()}}
     entry = _load_manifest(cfg.out)["stages"].get(name)
     if entry is not None and entry.get("key") == key and all(
@@ -414,11 +405,8 @@ def run_stage(name: str, cfg: RunConfig) -> int:
             loaded += (ingest.load_feature_table(fh, *loaded)[0],)
     outputs, summary, *warnings = getattr(stages, name)(cfg, *loaded)
     for artifact in stage.writes:
-        content = outputs[artifact]
-        if not callable(content):
-            notes, lines = content
-            content = [*_header(cfg, name, notes), *lines]
-        _atomic_write(_artifact_path(cfg, artifact), content)
+        notes, lines = outputs[artifact]
+        _atomic_write(_artifact_path(cfg, artifact), _header(cfg, name, notes), lines)
     # A keyed input the stage has just rewritten (`features --feature-file
     # OUT/features.tsv`) is keyed as written, so the same run next is a hit.
     written = {os.path.realpath(_artifact_path(cfg, a)) for a in stage.writes}

@@ -298,11 +298,13 @@ def power_iteration(
 
 
 def save_graph(g: LinkGraph, path, header_lines: Sequence[str] = ()) -> None:
-    """Write a versioned text snapshot: node count, labels, sorted edge list."""
+    """Write a versioned text snapshot: node count, labels, sorted edge list.
+
+    ``header_lines``, each a ``#`` line ending in a newline, follow the magic line.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(GRAPH_MAGIC + "\n")
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+        fh.writelines(header_lines)
         fh.write(f"nodes\t{g.n_nodes}\n")
         fh.write(f"selfloops\t{g.self_loops}\n")
         if g.labels is not None:

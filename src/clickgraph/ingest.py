@@ -724,10 +724,3 @@ def feature_table_lines(table: LinkFeatureTable) -> Iterable[str]:
     for cells in zip(*columns):
         yield "\t".join(cells) + "\n"
 
-
-def table_stats(table: LinkFeatureTable) -> tuple[int, int, float]:
-    """(link count, total transitions, mean transitions per link)."""
-    n = len(table)
-    total = int(round(float(table.data["transitions"].sum())))
-    mean = total / n if n else math.nan
-    return n, total, mean

@@ -54,6 +54,8 @@ class DocumentCorpus:
     ``counts`` holds article ``i``'s terms as vocabulary ids in
     ``counts.indices[counts.indptr[i]:counts.indptr[i + 1]]``, in the order
     the article first used them, with their counts in ``counts.data``.
+    ``unmatched_category_rows`` counts the category rows dropped because
+    they name no article of the corpus.
     """
 
     names: tuple[str, ...]
@@ -62,6 +64,7 @@ class DocumentCorpus:
     categories: tuple[frozenset[str], ...]
     vocabulary: dict[str, int]
     doc_freq: np.ndarray
+    unmatched_category_rows: int
 
     @property
     def n_docs(self) -> int:
@@ -73,6 +76,8 @@ def build_corpus(
     category_docs: Iterable[tuple[str, Iterable[str]]] | None = None,
 ) -> DocumentCorpus:
     """Assemble a corpus from (name, tokens) pairs and optional categories.
+
+    A category row naming no article of ``token_docs`` is dropped and counted.
 
     Vocabulary ids are given in first-seen order.  Each article's term ids
     and counts go straight into int64 buffers, so the corpus holds no
@@ -95,11 +100,12 @@ def build_corpus(
         indptr.append(len(indices))
 
     cats: list[frozenset[str]] = [frozenset()] * len(names)
-    if category_docs is not None:
-        for name, labels in category_docs:
-            idx = name_to_idx.get(name)
-            if idx is None:
-                continue  # categories for unknown articles are irrelevant
+    unmatched = 0
+    for name, labels in category_docs or ():
+        idx = name_to_idx.get(name)
+        if idx is None:
+            unmatched += 1
+        else:
             cats[idx] = frozenset(labels)
 
     n_terms = len(vocabulary)
@@ -112,6 +118,7 @@ def build_corpus(
         categories=tuple(cats),
         vocabulary=dict(vocabulary),
         doc_freq=np.bincount(ids, minlength=n_terms),
+        unmatched_category_rows=unmatched,
     )
 
 

@@ -6,19 +6,18 @@ never imports :mod:`clickgraph.cli`: under ``python -m clickgraph.cli`` the
 running driver is ``__main__``, and that import would compile and execute a
 second copy of it.  ``cfg`` is always a :class:`clickgraph.cli.RunConfig`.
 
-Each body returns ({artifact: content}, summary, *stderr lines); a content is
-(header notes, lines), or for graph.tsv a function writing the file at the
-path it is given.  Only ``run_stage`` writes header lines and `<stage>:`
-prefixes; the analysis stages' tables go through ``_table``.  Each body
-imports the kernels it runs, so ``build``, ``features`` and ``sample`` load
-numpy but not scipy.
+Each body returns ({artifact: (header notes, lines)}, summary, *stderr
+lines); graph.tsv's lines are a function writing the file, the header it is
+given first, at the path it is given.  Only ``run_stage`` makes header lines
+and `<stage>:` prefixes; the analysis stages' tables go through ``_table``.
+Each body imports the kernels it runs, so ``build``, ``features`` and
+``sample`` load numpy but not scipy.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import __version__
 from .errors import ClickgraphError, DegenerateInputError, InsufficientDataError
 
 
@@ -57,7 +56,6 @@ def build(cfg):
             fh, name_to_id, g, threshold=cfg.threshold, fail_fast=cfg.fail_fast
         )
 
-    graph_notes = [f"clickgraph {__version__}", f"stage=build config={cfg.hash()} seed={cfg.seed}"]
     stat_notes = (
         f"threshold={cfg.threshold}",
         f"lines={stats.lines} malformed={stats.malformed} external={stats.external} "
@@ -65,7 +63,7 @@ def build(cfg):
         f"kept_pairs={stats.kept_pairs} kept_transitions={stats.kept_count}",
     )
     outputs = {
-        "graph": lambda path: graphmod.save_graph(g, path, header_lines=graph_notes),
+        "graph": ((), lambda path, header: graphmod.save_graph(g, path, header)),
         "transitions": (stat_notes, ingest.transition_lines(log, g.labels)),
     }
     summary = (f"{g.n_nodes} articles, {g.n_edges} links ({g.self_loops} self-loops); "
@@ -104,6 +102,7 @@ def features(cfg, g, log):
             g, log, text_sim, topic_sim, x, y, region, covered=covered, alpha=cfg.damping
         )
         report_lines = [f"edges_without_corpus_article={missing}\n",
+                        f"categories_without_corpus_article={corpus.unmatched_category_rows}\n",
                         f"visual_rows_not_edges={non_edge}\n",
                         f"edges_without_visual_row={int((~covered).sum())}\n"]
         notes = (f"source=computed projection_dim={cfg.projection_dim} damping={cfg.damping}",

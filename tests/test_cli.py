@@ -4,6 +4,7 @@ import argparse
 import filecmp
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -417,6 +418,69 @@ class TestManifest:
         assert sorted(recorded) == ["attention", "build", "features", "hurdle"]
 
 
+def _copy_inputs(toy_inputs: dict[str, str], directory) -> dict[str, str]:
+    os.makedirs(directory)
+    return {name: shutil.copy(path, directory) for name, path in toy_inputs.items()}
+
+
+class TestCacheKey:
+    """A key hashes exactly what the stage reads, each input named by its field."""
+
+    def test_each_key_names_the_artifacts_and_inputs_the_stage_reads(self, hit_out):
+        with open(os.path.join(hit_out, MANIFEST), encoding="utf-8") as fh:
+            stages = json.load(fh)["stages"]
+        fields = {"build": {"edges", "clickstream"}, "features": {"corpus", "categories", "visual"}}
+        for name, entry in stages.items():
+            assert set(entry["key"]["inputs"]) == (
+                {ARTIFACTS[a] for a in cli.STAGES[name].reads} | fields.get(name, set())), name
+
+    def test_dropping_a_used_link_makes_hurdle_refit(self, toy_inputs, tmp_path, capsys):
+        # hurdle's key once hashed features.tsv alone: after build dropped a
+        # used link it printed a cache hit and kept fits over 78 rows.
+        inputs = _copy_inputs(toy_inputs, tmp_path / "in")
+        out, fresh = str(tmp_path / "out"), str(tmp_path / "fresh")
+        run_pipeline(inputs, out)
+        with open(inputs["edges"], encoding="utf-8") as fh:
+            lines = fh.readlines()
+        lines.remove("Graph_theory\tStatistics\n")
+        with open(inputs["edges"], "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        assert main(["build", "--edges", inputs["edges"], "--clickstream", inputs["clickstream"],
+                     "--out", out, "--threshold", "10"]) == 0
+        shutil.copytree(out, fresh)
+        os.remove(os.path.join(fresh, MANIFEST))
+        capsys.readouterr()
+        for directory in (out, fresh):
+            assert main(["hurdle", "--out", directory, "--threshold", "10"]) == 0
+        assert capsys.readouterr().out == "hurdle: 14/15 binomial, 15/15 ztnb fits\n" * 2
+        fits = os.path.join(out, ARTIFACTS["hurdle"])
+        assert filecmp.cmp(fits, os.path.join(fresh, ARTIFACTS["hurdle"]), shallow=False)
+        with open(fits, encoding="utf-8") as fh:
+            assert "rows=77" in fh.read()
+
+    def test_build_is_a_hit_however_its_input_paths_are_spelled(self, toy_inputs, tmp_path,
+                                                               capsys, monkeypatch):
+        _copy_inputs(toy_inputs, tmp_path / "in")
+        monkeypatch.chdir(tmp_path)
+        args = ["--out", "out", "--threshold", "10"]
+        assert main(["build", "--edges", "in/edges.tsv", "--clickstream", "in/clickstream.tsv",
+                     *args]) == 0
+        capsys.readouterr()
+        for edges, clicks in ((str(tmp_path / "in" / "edges.tsv"), "./in/clickstream.tsv"),
+                              ("./in/edges.tsv", str(tmp_path / "in" / "clickstream.tsv"))):
+            assert main(["build", "--edges", edges, "--clickstream", clicks, *args]) == 0
+            assert capsys.readouterr().out == "build: cache hit, outputs unchanged\n"
+
+    def test_equal_inputs_in_two_directories_give_equal_output_trees(self, toy_inputs, tmp_path):
+        trees = []
+        for name in ("a", os.path.join("b", "deeper")):
+            out = str(tmp_path / name / "out")
+            run_pipeline(_copy_inputs(toy_inputs, tmp_path / name / "in"), out)
+            trees.append(_tree(out))
+        assert MANIFEST in trees[0]
+        assert trees[0] == trees[1]
+
+
 class TestPrintedOutput:
     COLD = (
         "build: 20 articles, 78 links (0 self-loops); kept 33 transition pairs\n"
@@ -676,17 +740,22 @@ class TestConfigRanges:
         assert capsys.readouterr() == (
             "", f"error: argument {argv[1]}: must be comma-separated numbers, got {numbers!r}\n")
 
+    EVERY_FIELD = {
+        "edges": "e.tsv", "clickstream": "c.tsv", "feature_file": None, "corpus": "x",
+        "categories": "y", "visual": "v", "threshold": 3, "fail_fast": True,
+        "recompute_network_features": True, "damping": 0.5, "alphas": [0.5, 0.75],
+        "kappa_multipliers": [1, 2.5, 100], "log_spaced": True, "projection_dim": 16,
+        "projection_seed": 4, "sample_size": 7, "seed": 9, "xmin_degrees": 2,
+        "xmin_transitions": 5, "restrict_to_viewed": True, "threads": 2, "out": "o"}
+
     @pytest.mark.parametrize("values, argv, digest", [
         ({}, [], "d7c496cb744f8900"),
         ({"damping": 1e-3, "kappa_multipliers": [3]}, [], "1fd56aa28668598d"),
         ({}, ["--kappa-multipliers", "1,2", "--seed", "3"], "f87ca03ec35ef3cf"),
-        ({"edges": "e.tsv", "clickstream": "c.tsv", "feature_file": None, "corpus": "x",
-          "categories": "y", "visual": "v", "threshold": 3, "fail_fast": True,
-          "recompute_network_features": True, "damping": 0.5, "alphas": [0.5, 0.75],
-          "kappa_multipliers": [1, 2.5, 100], "log_spaced": True, "projection_dim": 16,
-          "projection_seed": 4, "sample_size": 7, "seed": 9, "xmin_degrees": 2,
-          "xmin_transitions": 5, "restrict_to_viewed": True, "threads": 2, "out": "o"},
-         [], "f5243a4901c15aa7"),
+        (EVERY_FIELD, [], "f7fde41a6480d38e"),
+        # An input is keyed by its bytes: its path, however spelled, is not hashed.
+        ({**EVERY_FIELD, "edges": "/elsewhere/e.tsv", "clickstream": "./c.tsv",
+          "feature_file": "f.tsv", "corpus": None}, [], "f7fde41a6480d38e"),
     ])
     def test_config_hash_is_pinned(self, tmp_path, values, argv, digest):
         # Every header and manifest entry carries this hash: a config that ran
@@ -1015,6 +1084,22 @@ class TestCorpusInput:
                      "--visual", toy_inputs["visual"], "--projection-dim", "64", "--out", out]) == 2
         assert capsys.readouterr().err == (
             "error: line 1: article name '# generated corpus' starts with '#'\n")
+
+
+    def test_category_rows_for_articles_not_in_the_corpus_are_counted(self, toy_inputs,
+                                                                      tmp_path):
+        # Such rows were once dropped without a count.
+        out = str(tmp_path / "out")
+        assert main(["build", "--edges", toy_inputs["edges"],
+                     "--clickstream", toy_inputs["clickstream"], "--out", out]) == 0
+        categories = tmp_path / "categories.tsv"
+        with open(toy_inputs["categories"], encoding="utf-8") as fh:
+            categories.write_text(fh.read() + "Not_an_article\tnowhere\nOther\tx\ty\n",
+                                  encoding="utf-8")
+        assert main(["features", "--corpus", toy_inputs["corpus"], "--categories", str(categories),
+                     "--visual", toy_inputs["visual"], "--projection-dim", "64", "--out", out]) == 0
+        with open(os.path.join(out, ARTIFACTS["features_report"]), encoding="utf-8") as fh:
+            assert "categories_without_corpus_article=2\n" in fh.readlines()
 
 
 class TestFeatureFileInput:

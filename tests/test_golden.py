@@ -9,10 +9,11 @@ is committed under ``tests/golden/``.
   file's sha256 and line count are committed; ``features.tsv`` alone is
   1.3 MB.
 
-The stages run through ``cli.main`` from a temporary working directory with
-relative input paths (``inputs/edges.tsv``, ...), so the external-input keys
-and config hashes in ``manifest.json`` do not depend on where the test runs.
-On the numpy and scipy versions recorded beside each golden every file must
+The stages run through ``cli.main`` on inputs under a temporary directory,
+given by absolute path. A cache key names each input by its field
+(``edges``, ``corpus``, ...) and hashes its bytes, and the config hash leaves
+input paths out, so ``manifest.json`` and every header are the same wherever
+the test runs. On the numpy and scipy versions recorded beside each golden every file must
 match byte for byte. On other versions the optimisers may move the last bits
 of a float. There the toy files compare text and integers exactly and floats
 at ``FLOAT_RTOL``, and each artifact hash in the manifest must be the sha256
@@ -71,25 +72,21 @@ def write_gen_inputs(directory: str) -> dict[str, str]:
 
 def run_stages(workdir: str, write_inputs=write_toy_inputs, features_args=("--projection-dim", "64"),
                sample_size: int = 5) -> str:
-    """Run the seven stages plus ``sample`` on ``write_inputs``'s input set
-    inside ``workdir``; returns the output directory."""
-    cwd = os.getcwd()
-    os.chdir(workdir)
-    try:
-        os.mkdir("inputs")
-        inputs = write_inputs("inputs")
-        args = ["--out", "out", "--threshold", "10"]
-        assert main(["build", "--edges", inputs["edges"],
-                     "--clickstream", inputs["clickstream"], *args]) == 0
-        assert main(["features", "--corpus", inputs["corpus"],
-                     "--categories", inputs["categories"], "--visual", inputs["visual"],
-                     *features_args, *args]) == 0
-        assert main(["sample", "--sample-size", str(sample_size), *args]) == 0
-        for cmd in ("attention", "hurdle", "hyptrails", "pagerank"):
-            assert main([cmd, *args]) == 0
-    finally:
-        os.chdir(cwd)
-    return os.path.join(workdir, "out")
+    """Run the seven stages plus ``sample`` on ``write_inputs``'s input set,
+    written to ``workdir/inputs``, into ``workdir/out``; returns the output directory."""
+    os.mkdir(os.path.join(workdir, "inputs"))
+    inputs = write_inputs(os.path.join(workdir, "inputs"))
+    out = os.path.join(workdir, "out")
+    args = ["--out", out, "--threshold", "10"]
+    assert main(["build", "--edges", inputs["edges"],
+                 "--clickstream", inputs["clickstream"], *args]) == 0
+    assert main(["features", "--corpus", inputs["corpus"],
+                 "--categories", inputs["categories"], "--visual", inputs["visual"],
+                 *features_args, *args]) == 0
+    assert main(["sample", "--sample-size", str(sample_size), *args]) == 0
+    for cmd in ("attention", "hurdle", "hyptrails", "pagerank"):
+        assert main([cmd, *args]) == 0
+    return out
 
 
 def _sha256(path: str) -> str:

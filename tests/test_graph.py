@@ -285,7 +285,7 @@ class TestSnapshot:
     def test_round_trip(self, tmp_path):
         g = random_graph(25, 0.15, seed=29, labels=True)
         path = tmp_path / "graph.tsv"
-        G.save_graph(g, path, header_lines=["tool test"])
+        G.save_graph(g, path, header_lines=["# tool test\n"])
         g2 = G.load_graph(path)
         assert G.same_structure(g, g2)
         assert g2.labels == g.labels

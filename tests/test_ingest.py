@@ -357,10 +357,8 @@ class TestLoadFeatureTable:
         lines = feature_file_lines(self.g, self.log)
         table, report = ingest.load_feature_table(lines, None, None)
         assert report.rows_kept == self.g.n_edges
-        n, total, mean = ingest.table_stats(table)
-        assert n == self.g.n_edges
-        assert total == 25
-        assert mean == pytest.approx(25 / self.g.n_edges)
+        assert len(table) == self.g.n_edges
+        assert table.data["transitions"].sum() == 25
 
 
 class TestBuildFeatureTable:

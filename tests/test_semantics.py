@@ -211,6 +211,13 @@ class TestBuildCorpus:
                                                               [("x", 2), ("y", 1)]]
         assert corpus.categories == (frozenset({"c1"}), frozenset())
 
+    def test_category_rows_for_unknown_articles_are_dropped_and_counted(self):
+        corpus = S.build_corpus([("a", ["x"]), ("b", ["y"])],
+                                [("zz", ["c1"]), ("a", ["c2"]), ("zz", ["c3"]), ("q", [])])
+        assert corpus.categories == (frozenset({"c2"}), frozenset())
+        assert corpus.unmatched_category_rows == 3
+        assert S.build_corpus([("a", ["x"])]).unmatched_category_rows == 0
+
     @pytest.mark.parametrize("lines, line_no, name", [
         (["# generated corpus v1\n", "a\tx\n"], 1, "# generated corpus v1"),
         (["a\tx\n", "\n", "#b\tx\ty\n"], 3, "#b"),
