@@ -32,11 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, optimize, special
 
-from .errors import (
-    DegenerateInputError,
-    InsufficientDataError,
-    UndefinedGiniError,
-)
+from .errors import DegenerateInputError, InsufficientDataError
 from .graph import LinkGraph
 from .ingest import TransitionLog
 
@@ -87,6 +83,8 @@ def gini(values) -> float:
     """Gini coefficient of nonnegative counts, zeros included.
 
     Uses the sorted O(n log n) identity for sum_i sum_j |x_i - x_j| / (2 n^2 mu).
+    An empty vector, a negative value or an all-zero vector raises
+    :class:`DegenerateInputError`.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.size == 0:
@@ -95,7 +93,7 @@ def gini(values) -> float:
         raise DegenerateInputError("gini requires nonnegative values")
     total = x.sum()
     if total == 0:
-        raise UndefinedGiniError("gini of an all-zero vector is undefined")
+        raise DegenerateInputError("gini of an all-zero vector is undefined")
     n = x.size
     xs = np.sort(x)
     ranks = np.arange(1, n + 1, dtype=np.float64)

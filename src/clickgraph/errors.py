@@ -67,10 +67,6 @@ class DegenerateInputError(ClickgraphError):
     """Input admits no meaningful answer (constant samples, |r| = 1, ...)."""
 
 
-class UndefinedGiniError(DegenerateInputError):
-    """Gini coefficient of an all-zero vector is undefined."""
-
-
 class ElicitationError(ClickgraphError):
     """A hypothesis row cannot be turned into a Dirichlet prior."""
 

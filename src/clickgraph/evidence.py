@@ -19,6 +19,7 @@ from .errors import (
     AlignmentError,
     DegenerateInputError,
     ElicitationError,
+    PreconditionError,
     SchemaError,
 )
 from .graph import CentralityVector, LinkGraph, same_structure
@@ -39,12 +40,12 @@ ALPHA_MAX = 2.5e305
 
 @dataclass(frozen=True, eq=False)
 class HypothesisMatrix:
-    """Sparse nonnegative beliefs aligned to the graph's edge slots."""
+    """Sparse nonnegative beliefs aligned to the graph's edge slots: ``values[s]``
+    is the belief in the link in slot ``s`` of ``graph``."""
 
     name: str
     graph: LinkGraph
     values: np.ndarray
-    filled: int = 0  # edges whose belief was missing and filled with 0
 
     def __post_init__(self):
         if len(self.values) != self.graph.n_edges:
@@ -76,24 +77,22 @@ def kcore_hypothesis(g: LinkGraph, kcore: CentralityVector) -> HypothesisMatrix:
 def textsim_hypothesis(g: LinkGraph, sims: np.ndarray) -> HypothesisMatrix:
     """Belief equal to the linked articles' text similarity, plus ``SMOOTHING_WEIGHT``.
 
-    NaN similarities (edges missing from the feature source) count as 0 and
-    are tallied in ``filled``.
+    NaN similarities (edges missing from the feature source) count as 0.
     """
     sims = np.asarray(sims, dtype=np.float64)
     if len(sims) != g.n_edges:
         raise AlignmentError(f"{len(sims)} similarities for {g.n_edges} edges")
-    missing = np.isnan(sims)
-    values = np.where(missing, 0.0, sims)
+    values = np.where(np.isnan(sims), 0.0, sims)
     if len(values) and (values.min() < 0 or values.max() > 1):
         raise ValueError("similarities must lie in [0, 1]")
-    return HypothesisMatrix("text_sim", g, values + SMOOTHING_WEIGHT, filled=int(missing.sum()))
+    return HypothesisMatrix("text_sim", g, values + SMOOTHING_WEIGHT)
 
 
 def visual_hypothesis(g: LinkGraph, regions: np.ndarray) -> HypothesisMatrix:
     """Belief 1 for lead, left-body and infobox links, else 0, plus ``SMOOTHING_WEIGHT``.
 
     ``regions`` holds one label per edge; None marks edges without visual
-    data (belief 0, tallied).  Unknown labels raise :class:`SchemaError`.
+    data (belief 0).  Unknown labels raise :class:`SchemaError`.
     """
     regions = np.asarray(regions, dtype=object)
     if len(regions) != g.n_edges:
@@ -103,7 +102,7 @@ def visual_hypothesis(g: LinkGraph, regions: np.ndarray) -> HypothesisMatrix:
     if unknown.any():
         raise SchemaError(f"unknown region label {regions[np.argmax(unknown)]!r}")
     values = np.isin(regions, sorted(PROMOTED_REGIONS)).astype(np.float64) + SMOOTHING_WEIGHT
-    return HypothesisMatrix("visual", g, values, filled=int(np.count_nonzero(missing)))
+    return HypothesisMatrix("visual", g, values)
 
 
 def combine(hyps: list[HypothesisMatrix]) -> HypothesisMatrix:
@@ -116,12 +115,7 @@ def combine(hyps: list[HypothesisMatrix]) -> HypothesisMatrix:
         if not same_structure(base.graph, h.graph):
             raise AlignmentError(f"hypothesis {h.name!r} is defined on a different graph")
         values += h.values
-    return HypothesisMatrix(
-        "+".join(h.name for h in hyps),
-        base.graph,
-        values,
-        filled=sum(h.filled for h in hyps),
-    )
+    return HypothesisMatrix("+".join(h.name for h in hyps), base.graph, values)
 
 
 def elicit_prior(h: HypothesisMatrix, kappa: float) -> np.ndarray:
@@ -209,13 +203,21 @@ def default_kappa_grid(
 ) -> np.ndarray:
     """Belief-strength grid: multiples of the mean out-degree.
 
-    ``log_spaced`` spreads the same range geometrically instead.
+    ``log_spaced`` spreads the same range geometrically instead.  A multiple
+    beyond the float range raises :class:`PreconditionError`.
     """
     mean_out = g.n_edges / g.n_nodes if g.n_nodes else 1.0
     mean_out = max(mean_out, 1.0)
+    with np.errstate(over="ignore"):
+        kappas = np.asarray(multipliers, dtype=np.float64) * mean_out
+    finite = np.isfinite(kappas)
+    if not finite.all():
+        m = multipliers[int(np.argmin(finite))]
+        raise PreconditionError(f"kappa multiplier {m!r} times the mean out-degree {mean_out!r} "
+                                "is beyond the float range")
     if log_spaced:
-        return np.geomspace(multipliers[0] * mean_out, multipliers[-1] * mean_out, len(multipliers))
-    return np.asarray(multipliers, dtype=np.float64) * mean_out
+        return np.geomspace(kappas[0], kappas[-1], len(kappas))
+    return kappas
 
 
 def kass_raftery_verdict(log_bf: float) -> str:

@@ -59,9 +59,6 @@ class LinkGraph:
     def n_edges(self) -> int:
         return int(len(self.out_indices))
 
-    def out_neighbors(self, i: int) -> np.ndarray:
-        return self.out_indices[self.out_indptr[i]:self.out_indptr[i + 1]]
-
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.out_indptr)
 

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
     SeparationError,
 )
-from .ingest import LinkFeatureTable
+from .ingest import REGIONS, LinkFeatureTable
 
 #: Feature battery in report order: (column or region indicator, transformation).
 BATTERY = (
@@ -33,12 +33,7 @@ BATTERY = (
     ("trg_pagerank", "scale"),
     ("text_sim", "scale"),
     ("topic_sim", "scale"),
-    ("position = lead", "none"),
-    ("position = body", "none"),
-    ("position = left-body", "none"),
-    ("position = right-body", "none"),
-    ("position = infobox", "none"),
-    ("position = navbox", "none"),
+    *((f"position = {region}", "none") for region in REGIONS),
     ("x_coord", "scale"),
     ("y_coord", "scale"),
 )
@@ -312,15 +307,15 @@ def fit_ztnb(design: DesignMatrix) -> HurdleFit:
 @dataclass(frozen=True)
 class LrtResult:
     statistic: float
-    df: int
     p: float
 
 
 def lrt(full: HurdleFit, reduced: HurdleFit) -> LrtResult:
-    """Likelihood-ratio chi-square test of nested fits.
+    """Likelihood-ratio chi-square test of nested fits: the statistic and its p.
 
     statistic = 2 (lnL_full - lnL_reduced); p is the chi-square survival
-    function, computed as the regularized upper incomplete gamma.
+    function at as many degrees of freedom as the full fit has extra
+    parameters, computed as the regularized upper incomplete gamma.
     """
     if not set(reduced.columns) <= set(full.columns):
         raise PreconditionError("reduced model columns must be a subset of the full model's")
@@ -334,7 +329,7 @@ def lrt(full: HurdleFit, reduced: HurdleFit) -> LrtResult:
     stat = max(stat, 0.0)
     df = full.n_params - reduced.n_params
     p = 1.0 if df == 0 else float(special.gammaincc(df / 2.0, stat / 2.0))
-    return LrtResult(statistic=stat, df=df, p=p)
+    return LrtResult(statistic=stat, p=p)
 
 
 @dataclass(frozen=True)

@@ -107,11 +107,6 @@ class TransitionLog:
     def __len__(self) -> int:
         return len(self.count)
 
-    @property
-    def total(self) -> int:
-        # Exact: from_pairs bounds the true total to int64, so wrapping partial sums cancel.
-        return int(self.count.sum()) if len(self.count) else 0
-
     def aligned_counts(self, g: LinkGraph) -> np.ndarray:
         """Counts as a dense vector over the graph's edge slots.
 
@@ -369,16 +364,9 @@ class LinkFeatureTable:
     def __len__(self) -> int:
         return len(self.src)
 
-    def column(self, name: str) -> np.ndarray:
-        if name == "src":
-            return self.src
-        if name == "trg":
-            return self.trg
-        return self.data[name]
-
     def edge_values(self, g: LinkGraph, name: str, fill=np.nan) -> np.ndarray:
-        """Column spread over the graph's edge slots; uncovered edges get ``fill``."""
-        col = self.column(name)
+        """Column ``data[name]`` spread over the graph's edge slots; uncovered edges get ``fill``."""
+        col = self.data[name]
         out = np.full(g.n_edges, fill, dtype=col.dtype if col.dtype.kind == "f" else object)
         slots = g.edge_slots(self.src, self.trg)
         ok = slots >= 0
@@ -715,7 +703,7 @@ def feature_table_lines(table: LinkFeatureTable) -> Iterable[str]:
     columns = []
     for col in FEATURE_COLUMNS:
         if col in ("src", "trg"):
-            ids = table.column(col).tolist()
+            ids = (table.src if col == "src" else table.trg).tolist()
             columns.append([labels[i] for i in ids] if labels else list(map(str, ids)))
         elif col == "region":
             columns.append(list(map(str, table.data["region"].tolist())))

@@ -191,7 +191,7 @@ def evaluate_all(
         results = list(pool.map(lambda c: evaluate_cell(c[0], c[1], baselines[c[1]]), cells))
 
     out: list[RankEvaluation] = []
-    for a in alphas:
+    for i, a in enumerate(alphas):  # cells run alpha by alpha: one slice of results per alpha
         out.append(baselines[a])
-        out.extend(r for (h, ca), r in zip(cells, results) if ca == a)
+        out.extend(results[i * len(hypotheses):(i + 1) * len(hypotheses)])
     return out

@@ -51,24 +51,23 @@ class CSR(NamedTuple):
 class DocumentCorpus:
     """Token counts and category sets per article, plus document frequencies.
 
-    ``counts`` holds article ``i``'s terms as vocabulary ids in
+    Article ``i`` is the one ``name_to_idx`` maps to ``i``.  ``counts`` holds
+    its terms as term ids in
     ``counts.indices[counts.indptr[i]:counts.indptr[i + 1]]``, in the order
-    the article first used them, with their counts in ``counts.data``.
-    ``unmatched_category_rows`` counts the category rows dropped because
-    they name no article of the corpus.
+    the article first used them, with their counts in ``counts.data``; its
+    shape is (articles, terms).  ``unmatched_category_rows`` counts the
+    category rows dropped because they name no article of the corpus.
     """
 
-    names: tuple[str, ...]
     name_to_idx: dict[str, int]
     counts: CSR
     categories: tuple[frozenset[str], ...]
-    vocabulary: dict[str, int]
     doc_freq: np.ndarray
     unmatched_category_rows: int
 
     @property
     def n_docs(self) -> int:
-        return len(self.names)
+        return self.counts.shape[0]
 
 
 def build_corpus(
@@ -79,19 +78,17 @@ def build_corpus(
 
     A category row naming no article of ``token_docs`` is dropped and counted.
 
-    Vocabulary ids are given in first-seen order.  Each article's term ids
-    and counts go straight into int64 buffers, so the corpus holds no
+    Articles and term ids are numbered in first-seen order.  Each article's
+    term ids and counts go straight into int64 buffers, so the corpus holds no
     per-article Python objects.
     """
-    names: list[str] = []
     name_to_idx: dict[str, int] = {}
     vocabulary: defaultdict[str, int] = defaultdict(count().__next__)  # a new term gets the next id
     indptr, indices, data = array("q", [0]), array("q"), array("q")
     for name, tokens in token_docs:
         if name in name_to_idx:
             raise MalformedInputError(f"duplicate article {name!r} in corpus")
-        name_to_idx[name] = len(names)
-        names.append(name)
+        name_to_idx[name] = len(name_to_idx)
         counts = Counter(tokens)
         size = len(counts)
         # Through np.fromiter: array.extend converts item by item, several times slower.
@@ -99,7 +96,8 @@ def build_corpus(
         data.frombytes(np.fromiter(counts.values(), np.int64, size).tobytes())
         indptr.append(len(indices))
 
-    cats: list[frozenset[str]] = [frozenset()] * len(names)
+    n_docs = len(name_to_idx)
+    cats: list[frozenset[str]] = [frozenset()] * n_docs
     unmatched = 0
     for name, labels in category_docs or ():
         idx = name_to_idx.get(name)
@@ -111,12 +109,10 @@ def build_corpus(
     n_terms = len(vocabulary)
     ids = np.frombuffer(indices, dtype=np.int64)
     return DocumentCorpus(
-        names=tuple(names),
         name_to_idx=name_to_idx,
         counts=CSR(np.frombuffer(indptr, dtype=np.int64), ids, np.frombuffer(data, dtype=np.int64),
-                   (len(names), n_terms)),
+                   (n_docs, n_terms)),
         categories=tuple(cats),
-        vocabulary=dict(vocabulary),
         doc_freq=np.bincount(ids, minlength=n_terms),
         unmatched_category_rows=unmatched,
     )
@@ -158,7 +154,7 @@ def tfidf(corpus: DocumentCorpus) -> CSR:
     if corpus.n_docs == 0:
         raise MalformedInputError("empty corpus")
     n = corpus.n_docs
-    n_terms = max(len(corpus.vocabulary), 1)
+    n_terms = max(corpus.counts.shape[1], 1)
     idf = np.log(n / corpus.doc_freq)
     counts = corpus.counts
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(counts.indptr))
@@ -184,14 +180,6 @@ def tfidf(corpus: DocumentCorpus) -> CSR:
     # Each row reversed: entry p of row r moves to indptr[r] + indptr[r + 1] - 1 - p.
     down = up[np.repeat(indptr[:-1] + indptr[1:] - 1, np.diff(indptr)) - np.arange(len(up))]
     return CSR(indptr, cols[down], scale[rows[down]] * w[down], (n, n_terms))
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectedVectors:
-    """Dense projected article vectors, deterministic given (corpus, dim, seed)."""
-
-    matrix: np.ndarray  # n_docs x dim
-    name_to_idx: dict[str, int]
 
 
 def projection_matrix(n_features: int, dim: int, seed: int) -> CSR:
@@ -230,8 +218,12 @@ def projection_matrix(n_features: int, dim: int, seed: int) -> CSR:
     return CSR(indptr, pos % dim, data, (n_features, dim))
 
 
-def project(vectors: CSR, corpus: DocumentCorpus, dim: int = DEFAULT_DIM, seed: int = 0) -> ProjectedVectors:
-    """Project tf-idf vectors down to ``dim`` with a seeded sparse sign matrix.
+def project(vectors: CSR, corpus: DocumentCorpus, dim: int = DEFAULT_DIM, seed: int = 0) -> np.ndarray:
+    """Project tf-idf vectors down to ``dim`` with a seeded sparse sign matrix:
+    the dense ``(n_docs, dim)`` matrix, row ``i`` for ``corpus``'s article ``i``.
+
+    ``corpus`` is not read; it stays in the signature for the callers that
+    pass it (``perfbench/session.py`` among them).
 
     Each stored weight multiplies each entry of its term's projection row, and
     each cell of the dense result adds its products in the weights' stored
@@ -253,21 +245,23 @@ def project(vectors: CSR, corpus: DocumentCorpus, dim: int = DEFAULT_DIM, seed: 
         # Assigned into floats: with no products at all, bincount returns integer zeros.
         dense[lo:hi] = np.bincount(doc * dim + rmat.indices[at], weights=products,
                                    minlength=(hi - lo) * dim).reshape(hi - lo, dim)
-    return ProjectedVectors(matrix=dense, name_to_idx=dict(corpus.name_to_idx))
+    return dense
 
 
 def edge_similarities(
     g,
-    proj: ProjectedVectors,
+    matrix: np.ndarray,
     corpus: DocumentCorpus,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """text_sim and topic_sim per graph edge, by article name.
 
-    Edges whose endpoints are missing from the corpus get similarity 0; the
-    count of such edges is returned alongside.
+    ``matrix`` holds the projected vectors that :func:`project` returns, row
+    ``corpus.name_to_idx[name]`` for article ``name``.  Edges whose endpoints
+    are missing from the corpus get similarity 0; the count of such edges is
+    returned alongside.
     """
     labels = g.labels if g.labels is not None else tuple(g.name_to_id())  # () or refused
-    lookup = proj.name_to_idx.get
+    lookup = corpus.name_to_idx.get
     doc_idx = np.fromiter((lookup(name, -1) for name in labels), dtype=np.int64, count=g.n_nodes)
     ia, ib = doc_idx[g.edge_sources], doc_idx[g.out_indices]
     found = np.flatnonzero((ia >= 0) & (ib >= 0))
@@ -286,14 +280,13 @@ def edge_similarities(
     # Text: matmul of stacked vectors calls BLAS ddot per pair, the same dot
     # as np.dot on the two vectors; edges are gathered in blocks to bound the
     # temporaries.
-    A = proj.matrix
-    sq = np.matmul(A[:, None, :], A[:, :, None]).ravel()
+    sq = np.matmul(matrix[:, None, :], matrix[:, :, None]).ravel()
     uv = np.empty(len(found))
     inter = np.empty(len(found), dtype=np.int64)
     for lo in range(0, len(found), _EDGE_BLOCK):
         block = slice(lo, lo + _EDGE_BLOCK)
         a, b = ia[block], ib[block]
-        uv[block] = np.matmul(A[a, None, :], A[b, :, None]).ravel()
+        uv[block] = np.matmul(matrix[a, None, :], matrix[b, :, None]).ravel()
         n_keys = sizes[a]
         owner = np.repeat(np.arange(len(a)), n_keys)  # block edge of each key of A's rows
         entry = np.arange(len(owner)) + np.repeat(starts[a] - (np.cumsum(n_keys) - n_keys), n_keys)

@@ -233,9 +233,9 @@ def build_hypotheses(cfg, g, table) -> list:
 def hyptrails(cfg, g, log, table):
     from . import evidence as evmod
 
+    grid = evmod.default_kappa_grid(g, cfg.kappa_multipliers, log_spaced=cfg.log_spaced)
     baseline = evmod.structural_hypothesis(g)
     hyps = build_hypotheses(cfg, g, table)
-    grid = evmod.default_kappa_grid(g, cfg.kappa_multipliers, log_spaced=cfg.log_spaced)
     curves = evmod.bayes_factor_curve(hyps, baseline, log, grid)
     base_curve = evmod.bayes_factor_curve([baseline], baseline, log, grid)[0]
 

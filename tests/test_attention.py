@@ -12,14 +12,10 @@ from scipy import special
 
 from clickgraph import attention as A
 from clickgraph import graph as G
-from clickgraph.errors import (
-    DegenerateInputError,
-    InsufficientDataError,
-    UndefinedGiniError,
-)
+from clickgraph.errors import DegenerateInputError, InsufficientDataError
 from clickgraph.ingest import TransitionLog
 
-from helpers import brute_force_gini, discrete_power_law_sample, random_graph
+from helpers import brute_force_gini, discrete_power_law_sample, out_neighbors, random_graph
 
 
 def log_from_counts(g, counts_by_pair):
@@ -96,7 +92,7 @@ class TestOutdegreeComparison:
         log = log_from_counts(g, counts)
         wiki, trans = A.outdegree_comparison(g, log)
         used_sources = sorted({s for s, _ in counts})
-        assert wiki.tolist() == [len(g.out_neighbors(v)) for v in used_sources]
+        assert wiki.tolist() == [len(out_neighbors(g, v)) for v in used_sources]
         assert trans.tolist() == [sum(1 for (s, _t) in counts if s == v) for v in used_sources]
 
 
@@ -119,7 +115,7 @@ class TestGini:
             assert A.gini(x) == pytest.approx(brute_force_gini(x), abs=1e-12)
 
     def test_all_zero_is_undefined(self):
-        with pytest.raises(UndefinedGiniError):
+        with pytest.raises(DegenerateInputError, match="all-zero"):
             A.gini([0, 0, 0])
 
     def test_empty_rejected(self):

@@ -651,6 +651,17 @@ class TestConfigRanges:
         assert capsys.readouterr() == ("", "error: --threshold must be >= 1, got 0\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("spacing", [[], ["--log-spaced"]], ids=["linear", "log_spaced"])
+    def test_kappa_grid_beyond_the_float_range_is_one_error_line(self, hit_out, spacing):
+        # 1e308 passes the range check, but times the toy graph's mean
+        # out-degree, 3.9, it is inf: the stage once ended in a ValueError traceback.
+        before = _tree(hit_out)
+        argv = ["hyptrails", "--kappa-multipliers", "1e308", *spacing, "--out", hit_out]
+        assert _run([sys.executable, "-m", "clickgraph.cli"], argv) == (
+            2, "", "error: kappa multiplier 1e+308 times the mean out-degree 3.9 "
+                   "is beyond the float range\n")
+        assert _tree(hit_out) == before
+
     def test_config_file_value_is_checked_too(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"alphas": [], "damping": 0}))

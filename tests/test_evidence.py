@@ -80,11 +80,10 @@ class TestTextsimHypothesis:
         h = E.textsim_hypothesis(g, np.array([1.0]))
         assert h.values[0] == 2.0
 
-    def test_missing_filled_and_tallied(self):
+    def test_missing_counts_as_zero(self):
         g = G.build_graph([(0, 1), (0, 2)])
         h = E.textsim_hypothesis(g, np.array([np.nan, 0.7]))
-        assert h.filled == 1
-        assert h.values[0] == 1.0
+        assert h.values.tolist() == [1.0, 1.7]
 
     def test_matrix_equals_similarity_plus_ones(self):
         g = random_graph(10, 0.3, seed=0)
@@ -100,17 +99,16 @@ class TestTextsimHypothesis:
 
 
 def reference_visual_values(regions):
-    """The former per-edge loop: 0/1 values and the None/NaN tally."""
+    """The former per-edge loop: 0/1 values, 0 for a missing (None or NaN) label."""
     values = np.zeros(len(regions))
-    filled = 0
     for e, label in enumerate(regions):
         if label is None or (isinstance(label, float) and np.isnan(label)):
-            filled += 1
-        elif label in E.PROMOTED_REGIONS:
+            continue
+        if label in E.PROMOTED_REGIONS:
             values[e] = 1.0
         elif label not in REGIONS:
             raise SchemaError(f"unknown region label {label!r}")
-    return values, filled
+    return values
 
 
 class TestVisualHypothesis:
@@ -120,14 +118,13 @@ class TestVisualHypothesis:
         g = G.build_graph([(0, i + 1) for i in range(len(labels))], n_nodes=len(labels) + 1)
         regions = np.asarray(labels, dtype=object)
         try:
-            values, filled = reference_visual_values(regions)
+            values = reference_visual_values(regions)
         except SchemaError as exc:
             with pytest.raises(SchemaError, match=f"^{re.escape(str(exc))}$"):
                 E.visual_hypothesis(g, regions)
             return
         h = E.visual_hypothesis(g, regions)
         assert h.values.tobytes() == (values + E.SMOOTHING_WEIGHT).tobytes()
-        assert h.filled == filled
 
     def test_region_rules(self):
         g = G.build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 0), (2, 1), (2, 3)])
@@ -136,7 +133,6 @@ class TestVisualHypothesis:
         h = E.visual_hypothesis(g, regions)
         promoted = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
         assert h.values.tobytes() == (promoted + E.SMOOTHING_WEIGHT).tobytes()
-        assert h.filled == 3
 
     def test_unknown_label_is_schema_error(self):
         g = G.build_graph([(0, 1), (0, 2), (0, 3), (1, 2)])
@@ -153,10 +149,10 @@ class TestVisualHypothesis:
                 E.elicit_prior(h, kappa), E.elicit_prior(s, kappa), atol=1e-12
             )
 
-    def test_missing_region_tallied(self):
+    def test_missing_region_gets_belief_zero(self):
         g = G.build_graph([(0, 1), (0, 2)])
         h = E.visual_hypothesis(g, np.asarray(["lead", None], dtype=object))
-        assert h.filled == 1
+        assert h.values.tolist() == [2.0, 1.0]
 
 
 class TestCombine:

@@ -8,6 +8,11 @@ is committed under ``tests/golden/``.
   projection dimension, the path the benchmark and users run. Only each
   file's sha256 and line count are committed; ``features.tsv`` alone is
   1.3 MB.
+- **Generator seed at scale** (``tests/golden/gen-7-0-10000.json``): the same
+  seed at 10,000 articles with ``sample --sample-size 1000``, where block
+  boundaries and thread counts come into play; ``pagerank --threads 2`` must
+  write the bytes ``--threads 1`` wrote. The run takes about 20 s, so it runs
+  only when ``CLICKGRAPH_GOLDEN_SCALE=1`` is set.
 
 The stages run through ``cli.main`` on inputs under a temporary directory,
 given by absolute path. A cache key names each input by its field
@@ -27,6 +32,7 @@ directory and copy its ``out/`` over ``tests/golden/toy/``, keeping
 its ``out/`` with the current versions.
 """
 
+import functools
 import hashlib
 import importlib.util
 import json
@@ -49,6 +55,8 @@ VERSIONS_FILE = "versions.json"
 GEN_DIGESTS = os.path.join(HERE, "golden", "gen-7-0-600.json")
 GEN_SCRIPT = os.path.join(os.path.dirname(HERE), "perfbench", "gen.py")
 GEN_SEED, GEN_ARTICLES, GEN_SAMPLE_SIZE = [7, 0], 600, 60
+SCALE_DIGESTS = os.path.join(HERE, "golden", "gen-7-0-10000.json")
+SCALE_ARTICLES, SCALE_SAMPLE_SIZE = 10_000, 1000
 #: Generator-run artifacts written without a fit or an optimiser: their
 #: digests must match on every numpy/scipy version.
 VERSION_FREE = ("graph.tsv", "transitions.tsv", "features_report.txt")
@@ -60,12 +68,12 @@ _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|inf|nan)
 _INTEGER = re.compile(r"[-+]?\d+")
 
 
-def write_gen_inputs(directory: str) -> dict[str, str]:
-    """The ``perfbench/gen.py`` seed [7, 0] inputs at 600 articles."""
+def write_gen_inputs(directory: str, articles: int = GEN_ARTICLES) -> dict[str, str]:
+    """The ``perfbench/gen.py`` seed [7, 0] inputs at ``articles`` articles."""
     spec = importlib.util.spec_from_file_location("clickgraph_bench_gen", GEN_SCRIPT)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    gen.write_inputs(directory, GEN_SEED, GEN_ARTICLES)
+    gen.write_inputs(directory, GEN_SEED, articles)
     return {name: os.path.join(directory, f"{name}.tsv")
             for name in ("edges", "clickstream", "corpus", "categories", "visual")}
 
@@ -204,9 +212,12 @@ def _body(path: str) -> bytes:
     return b"".join(lines)
 
 
-def test_gen_seed_pipeline_reproduces_golden_digests(gen_out):
-    got = gen_digests(gen_out)
-    with open(GEN_DIGESTS, encoding="utf-8") as fh:
+def assert_digests(out: str, digests_path: str) -> None:
+    """Every file of ``out`` has the line count recorded in ``digests_path``,
+    and its sha256 too on the recorded numpy and scipy versions (elsewhere
+    only the ``VERSION_FREE`` files' digests must match)."""
+    got = gen_digests(out)
+    with open(digests_path, encoding="utf-8") as fh:
         want = json.load(fh)
     assert sorted(got["files"]) == sorted(want["files"])
     exact = got["versions"] == want["versions"]
@@ -214,6 +225,25 @@ def test_gen_seed_pipeline_reproduces_golden_digests(gen_out):
         assert got["files"][name]["lines"] == digest["lines"], name
         if exact or name in VERSION_FREE:
             assert got["files"][name]["sha256"] == digest["sha256"], name
+
+
+def test_gen_seed_pipeline_reproduces_golden_digests(gen_out):
+    assert_digests(gen_out, GEN_DIGESTS)
+
+
+@pytest.mark.skipif(os.environ.get("CLICKGRAPH_GOLDEN_SCALE") != "1",
+                    reason="the 10,000-article run takes about 20 s; set CLICKGRAPH_GOLDEN_SCALE=1")
+def test_gen_seed_at_scale_reproduces_golden_digests(tmp_path):
+    out = run_stages(str(tmp_path), functools.partial(write_gen_inputs, articles=SCALE_ARTICLES),
+                     features_args=(), sample_size=SCALE_SAMPLE_SIZE)
+    assert_digests(out, SCALE_DIGESTS)
+    # threads is not part of the cache key: without pagerank_eval.tsv the stage reruns.
+    two = str(tmp_path / "two")
+    shutil.copytree(out, two)
+    os.remove(os.path.join(two, "pagerank_eval.tsv"))
+    assert main(["pagerank", "--threads", "2", "--out", two, "--threshold", "10"]) == 0
+    for name in ("pagerank_eval.tsv", "manifest.json"):
+        assert _sha256(os.path.join(two, name)) == _sha256(os.path.join(out, name)), name
 
 
 def test_feature_file_round_trip_is_lossless(gen_out, tmp_path):

@@ -104,9 +104,8 @@ def reference_tfidf(corpus: ReferenceCorpus):
     return sp.diags(scale) @ mat
 
 
-def term_counts(corpus: S.DocumentCorpus, i: int) -> list[tuple[str, int]]:
-    """Article ``i``'s (term, count) pairs, in stored order."""
-    terms = list(corpus.vocabulary)
+def term_counts(corpus: S.DocumentCorpus, terms, i: int) -> list[tuple[str, int]]:
+    """Article ``i``'s (term, count) pairs, in stored order; ``terms[j]`` is term id ``j``."""
     lo, hi = corpus.counts.indptr[i], corpus.counts.indptr[i + 1]
     return [(terms[j], c) for j, c in zip(corpus.counts.indices[lo:hi].tolist(),
                                           corpus.counts.data[lo:hi].tolist())]
@@ -125,9 +124,9 @@ def _row(name_to_idx: dict, article) -> int:
     return name_to_idx[article] if isinstance(article, str) else int(article)
 
 
-def text_similarity(proj, a, b) -> float:
+def text_similarity(matrix, corpus, a, b) -> float:
     """Cosine of the projected vectors, clamped to [0, 1]."""
-    sim = cosine(proj.matrix[_row(proj.name_to_idx, a)], proj.matrix[_row(proj.name_to_idx, b)])
+    sim = cosine(matrix[_row(corpus.name_to_idx, a)], matrix[_row(corpus.name_to_idx, b)])
     return min(max(sim, 0.0), 1.0)
 
 
@@ -140,16 +139,16 @@ def topic_similarity(corpus, a, b) -> float:
     return len(ca & cb) / np.sqrt(len(ca) * len(cb))
 
 
-def reference_edge_similarities(g, proj, corpus):
+def reference_edge_similarities(g, matrix, corpus):
     """Per-edge oracle: ``text_similarity`` and ``topic_similarity`` per link."""
     text, topic, missing = np.zeros(g.n_edges), np.zeros(g.n_edges), 0
     with np.errstate(divide="ignore", invalid="ignore"):  # norms whose product underflows
         for e in range(g.n_edges):
             a, b = g.labels[g.edge_sources[e]], g.labels[g.out_indices[e]]
-            if a not in proj.name_to_idx or b not in proj.name_to_idx:
+            if a not in corpus.name_to_idx or b not in corpus.name_to_idx:
                 missing += 1
                 continue
-            text[e] = text_similarity(proj, a, b)
+            text[e] = text_similarity(matrix, corpus, a, b)
             topic[e] = topic_similarity(corpus, a, b)
     return text, topic, missing
 
@@ -193,12 +192,13 @@ class TestBuildCorpus:
     @given(docs=corpus_docs)
     def test_equal_to_the_dict_reference(self, docs):
         corpus, want = S.build_corpus(docs), reference_build_corpus(docs)
-        assert corpus.names == want.names
-        assert list(corpus.vocabulary.items()) == list(want.vocabulary.items())
+        assert list(corpus.name_to_idx.items()) == [(name, i) for i, name in enumerate(want.names)]
         assert corpus.doc_freq.dtype == np.int64 and np.array_equal(corpus.doc_freq, want.doc_freq)
         assert corpus.counts.shape == (len(docs), len(want.vocabulary))
         assert all(a.dtype == np.int64 for a in corpus.counts[:3])
-        assert [term_counts(corpus, i) for i in range(corpus.n_docs)] == [
+        assert corpus.n_docs == len(docs)
+        # Term ids in first-seen order, as the reference gives them.
+        assert [term_counts(corpus, list(want.vocabulary), i) for i in range(len(docs))] == [
             list(counts.items()) for counts in want.token_counts]
         if docs:
             assert same_csr(S.tfidf(corpus), reference_tfidf(want))
@@ -206,9 +206,9 @@ class TestBuildCorpus:
     def test_lines_skip_blank_lines_empty_names_and_empty_tokens(self):
         corpus = S.corpus_from_lines(["a\tx\ty\n", "\n", "\tz\n", "b\tx\tx\t\ty\n"],
                                      ["# note\tc\n", "a\tc1\n", "\n"])
-        assert corpus.names == ("a", "b")
-        assert [term_counts(corpus, i) for i in range(2)] == [[("x", 1), ("y", 1)],
-                                                              [("x", 2), ("y", 1)]]
+        assert corpus.name_to_idx == {"a": 0, "b": 1}
+        assert [term_counts(corpus, "xy", i) for i in range(2)] == [[("x", 1), ("y", 1)],
+                                                                    [("x", 2), ("y", 1)]]
         assert corpus.categories == (frozenset({"c1"}), frozenset())
 
     def test_category_rows_for_unknown_articles_are_dropped_and_counted(self):
@@ -233,8 +233,7 @@ class TestTfidf:
     def test_term_in_every_document_gets_zero_weight(self):
         corpus = S.build_corpus([("a", ["common", "x"]), ("b", ["common", "y"])])
         V = as_scipy(S.tfidf(corpus))
-        col = corpus.vocabulary["common"]
-        assert V[:, col].toarray().max() == 0.0
+        assert V[:, 0].toarray().max() == 0.0  # term ids in first-seen order: "common" is 0
 
     def test_single_document_corpus_is_zero_vector(self):
         corpus = S.build_corpus([("only", ["w1", "w2", "w1"])])
@@ -248,9 +247,9 @@ class TestTfidf:
         w_cat = (1 + math.log(2)) * math.log(3 / 1)
         w_dog = (1 + math.log(1)) * math.log(3 / 2)
         norm = math.hypot(w_cat, w_dog)
-        row = V[0].toarray().ravel()
-        assert row[corpus.vocabulary["cat"]] == pytest.approx(w_cat / norm, abs=1e-12)
-        assert row[corpus.vocabulary["dog"]] == pytest.approx(w_dog / norm, abs=1e-12)
+        row = V[0].toarray().ravel()  # term ids in first-seen order: cat 0, dog 1
+        assert row[0] == pytest.approx(w_cat / norm, abs=1e-12)
+        assert row[1] == pytest.approx(w_dog / norm, abs=1e-12)
 
     def test_rows_l2_normalized(self):
         corpus = toy_corpus()
@@ -326,14 +325,14 @@ class TestProjection:
         V = S.tfidf(corpus)
         p1 = S.project(V, corpus, dim=64, seed=9)
         p2 = S.project(V, corpus, dim=64, seed=9)
-        assert np.array_equal(p1.matrix, p2.matrix)
+        assert np.array_equal(p1, p2)
 
     def test_different_seed_changes_vectors(self):
         corpus = toy_corpus()
         V = S.tfidf(corpus)
         p1 = S.project(V, corpus, dim=64, seed=9)
         p2 = S.project(V, corpus, dim=64, seed=10)
-        assert not np.array_equal(p1.matrix, p2.matrix)
+        assert not np.array_equal(p1, p2)
 
     @pytest.mark.parametrize("dim", [1, 512])
     @pytest.mark.parametrize("n_features", [0, 1, 1023, 1024, 1025, 5000])
@@ -352,7 +351,7 @@ class TestProjection:
         V = S.tfidf(corpus)
         assert V.shape[1] > S._PROJECTION_CHUNK
         want = np.asarray((as_scipy(V) @ reference_projection_matrix(V.shape[1], dim, 2)).todense())
-        assert same_bits(S.project(V, corpus, dim=dim, seed=2).matrix, want)
+        assert same_bits(S.project(V, corpus, dim=dim, seed=2), want)
 
     @settings(max_examples=60, deadline=None)
     @given(spec=st.tuples(st.sampled_from([1, 2, 7, 1023, 1024, 1025]), st.integers(1, 12),
@@ -365,12 +364,12 @@ class TestProjection:
     def test_tfidf_and_projection_bit_equal_to_scipy(self, spec, dim, seed, block):
         docs = spread_docs(*spec)
         corpus = S.build_corpus(docs)
-        assert len(corpus.vocabulary) == spec[0]
+        assert corpus.counts.shape[1] == spec[0]
         V, want = S.tfidf(corpus), reference_tfidf(reference_build_corpus(docs))
         assert same_csr(V, want)
         product = np.asarray((want @ reference_projection_matrix(want.shape[1], dim, seed)).todense())
         with mock.patch.object(S, "_PROJECT_BLOCK", block):
-            assert same_bits(S.project(V, corpus, dim=dim, seed=seed).matrix, product)
+            assert same_bits(S.project(V, corpus, dim=dim, seed=seed), product)
 
     def test_cosine_preserved_within_band_at_512(self):
         # exact-space cosine oracle on 100 random pairs
@@ -395,7 +394,7 @@ class TestTextSimilarity:
             [("a", ["x", "y"]), ("b", ["x", "y"]), ("c", ["z", "w"])]
         )
         proj = S.project(S.tfidf(corpus), corpus, dim=64, seed=1)
-        assert text_similarity(proj, "a", "b") == pytest.approx(1.0, abs=1e-9)
+        assert text_similarity(proj, corpus, "a", "b") == pytest.approx(1.0, abs=1e-9)
 
     def test_disjoint_vocabularies_zero_in_exact_space(self):
         corpus = S.build_corpus(
@@ -414,7 +413,7 @@ class TestTextSimilarity:
         Vd = np.asarray(as_scipy(V).todense())
         for i, j in rng.integers(0, 40, size=(25, 2)):
             exact = max(0.0, cosine(Vd[i], Vd[j]))
-            approx = text_similarity(proj, int(i), int(j))
+            approx = text_similarity(proj, corpus, int(i), int(j))
             assert abs(exact - approx) <= 0.15
 
     def test_clamped_to_unit_interval(self):
@@ -423,13 +422,13 @@ class TestTextSimilarity:
         docs = [(f"d{i}", list(rng.choice(vocab, size=8))) for i in range(30)]
         corpus = S.build_corpus(docs)
         proj = S.project(S.tfidf(corpus), corpus, dim=16, seed=0)
-        sims = [text_similarity(proj, i, j) for i in range(30) for j in range(30)]
+        sims = [text_similarity(proj, corpus, i, j) for i in range(30) for j in range(30)]
         assert min(sims) >= 0.0 and max(sims) <= 1.0
 
     def test_symmetry(self):
         corpus = toy_corpus()
         proj = S.project(S.tfidf(corpus), corpus, dim=32, seed=0)
-        assert text_similarity(proj, "a", "b") == text_similarity(proj, "b", "a")
+        assert text_similarity(proj, corpus, "a", "b") == text_similarity(proj, corpus, "b", "a")
 
 
 class TestTopicSimilarity:
@@ -492,8 +491,7 @@ class TestEdgeSimilarities:
         corpus, g = data
         elements = st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, 0.1, 1 / 3, 1e10,
                                     1e-100, -1e-170, 5e-324, -5e-324])
-        matrix = values.draw(hnp.arrays(np.float64, (corpus.n_docs, dim), elements=elements))
-        proj = S.ProjectedVectors(matrix=matrix, name_to_idx=dict(corpus.name_to_idx))
+        proj = values.draw(hnp.arrays(np.float64, (corpus.n_docs, dim), elements=elements))
         with mock.patch.object(S, "_EDGE_BLOCK", block):
             got = S.edge_similarities(g, proj, corpus)
         want = reference_edge_similarities(g, proj, corpus)
@@ -510,9 +508,7 @@ class TestEdgeSimilarities:
         }
         names = [f"{case}_{end}" for case in vectors for end in "uv"]
         corpus = S.build_corpus([(name, ["t"]) for name in names])
-        proj = S.ProjectedVectors(
-            matrix=np.asarray([vec for pair in vectors.values() for vec in pair]),
-            name_to_idx=dict(corpus.name_to_idx))
+        proj = np.asarray([vec for pair in vectors.values() for vec in pair])
         g = build_graph([(2 * i, 2 * i + 1) for i in range(len(vectors))], labels=names)
         text, _, _ = S.edge_similarities(g, proj, corpus)
         want, _, _ = reference_edge_similarities(g, proj, corpus)
