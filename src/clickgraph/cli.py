@@ -140,7 +140,8 @@ _FIELDS = (
            _AT_LEAST_1),
     _Field("xmin_transitions", 10, _INT, ("attention",),
            "transition-count fit's lower cutoff (default 10)", _AT_LEAST_1),
-    _Field("out", "out", _TEXT, (), "output directory (default: out)"),
+    _Field("out", "out", _TEXT, (), "output directory (default: out)",
+           ("be a non-empty path", lambda v: v != "")),
     _Field("seed", 0, _INT, (), "sampling seed", _AT_LEAST_0),
     _Field("threads", 1, _INT, (), "worker threads for grid evaluations", _AT_LEAST_1),
     _Field("threshold", 10, _INT, (), "minimum transition count (default 10)", _AT_LEAST_1),
@@ -215,7 +216,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     for f in _FIELDS:
         value = getattr(cfg, f.name)
         if f.bound and f.name not in wrong and not f.bound[1](value):
-            shown = (",".join(map(str, value)) or "nothing") if isinstance(value, tuple) else value
+            shown = ((",".join(map(str, value)) or "nothing") if isinstance(value, tuple)
+                     else repr(value))
             problems.append((f.name, f"must {f.bound[0]}, got {shown}"))
     if problems:
         raise ConfigError("; ".join(f"{_OPTIONS[name]} {problem}" for name, problem in problems))

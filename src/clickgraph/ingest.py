@@ -8,8 +8,8 @@ and ``features.tsv`` (:func:`load_feature_table`, :func:`feature_table_lines`).
 ``graph.tsv`` is read and written in :mod:`clickgraph.graph`.  Every reader
 resolves all its rows with one :meth:`LinkGraph.edge_slots` call, and article
 names become dense integer ids so the rest of the toolkit never touches them.
-A feature table has one parse: one pass over its lines, then one
-``np.loadtxt`` call for its numbers (see :func:`_parse_rows`).
+``features.tsv`` and ``visual.tsv`` share one parse, :func:`_parse_rows`:
+one pass over the lines, then one ``np.loadtxt`` call for the numbers.
 """
 
 from __future__ import annotations
@@ -144,14 +144,6 @@ def _content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
         line = raw.rstrip("\n")
         if line and not line.startswith("#"):
             yield line_no, line
-
-
-def _number(text: str, col: str, line_no: int) -> float:
-    """``float(text)``; a value ``float`` rejects raises LineError naming the column."""
-    try:
-        return float(text)
-    except ValueError:
-        raise LineError(line_no, f"non-numeric {col} {text!r}") from None
 
 
 def _repeats(slots: np.ndarray, rejected: np.ndarray | None = None) -> np.ndarray:
@@ -417,47 +409,45 @@ def _node_feature_columns(per_node: dict[str, np.ndarray], src: np.ndarray, trg:
 
 
 def _parse_rows(rows: list[tuple[int, str]], width: int, colpos: dict[str, int],
-                numeric: list[tuple[str, int]], name_to_id: dict[str, int],
-                graph: LinkGraph | None, delimiter: str) -> tuple:
-    """The parse half of :func:`load_feature_table`: one entry per data row,
-    with the fault the row has on its own.
+                numeric: list[tuple[str, int]], name_to_id: dict[str, int], intern: bool,
+                delimiter: str) -> tuple:
+    """The parse of a per-link table: one entry per data row, its faults as
+    facts that the caller phrases and judges by its own rules.
 
-    One pass splits each line, resolves its names and keeps its region, then
-    one ``np.loadtxt`` call reads the numbers of the rows of the right width.
-    It reads what ``float`` reads, to the same bits, but for ``1_0``, non-ASCII
+    One pass splits each line and resolves its names, then one ``np.loadtxt``
+    call reads the ``numeric`` columns of the rows of the right width.  It
+    reads what ``float`` reads, to the same bits, but for ``1_0``, non-ASCII
     digits and the separators U+001C to U+001F (which it alone strips as
     whitespace); where those may occur, ``float`` reads a row at a time.
 
     Returns line numbers, source and target ids (-1 for a name not in
-    ``name_to_id``, which without a ``graph`` interns them), the numbers as a
-    rows x ``numeric`` array (NaN for a row that is never kept), regions,
-    field count faults (``early``, ranked before the join's), value faults
-    (``late``, ranked after them) and the names of rows with an unknown
-    article (``texts``), the last three keyed by row.
+    ``name_to_id``, unless ``intern`` grows it), the numbers as a rows x
+    ``numeric`` array (NaN for a faulty row), regions, and keyed by row: the
+    field count of a row of the wrong width (``widths``), the first
+    ``(column, text)`` that ``float`` refuses (``refused``), and the names of
+    a row of the wrong width ('') or with an unknown article (``texts``).
     """
     at_src, at_trg, at_region = colpos["src"], colpos["trg"], colpos["region"]
     src_ids, trg_ids, regions = [-1] * len(rows), [-1] * len(rows), [None] * len(rows)
-    early: dict[int, str] = {}
-    late: dict[int, str] = {}
+    widths: dict[int, int] = {}
+    refused: dict[int, tuple[str, str]] = {}
     texts: dict[int, tuple[str, str]] = {}
-    wide, odd_region = [], []  # rows of the right width; those with an unknown region
+    wide = []  # rows of the right width
     separators = False  # whether a line holds U+001C to U+001F
     for row, (_, line) in enumerate(rows):
         fields = line.split(delimiter)
         if len(fields) != width:
-            early[row] = f"expected {width} fields, got {len(fields)}"
+            widths[row] = len(fields)
             texts[row] = ("", "")
             continue
-        a, b, region = fields[at_src], fields[at_trg], fields[at_region]
-        if graph is None:
+        a, b = fields[at_src], fields[at_trg]
+        if intern:
             s, t = name_to_id.setdefault(a, len(name_to_id)), name_to_id.setdefault(b, len(name_to_id))
         else:
             s, t = name_to_id.get(a, -1), name_to_id.get(b, -1)
             if s < 0 or t < 0:
                 texts[row] = (a, b)
-        src_ids[row], trg_ids[row], regions[row] = s, t, region
-        if region not in REGIONS:
-            odd_region.append(row)
+        src_ids[row], trg_ids[row], regions[row] = s, t, fields[at_region]
         separators = separators or ("\x1c" in line or "\x1d" in line
                                     or "\x1e" in line or "\x1f" in line)
         wide.append(row)
@@ -480,28 +470,16 @@ def _parse_rows(rows: list[tuple[int, str]], width: int, colpos: dict[str, int],
                 try:
                     cells.append(float(fields[i]))
                 except ValueError:
-                    late[row] = f"non-numeric value {fields[i]!r} in column {col}"
+                    refused[row] = (col, fields[i])
                     cells = blank
                     break
             values.extend(cells)
         values = np.array(values, dtype=np.float64).reshape(-1, len(cols))
-    if early:  # the right-width rows' numbers into their places among all rows
+    if widths:  # the right-width rows' numbers into their places among all rows
         full = np.full((len(rows), len(cols)), math.nan)
         full[wide] = values
         values = full
-
-    # Then a similarity outside [0, 1] (NaN too), text_sim first, then the region.
-    names = [c for c, _ in numeric]
-    sims = [(c, names.index(c)) for c in ("text_sim", "topic_sim")]
-    sim = values[:, [k for _, k in sims]]
-    outside = ~((sim >= 0.0) & (sim <= 1.0)).all(axis=1)
-    outside[odd_region] = True
-    for row in np.flatnonzero(outside).tolist():
-        if row not in early and row not in late:
-            why = next((f"{c} {values[row, k].item()} outside [0, 1]" for c, k in sims
-                        if not 0.0 <= values[row, k] <= 1.0), None)
-            late[row] = why or f"unknown region label {regions[row]!r}"
-    return [n for n, _ in rows], src_ids, trg_ids, values, regions, early, late, texts
+    return [n for n, _ in rows], src_ids, trg_ids, values, regions, widths, refused, texts
 
 
 def load_feature_table(
@@ -510,15 +488,16 @@ def load_feature_table(
     transitions: TransitionLog | None = None,
     recompute_network: bool = False,
     delimiter: str = "\t",
+    alpha: float = 0.85,
 ) -> tuple[LinkFeatureTable, JoinReport]:
     """Load a delimited feature file and join it against graph and transitions.
 
     The header must name at least the mandatory columns (src, trg, the two
     similarities, coordinates, region); network columns may be recomputed
-    from the graph instead (``recompute_network``), in which case a
-    consistency report is filled for any network columns also present in the
-    file.  A missing ``transitions`` column is filled from the log (0 where
-    unobserved).
+    from the graph instead (``recompute_network``, PageRank at damping
+    ``alpha``), in which case a consistency report is filled for any network
+    columns also present in the file.  A missing ``transitions`` column is
+    filled from the log (0 where unobserved).
 
     Every column but src, trg and region, an extra one too, holds numbers.
     src and trg name articles of a labelled graph.  A row is rejected for its
@@ -528,8 +507,7 @@ def load_feature_table(
     are counted in the report, the first ``REJECTED_LISTED`` listed, by line
     number in the input.
 
-    The rows are parsed in one pass (:func:`_parse_rows`), their numbers read
-    with one ``np.loadtxt`` call where it reads what ``float`` reads, then joined.
+    The rows are parsed by :func:`_parse_rows`, then joined.
 
     ``graph=None`` skips edge validation and interns names from the file
     itself (useful for standalone inspection of published feature files).
@@ -552,8 +530,21 @@ def load_feature_table(
 
     name_to_id = {} if graph is None else graph.name_to_id()  # without a graph, grown on the fly
     numeric = [(c, i) for c, i in colpos.items() if c not in ("src", "trg", "region")]
-    line_nos, src_ids, trg_ids, values, regions, early, late, texts = _parse_rows(
-        list(numbered), len(header), colpos, numeric, name_to_id, graph, delimiter)
+    line_nos, src_ids, trg_ids, values, regions, widths, refused, texts = _parse_rows(
+        list(numbered), len(header), colpos, numeric, name_to_id, graph is None, delimiter)
+
+    # Each row's first value fault: no number, a similarity outside [0, 1], an unknown region.
+    late = {row: f"non-numeric value {t!r} in column {c}" for row, (c, t) in refused.items()}
+    order = [c for c, _ in numeric]
+    sims = [(c, order.index(c)) for c in ("text_sim", "topic_sim")]
+    sim = values[:, [k for _, k in sims]]
+    odd = ~((sim >= 0.0) & (sim <= 1.0)).all(axis=1)
+    odd |= np.array([r not in REGIONS for r in regions], dtype=bool)
+    for row in np.flatnonzero(odd).tolist():
+        if row not in widths and row not in late:
+            why = next((f"{c} {values[row, k].item()} outside [0, 1]" for c, k in sims
+                        if not 0.0 <= values[row, k] <= 1.0), None)
+            late[row] = why or f"unknown region label {regions[row]!r}"
 
     src = np.asarray(src_ids, dtype=np.int64)
     trg = np.asarray(trg_ids, dtype=np.int64)
@@ -566,12 +557,12 @@ def load_feature_table(
 
     # Join, in line order: one report.reject per rejected row, for its first fault.
     faulty = np.zeros(len(line_nos), dtype=bool)
-    faulty[[*early, *late]] = True
+    faulty[[*widths, *late]] = True
     earlier = _repeats(slots, faulty)
     report = JoinReport(rows_read=len(line_nos))
     for row in np.flatnonzero((slots < 0) | (earlier >= 0) | faulty).tolist():
-        if row in early:
-            why = early[row]
+        if row in widths:
+            why = f"expected {len(header)} fields, got {widths[row]}"
         elif slots[row] < 0:
             why = "not an edge of the graph"
         elif earlier[row] >= 0:
@@ -593,7 +584,8 @@ def load_feature_table(
                                else transitions.aligned_counts(graph)[slots[kept]])
 
     if recompute_network and graph is not None:
-        for cname, vec in _node_feature_columns(compute_network_features(graph), src, trg).items():
+        per_node = compute_network_features(graph, alpha=alpha)
+        for cname, vec in _node_feature_columns(per_node, src, trg).items():
             if cname in colpos and len(src):
                 diff = np.abs(data[cname] - vec)
                 report.consistency[cname] = (int((diff > 1e-9).sum()), float(diff.max()))
@@ -604,41 +596,42 @@ def load_feature_table(
 def read_visual(lines: Iterable[str], g: LinkGraph) -> tuple:
     """Per-edge x, y, region and covered arrays, and the count of rows that are
     not edges, from a src/trg/x_coord/y_coord/region file naming articles of
-    the labelled graph ``g``.  A second row for one link raises :class:`LineError`."""
+    the labelled graph ``g``, parsed by :func:`_parse_rows`.  :class:`LineError`
+    names the first row with the wrong field count or a coordinate that is no
+    number (x_coord first), else the first second row for one link, else the
+    first row of a link with an unknown region."""
     lookup = g.name_to_id()
-    src, trg, x_rows, y_rows, regions, line_nos = [], [], [], [], [], []
-    header = None
-    for line_no, line in _content_lines(lines):
-        fields = line.split("\t")
-        if header is None:
-            header = fields
-            pos = {name: i for i, name in enumerate(header)}
-            for col in ("src", "trg", "x_coord", "y_coord", "region"):
-                if col not in pos:
-                    raise SchemaError(f"visual file missing column {col}")
-            continue
-        if len(fields) != len(header):
-            raise LineError(line_no, f"expected {len(header)} tab-separated fields, "
-                                     f"got {len(fields)}")
-        src.append(lookup.get(fields[pos["src"]], -1))
-        trg.append(lookup.get(fields[pos["trg"]], -1))
-        x_rows.append(_number(fields[pos["x_coord"]], "x_coord", line_no))
-        y_rows.append(_number(fields[pos["y_coord"]], "y_coord", line_no))
-        regions.append(fields[pos["region"]])
-        line_nos.append(line_no)
-    if header is None:
+    numbered = _content_lines(lines)
+    first = next(numbered, None)
+    if first is None:
         raise SchemaError("visual file has no header line")
+    header = first[1].split("\t")
+    pos = {name: i for i, name in enumerate(header)}
+    for col in ("src", "trg", "x_coord", "y_coord", "region"):
+        if col not in pos:
+            raise SchemaError(f"visual file missing column {col}")
+    line_nos, src, trg, xy, regions, widths, refused, _ = _parse_rows(
+        list(numbered), len(header), pos, [(c, pos[c]) for c in ("x_coord", "y_coord")],
+        lookup, intern=False, delimiter="\t")
+    if widths or refused:
+        row = min(widths.keys() | refused.keys())
+        raise LineError(line_nos[row],
+                        f"expected {len(header)} tab-separated fields, got {widths[row]}"
+                        if row in widths else "non-numeric {} {!r}".format(*refused[row]))
 
     slots = g.edge_slots(src, trg)
     again = np.flatnonzero(_repeats(slots) >= 0)
     if len(again):
         raise LineError(line_nos[again[0]], "second row for the same link")
     link = slots >= 0
+    for row in np.flatnonzero(link).tolist():
+        if regions[row] not in REGIONS:
+            raise LineError(line_nos[row], f"unknown region label {regions[row]!r}")
     x, y = np.zeros(g.n_edges), np.zeros(g.n_edges)
     region = np.full(g.n_edges, None, dtype=object)
     covered = np.zeros(g.n_edges, dtype=bool)
     at = slots[link]
-    x[at], y[at] = np.asarray(x_rows)[link], np.asarray(y_rows)[link]
+    x[at], y[at] = xy[link, 0], xy[link, 1]
     region[at], covered[at] = np.asarray(regions, dtype=object)[link], True
     return x, y, region, covered, int(np.count_nonzero(~link))
 

@@ -79,7 +79,7 @@ def features(cfg, g, log):
     if cfg.feature_file:
         with open(cfg.feature_file, "r", encoding="utf-8") as fh:
             table, report = ingest.load_feature_table(
-                fh, g, log, recompute_network=cfg.recompute_network_features)
+                fh, g, log, recompute_network=cfg.recompute_network_features, alpha=cfg.damping)
         report_lines = [f"rows_read={report.rows_read} rows_kept={report.rows_kept}\n"]
         for line_no, s, t, reason in report.rejected:
             report_lines.append(f"rejected line {line_no} ({s} -> {t}): {reason}\n")

@@ -643,6 +643,22 @@ class TestConfigRanges:
         assert capsys.readouterr() == ("", f"error: {problem}\n")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_out_is_refused_and_nothing_is_written(self, toy_inputs, tmp_path, capsys,
+                                                         monkeypatch, source):
+        # build once wrote graph.tsv and transitions.tsv into the working
+        # directory and then ended in a FileNotFoundError traceback.
+        monkeypatch.chdir(tmp_path)
+        argv = ["build", "--edges", toy_inputs["edges"], "--clickstream", toy_inputs["clickstream"]]
+        if source == "flag":
+            argv += ["--out", ""]
+        else:
+            (tmp_path / "run.json").write_text(json.dumps({"out": ""}))
+            argv += ["--config", "run.json"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: --out must be a non-empty path, got ''\n")
+        assert os.listdir(tmp_path) == ([] if source == "flag" else ["run.json"])
+
     def test_refused_build_makes_no_output_directory(self, toy_inputs, tmp_path, capsys):
         # --threshold 0 once ran build and features with exit 0 and stopped only at hurdle.
         out = tmp_path / "fresh"
@@ -1155,6 +1171,32 @@ class TestFeatureFileInput:
         assert tail == ([] if more is None else [f"… and {more} more rejected lines\n"])
 
 
+    def test_recompute_runs_pagerank_at_the_run_damping(self, toy_inputs, tmp_path):
+        # The recompute once ran PageRank at 0.85 whatever --damping said: a
+        # table written at --damping 0.5 reported 78 mismatches in each
+        # PageRank column and left them overwritten with values at 0.85.
+        out, again = str(tmp_path / "out"), str(tmp_path / "again")
+        for directory in (out, again):
+            assert main(["build", "--edges", toy_inputs["edges"],
+                         "--clickstream", toy_inputs["clickstream"], "--out", directory]) == 0
+        assert main(["features", "--corpus", toy_inputs["corpus"],
+                     "--categories", toy_inputs["categories"], "--visual", toy_inputs["visual"],
+                     "--projection-dim", "64", "--damping", "0.5", "--out", out]) == 0
+        written = os.path.join(out, ARTIFACTS["features"])
+        assert main(["features", "--feature-file", written, "--recompute-network-features",
+                     "--damping", "0.5", "--out", again]) == 0
+        with open(os.path.join(again, ARTIFACTS["features_report"]), encoding="utf-8") as fh:
+            report = fh.read()
+        for col in ("src_pagerank", "trg_pagerank"):
+            assert f"consistency {col}: 0 mismatches, max abs diff 0.000e+00\n" in report
+
+        def body(directory):
+            with open(os.path.join(directory, ARTIFACTS["features"]), encoding="utf-8") as fh:
+                return [line for line in fh if not line.startswith("#")]
+
+        assert body(again) == body(out)
+
+
 class TestHurdleSummary:
     def test_each_stage_counts_its_own_fits(self, toy_inputs, tmp_path, capsys, monkeypatch):
         # The battery calls the fitters the module holds at call time.
@@ -1277,7 +1319,9 @@ class TestVisualInput:
         ("Graph_theory\tNetwork_science\tleft\t20\tlead\n", "non-numeric x_coord 'left'"),
         # Line 2 already places this link.
         ("Graph_theory\tSocial_network\t10\t20\tbody\n", "second row for the same link"),
-    ], ids=["three_fields", "non_numeric_x", "repeated_link"])
+        # build_feature_table once refused it later, without a line number.
+        ("Graph_theory\tProbability\t10\t20\tfooter\n", "unknown region label 'footer'"),
+    ], ids=["three_fields", "non_numeric_x", "repeated_link", "unknown_region"])
     def test_malformed_row_names_its_line(self, toy_inputs, tmp_path, capsys, row, message):
         out = str(tmp_path / "out")
         assert main(["build", "--edges", toy_inputs["edges"],
