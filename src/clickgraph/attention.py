@@ -10,12 +10,15 @@ terms of the discrete series exactly, over a support grid cached per xmin,
 and add the rest as a tail term: a midpoint-corrected integral for the
 truncated power law, a closed-form Gaussian tail for the log-normal.
 
-The two Nelder-Mead fits score each point once.  When the simplex
-collapses (the log-normal walk on a power-law-like tail does, and runs to
-its iteration cap), Nelder-Mead asks again for points it has already
-scored; a memo local to the fit, keyed on the point's exact bytes, answers
-those with the value computed the first time.  The optimiser sees the same
-values in the same order, so its path, call count and result are unchanged.
+Each family's log-likelihood is written once, in ``_loglik``:
+``family_loglik`` returns it, and every fit minimises its negation.  The
+two Nelder-Mead fits run through one driver and score each point once.
+When the simplex collapses (the log-normal walk on a power-law-like tail
+does, and runs to its iteration cap), Nelder-Mead asks again for points it
+has already scored; a memo local to the fit, keyed on the point's exact
+bytes, answers those with the value computed the first time.  The
+optimiser sees the same values in the same order, so its path, call count
+and result are unchanged.
 Within a log-normal step the head runs in place in one row and folds the
 sign of ``-log x`` into its quadratic term instead of negating ``log x``
 again, and the data term is computed once per distinct count; both keep
@@ -213,20 +216,22 @@ def _logsumexp(a: np.ndarray, out: np.ndarray | None = None) -> np.float64:
     return np.log1p(s) + np.log(m) + a_max
 
 
+def _head_plus_tail(head: np.float64, tail: float) -> float:
+    """A normaliser's log: the exact head's log-sum plus its tail term."""
+    return float(np.logaddexp(head, np.log(tail) if tail > 0 else -np.inf))
+
+
 def _log_norm_tpl(alpha: float, lam: float, xmin: int) -> float:
     # Z = sum_{x >= xmin} x^-alpha e^(-lam x): exact head plus midpoint tail.
-    upper = xmin + _NORM_EXACT_TERMS
     x, lx = _grid(xmin)
     # -alpha * lx - lam * x, term by term, in place
     terms = np.multiply(lx, -alpha)
     terms -= x * lam
     head = _logsumexp(terms, out=terms)
-    tail = _tail_integral(alpha, lam, upper - 0.5)
-    return float(np.logaddexp(head, np.log(tail) if tail > 0 else -np.inf))
+    return _head_plus_tail(head, _tail_integral(alpha, lam, xmin + _NORM_EXACT_TERMS - 0.5))
 
 
 def _log_norm_lognormal(mu: float, sigma: float, xmin: int) -> float:
-    upper = xmin + _NORM_EXACT_TERMS
     _x, lx = _grid(xmin)
     # -lx - 0.5 * ((lx - mu) / sigma) ** 2, term by term, in place, as
     # -0.5 * (...) ** 2 - lx: rounding is symmetric in sign, so this is the
@@ -238,40 +243,51 @@ def _log_norm_lognormal(mu: float, sigma: float, xmin: int) -> float:
     terms -= lx
     head = _logsumexp(terms, out=terms)
     # Closed-form Gaussian tail: integral of (1/t) exp(-(ln t - mu)^2 / 2 s^2).
-    z = (math.log(upper - 0.5) - mu) / sigma
-    tail = math.sqrt(2.0 * math.pi) * sigma * special.ndtr(-z)
-    return float(np.logaddexp(head, np.log(tail) if tail > 0 else -np.inf))
+    z = (math.log(xmin + _NORM_EXACT_TERMS - 0.5) - mu) / sigma
+    return _head_plus_tail(head, math.sqrt(2.0 * math.pi) * sigma * special.ndtr(-z))
+
+
+def _loglik(family: str, x: np.ndarray, xmin: int):
+    """``family``'s log-likelihood of the tail ``x`` (every sample >= xmin)
+    as a function of its params dict.
+
+    What depends on ``x`` alone is taken here, once, since the fits call the
+    function at every optimiser step.  The log-normal data term
+    ``-log x - 0.5 * ((log x - mu) / sigma) ** 2`` is computed once per
+    distinct count, as ``-0.5 * (...) ** 2 - log x`` (the same value bit for
+    bit, as in the head), and gathered back to row order before the sum:
+    each row holds the value the per-row expression gives it, and the sum
+    adds them in the same order.
+    """
+    n = len(x)
+    if family == "power_law":
+        logs = np.log(x).sum()
+        return lambda p: -p["alpha"] * logs - n * _log_norm_pl(p["alpha"], xmin)
+    if family == "truncated_power_law":
+        logs, total = np.log(x).sum(), x.sum()
+        return lambda p: (-p["alpha"] * logs - p["lambda"] * total
+                          - n * _log_norm_tpl(p["alpha"], p["lambda"], xmin))
+    if family == "lognormal":
+        _distinct, first, row_of = np.unique(x, return_index=True, return_inverse=True)
+        lu = np.log(x)[first]  # the logs of the distinct counts
+        return lambda p: ((-0.5 * ((lu - p["mu"]) / p["sigma"]) ** 2 - lu)[row_of].sum()
+                          - n * _log_norm_lognormal(p["mu"], p["sigma"], xmin))
+    if family == "exponential":
+        # Geometric on {xmin, xmin+1, ...}: p(x) = (1 - e^-lam) e^(-lam (x - xmin)).
+        above = (x - xmin).sum()
+        return lambda p: n * math.log(-math.expm1(-p["lambda"])) - p["lambda"] * above
+    raise ValueError(f"unknown family {family!r}")
 
 
 def family_loglik(family: str, params: dict[str, float], samples, xmin: int) -> float:
-    """Log-likelihood of tail samples (>= xmin) under a fitted family.
+    """Log-likelihood of tail samples (>= xmin) under a fitted family: the
+    function whose negation the fits minimise.
 
     Exposed so reported likelihoods can be re-checked against reported
     parameters.
     """
     x = np.asarray(samples, dtype=np.float64)
-    x = x[x >= xmin]
-    n = len(x)
-    if family == "power_law":
-        alpha = params["alpha"]
-        return float(-alpha * np.log(x).sum() - n * _log_norm_pl(alpha, xmin))
-    if family == "truncated_power_law":
-        alpha, lam = params["alpha"], params["lambda"]
-        return float(
-            -alpha * np.log(x).sum() - lam * x.sum() - n * _log_norm_tpl(alpha, lam, xmin)
-        )
-    if family == "lognormal":
-        mu, sigma = params["mu"], params["sigma"]
-        lx = np.log(x)
-        return float(
-            (-lx - 0.5 * ((lx - mu) / sigma) ** 2).sum()
-            - n * _log_norm_lognormal(mu, sigma, xmin)
-        )
-    if family == "exponential":
-        lam = params["lambda"]
-        # Geometric on {xmin, xmin+1, ...}: p(x) = (1 - e^-lam) e^(-lam (x - xmin)).
-        return float(n * math.log(-math.expm1(-lam)) - lam * (x - xmin).sum())
-    raise ValueError(f"unknown family {family!r}")
+    return float(_loglik(family, x[x >= xmin], xmin)(params))
 
 
 def _memo(nll):
@@ -294,87 +310,68 @@ def _memo(nll):
     return scored
 
 
+def _nelder_mead(nll, starts):
+    """The Nelder-Mead minimum of ``nll`` over runs from each start in turn,
+    all scored through one memo: the first result with the lowest value."""
+    scored = _memo(nll)
+    best = None
+    for x0 in starts:
+        res = optimize.minimize(scored, x0=np.array(x0), method="Nelder-Mead",
+                                options={"xatol": 1e-6, "fatol": 1e-8, "maxiter": 2000})
+        if best is None or res.fun < best.fun:
+            best = res
+    return best
+
+
+def _family_fit(params: dict[str, float], loglik, converged=True, message="") -> FamilyFit:
+    """A fit's record, with the AIC of its ``len(params)`` free parameters."""
+    loglik = float(loglik)
+    return FamilyFit(params, loglik, 2 * len(params) - 2 * loglik, bool(converged), str(message))
+
+
 def _fit_power_law(x: np.ndarray, xmin: int) -> FamilyFit:
-    logs = np.log(x).sum()
-    n = len(x)
-
-    def nll(alpha: float) -> float:
-        return alpha * logs + n * _log_norm_pl(alpha, xmin)
-
-    res = optimize.minimize_scalar(nll, bounds=(1.0001, 20.0), method="bounded")
-    params = {"alpha": float(res.x)}
-    ll = -float(res.fun)
-    return FamilyFit(params, ll, 2 * 1 - 2 * ll, bool(res.success), str(res.message))
+    loglik = _loglik("power_law", x, xmin)
+    res = optimize.minimize_scalar(lambda alpha: -loglik({"alpha": alpha}),
+                                   bounds=(1.0001, 20.0), method="bounded")
+    return _family_fit({"alpha": float(res.x)}, -res.fun, res.success, res.message)
 
 
 def _fit_truncated_power_law(x: np.ndarray, xmin: int) -> FamilyFit:
-    logs = np.log(x).sum()
-    total = x.sum()
-    n = len(x)
+    loglik = _loglik("truncated_power_law", x, xmin)
 
     def nll(p: np.ndarray) -> float:
         # Python floats: the quad integrand does scalar arithmetic in them
         alpha, lam = float(p[0]), max(math.exp(p[1]), 1e-9)
         if alpha < 0.0:  # keep the family on its valid range
             return 1e18 * (1.0 + alpha * alpha)
-        return alpha * logs + lam * total + n * _log_norm_tpl(alpha, lam, xmin)
+        return -loglik({"alpha": alpha, "lambda": lam})
 
-    best = None
-    scored = _memo(nll)  # shared by both starts
-    for lam0 in (0.5, 0.05):
-        res = optimize.minimize(
-            scored,
-            x0=np.array([1.5, math.log(lam0)]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-6, "fatol": 1e-8, "maxiter": 2000},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
+    best = _nelder_mead(nll, [(1.5, math.log(lam0)) for lam0 in (0.5, 0.05)])
     alpha, lam = float(best.x[0]), float(max(math.exp(best.x[1]), 1e-9))
-    params = {"alpha": max(alpha, 0.0), "lambda": lam}
-    ll = -float(best.fun)
-    return FamilyFit(params, ll, 2 * 2 - 2 * ll, bool(best.success), str(best.message))
+    return _family_fit({"alpha": max(alpha, 0.0), "lambda": lam}, -best.fun,
+                       best.success, best.message)
 
 
 def _fit_lognormal(x: np.ndarray, xmin: int) -> FamilyFit:
-    """Nelder-Mead MLE of the discrete log-normal on the tail ``x``.
-
-    Counts repeat, so the data term ``lx + 0.5 * ((lx - mu) / sigma) ** 2``
-    is computed once per distinct count and gathered back to row order
-    before the sum.  Each row then holds the value the per-row expression
-    gives it, and the sum adds them in the same order: the objective, and
-    so the whole fit, is bit-equal to evaluating the term on every row.
-    """
-    lx = np.log(x)
-    n = len(x)
-    _distinct, first, row_of = np.unique(x, return_index=True, return_inverse=True)
-    lu = lx[first]  # the logs of the distinct counts, not recomputed
+    loglik = _loglik("lognormal", x, xmin)
 
     def nll(p: np.ndarray) -> float:
         mu, sigma = float(p[0]), math.exp(p[1])
         if sigma == 0.0:  # exp underflow; the step would score NaN or raise
             return math.inf
-        return float((lu + 0.5 * ((lu - mu) / sigma) ** 2)[row_of].sum()
-                     + n * _log_norm_lognormal(mu, sigma, xmin))
+        return -loglik({"mu": mu, "sigma": sigma})
 
-    res = optimize.minimize(
-        _memo(nll),
-        x0=np.array([float(lx.mean()), math.log(max(float(lx.std()), 0.1))]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-6, "fatol": 1e-8, "maxiter": 2000},
-    )
-    params = {"mu": float(res.x[0]), "sigma": float(math.exp(res.x[1]))}
-    ll = -float(res.fun)
-    return FamilyFit(params, ll, 2 * 2 - 2 * ll, bool(res.success), str(res.message))
+    lx = np.log(x)
+    res = _nelder_mead(nll, [(float(lx.mean()), math.log(max(float(lx.std()), 0.1)))])
+    return _family_fit({"mu": float(res.x[0]), "sigma": float(math.exp(res.x[1]))}, -res.fun,
+                       res.success, res.message)
 
 
 def _fit_exponential(x: np.ndarray, xmin: int) -> FamilyFit:
     # Closed-form geometric MLE on the shifted tail.
     m = float((x - xmin).mean())
-    lam = math.log((1.0 + m) / m)
-    params = {"lambda": lam}
-    ll = family_loglik("exponential", params, x, xmin)
-    return FamilyFit(params, ll, 2 * 1 - 2 * ll, True)
+    params = {"lambda": math.log((1.0 + m) / m)}
+    return _family_fit(params, _loglik("exponential", x, xmin)(params))
 
 
 def fit_distributions(samples, xmin: int = 1) -> FitReport:
@@ -394,12 +391,8 @@ def fit_distributions(samples, xmin: int = 1) -> FitReport:
         raise DegenerateInputError("constant samples admit no distribution comparison")
 
     fits: dict[str, FamilyFit] = {}
-    for family, fitter in (
-        ("power_law", _fit_power_law),
-        ("truncated_power_law", _fit_truncated_power_law),
-        ("lognormal", _fit_lognormal),
-        ("exponential", _fit_exponential),
-    ):
+    fitters = (_fit_power_law, _fit_truncated_power_law, _fit_lognormal, _fit_exponential)
+    for family, fitter in zip(FAMILIES, fitters):
         try:
             fits[family] = fitter(x, xmin)
         except Exception as exc:  # per-family failure; comparison proceeds

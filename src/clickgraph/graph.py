@@ -32,7 +32,6 @@ PAGERANK_TOL = 1e-10
 class CentralityVector:
     """One value per node for a single centrality measure."""
 
-    kind: str  # in_degree | out_degree | degree | pagerank | kcore
     values: np.ndarray
 
     def __len__(self) -> int:
@@ -180,11 +179,7 @@ def degrees(g: LinkGraph) -> tuple[CentralityVector, CentralityVector, Centralit
     """Per-node in-degree, out-degree, and total degree."""
     ind = g.in_degrees()
     outd = g.out_degrees()
-    return (
-        CentralityVector("in_degree", ind),
-        CentralityVector("out_degree", outd),
-        CentralityVector("degree", ind + outd),
-    )
+    return CentralityVector(ind), CentralityVector(outd), CentralityVector(ind + outd)
 
 
 def _undirected_adjacency(g: LinkGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +228,7 @@ def kcore(g: LinkGraph) -> CentralityVector:
         np.subtract.at(deg, nbrs, 1)
         nbrs = nbrs[alive[nbrs]]
         peel = _sorted_unique(nbrs[deg[nbrs] <= k])
-    return CentralityVector("kcore", core)
+    return CentralityVector(core)
 
 
 def pagerank(g: LinkGraph, alpha: float = 0.85) -> CentralityVector:
@@ -272,7 +267,7 @@ def power_iteration(
         max_iter = max(200, 1 + math.ceil(math.log(tol / 2.0) / math.log(alpha)))
     n = g.n_nodes
     if n == 0:
-        return CentralityVector("pagerank", np.zeros(0))
+        return CentralityVector(np.zeros(0))
 
     src = g.edge_sources
     trg = g.out_indices
@@ -286,7 +281,7 @@ def power_iteration(
         delta = float(np.abs(new - pr).sum())
         pr = new
         if delta <= tol:
-            return CentralityVector("pagerank", pr / pr.sum())
+            return CentralityVector(pr / pr.sum())
     raise ConvergenceError(
         f"{name} did not converge within {max_iter} iterations (last L1 change {delta:.3e})",
         last=pr,
@@ -325,6 +320,7 @@ class _Snapshot:
     def __init__(self) -> None:
         self.n_nodes: int | None = None
         self.n_edges: int | None = None
+        self.self_loops: int | None = None
         self.labels: dict[int, tuple[int, str]] = {}  # node -> (line number, name)
         self.named: dict[str, int] = {}  # name -> node
         self.edges: list[tuple[int, int]] = []
@@ -342,7 +338,7 @@ class _Snapshot:
             if fields[0] == "nodes":
                 self.n_nodes = int(fields[1])
             elif fields[0] == "selfloops":
-                pass
+                self.self_loops = int(fields[1])
             elif fields[0] == "label":
                 node, name = int(fields[1]), fields[2]
                 if node in self.labels:
@@ -382,7 +378,11 @@ class _Snapshot:
                     if not 0 <= node < n_nodes:
                         raise LineError(line_no, f"edge id {node} outside [0, {n_nodes})")
             edges = self.edges
-        return build_graph(edges, n_nodes=n_nodes, labels=label_seq)
+        g = build_graph(edges, n_nodes=n_nodes, labels=label_seq)
+        if self.self_loops is not None and self.self_loops != g.self_loops:
+            raise MalformedInputError(
+                f"snapshot declares {self.self_loops} self-loops, found {g.self_loops}")
+        return g
 
 
 def _edge_block(text: str, n_nodes: int | None) -> np.ndarray | None:
@@ -420,7 +420,8 @@ def load_graph(path) -> LinkGraph:
     :class:`LineError` naming it, as does an edge id or a ``label`` index
     outside ``[0, nodes)``, or a ``label`` line whose index or name an
     earlier line gave.  When any node is labelled, a node without a label
-    raises :class:`MalformedInputError`.
+    raises :class:`MalformedInputError`, as does an ``edges`` or a
+    ``selfloops`` count (each optional) that the edge rows do not give.
 
     The lines up to ``edges`` go through the per-row reader; the block after
     it is read as one array by :func:`_edge_block`, or, when that returns

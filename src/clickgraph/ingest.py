@@ -146,6 +146,16 @@ def _content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
+def _column_positions(header: list[str], what: str) -> dict[str, int]:
+    """Each column name's position in ``header``; a :class:`SchemaError`
+    names, by ``repr``, the columns it gives more than once."""
+    pos = {name: i for i, name in enumerate(header)}
+    if len(pos) < len(header):
+        twice = ", ".join(repr(name) for name, i in pos.items() if header.index(name) != i)
+        raise SchemaError(f"{what} file names columns more than once: {twice}")
+    return pos
+
+
 def _repeats(slots: np.ndarray, rejected: np.ndarray | None = None) -> np.ndarray:
     """Per row, the earlier row whose link it repeats, or -1.
 
@@ -493,7 +503,7 @@ def load_feature_table(
     """Load a delimited feature file and join it against graph and transitions.
 
     The header must name at least the mandatory columns (src, trg, the two
-    similarities, coordinates, region); network columns may be recomputed
+    similarities, coordinates, region), and no column twice; network columns may be recomputed
     from the graph instead (``recompute_network``, PageRank at damping
     ``alpha``), in which case a consistency report is filled for any network
     columns also present in the file.  A missing ``transitions`` column is
@@ -520,7 +530,7 @@ def load_feature_table(
     if first is None:
         raise SchemaError("feature file has no header line")
     header = [h.strip() for h in first[1].split(delimiter)]
-    colpos = {name: i for i, name in enumerate(header)}
+    colpos = _column_positions(header, "feature")
 
     missing = [c for c in _MANDATORY if c not in colpos]
     if not recompute_network:
@@ -596,7 +606,8 @@ def load_feature_table(
 def read_visual(lines: Iterable[str], g: LinkGraph) -> tuple:
     """Per-edge x, y, region and covered arrays, and the count of rows that are
     not edges, from a src/trg/x_coord/y_coord/region file naming articles of
-    the labelled graph ``g``, parsed by :func:`_parse_rows`.  :class:`LineError`
+    the labelled graph ``g``, parsed by :func:`_parse_rows`.  A header that
+    names a column twice is a :class:`SchemaError`.  :class:`LineError`
     names the first row with the wrong field count or a coordinate that is no
     number (x_coord first), else the first second row for one link, else the
     first row of a link with an unknown region."""
@@ -606,7 +617,7 @@ def read_visual(lines: Iterable[str], g: LinkGraph) -> tuple:
     if first is None:
         raise SchemaError("visual file has no header line")
     header = first[1].split("\t")
-    pos = {name: i for i, name in enumerate(header)}
+    pos = _column_positions(header, "visual")
     for col in ("src", "trg", "x_coord", "y_coord", "region"):
         if col not in pos:
             raise SchemaError(f"visual file missing column {col}")

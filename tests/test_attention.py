@@ -197,7 +197,7 @@ class TestFitDistributions:
                 continue
             again = A.family_loglik(family, fit.params, samples, xmin=1)
             assert np.isfinite(fit.loglik)
-            assert again == pytest.approx(fit.loglik, abs=1e-6)
+            assert again.hex() == fit.loglik.hex(), family
 
     def test_failed_fit_names_its_cause(self):
         # Zipf(1.6) counts above 10: the lognormal mu drifts towards -inf
@@ -486,6 +486,66 @@ class TestNormaliserMatchesReference:
                 mock.patch.object(A, "_fit_lognormal", reference_fit_lognormal):
             want = _fit_outcome(samples, xmin)
         assert got == want
+
+
+def reference_family_loglik(family, params, samples, xmin):
+    """``family_loglik`` as it was written apart from the fits' objectives:
+    each family's expression evaluated on every row of the tail."""
+    x = np.asarray(samples, dtype=np.float64)
+    x = x[x >= xmin]
+    n = len(x)
+    if family == "power_law":
+        alpha = params["alpha"]
+        return float(-alpha * np.log(x).sum() - n * A._log_norm_pl(alpha, xmin))
+    if family == "truncated_power_law":
+        alpha, lam = params["alpha"], params["lambda"]
+        return float(
+            -alpha * np.log(x).sum() - lam * x.sum() - n * A._log_norm_tpl(alpha, lam, xmin)
+        )
+    if family == "lognormal":
+        mu, sigma = params["mu"], params["sigma"]
+        lx = np.log(x)
+        return float(
+            (-lx - 0.5 * ((lx - mu) / sigma) ** 2).sum()
+            - n * A._log_norm_lognormal(mu, sigma, xmin)
+        )
+    if family == "exponential":
+        lam = params["lambda"]
+        return float(n * math.log(-math.expm1(-lam)) - lam * (x - xmin).sum())
+    raise ValueError(f"unknown family {family!r}")
+
+
+@st.composite
+def loglik_params(draw, family):
+    """Parameters of ``family`` over the ranges its fit explores; for the
+    log-normal, also the walk towards the power-law limit (mu near -1.8e6,
+    sigma near 1.2e3)."""
+    if family == "power_law":
+        return {"alpha": draw(st.floats(1.0001, 20.0))}
+    if family == "truncated_power_law":
+        return {"alpha": draw(st.floats(0.0, 6.0)), "lambda": math.exp(draw(st.floats(-21.0, 3.0)))}
+    if family == "lognormal":
+        mu, sigma = draw(st.one_of(
+            st.tuples(st.floats(-1.9e6, -1.7e6), st.floats(1.1e3, 1.3e3)),
+            st.tuples(st.floats(-5.0, 60.0), st.floats(-7.0, 7.0).map(math.exp))))
+        return {"mu": mu, "sigma": sigma}
+    return {"lambda": draw(st.floats(1e-6, 20.0))}
+
+
+class TestFamilyLoglikMatchesReference:
+    # Counts from 0 up, so that many draws leave an empty or a one-sample tail above xmin.
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), family=st.sampled_from(A.FAMILIES), xmin=st.integers(1, 12),
+           samples=st.lists(st.integers(0, 40) | st.integers(1, 10**6), max_size=30))
+    def test_bit_equal(self, data, family, xmin, samples):
+        params = data.draw(loglik_params(family))
+        for tail in (samples, [], [xmin - 1], [xmin], samples[:1]):
+            want = reference_family_loglik(family, params, tail, xmin)
+            assert A.family_loglik(family, params, tail, xmin).hex() == want.hex()
+
+    def test_unknown_family_is_refused(self):
+        with pytest.raises(ValueError, match="unknown family 'zipf'"):
+            A.family_loglik("zipf", {}, [1, 2, 3], 1)
 
 
 def zipf_tail(n: int) -> np.ndarray:

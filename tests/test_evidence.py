@@ -49,23 +49,23 @@ class TestStructuralHypothesis:
 class TestKcoreHypothesis:
     def test_formula_before_smoothing(self):
         g = G.build_graph([(0, 1)])
-        cores = CentralityVector("kcore", np.array([1, 4]))
+        cores = CentralityVector(np.array([1, 4]))
         h = E.kcore_hypothesis(g, cores)
         assert h.values[0] - E.SMOOTHING_WEIGHT == pytest.approx(0.5)
 
     def test_core_one_gives_one(self):
         g = G.build_graph([(0, 1)])
-        cores = CentralityVector("kcore", np.array([1, 1]))
+        cores = CentralityVector(np.array([1, 1]))
         assert E.kcore_hypothesis(g, cores).values[0] == 1.0 + E.SMOOTHING_WEIGHT
 
     def test_core_zero_floored_to_one(self):
         g = G.build_graph([(0, 1)])
-        cores = CentralityVector("kcore", np.array([0, 0]))
+        cores = CentralityVector(np.array([0, 0]))
         assert E.kcore_hypothesis(g, cores).values[0] == 1.0 + E.SMOOTHING_WEIGHT
 
     def test_smoothing_adds_structural(self):
         g = G.build_graph([(0, 1)])
-        cores = CentralityVector("kcore", np.array([1, 4]))
+        cores = CentralityVector(np.array([1, 4]))
         assert E.kcore_hypothesis(g, cores).values[0] == pytest.approx(1.5)
 
 

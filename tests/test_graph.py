@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import tempfile
 from unittest import mock
 
@@ -316,6 +317,21 @@ class TestSnapshot:
         path.write_text("".join(line for line in lines if line != "label\t1\tB\n"), encoding="utf-8")
         with pytest.raises(MalformedInputError, match="^snapshot has no label for node 1$"):
             G.load_graph(path)
+
+    @pytest.mark.parametrize("edges, line, message", [
+        ([(0, 1), (1, 2), (2, 0)], "selfloops\t7\n", "snapshot declares 7 self-loops, found 0"),
+        ([(0, 0), (0, 1), (2, 2)], "selfloops\t1\n", "snapshot declares 1 self-loops, found 2"),
+    ], ids=["none_found", "more_found"])
+    def test_self_loop_count_is_checked(self, tmp_path, edges, line, message):
+        # The selfloops line was once skipped, so a wrong count loaded without a word.
+        path = tmp_path / "graph.tsv"
+        G.save_graph(G.build_graph(edges, labels=["A", "B", "C"]), path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(re.sub(r"^selfloops\t\d+\n", line, text, flags=re.M), encoding="utf-8")
+        with pytest.raises(MalformedInputError, match=f"^{message}$"):
+            G.load_graph(path)
+        path.write_text(re.sub(r"^selfloops\t\d+\n", "", text, flags=re.M), encoding="utf-8")
+        assert G.load_graph(path).self_loops == sum(s == t for s, t in edges)
 
     def test_repeated_label_is_not_saved(self, tmp_path):
         g = G.build_graph([(0, 1), (1, 0)], labels=["C", "C"])

@@ -259,6 +259,15 @@ class TestLoadFeatureTable:
         with pytest.raises(SchemaError):
             ingest.load_feature_table(lines, self.g, self.log)
 
+    def test_repeated_column_is_schema_error(self):
+        # Before, the last text_sim column silently won on every row.
+        header, *rows = feature_file_lines(self.g, self.log)
+        lines = [header.rstrip("\n") + "\t text_sim \tregion\n",
+                 *(r.rstrip("\n") + "\t0.5\tbody\n" for r in rows), "short\trow\n"]
+        with pytest.raises(SchemaError, match="^feature file names columns more than once: "
+                                              "'text_sim', 'region'$"):
+            ingest.load_feature_table(lines, self.g, self.log)
+
     def test_missing_network_columns_ok_when_recomputing(self):
         lines = feature_file_lines(self.g, self.log, drop_cols=ingest.NETWORK_COLUMNS)
         table, _ = ingest.load_feature_table(lines, self.g, self.log, recompute_network=True)
@@ -943,6 +952,9 @@ class TestReadVisual:
         ([], "visual file has no header line"),
         (["# notes\n", "\n"], "visual file has no header line"),
         (["src\ttrg\tx_coord\ty_coord\n", "A\tB\t1\t2\n"], "visual file missing column region"),
+        # the header is refused before the rows are read: the short row is no LineError
+        (["src\ttrg\tx_coord\ty_coord\tregion\tx_coord\n", "A\tB\t1\n"],
+         "visual file names columns more than once: 'x_coord'"),
     ])
     def test_a_file_without_its_header_is_a_schema_error(self, lines, message):
         g, _ = small_graph()
