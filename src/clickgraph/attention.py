@@ -279,13 +279,23 @@ def _loglik(family: str, x: np.ndarray, xmin: int):
     raise ValueError(f"unknown family {family!r}")
 
 
+def _support_start(xmin) -> int:
+    """``xmin`` as an int: a :class:`DegenerateInputError` refuses any but a whole number >= 1."""
+    if xmin % 1:  # NaN and inf too
+        raise DegenerateInputError(f"xmin={xmin} is not a whole number; the families are discrete")
+    if xmin < 1:
+        raise DegenerateInputError(f"xmin={xmin} is below 1, where the discrete families start")
+    return int(xmin)
+
+
 def family_loglik(family: str, params: dict[str, float], samples, xmin: int) -> float:
     """Log-likelihood of tail samples (>= xmin) under a fitted family: the
-    function whose negation the fits minimise.
+    function whose negation the fits minimise, with :func:`fit_distributions`'s ``xmin`` rule.
 
     Exposed so reported likelihoods can be re-checked against reported
     parameters.
     """
+    xmin = _support_start(xmin)
     x = np.asarray(samples, dtype=np.float64)
     return float(_loglik(family, x[x >= xmin], xmin)(params))
 
@@ -379,10 +389,9 @@ def fit_distributions(samples, xmin: int = 1) -> FitReport:
 
     Families that fail to converge are recorded and excluded from the
     comparison; the winner is the smallest-AIC converged family.  The discrete
-    families live on x >= 1, so an ``xmin`` below 1 is refused.
+    families live on x = 1, 2, ..., so an ``xmin`` below 1 or not whole is refused.
     """
-    if xmin < 1:
-        raise DegenerateInputError(f"xmin={xmin} is below 1, where the discrete families start")
+    xmin = _support_start(xmin)
     x = np.asarray(samples, dtype=np.float64)
     x = x[x >= xmin]
     if len(x) < 50:

@@ -15,8 +15,9 @@ one pass over the lines, then one ``np.loadtxt`` call for the numbers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,25 +35,15 @@ DEFAULT_THRESHOLD = 10
 
 REGIONS = ("lead", "body", "left-body", "right-body", "infobox", "navbox")
 
-#: Fixed column order of a serialized link-feature table.
-FEATURE_COLUMNS = (
-    "src", "trg", "transitions",
-    "src_degree", "trg_degree",
-    "src_in_degree", "trg_in_degree",
-    "src_out_degree", "trg_out_degree",
-    "src_kcore", "trg_kcore",
-    "src_pagerank", "trg_pagerank",
-    "text_sim", "topic_sim",
-    "x_coord", "y_coord", "region",
-)
+#: The per-node measures behind the network columns, a link's ``src_`` and
+#: ``trg_`` value of each.
+NODE_MEASURES = ("degree", "in_degree", "out_degree", "kcore", "pagerank")
 
-NETWORK_COLUMNS = (
-    "src_degree", "trg_degree",
-    "src_in_degree", "trg_in_degree",
-    "src_out_degree", "trg_out_degree",
-    "src_kcore", "trg_kcore",
-    "src_pagerank", "trg_pagerank",
-)
+NETWORK_COLUMNS = tuple(f"{end}_{m}" for m in NODE_MEASURES for end in ("src", "trg"))
+
+#: Fixed column order of a serialized link-feature table.
+FEATURE_COLUMNS = ("src", "trg", "transitions", *NETWORK_COLUMNS,
+                   "text_sim", "topic_sim", "x_coord", "y_coord", "region")
 
 _MANDATORY = ("src", "trg", "text_sim", "topic_sim", "x_coord", "y_coord", "region")
 
@@ -82,12 +73,23 @@ class TransitionLog:
     ) -> "TransitionLog":
         """Build a log from raw arrays, enforcing the invariants.
 
-        Pairs must be unique after sorting; counts below ``threshold`` are
-        rejected; when ``graph`` is given every pair must be one of its edges.
+        Pairs must be unique after sorting; counts are int64 integers (no float)
+        not below ``threshold``, with an int64 sum; when ``graph`` is given
+        every pair must be one of its edges.
         """
+        count = list(count)
+        try:
+            exact = list(map(operator.index, count))  # Python ints; no float passes
+        except TypeError:
+            bad = next(c for c in count if not hasattr(c, "__index__"))
+            raise MalformedInputError(f"transition count {bad!r} is not an integer") from None
+        lo, hi = min(exact, default=0), max(exact, default=0)
+        if lo < _COUNT_MIN or hi > _COUNT_MAX:
+            bad = lo if lo < _COUNT_MIN else hi
+            raise MalformedInputError(f"transition count {bad} outside the int64 range")
         src = np.asarray(list(src), dtype=np.int64)
         trg = np.asarray(list(trg), dtype=np.int64)
-        count = np.asarray(list(count), dtype=np.int64)
+        count = np.asarray(exact, dtype=np.int64)
         order = np.lexsort((trg, src))
         src, trg, count = src[order], trg[order], count[order]
         if len(src) > 1:
@@ -96,7 +98,7 @@ class TransitionLog:
                 raise MalformedInputError("duplicate (src, trg) pair in transition log")
         if count.size and count.min() < threshold:
             raise MalformedInputError(f"transition count below threshold {threshold}")
-        total = sum(count.tolist())  # Python ints: exact where an int64 sum would wrap
+        total = sum(exact)  # Python ints: exact where an int64 sum would wrap
         if not _COUNT_MIN <= total <= _COUNT_MAX:
             raise MalformedInputError(f"total transition count {total} outside the int64 range")
         if graph is not None and len(src):
@@ -138,12 +140,10 @@ class DropStats:
     kept_count: int = 0
 
 
-def _content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+def _content_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
     """Each line numbered from 1 and without its newline, but for empty and ``#`` lines."""
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if line and not line.startswith("#"):
-            yield line_no, line
+    return [(line_no, line) for line_no, raw in enumerate(lines, start=1)
+            if (line := raw.rstrip("\n")) and not line.startswith("#")]
 
 
 def _column_positions(header: list[str], what: str) -> dict[str, int]:
@@ -399,23 +399,13 @@ class JoinReport:
 def compute_network_features(g: LinkGraph, alpha: float = 0.85) -> dict[str, np.ndarray]:
     """Per-node centralities keyed the way feature columns expect them."""
     ind, outd, deg = graphmod.degrees(g)
-    cores = graphmod.kcore(g)
-    pr = graphmod.pagerank(g, alpha=alpha)
-    return {
-        "degree": deg.values.astype(np.float64),
-        "in_degree": ind.values.astype(np.float64),
-        "out_degree": outd.values.astype(np.float64),
-        "kcore": cores.values.astype(np.float64),
-        "pagerank": pr.values,
-    }
+    measures = (deg, ind, outd, graphmod.kcore(g), graphmod.pagerank(g, alpha=alpha))
+    return {m: v.values.astype(np.float64, copy=False) for m, v in zip(NODE_MEASURES, measures)}
 
 
 def _node_feature_columns(per_node: dict[str, np.ndarray], src: np.ndarray, trg: np.ndarray) -> dict[str, np.ndarray]:
-    cols: dict[str, np.ndarray] = {}
-    for base, vec in per_node.items():
-        cols[f"src_{base}"] = vec[src]
-        cols[f"trg_{base}"] = vec[trg]
-    return cols
+    """The ``NETWORK_COLUMNS``, in their order, of the links ``src`` -> ``trg``."""
+    return dict(zip(NETWORK_COLUMNS, (per_node[m][ids] for m in NODE_MEASURES for ids in (src, trg))))
 
 
 def _parse_rows(rows: list[tuple[int, str]], width: int, colpos: dict[str, int],
@@ -525,11 +515,10 @@ def load_feature_table(
     """
     if graph is None and transitions is not None:
         raise PreconditionError("a transition log needs the graph its ids refer to")
-    numbered = _content_lines(lines)
-    first = next(numbered, None)
-    if first is None:
+    rows = _content_lines(lines)
+    if not rows:
         raise SchemaError("feature file has no header line")
-    header = [h.strip() for h in first[1].split(delimiter)]
+    header = [h.strip() for h in rows[0][1].split(delimiter)]
     colpos = _column_positions(header, "feature")
 
     missing = [c for c in _MANDATORY if c not in colpos]
@@ -541,7 +530,7 @@ def load_feature_table(
     name_to_id = {} if graph is None else graph.name_to_id()  # without a graph, grown on the fly
     numeric = [(c, i) for c, i in colpos.items() if c not in ("src", "trg", "region")]
     line_nos, src_ids, trg_ids, values, regions, widths, refused, texts = _parse_rows(
-        list(numbered), len(header), colpos, numeric, name_to_id, graph is None, delimiter)
+        rows[1:], len(header), colpos, numeric, name_to_id, graph is None, delimiter)
 
     # Each row's first value fault: no number, a similarity outside [0, 1], an unknown region.
     late = {row: f"non-numeric value {t!r} in column {c}" for row, (c, t) in refused.items()}
@@ -612,17 +601,16 @@ def read_visual(lines: Iterable[str], g: LinkGraph) -> tuple:
     number (x_coord first), else the first second row for one link, else the
     first row of a link with an unknown region."""
     lookup = g.name_to_id()
-    numbered = _content_lines(lines)
-    first = next(numbered, None)
-    if first is None:
+    rows = _content_lines(lines)
+    if not rows:
         raise SchemaError("visual file has no header line")
-    header = first[1].split("\t")
+    header = rows[0][1].split("\t")
     pos = _column_positions(header, "visual")
     for col in ("src", "trg", "x_coord", "y_coord", "region"):
         if col not in pos:
             raise SchemaError(f"visual file missing column {col}")
     line_nos, src, trg, xy, regions, widths, refused, _ = _parse_rows(
-        list(numbered), len(header), pos, [(c, pos[c]) for c in ("x_coord", "y_coord")],
+        rows[1:], len(header), pos, [(c, pos[c]) for c in ("x_coord", "y_coord")],
         lookup, intern=False, delimiter="\t")
     if widths or refused:
         row = min(widths.keys() | refused.keys())
@@ -664,8 +652,9 @@ def build_feature_table(
     edges to include (default: all).  Network features are computed here.
     """
     m = g.n_edges
-    for name, arr in (("text_sim", text_sim), ("topic_sim", topic_sim),
-                      ("x_coord", x_coord), ("y_coord", y_coord), ("region", region)):
+    given = {"text_sim": text_sim, "topic_sim": topic_sim, "x_coord": x_coord, "y_coord": y_coord,
+             "region": region}
+    for name, arr in given.items():
         if len(arr) != m:
             raise MalformedInputError(f"{name} has {len(arr)} entries for {m} edges")
     if covered is None:
@@ -676,14 +665,10 @@ def build_feature_table(
 
     src = g.edge_sources[covered]
     trg = g.out_indices[covered]
-    per_node = compute_network_features(g, alpha=alpha)
-    data = _node_feature_columns(per_node, src, trg)
+    data = _node_feature_columns(compute_network_features(g, alpha=alpha), src, trg)
     data["transitions"] = log.aligned_counts(g)[covered]
-    data["text_sim"] = np.asarray(text_sim, dtype=np.float64)[covered]
-    data["topic_sim"] = np.asarray(topic_sim, dtype=np.float64)[covered]
-    data["x_coord"] = np.asarray(x_coord, dtype=np.float64)[covered]
-    data["y_coord"] = np.asarray(y_coord, dtype=np.float64)[covered]
-    data["region"] = np.asarray(region, dtype=object)[covered]
+    for name, arr in given.items():
+        data[name] = np.asarray(arr, dtype=object if name == "region" else np.float64)[covered]
     return LinkFeatureTable(src=src, trg=trg, data=data, labels=g.labels)
 
 

@@ -102,6 +102,7 @@ def steiger_test(r12: float, r13: float, r23: float, n: int) -> SteigerResult:
     Fisher-transforms r12 and r13 and corrects their covariance for the
     shared variable using the pooled correlation.  The one-tailed p is for
     the alternative r12 > r13 (the weighted ranking beating the baseline).
+    A triple no one sample can give is a :class:`DegenerateInputError`.
     """
     for r in (r12, r13, r23):
         if not -1.0 < r < 1.0:
@@ -114,6 +115,9 @@ def steiger_test(r12: float, r13: float, r23: float, n: int) -> SteigerResult:
     rbar2 = rbar * rbar
     psi = r23 * (1.0 - 2.0 * rbar2) - 0.5 * rbar2 * (1.0 - 2.0 * rbar2 - r23 * r23)
     s = psi / (1.0 - rbar2) ** 2
+    if s >= 1.0:
+        raise DegenerateInputError(f"correlations {r12}, {r13} and {r23} are inconsistent: "
+                                   f"their covariance term {s} is not below 1")
     z = (z12 - z13) * math.sqrt((n - 3) / (2.0 * (1.0 - s)))
     return SteigerResult(z=z, p_one_tailed=float(special.ndtr(-z)))
 
@@ -149,7 +153,7 @@ def evaluate_all(
     article of the universe is refused by its name and damping factor.  Each
     weighted row carries Steiger's test against the baseline at the same
     damping factor, or None where the test is undefined (a correlation of
-    +-1, or n < 10).
+    +-1, an inconsistent triple, or n < 10).
     """
     views = incoming_transition_sums(log, g.n_nodes)
     mask = views >= 1 if restrict_to_viewed else np.ones(g.n_nodes, dtype=bool)

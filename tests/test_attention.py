@@ -188,6 +188,25 @@ class TestFitDistributions:
         with pytest.raises(DegenerateInputError, match=f"xmin={xmin} is below 1"):
             A.fit_distributions(samples[:3], xmin=xmin)
 
+    @pytest.mark.parametrize("xmin", [1.5, 2.5, math.nan, math.inf, np.float64(1.5)])
+    def test_xmin_that_is_no_whole_number_is_refused(self, xmin):
+        # The discrete families live on the integers; xmin=1.5 fitted on
+        # 1.5, 2.5, ... and gave a power-law alpha of 1.73 where xmin=2 gives 2.0.
+        samples = np.random.default_rng(0).zipf(2.0, 3000)
+        with pytest.raises(DegenerateInputError, match=f"xmin={xmin} is not a whole number"):
+            A.fit_distributions(samples, xmin=xmin)
+        with pytest.raises(DegenerateInputError, match=f"xmin={xmin} is not a whole number"):
+            A.family_loglik("power_law", {"alpha": 2.0}, samples, xmin)
+
+    def test_whole_xmin_of_another_type_fits_as_the_int(self):
+        samples = np.random.default_rng(0).zipf(2.0, 3000)
+        report = A.fit_distributions(samples, xmin=2)
+        for xmin in (2.0, np.int64(2), np.float64(2.0)):
+            assert repr(A.fit_distributions(samples, xmin=xmin)) == repr(report)
+            for family, fit in report.fits.items():
+                got = A.family_loglik(family, fit.params, samples, xmin)
+                assert got.hex() == A.family_loglik(family, fit.params, samples, 2).hex()
+
     def test_reported_params_reproduce_reported_loglik(self):
         rng = np.random.default_rng(9)
         samples = rng.geometric(0.3, size=5_000)

@@ -2,6 +2,7 @@
 
 import argparse
 import filecmp
+import inspect
 import json
 import os
 import shutil
@@ -109,6 +110,33 @@ class TestOptions:
         for name, sub in subcommands.items():
             options = [(a.option_strings[-1], a.dest, a.help) for a in sub._actions]
             assert options == self.SHARED + self.OWN[name], name
+
+
+class TestDefaults:
+    def test_each_cli_default_equals_the_library_default_it_stands_for(self):
+        # The CLI spells its defaults out so that --help imports no kernel;
+        # this keeps them from drifting apart from the library's.
+        from clickgraph import attention, evidence, hurdle, ranking, semantics
+
+        def default(func, name):
+            return inspect.signature(func).parameters[name].default
+
+        library = {
+            "damping": [default(f, "alpha") for f in (
+                graph.pagerank, ingest.compute_network_features, ingest.build_feature_table,
+                ingest.load_feature_table, ranking.weighted_pagerank)],
+            "threshold": [ingest.DEFAULT_THRESHOLD, default(hurdle.split_hurdle, "threshold"),
+                          default(hurdle.feature_battery, "threshold")],
+            "alphas": [ranking.DEFAULT_ALPHAS],
+            "projection_dim": [default(semantics.project, "dim")],
+            "projection_seed": [default(semantics.project, "seed")],
+            "kappa_multipliers": [default(evidence.default_kappa_grid, "multipliers")],
+            "xmin_degrees": [default(attention.fit_distributions, "xmin")],
+        }
+        fields = {f.name: f.default for f in cli._FIELDS}
+        for name, defaults in library.items():
+            for value in defaults:
+                assert value == fields[name] and type(value) is type(fields[name]), (name, value)
 
 
 class TestImports:

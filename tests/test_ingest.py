@@ -161,6 +161,22 @@ class TestTransitionLog:
         with pytest.raises(MalformedInputError, match=f"total transition count {2**63} outside"):
             ingest.TransitionLog.from_pairs([0, 1], [1, 0], [top - 9, 10])
 
+    @pytest.mark.parametrize("count, message", [
+        (10.7, "transition count 10.7 is not an integer"),
+        (10.0, "transition count 10.0 is not an integer"),
+        (float("nan"), "transition count nan is not an integer"),
+        (2**64, f"transition count {2**64} outside the int64 range"),
+        (-(2**63) - 1, f"transition count {-(2**63) - 1} outside the int64 range"),
+    ])
+    def test_count_that_is_no_int64_integer_is_refused(self, count, message):
+        # 10.7 became 10; 2**64 and NaN raised numpy's OverflowError and ValueError.
+        with pytest.raises(MalformedInputError, match=re.escape(message)):
+            ingest.TransitionLog.from_pairs([0, 1], [1, 0], [12, count], threshold=1)
+
+    def test_numpy_integer_counts_are_kept(self):
+        log = ingest.TransitionLog.from_pairs([1, 0], [0, 1], np.array([12, 2**63 - 13], dtype=np.uint64))
+        assert log.count.dtype == np.int64 and log.count.tolist() == [2**63 - 13, 12]
+
     def test_duplicate_pairs_rejected(self):
         with pytest.raises(MalformedInputError):
             ingest.TransitionLog.from_pairs([0, 0], [1, 1], [10, 20])
@@ -395,6 +411,28 @@ class TestBuildFeatureTable:
             covered=covered,
         )
         assert len(table) == g.n_edges // 2
+
+    def test_network_columns_come_from_the_node_measures_in_the_written_order(self):
+        # The order features.tsv's header has always had; the goldens pin its bytes.
+        network = ("src_degree", "trg_degree", "src_in_degree", "trg_in_degree",
+                   "src_out_degree", "trg_out_degree", "src_kcore", "trg_kcore",
+                   "src_pagerank", "trg_pagerank")
+        assert ingest.NETWORK_COLUMNS == network
+        assert ingest.FEATURE_COLUMNS == ("src", "trg", "transitions", *network, "text_sim",
+                                          "topic_sim", "x_coord", "y_coord", "region")
+        g = random_graph(20, 0.2, seed=1, labels=True)
+        per_node = ingest.compute_network_features(g)
+        assert tuple(per_node) == ingest.NODE_MEASURES
+        assert all(v.dtype == np.float64 and len(v) == g.n_nodes for v in per_node.values())
+        table = ingest.build_feature_table(
+            g, ingest.TransitionLog.from_pairs([], [], [], graph=g),
+            text_sim=np.zeros(g.n_edges), topic_sim=np.zeros(g.n_edges),
+            x_coord=np.zeros(g.n_edges), y_coord=np.zeros(g.n_edges),
+            region=np.asarray(["lead"] * g.n_edges, dtype=object))
+        assert tuple(table.data)[:10] == network
+        for measure in ingest.NODE_MEASURES:
+            np.testing.assert_array_equal(table.data[f"src_{measure}"], per_node[measure][table.src])
+            np.testing.assert_array_equal(table.data[f"trg_{measure}"], per_node[measure][table.trg])
 
 
 # ---------------------------------------------------------------------------

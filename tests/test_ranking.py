@@ -214,6 +214,15 @@ class TestSteiger:
         with pytest.raises(PreconditionError):
             R.steiger_test(0.5, 0.4, 0.3, 9)
 
+    @pytest.mark.parametrize("r12, r13, r23", [(0.85, 0.92, -0.80), (0.9, 0.9, -0.99)])
+    def test_correlations_no_sample_gives_are_refused(self, r12, r13, r23):
+        # The covariance term s reaches 1: no positive semi-definite
+        # correlation matrix holds this triple.  sqrt(1 - s) was a math domain error.
+        corr = np.array([[1.0, r12, r13], [r12, 1.0, r23], [r13, r23, 1.0]])
+        assert np.linalg.eigvalsh(corr).min() < 0
+        with pytest.raises(DegenerateInputError, match="inconsistent"):
+            R.steiger_test(r12, r13, r23, 100)
+
     def test_null_calibration_approximately_standard_normal(self):
         rng = np.random.default_rng(99)
         n, reps = 150, 1200
