@@ -53,7 +53,7 @@ import sys
 from collections import namedtuple
 
 from . import __version__
-from .errors import ClickgraphError, ConfigError, DependencyError
+from .errors import ClickgraphError, ConfigError, DependencyError, MalformedInputError
 
 ARTIFACTS = {
     "graph": "graph.tsv",
@@ -292,11 +292,20 @@ def _sha256(path: str) -> str:
 
 
 def _load_manifest(outdir: str) -> dict:
+    """The manifest in ``outdir``, or an empty one; refuse a file that is not
+    a JSON object whose ``stages`` maps each stage to an object."""
     path = os.path.join(outdir, MANIFEST)
     if not os.path.exists(path):
         return {"tool": "clickgraph", "version": __version__, "stages": {}}
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError:  # invalid JSON or UTF-8
+        manifest = None
+    entries = manifest.get("stages") if isinstance(manifest, dict) else None
+    if not isinstance(entries, dict) or not all(isinstance(e, dict) for e in entries.values()):
+        raise MalformedInputError(f"{path} is not a manifest; deleting it makes every stage rerun")
+    return manifest
 
 
 def _record(outdir: str, name: str, entry: dict) -> None:
@@ -397,15 +406,24 @@ def run_stage(name: str, cfg: RunConfig) -> int:
 
     from . import graph as graphmod, ingest, stages
 
-    loaded: tuple = ()
-    if stage.reads:
-        g = graphmod.load_graph(_artifact_path(cfg, "graph"))
-        with open(_artifact_path(cfg, "transitions"), "r", encoding="utf-8") as fh:
-            loaded = (g, ingest.read_transitions(fh, g, cfg.threshold))
-    if "features" in stage.reads:
-        with open(_artifact_path(cfg, "features"), "r", encoding="utf-8") as fh:
-            loaded += (ingest.load_feature_table(fh, *loaded)[0],)
-    outputs, summary, *warnings = getattr(stages, name)(cfg, *loaded)
+    try:
+        loaded: tuple = ()
+        if stage.reads:
+            g = graphmod.load_graph(_artifact_path(cfg, "graph"))
+            with open(_artifact_path(cfg, "transitions"), "r", encoding="utf-8") as fh:
+                loaded = (g, ingest.read_transitions(fh, g, cfg.threshold))
+        if "features" in stage.reads:
+            with open(_artifact_path(cfg, "features"), "r", encoding="utf-8") as fh:
+                loaded += (ingest.load_feature_table(fh, *loaded)[0],)
+        outputs, summary, *warnings = getattr(stages, name)(cfg, *loaded)
+    except UnicodeDecodeError:
+        for p in files.values():  # the decoder names no file: find the first one it refuses
+            try:
+                with open(p, "rb") as fh:
+                    fh.read().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedInputError(f"{p} is not UTF-8: {exc}") from None
+        raise
     for artifact in stage.writes:
         notes, lines = outputs[artifact]
         _atomic_write(_artifact_path(cfg, artifact), _header(cfg, name, notes), lines)

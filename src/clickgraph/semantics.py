@@ -1,8 +1,9 @@
 """Semantic similarity features.
 
 Articles become sublinear tf-idf vectors, a seeded sparse sign projection
-compresses them to a fixed dimension, and similarities are cosines: projected
-vectors for text, binary category indicators for topics.
+compresses them to a fixed dimension, and text similarity is the cosine of
+projected vectors.  Topic similarity is the overlap of two articles' category
+sets, |A & B| / sqrt(|A| |B|): the cosine of their binary category indicators.
 
 The sparse matrices are plain numpy arrays in compressed sparse row form
 (:class:`CSR`), so this module needs no scipy.  ``tfidf`` stores each row's
@@ -13,8 +14,9 @@ column, and ``V @ R`` then walks V's rows in stored order), so the projected
 vectors, and every similarity and output byte after them, are bit-equal to
 the scipy products ``tests/test_semantics.py`` keeps as its references.
 
-``edge_similarities`` computes every link's similarities in fixed-size blocks
-of edges, with one BLAS dot per pair and the same IEEE operations as the
+``edge_similarities`` computes every link's text similarity in fixed-size
+blocks of edges, with one BLAS dot per pair, and its topic overlap from one
+set intersection per link.  It makes the same IEEE operations as the
 single-pair cosine and category overlap that ``tests/test_semantics.py``
 keeps as its reference, so its values are bit-equal to theirs.
 """
@@ -76,7 +78,8 @@ def build_corpus(
 ) -> DocumentCorpus:
     """Assemble a corpus from (name, tokens) pairs and optional categories.
 
-    A category row naming no article of ``token_docs`` is dropped and counted.
+    A category row naming no article of ``token_docs`` is dropped and counted;
+    a second category row for one article is refused, as a second token row is.
 
     Articles and term ids are numbered in first-seen order.  Each article's
     term ids and counts go straight into int64 buffers, so the corpus holds no
@@ -97,12 +100,14 @@ def build_corpus(
         indptr.append(len(indices))
 
     n_docs = len(name_to_idx)
-    cats: list[frozenset[str]] = [frozenset()] * n_docs
+    cats: list[frozenset[str] | None] = [None] * n_docs  # None: no categories row yet
     unmatched = 0
     for name, labels in category_docs or ():
         idx = name_to_idx.get(name)
         if idx is None:
             unmatched += 1
+        elif cats[idx] is not None:
+            raise MalformedInputError(f"duplicate article {name!r} in categories")
         else:
             cats[idx] = frozenset(labels)
 
@@ -112,7 +117,7 @@ def build_corpus(
         name_to_idx=name_to_idx,
         counts=CSR(np.frombuffer(indptr, dtype=np.int64), ids, np.frombuffer(data, dtype=np.int64),
                    (n_docs, n_terms)),
-        categories=tuple(cats),
+        categories=tuple(c or frozenset() for c in cats),
         doc_freq=np.bincount(ids, minlength=n_terms),
         unmatched_category_rows=unmatched,
     )
@@ -267,32 +272,19 @@ def edge_similarities(
     found = np.flatnonzero((ia >= 0) & (ib >= 0))
     ia, ib = ia[found], ib[found]
 
-    # Topics: the indicator matrix's entries as sorted keys document * k +
-    # category; |A & B| counts the keys of A's row that, moved to B's row, exist.
-    cat_id: dict[str, int] = {}
-    rows = [sorted(cat_id.setdefault(c, len(cat_id)) for c in cats) for cats in corpus.categories]
-    k = max(len(cat_id), 1)
-    sizes = np.fromiter(map(len, rows), dtype=np.int64, count=corpus.n_docs)
-    starts = np.cumsum(sizes) - sizes
-    keys = np.fromiter((d * k + c for d, cols in enumerate(rows) for c in cols),
-                       dtype=np.int64, count=int(sizes.sum()))
+    # Topics: |A & B| straight from the two articles' category sets.
+    cats = corpus.categories
+    sizes = np.fromiter(map(len, cats), dtype=np.int64, count=corpus.n_docs)
+    inter = [len(cats[a] & cats[b]) for a, b in zip(ia.tolist(), ib.tolist())]
 
     # Text: matmul of stacked vectors calls BLAS ddot per pair, the same dot
     # as np.dot on the two vectors; edges are gathered in blocks to bound the
     # temporaries.
     sq = np.matmul(matrix[:, None, :], matrix[:, :, None]).ravel()
     uv = np.empty(len(found))
-    inter = np.empty(len(found), dtype=np.int64)
     for lo in range(0, len(found), _EDGE_BLOCK):
         block = slice(lo, lo + _EDGE_BLOCK)
-        a, b = ia[block], ib[block]
-        uv[block] = np.matmul(matrix[a, None, :], matrix[b, :, None]).ravel()
-        n_keys = sizes[a]
-        owner = np.repeat(np.arange(len(a)), n_keys)  # block edge of each key of A's rows
-        entry = np.arange(len(owner)) + np.repeat(starts[a] - (np.cumsum(n_keys) - n_keys), n_keys)
-        query = keys[entry] + (b - a)[owner] * k
-        hit = keys[np.minimum(np.searchsorted(keys, query), len(keys) - 1)] == query
-        inter[block] = np.bincount(owner[hit], minlength=len(a))
+        uv[block] = np.matmul(matrix[ia[block], None, :], matrix[ib[block], :, None]).ravel()
 
     nu, nv = sq[ia], sq[ib]
     la, lb = sizes[ia], sizes[ib]

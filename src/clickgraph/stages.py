@@ -16,6 +16,7 @@ Each body imports the kernels it runs, so ``build``, ``features`` and
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .errors import ClickgraphError, DegenerateInputError, InsufficientDataError
@@ -212,22 +213,12 @@ def build_hypotheses(cfg, g, table) -> list:
     import numpy as np
     from . import evidence as evmod, graph as graphmod
 
-    cores = graphmod.kcore(g)
-    text = table.edge_values(g, "text_sim", fill=np.nan)
-    regions = table.edge_values(g, "region", fill=None)
-    singles = [
-        evmod.kcore_hypothesis(g, cores),
-        evmod.textsim_hypothesis(g, np.asarray(text, dtype=np.float64)),
-        evmod.visual_hypothesis(g, regions),
-    ]
-    by_name = {h.name: h for h in singles}
-    combos = [
-        evmod.combine([by_name["kcore"], by_name["text_sim"]]),
-        evmod.combine([by_name["kcore"], by_name["visual"]]),
-        evmod.combine([by_name["text_sim"], by_name["visual"]]),
-        evmod.combine([by_name["kcore"], by_name["text_sim"], by_name["visual"]]),
-    ]
-    return singles + combos
+    text = np.asarray(table.edge_values(g, "text_sim", fill=np.nan), dtype=np.float64)
+    singles = [evmod.kcore_hypothesis(g, graphmod.kcore(g)),
+               evmod.textsim_hypothesis(g, text),
+               evmod.visual_hypothesis(g, table.edge_values(g, "region", fill=None))]
+    return singles + [evmod.combine(list(parts))
+                      for r in (2, 3) for parts in itertools.combinations(singles, r)]
 
 
 def hyptrails(cfg, g, log, table):

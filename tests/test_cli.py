@@ -445,6 +445,23 @@ class TestManifest:
             recorded = json.load(fh)["stages"]
         assert sorted(recorded) == ["attention", "build", "features", "hurdle"]
 
+    @pytest.mark.parametrize("text", ["garbage", "[]", '{"stages": {"build": 5}}'],
+                             ids=["not_json", "not_an_object", "entry_not_an_object"])
+    def test_corrupt_manifest_is_refused_before_anything_runs(self, toy_inputs, tmp_path, capsys,
+                                                             monkeypatch, text):
+        # Each once ended in a JSONDecodeError, TypeError or AttributeError traceback.
+        from clickgraph import stages
+
+        monkeypatch.setattr(stages, "build", None)  # so a body that ran would raise TypeError
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / MANIFEST).write_text(text, encoding="utf-8")
+        assert main(["build", "--edges", toy_inputs["edges"],
+                     "--clickstream", toy_inputs["clickstream"], "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {out / MANIFEST} is not a manifest; "
+                                           "deleting it makes every stage rerun\n")
+        assert _tree(str(out)) == {MANIFEST: text.encode()}
+
 
 def _copy_inputs(toy_inputs: dict[str, str], directory) -> dict[str, str]:
     os.makedirs(directory)
@@ -1339,6 +1356,50 @@ class TestAttentionFits:
         assert printed == "error: --xmin-degrees must be >= 1, got 0\n2\n"
         assert {name: open(os.path.join(out, name), "rb").read()
                 for name in os.listdir(out)} == before
+
+
+def _undecodable(path: str, directory) -> str:
+    """A copy of ``path`` in ``directory`` with a line holding byte 0xff appended."""
+    copy = os.path.join(directory, "bad-" + os.path.basename(path))
+    with open(path, "rb") as src, open(copy, "wb") as dst:
+        dst.write(src.read() + b"Bad\xff\tGraph_theory\n")
+    return copy
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 in any file a stage reads ends in one line
+    naming that file; each once ended in a UnicodeDecodeError traceback."""
+
+    def _refused(self, capsys, argv, path):
+        capsys.readouterr()
+        assert main(argv) == 2
+        with open(path, "rb") as fh:
+            pos = fh.read().index(b"\xff")
+        assert capsys.readouterr() == ("", f"error: {path} is not UTF-8: 'utf-8' codec can't "
+                                           f"decode byte 0xff in position {pos}: invalid start byte\n")
+
+    def test_edges(self, toy_inputs, tmp_path, capsys):
+        edges = _undecodable(toy_inputs["edges"], tmp_path)
+        out = tmp_path / "out"
+        self._refused(capsys, ["build", "--edges", edges, "--clickstream",
+                               toy_inputs["clickstream"], "--out", str(out)], edges)
+        assert not out.exists()
+
+    def test_visual(self, toy_inputs, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main(["build", "--edges", toy_inputs["edges"],
+                     "--clickstream", toy_inputs["clickstream"], "--out", out]) == 0
+        visual = _undecodable(toy_inputs["visual"], tmp_path)
+        self._refused(capsys, ["features", "--corpus", toy_inputs["corpus"], "--categories",
+                               toy_inputs["categories"], "--visual", visual, "--out", out], visual)
+
+    def test_graph(self, toy_inputs, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["build", "--edges", toy_inputs["edges"],
+                     "--clickstream", toy_inputs["clickstream"], "--out", str(out)]) == 0
+        graph_tsv = str(out / ARTIFACTS["graph"])
+        os.replace(_undecodable(graph_tsv, tmp_path), graph_tsv)
+        self._refused(capsys, ["attention", "--out", str(out)], graph_tsv)
 
 
 class TestVisualInput:

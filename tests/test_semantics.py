@@ -218,6 +218,13 @@ class TestBuildCorpus:
         assert corpus.unmatched_category_rows == 3
         assert S.build_corpus([("a", ["x"])]).unmatched_category_rows == 0
 
+    def test_second_category_row_for_an_article_is_refused(self):
+        # The later row once replaced the earlier one without a word.
+        with pytest.raises(MalformedInputError, match="^duplicate article 'a' in categories$"):
+            S.corpus_from_lines(["a\tx\ty\n", "b\tx\n"], ["a\tc1\n", "a\tc2\n", "b\tc1\n"])
+        corpus = S.corpus_from_lines(["a\tx\n"], ["zz\tc1\n", "zz\tc2\n", "a\t\n"])
+        assert corpus.categories == (frozenset(),) and corpus.unmatched_category_rows == 2
+
     @pytest.mark.parametrize("lines, line_no, name", [
         (["# generated corpus v1\n", "a\tx\n"], 1, "# generated corpus v1"),
         (["a\tx\n", "\n", "#b\tx\ty\n"], 3, "#b"),
