@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -248,25 +249,22 @@ def _validate_inputs(cfg: RunConfig, inputs: tuple[str, ...]) -> None:
         raise ConfigError("; ".join(problems))
 
 
-def _atomic_write(path: str, header: list[str], lines) -> None:
-    """Write ``header``, then ``lines``, to ``path`` through a temp file and a rename.
+def _atomic_write(path: str, lines) -> None:
+    """Write the iterable ``lines`` to ``path`` through a temp file and a rename.
 
-    ``lines`` is an iterable of lines, or a function that writes the file,
-    ``header`` first, at the path it is given.  The temp file is created
-    with mode 0o666 less the umask, as ``open`` would create ``path`` itself.
+    This is the one place a file in the output directory is opened for
+    writing: as UTF-8, with no newline translation.  When ``lines`` raises, the
+    exception propagates, ``path`` keeps its old bytes and the temp file is
+    removed.  The temp file is created with mode 0o666 less the umask, as
+    ``open`` would create ``path`` itself.
     """
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        if callable(lines):
-            os.close(fd)
-            lines(tmp, header)
-        else:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.writelines(header)
-                fh.writelines(lines)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -318,7 +316,7 @@ def _record(outdir: str, name: str, entry: dict) -> None:
         fcntl.flock(fd, fcntl.LOCK_EX)
         manifest = _load_manifest(outdir)
         manifest["stages"][name] = entry
-        _atomic_write(os.path.join(outdir, MANIFEST), [],
+        _atomic_write(os.path.join(outdir, MANIFEST),
                       [json.dumps(manifest, sort_keys=True, indent=1) + "\n"])
     finally:
         os.close(fd)  # releases the lock
@@ -393,6 +391,11 @@ def run_stage(name: str, cfg: RunConfig) -> int:
         if not os.path.exists(_artifact_path(cfg, artifact)):
             raise DependencyError(f"missing {ARTIFACTS[artifact]} in {cfg.out}; "
                                   f"run `clickgraph {_PRODUCER[artifact]}` first")
+    # A directory or a pipe here would be hashed, read or replaced: refuse it first.
+    for file in (*map(ARTIFACTS.get, stage.reads + stage.writes), MANIFEST):
+        if os.path.exists(path := os.path.join(cfg.out, file)) and not os.path.isfile(path):
+            raise MalformedInputError(f"{path} is not a regular file" + (
+                "; deleting it makes every stage rerun" if file == MANIFEST else ""))
     inputs = tuple(f.name for f in _FIELDS if f.kind is _PATH and name in f.stages)
     _validate_inputs(cfg, inputs)
     files = {ARTIFACTS[a]: _artifact_path(cfg, a) for a in stage.reads}
@@ -409,7 +412,8 @@ def run_stage(name: str, cfg: RunConfig) -> int:
     try:
         loaded: tuple = ()
         if stage.reads:
-            g = graphmod.load_graph(_artifact_path(cfg, "graph"))
+            with open(_artifact_path(cfg, "graph"), "r", encoding="utf-8") as fh:
+                g = graphmod.load_graph(fh)
             with open(_artifact_path(cfg, "transitions"), "r", encoding="utf-8") as fh:
                 loaded = (g, ingest.read_transitions(fh, g, cfg.threshold))
         if "features" in stage.reads:
@@ -426,7 +430,9 @@ def run_stage(name: str, cfg: RunConfig) -> int:
         raise
     for artifact in stage.writes:
         notes, lines = outputs[artifact]
-        _atomic_write(_artifact_path(cfg, artifact), _header(cfg, name, notes), lines)
+        header = _header(cfg, name, notes)
+        _atomic_write(_artifact_path(cfg, artifact),
+                      lines(header) if callable(lines) else itertools.chain(header, lines))
     # A keyed input the stage has just rewritten (`features --feature-file
     # OUT/features.tsv`) is keyed as written, so the same run next is a hit.
     written = {os.path.realpath(_artifact_path(cfg, a)) for a in stage.writes}

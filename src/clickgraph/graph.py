@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -289,29 +289,29 @@ def power_iteration(
     )
 
 
-def save_graph(g: LinkGraph, path, header_lines: Sequence[str] = ()) -> None:
-    """Write a versioned text snapshot: node count, labels, sorted edge list.
+def save_graph(g: LinkGraph, header_lines: Iterable[str] = ()) -> Iterator[str]:
+    """The lines of a versioned text snapshot: node count, labels, sorted edge list.
 
-    ``header_lines``, each a ``#`` line ending in a newline, follow the magic line.
+    ``header_lines``, each a ``#`` line ending in a newline, follow the magic
+    line.  A label holding a separator, or naming a second node, is refused
+    when its line is reached.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(GRAPH_MAGIC + "\n")
-        fh.writelines(header_lines)
-        fh.write(f"nodes\t{g.n_nodes}\n")
-        fh.write(f"selfloops\t{g.self_loops}\n")
-        if g.labels is not None:
-            seen: set[str] = set()
-            for i, name in enumerate(g.labels):
-                if "\t" in name or "\n" in name or "\r" in name:
-                    raise MalformedInputError(f"label {name!r} contains separators")
-                if name in seen:
-                    raise MalformedInputError(f"label {name!r} names two nodes")
-                seen.add(name)
-                fh.write(f"label\t{i}\t{name}\n")
-        fh.write(f"edges\t{g.n_edges}\n")
-        src = g.edge_sources
-        for s, t in zip(src, g.out_indices):
-            fh.write(f"{s}\t{t}\n")
+    yield GRAPH_MAGIC + "\n"
+    yield from header_lines
+    yield f"nodes\t{g.n_nodes}\n"
+    yield f"selfloops\t{g.self_loops}\n"
+    if g.labels is not None:
+        seen: set[str] = set()
+        for i, name in enumerate(g.labels):
+            if "\t" in name or "\n" in name or "\r" in name:
+                raise MalformedInputError(f"label {name!r} contains separators")
+            if name in seen:
+                raise MalformedInputError(f"label {name!r} names two nodes")
+            seen.add(name)
+            yield f"label\t{i}\t{name}\n"
+    yield f"edges\t{g.n_edges}\n"
+    for s, t in zip(g.edge_sources, g.out_indices):
+        yield f"{s}\t{t}\n"
 
 
 class _Snapshot:
@@ -413,8 +413,8 @@ def _edge_block(text: str, n_nodes: int | None) -> np.ndarray | None:
     return edges
 
 
-def load_graph(path) -> LinkGraph:
-    """Read a snapshot written by :func:`save_graph`.
+def load_graph(fh: TextIO) -> LinkGraph:
+    """Read a snapshot written by :func:`save_graph` from the text stream ``fh``.
 
     A line with the wrong field count or a non-integer field raises
     :class:`LineError` naming it, as does an edge id or a ``label`` index
@@ -428,17 +428,16 @@ def load_graph(path) -> LinkGraph:
     None, by the per-row reader too, so every error and line number is the
     per-row reader's.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        magic = fh.readline().rstrip("\n")
-        if magic != GRAPH_MAGIC:
-            raise MalformedInputError(f"not a graph snapshot (magic {magic!r})")
-        snap = _Snapshot()
-        line_no = 1
-        for line_no, raw in enumerate(fh, start=2):
-            snap.read(line_no, raw)
-            if snap.n_edges is not None:
-                break
-        rest = fh.read()
+    magic = fh.readline().rstrip("\n")
+    if magic != GRAPH_MAGIC:
+        raise MalformedInputError(f"not a graph snapshot (magic {magic!r})")
+    snap = _Snapshot()
+    line_no = 1
+    for line_no, raw in enumerate(fh, start=2):
+        snap.read(line_no, raw)
+        if snap.n_edges is not None:
+            break
+    rest = fh.read()
     edges = None if snap.edges or not rest else _edge_block(rest, snap.n_nodes)
     if edges is None:
         for line_no, raw in enumerate(io.StringIO(rest), start=line_no + 1):

@@ -7,9 +7,11 @@ running driver is ``__main__``, and that import would compile and execute a
 second copy of it.  ``cfg`` is always a :class:`clickgraph.cli.RunConfig`.
 
 Each body returns ({artifact: (header notes, lines)}, summary, *stderr
-lines); graph.tsv's lines are a function writing the file, the header it is
-given first, at the path it is given.  Only ``run_stage`` makes header lines
-and `<stage>:` prefixes; the analysis stages' tables go through ``_table``.
+lines).  ``run_stage`` writes an artifact's header, then its lines, except
+where its lines are a function: that function takes the header and returns
+every line of the file, so graph.tsv's magic line can come before it.  Only
+``run_stage`` makes header lines and `<stage>:` prefixes; the analysis
+stages' tables go through ``_table``.
 Each body imports the kernels it runs, so ``build``, ``features`` and
 ``sample`` load numpy but not scipy.
 """
@@ -64,7 +66,7 @@ def build(cfg):
         f"kept_pairs={stats.kept_pairs} kept_transitions={stats.kept_count}",
     )
     outputs = {
-        "graph": ((), lambda path, header: graphmod.save_graph(g, path, header)),
+        "graph": ((), lambda header: graphmod.save_graph(g, header)),
         "transitions": (stat_notes, ingest.transition_lines(log, g.labels)),
     }
     summary = (f"{g.n_nodes} articles, {g.n_edges} links ({g.self_loops} self-loops); "

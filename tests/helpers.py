@@ -40,6 +40,18 @@ def run_fresh(code: str, *args: str) -> str:
     return done.stdout
 
 
+def write_graph(g: graphmod.LinkGraph, path, header_lines=()) -> None:
+    """Write ``save_graph``'s lines for ``g`` to ``path``, as ``clickgraph build`` writes them."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(graphmod.save_graph(g, header_lines))
+
+
+def read_graph(path) -> graphmod.LinkGraph:
+    """The graph ``load_graph`` reads from the snapshot at ``path``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return graphmod.load_graph(fh)
+
+
 def random_graph(n: int, p: float, seed: int, labels: bool = False) -> graphmod.LinkGraph:
     rng = np.random.default_rng(seed)
     mask = rng.random((n, n)) < p

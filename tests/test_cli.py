@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from clickgraph import __version__, cli, graph, ingest
 from clickgraph import attention as A
 from clickgraph.cli import ARTIFACTS, MANIFEST, build_parser, load_config, main
-from clickgraph.errors import ConfigError
+from clickgraph.errors import ConfigError, MalformedInputError
 
-from helpers import LEGAL_NAMES, discrete_power_law_sample, fresh_env, run_fresh
+from helpers import LEGAL_NAMES, discrete_power_law_sample, fresh_env, read_graph, run_fresh
 
 
 def run_pipeline(inputs: dict[str, str], out: str, projection_dim: int = 64) -> None:
@@ -610,6 +610,31 @@ class TestPathsRefusedBeforeReading:
         assert printed == f"error: --edges is not a regular file: {fifo}\n2\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("file, make", [
+        (MANIFEST, os.mkdir), ("graph.tsv", os.mkdir), ("transitions.tsv", os.mkfifo),
+        ("attention_fits.txt", os.mkdir),
+    ], ids=["manifest_directory", "read_directory", "read_fifo", "written_directory"])
+    def test_out_path_that_is_not_a_regular_file_is_refused(self, toy_inputs, tmp_path, file, make):
+        # The directories once ended in an IsADirectoryError traceback, from
+        # _load_manifest or _sha256, or from os.replace after the fits ran and
+        # three of the four files were rewritten; _sha256 blocked on the FIFO.
+        # In a child process, so a stage that blocks times out.
+        out = tmp_path / "out"
+        assert main(["build", "--edges", toy_inputs["edges"], "--clickstream",
+                     toy_inputs["clickstream"], "--out", str(out)]) == 0
+        target = out / file
+        if target.exists():
+            target.unlink()
+        make(target)
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        done = subprocess.run([*PYTHON_M, "attention", "--out", str(out)], env=fresh_env(),
+                              capture_output=True, text=True, timeout=30)
+        hint = "; deleting it makes every stage rerun" if file == MANIFEST else ""
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", f"error: {target} is not a regular file{hint}\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+        assert sorted(p.name for p in out.iterdir()) == sorted([*before, file])
+
     @pytest.mark.parametrize("stage", ["build", "attention"])
     def test_out_below_a_file_is_refused(self, toy_inputs, tmp_path, capsys, stage):
         # build once parsed every input and died in os.makedirs with a
@@ -633,6 +658,23 @@ class TestPathsRefusedBeforeReading:
         assert main([stage, *(inputs if stage == "build" else []), "--out", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: --out names a file, not a directory: {out}\n")
         assert out.read_text() == "kept\n"
+
+
+class TestAtomicWrite:
+    def test_line_source_that_raises_leaves_the_old_file(self, tmp_path):
+        # Enough lines that some reach the temp file before the source fails.
+        target = tmp_path / "graph.tsv"
+        target.write_bytes(b"old\n")
+
+        def lines():
+            for i in range(100_000):
+                yield f"{i}\t{i}\n"
+            raise MalformedInputError("label 'C' names two nodes")
+
+        with pytest.raises(MalformedInputError, match="^label 'C' names two nodes$"):
+            cli._atomic_write(str(target), lines())
+        assert target.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["graph.tsv"]
 
 
 class TestConfigRanges:
@@ -941,8 +983,7 @@ class TestSample:
                      "--clickstream", str(src_dir / "clicks.tsv"), "--out", out]) == 0
 
         # features stage is bypassed: write a minimal table straight from the graph
-        from clickgraph import graph as graphmod
-        g = graphmod.load_graph(os.path.join(out, "graph.tsv"))
+        g = read_graph(os.path.join(out, "graph.tsv"))
         name_to_id = g.name_to_id()
         src_names, trg_names, counts = [], [], []
         with open(os.path.join(out, "transitions.tsv"), encoding="utf-8") as fh:
@@ -1503,7 +1544,7 @@ class TestNamesThroughTheStages:
 
             with open(os.path.join(out, ARTIFACTS["transitions"]), encoding="utf-8") as fh:
                 kept = int(fh.read().split("kept_transitions=")[1].split("\n")[0])
-            assert graph.load_graph(os.path.join(out, ARTIFACTS["graph"])).labels == tuple(seen)
+            assert read_graph(os.path.join(out, ARTIFACTS["graph"])).labels == tuple(seen)
             features = _rows(os.path.join(out, ARTIFACTS["features"]))
             sample = _rows(os.path.join(out, ARTIFACTS["sample"]))
         column = ingest.FEATURE_COLUMNS.index("transitions")

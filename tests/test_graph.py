@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from clickgraph import graph as G
 from clickgraph.errors import ClickgraphError, ConvergenceError, LineError, MalformedInputError
 
-from helpers import dense_pagerank_oracle, kcore_oracle, out_neighbors, random_graph
+from helpers import (dense_pagerank_oracle, kcore_oracle, out_neighbors, random_graph, read_graph,
+                     write_graph)
 
 
 class TestBuildGraph:
@@ -286,8 +287,8 @@ class TestSnapshot:
     def test_round_trip(self, tmp_path):
         g = random_graph(25, 0.15, seed=29, labels=True)
         path = tmp_path / "graph.tsv"
-        G.save_graph(g, path, header_lines=["# tool test\n"])
-        g2 = G.load_graph(path)
+        write_graph(g, path, header_lines=["# tool test\n"])
+        g2 = read_graph(path)
         assert G.same_structure(g, g2)
         assert g2.labels == g.labels
 
@@ -303,20 +304,20 @@ class TestSnapshot:
             "negative_label", "repeated_label_index", "repeated_label_name"])
     def test_corrupt_line_raises_line_error(self, tmp_path, row, message):
         path = tmp_path / "graph.tsv"
-        G.save_graph(G.build_graph([(0, 1), (1, 2), (2, 0)], labels=["A", "B", "C"]), path)
+        write_graph(G.build_graph([(0, 1), (1, 2), (2, 0)], labels=["A", "B", "C"]), path)
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(lines) + row, encoding="utf-8")
         with pytest.raises(LineError) as exc:
-            G.load_graph(path)
+            read_graph(path)
         assert str(exc.value) == f"line {len(lines) + 1}: {message}"
 
     def test_node_without_a_label_is_refused(self, tmp_path):
         path = tmp_path / "graph.tsv"
-        G.save_graph(G.build_graph([(0, 1), (1, 2), (2, 0)], labels=["A", "B", "C"]), path)
+        write_graph(G.build_graph([(0, 1), (1, 2), (2, 0)], labels=["A", "B", "C"]), path)
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(line for line in lines if line != "label\t1\tB\n"), encoding="utf-8")
         with pytest.raises(MalformedInputError, match="^snapshot has no label for node 1$"):
-            G.load_graph(path)
+            read_graph(path)
 
     @pytest.mark.parametrize("edges, line, message", [
         ([(0, 1), (1, 2), (2, 0)], "selfloops\t7\n", "snapshot declares 7 self-loops, found 0"),
@@ -325,31 +326,31 @@ class TestSnapshot:
     def test_self_loop_count_is_checked(self, tmp_path, edges, line, message):
         # The selfloops line was once skipped, so a wrong count loaded without a word.
         path = tmp_path / "graph.tsv"
-        G.save_graph(G.build_graph(edges, labels=["A", "B", "C"]), path)
+        write_graph(G.build_graph(edges, labels=["A", "B", "C"]), path)
         text = path.read_text(encoding="utf-8")
         path.write_text(re.sub(r"^selfloops\t\d+\n", line, text, flags=re.M), encoding="utf-8")
         with pytest.raises(MalformedInputError, match=f"^{message}$"):
-            G.load_graph(path)
+            read_graph(path)
         path.write_text(re.sub(r"^selfloops\t\d+\n", "", text, flags=re.M), encoding="utf-8")
-        assert G.load_graph(path).self_loops == sum(s == t for s, t in edges)
+        assert read_graph(path).self_loops == sum(s == t for s, t in edges)
 
     def test_repeated_label_is_not_saved(self, tmp_path):
         g = G.build_graph([(0, 1), (1, 0)], labels=["C", "C"])
         with pytest.raises(MalformedInputError, match="^label 'C' names two nodes$"):
-            G.save_graph(g, tmp_path / "graph.tsv")
+            write_graph(g, tmp_path / "graph.tsv")
 
     @pytest.mark.parametrize("label", ["A\tB", "A\nB", "A\rB"])
     def test_label_with_a_separator_is_refused(self, tmp_path, label):
         # load_graph reads with universal newlines, so a '\r' would split the line.
         g = G.build_graph([(0, 1), (1, 0)], labels=[label, "C"])
         with pytest.raises(MalformedInputError, match="contains separators"):
-            G.save_graph(g, tmp_path / "graph.tsv")
+            write_graph(g, tmp_path / "graph.tsv")
 
     def test_magic_header_enforced(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("not a snapshot\n")
         with pytest.raises(MalformedInputError):
-            G.load_graph(path)
+            read_graph(path)
 
     @pytest.mark.parametrize("edge, bad", [
         ("99999999999999999999\t1", "99999999999999999999"),
@@ -361,18 +362,18 @@ class TestSnapshot:
         # An id beyond int64 once escaped from build_graph as an OverflowError,
         # and the others were refused with no line number.
         path = tmp_path / "graph.tsv"
-        G.save_graph(G.build_graph([(0, 1), (1, 2), (2, 0)], labels=["A", "B", "C"]), path)
+        write_graph(G.build_graph([(0, 1), (1, 2), (2, 0)], labels=["A", "B", "C"]), path)
         lines = path.read_text(encoding="utf-8").replace("edges\t3\n", "edges\t4\n").splitlines(
             keepends=True)
         path.write_text("".join(lines) + edge + "\n", encoding="utf-8")
         with pytest.raises(LineError) as exc:
-            G.load_graph(path)
+            read_graph(path)
         assert str(exc.value) == f"line {len(lines) + 1}: edge id {bad} outside [0, 3)"
 
     def test_saved_edge_block_is_read_as_one_array(self, tmp_path):
         g = random_graph(40, 0.2, seed=3, labels=True)
         path = tmp_path / "graph.tsv"
-        G.save_graph(g, path)
+        write_graph(g, path)
         read, returned = G._edge_block, []
 
         def recording(text, n_nodes):
@@ -380,7 +381,7 @@ class TestSnapshot:
             return returned[-1]
 
         with mock.patch.object(G, "_edge_block", recording):
-            g2 = G.load_graph(path)
+            g2 = read_graph(path)
         assert len(returned) == 1 and returned[0].shape == (g.n_edges, 2)
         assert G.same_structure(g, g2) and g2.labels == g.labels
 
@@ -394,7 +395,7 @@ def per_row_load(path):
 def load_outcome(path):
     """The graph ``load_graph`` reads, as plain values, or its error's type and text."""
     try:
-        g = G.load_graph(path)
+        g = read_graph(path)
     except ClickgraphError as exc:
         return type(exc), str(exc)
     return (g.n_nodes, g.labels, g.self_loops, g.out_indptr.dtype, g.out_indptr.tolist(),
@@ -419,7 +420,7 @@ def snapshots(draw):
     g = G.build_graph(pairs, n_nodes=n, labels=labels)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "graph.tsv")
-        G.save_graph(g, path)
+        write_graph(g, path)
         with open(path, encoding="utf-8") as fh:
             head, _, block = fh.read().partition(f"edges\t{g.n_edges}\n")
     if labels is None and draw(st.booleans()):

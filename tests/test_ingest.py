@@ -21,7 +21,7 @@ from clickgraph.errors import (
     SupportError,
 )
 
-from helpers import LEGAL_NAMES, random_graph
+from helpers import LEGAL_NAMES, random_graph, read_graph, write_graph
 
 
 def small_graph():
@@ -959,10 +959,10 @@ class TestArtifactRoundTrip:
                                               counts, threshold=threshold)
         with tempfile.TemporaryDirectory() as tmp:
             graph_path, transitions_path = (os.path.join(tmp, f) for f in ("g.tsv", "t.tsv"))
-            G.save_graph(g, graph_path)
+            write_graph(g, graph_path)
             with open(transitions_path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.writelines(["# header\n", *ingest.transition_lines(log, g.labels)])
-            g2 = G.load_graph(graph_path)
+            g2 = read_graph(graph_path)
             with open(transitions_path, encoding="utf-8") as fh:
                 back = ingest.read_transitions(fh, g2, threshold)
         assert g2.labels == g.labels
