@@ -12,7 +12,7 @@ a manifest records each stage's cache key so unchanged reruns are skipped
 (it is the only cache), and every output starts with a header naming the
 tool version, config hash, and seeds.  The key is the config hash and the
 sha256 of exactly what the stage reads: each artifact in its ``reads``,
-named by file name, and each input file it is given, named by its field
+named by file name, and each input file its body reads, named by its field
 (``edges``, ``corpus``, ...), never by path, so equal bytes give equal keys
 and headers wherever they lie.  ``run_stage`` is the one place a file a stage
 reads is opened: each file in the key once, as UTF-8 text, hashed from that
@@ -108,13 +108,15 @@ _AT_LEAST_1 = ("be >= 1", lambda v: v >= 1)
 
 #: One row per run setting.  The order is the order of the subcommands' flags
 #: (shared ones first) and of the problems a ConfigError lists.  A path row's
-#: stages are the stages that read that file and key it by the row's name.
+#: stages are the stages that read that file and key it by the row's name;
+#: ``features`` reads either ``feature_file`` or the three rows after it.
 _FIELDS = (
     _Field("edges", None, _PATH, ("build",), "tab-separated src/trg article-name pairs"),
     _Field("clickstream", None, _PATH, ("build",), "referrer/resource/count transition rows"),
     _Field("fail_fast", False, _SWITCH, ("build",), "abort on the first malformed clickstream line"),
     _Field("feature_file", None, _PATH, ("features",),
-           "precomputed feature table to validate and pass through"),
+           "precomputed feature table to validate and pass through; "
+           "--corpus, --categories and --visual are then ignored"),
     _Field("corpus", None, _PATH, ("features",), "article token file (name TAB token...)"),
     _Field("categories", None, _PATH, ("features",), "article category file (name TAB category...)"),
     _Field("visual", None, _PATH, ("features",),
@@ -232,24 +234,19 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate_inputs(cfg: RunConfig, inputs: tuple[str, ...]) -> None:
-    """Refuse a required input path that is unset or missing, and any input
-    path naming a directory, a pipe or a device, before a file is hashed or
-    read: hashing would drain a pipe before the stage reads it."""
-    # A precomputed feature table stands in for the files it would be computed from.
-    if cfg.feature_file and "feature_file" in inputs:
-        required = ("feature_file",)
-    else:
-        required = tuple(k for k in inputs if k != "feature_file")
+    """Refuse each of the input fields ``inputs`` whose path is unset, missing,
+    or names a directory, a pipe or a device, by its flag, before a file is
+    hashed or read: hashing would drain a pipe before the stage reads it."""
     problems = []
     for name in inputs:
         path = getattr(cfg, name)
-        if name in required and not path:
+        if not path:
             problems.append(f"{_OPTIONS[name]} is required for this command")
-        elif name in required and not os.path.exists(path):
-            problems.append(f"{name} path does not exist: {path}")
-        elif path and os.path.isdir(path):
+        elif not os.path.exists(path):
+            problems.append(f"{_OPTIONS[name]} path does not exist: {path}")
+        elif os.path.isdir(path):
             problems.append(f"{_OPTIONS[name]} names a directory, not a file: {path}")
-        elif path and os.path.exists(path) and not os.path.isfile(path):
+        elif not os.path.isfile(path):
             problems.append(f"{_OPTIONS[name]} is not a regular file: {path}")
     if problems:
         raise ConfigError("; ".join(problems))
@@ -386,16 +383,20 @@ def _build_hypotheses(cfg: RunConfig, g, table) -> list:
 def run_stage(name: str, cfg: RunConfig) -> int:
     """Run one stage, or report a cache hit without loading any input.
 
-    The cache key hashes the config, the artifacts in ``STAGES[name].reads``
-    and the input files of the path fields whose rows name the stage, each
-    file by the name the manifest gives it: an artifact's file name, an
-    input's field.  Each of these files is opened here once, and its parser
-    reads the handle its digest came from.  On a miss, a stage that reads
-    earlier artifacts gets graph and log (and the feature table if it reads
-    one), then the streams of its input files; every artifact the body
-    returns is written atomically under this stage's header, then the key is
-    recorded in the manifest, and the body's summary and warnings are printed
-    under the stage's name.
+    The stage's input fields are worked out once: the path fields whose rows
+    name the stage, except that ``features`` reads ``feature_file`` alone
+    when it is set and ``corpus``, ``categories`` and ``visual`` otherwise.
+    Exactly these are validated, keyed, opened and passed to the body; a
+    field outside them is ignored, however it is set.  The cache key hashes
+    the config, the artifacts in ``STAGES[name].reads`` and these input
+    files, each file by the name the manifest gives it: an artifact's file
+    name, an input's field.  Each of these files is opened here once, and
+    its parser reads the handle its digest came from.  On a miss, a stage
+    that reads earlier artifacts gets graph and log (and the feature table
+    if it reads one), then the streams of its input files; every artifact
+    the body returns is written atomically under this stage's header, then
+    the key is recorded in the manifest, and the body's summary and warnings
+    are printed under the stage's name.
     """
     stage = STAGES[name]
     # The first write makes --out's missing directories below the nearest one that exists.
@@ -416,9 +417,12 @@ def run_stage(name: str, cfg: RunConfig) -> int:
             raise MalformedInputError(f"{path} is not a regular file" + (
                 "; deleting it makes every stage rerun" if file == MANIFEST else ""))
     inputs = tuple(f.name for f in _FIELDS if f.kind is _PATH and name in f.stages)
+    if "feature_file" in inputs:  # a precomputed table stands in for the other three files
+        inputs = (("feature_file",) if cfg.feature_file
+                  else tuple(n for n in inputs if n != "feature_file"))
     _validate_inputs(cfg, inputs)
     files = {ARTIFACTS[a]: _artifact_path(cfg, a) for a in stage.reads}
-    files.update({n: p for n in inputs if (p := getattr(cfg, n)) and os.path.exists(p)})
+    files.update({n: getattr(cfg, n) for n in inputs})
     handles = {}
     try:
         for n, p in files.items():  # each file the key names is opened here alone, once
@@ -438,7 +442,7 @@ def run_stage(name: str, cfg: RunConfig) -> int:
             loaded = g, ingest.read_transitions(handles[ARTIFACTS["transitions"]], g, cfg.threshold)
         if "features" in stage.reads:
             loaded += (ingest.load_feature_table(handles[ARTIFACTS["features"]], *loaded)[0],)
-        streams = {n: handles[n] for n in inputs if n in handles}
+        streams = {n: handles[n] for n in inputs}
         outputs, summary, *warnings = getattr(stages, name)(cfg, *loaded, **streams)
     except UnicodeDecodeError:
         for fh in handles.values():  # the decoder names no file: find the first one it refuses

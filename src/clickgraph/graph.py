@@ -238,33 +238,23 @@ def pagerank(g: LinkGraph, alpha: float = 0.85) -> CentralityVector:
     nodes.  Iteration stops at an L1 change of ``PAGERANK_TOL``; failure
     to converge raises :class:`ConvergenceError` carrying the last iterate.
     """
-    return power_iteration(g, np.ones(g.n_edges), alpha, PAGERANK_TOL, None, "pagerank")
+    return power_iteration(g, np.ones(g.n_edges), alpha, "pagerank")
 
 
-def power_iteration(
-    g: LinkGraph,
-    weights: np.ndarray,
-    alpha: float,
-    tol: float,
-    max_iter: int | None,
-    name: str,
-) -> CentralityVector:
+def power_iteration(g: LinkGraph, weights: np.ndarray, alpha: float, name: str) -> CentralityVector:
     """The PageRank kernel shared by classic and weighted PageRank.
 
     Mass moves along edge slot e (aligned to ``out_indices``) with its
     ``weights[e]`` over the sum of its row's weights; nodes whose weights sum
     to zero (dangling nodes among them) spread theirs over all nodes.
     ``name`` labels the :class:`ConvergenceError` raised when the L1 change
-    stays above ``tol`` after ``max_iter`` steps, by default at least 200 and
+    stays above ``PAGERANK_TOL`` after ``max_iter`` steps: at least 200, and
     enough for a change of 2 that shrinks by ``alpha`` a step (as on a
-    periodic component) to reach ``tol``.
+    periodic component) to reach ``PAGERANK_TOL``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter is None:
-        max_iter = max(200, 1 + math.ceil(math.log(tol / 2.0) / math.log(alpha)))
+    max_iter = max(200, 1 + math.ceil(math.log(PAGERANK_TOL / 2.0) / math.log(alpha)))
     n = g.n_nodes
     if n == 0:
         return CentralityVector(np.zeros(0))
@@ -280,7 +270,7 @@ def power_iteration(
         new = (1.0 - alpha) / n + alpha * (spread + pr[uniform].sum() / n)
         delta = float(np.abs(new - pr).sum())
         pr = new
-        if delta <= tol:
+        if delta <= PAGERANK_TOL:
             return CentralityVector(pr / pr.sum())
     raise ConvergenceError(
         f"{name} did not converge within {max_iter} iterations (last L1 change {delta:.3e})",

@@ -37,8 +37,7 @@ def weighted_pagerank(g: LinkGraph, h: HypothesisMatrix, alpha: float = 0.85) ->
     """
     if not graphmod.same_structure(h.graph, g):
         raise AlignmentError("hypothesis is defined on a different graph")
-    return graphmod.power_iteration(g, h.values, alpha, graphmod.PAGERANK_TOL, None,
-                                    "weighted pagerank")
+    return graphmod.power_iteration(g, h.values, alpha, "weighted pagerank")
 
 
 def incoming_transition_sums(log: TransitionLog, n_nodes: int) -> np.ndarray:

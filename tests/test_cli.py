@@ -78,7 +78,8 @@ class TestOptions:
         ],
         "features": [
             ("--feature-file", "feature_file",
-             "precomputed feature table to validate and pass through"),
+             "precomputed feature table to validate and pass through; "
+             "--corpus, --categories and --visual are then ignored"),
             ("--corpus", "corpus", "article token file (name TAB token...)"),
             ("--categories", "categories", "article category file (name TAB category...)"),
             ("--visual", "visual", "per-link visual file (src trg x_coord y_coord region)"),
@@ -563,22 +564,27 @@ class TestCacheKey:
                      "--out", ref]) == 0
         assert _tree(out) == _tree(ref)
 
-    @pytest.mark.parametrize("name, flags", [
-        ("build", ("--edges", "--clickstream")),
-        ("features", ("--corpus", "--categories", "--visual")),
-        ("features", ("--feature-file",)),
-        ("attention", ()),
-        ("hurdle", ()),
-    ], ids=["build", "features_computed", "features_from_file", "attention", "hurdle"])
+    @pytest.mark.parametrize("name, flags, unread", [
+        ("build", ("--edges", "--clickstream"), ()),
+        ("features", ("--corpus", "--categories", "--visual"), ()),
+        ("features", ("--feature-file",), ()),
+        ("features", ("--feature-file",), ("--corpus", "--categories", "--visual")),
+        ("attention", (), ()),
+        ("hurdle", (), ()),
+    ], ids=["build", "features_computed", "features_from_file", "features_from_file_and_unread",
+            "attention", "hurdle"])
     def test_a_cache_miss_opens_each_keyed_file_once(self, toy_inputs, hit_out, tmp_path,
-                                                    monkeypatch, name, flags):
-        # Each keyed file was opened twice: once to hash it, then by path to parse it.
+                                                    monkeypatch, name, flags, unread):
+        # Each keyed file was opened twice: once to hash it, then by path to
+        # parse it.  Beside --feature-file the three files the body ignores
+        # were opened and hashed once each.
         out = str(tmp_path / "out")
         shutil.copytree(hit_out, out)
         os.remove(os.path.join(out, MANIFEST))  # so the stage is a miss
         paths = {**toy_inputs, "feature-file": os.path.join(hit_out, ARTIFACTS["features"])}
         keyed = [paths[flag[2:]] for flag in flags]
         keyed += [os.path.join(out, ARTIFACTS[a]) for a in cli.STAGES[name].reads]
+        flags += unread
         opened = collections.Counter()
         real_open = builtins.open
 
@@ -594,6 +600,26 @@ class TestCacheKey:
         with open(os.path.join(out, MANIFEST), encoding="utf-8") as fh:
             assert len(json.load(fh)["stages"][name]["key"]["inputs"]) == len(keyed)
         assert {p: opened[os.path.realpath(p)] for p in keyed} == dict.fromkeys(keyed, 1)
+        assert [opened[os.path.realpath(paths[flag[2:]])] for flag in unread] == [0] * len(unread)
+
+    def test_feature_file_mode_keys_no_unread_input(self, toy_inputs, hit_out, tmp_path, capsys):
+        # The key once hashed --corpus beside --feature-file, though the body
+        # never reads it: a line appended to the corpus made the same run a
+        # miss that rewrote features.tsv.
+        corpus = _copy_inputs(toy_inputs, tmp_path / "in")["corpus"]
+        out = str(tmp_path / "out")
+        shutil.copytree(hit_out, out)
+        argv = ["features", "--feature-file", os.path.join(hit_out, ARTIFACTS["features"]),
+                "--corpus", corpus, "--out", out]
+        assert main(argv) == 0
+        with open(corpus, "a", encoding="utf-8") as fh:
+            fh.write("Unread_article\tword\n")
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "features: cache hit, outputs unchanged\n"
+        with open(os.path.join(out, MANIFEST), encoding="utf-8") as fh:
+            key = json.load(fh)["stages"]["features"]["key"]
+        assert sorted(key["inputs"]) == ["feature_file", "graph.tsv", "transitions.tsv"]
 
 
 class TestPrintedOutput:
@@ -665,6 +691,35 @@ class TestPathsRefusedBeforeReading:
         assert capsys.readouterr() == (
             "", f"error: --corpus names a directory, not a file: {tmp_path}\n")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_directory_beside_a_feature_file_is_not_refused(self, hit_out, tmp_path, capsys):
+        # --visual was validated beside --feature-file, though the body never
+        # reads it, and a directory there was refused.
+        out = str(tmp_path / "out")
+        shutil.copytree(hit_out, out)
+        capsys.readouterr()
+        assert main(["features", "--feature-file", os.path.join(hit_out, ARTIFACTS["features"]),
+                     "--visual", str(tmp_path), "--out", out]) == 0
+        assert capsys.readouterr() == ("features: 78 link records written\n", "")
+
+    @pytest.mark.parametrize("flag", ["--edges", "--clickstream", "--feature-file", "--corpus",
+                                      "--categories", "--visual"])
+    def test_missing_input_is_named_by_its_flag(self, toy_inputs, hit_out, tmp_path, capsys,
+                                                flag):
+        # The problem once named the field (`feature_file path does not
+        # exist`), where every other ConfigError names the flag.
+        missing = str(tmp_path / "nope.tsv")
+        out = str(tmp_path / "out")
+        shutil.copytree(hit_out, out)
+        given = next(flags for flags in (("--edges", "--clickstream"), ("--feature-file",),
+                                         ("--corpus", "--categories", "--visual")) if flag in flags)
+        stage = "build" if "--edges" in given else "features"
+        paths = {f: missing if f == flag else toy_inputs[f[2:]] for f in given}
+        before = _tree(out)
+        capsys.readouterr()
+        assert main([stage, *(x for f in given for x in (f, paths[f])), "--out", out]) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} path does not exist: {missing}\n")
+        assert _tree(out) == before
 
     def test_input_path_that_is_a_pipe_is_refused(self, toy_inputs, tmp_path):
         # _sha256 drained a pipe for the cache key, so build read an empty
