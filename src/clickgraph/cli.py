@@ -37,12 +37,16 @@ type, then its range.  Nothing here parses a tab-separated artifact: each has
 one reader beside its writer, in :mod:`clickgraph.graph` for ``graph.tsv`` and
 :mod:`clickgraph.ingest` for the rest.
 
-A stage process (the ``clickgraph`` console script, ``python -m
-clickgraph.cli``) ends in ``entry_point``: it flushes stdout and stderr and
-calls ``os._exit``, skipping the interpreter's teardown, which cost a stage
-30-170 ms and a cache hit about a tenth of its time.  In that process atexit
-handlers and finalisers do not run, so every file a stage writes is closed
-before ``main`` returns.  ``main`` called in-process returns its exit code.
+``main`` flushes stdout itself, so every failure after the command line is
+parsed ends there: a ``ClickgraphError`` or an ``OSError`` (a stdout on a
+full disk or a closed pipe, an artifact, the manifest or ``--out`` that
+cannot be written) is one ``error:`` line on stderr and exit code 2.  A stage
+process (the ``clickgraph`` console script, ``python -m clickgraph.cli``)
+ends in ``entry_point``, which calls ``os._exit`` on that code, skipping the
+interpreter's teardown, which cost a stage 30-170 ms and a cache hit about a
+tenth of its time.  In that process atexit handlers and finalisers do not
+run, so every file a stage writes is closed before ``main`` returns.
+``main`` called in-process returns its exit code.
 """
 
 from __future__ import annotations
@@ -374,10 +378,11 @@ _PRODUCER = {artifact: name for name, stage in STAGES.items() for artifact in st
 
 def _build_hypotheses(cfg: RunConfig, g, table) -> list:
     """The seven navigation hypotheses that hyptrails and pagerank test, from
-    :mod:`clickgraph.stages`; ``perfbench/session.py`` times them by this name."""
+    :mod:`clickgraph.stages`; ``perfbench/session.py`` times them by this name
+    and passes ``cfg``, which no hypothesis reads."""
     from . import stages
 
-    return stages.build_hypotheses(cfg, g, table)
+    return stages.build_hypotheses(g, table)
 
 
 def run_stage(name: str, cfg: RunConfig) -> int:
@@ -511,9 +516,11 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in STAGES else None)
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args)
-        return run_stage(args.command, cfg)
-    except ClickgraphError as exc:
+        code = run_stage(args.command, load_config(args))
+        if sys.stdout is not None:  # None when the descriptor was closed at startup
+            sys.stdout.flush()  # a full disk or a closed pipe raises here or in a print
+        return code
+    except (ClickgraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -522,22 +529,18 @@ def entry_point() -> None:
     """Run ``main`` on this process's command line, then end the process at once.
 
     The ``clickgraph`` console script and ``python -m clickgraph.cli`` end
-    here.  After ``main`` returns (0, or 2 for a typed error) stdout and
-    stderr are flushed and ``os._exit`` ends the process without the
-    interpreter's teardown, so atexit handlers and finalisers do not run:
-    every file a stage writes is closed, and its thread pool joined, before
-    ``main`` returns.  A ``SystemExit`` from argparse and an uncaught
-    exception propagate as usual, and a flush that fails (a closed pipe, a
-    full disk) falls back to ``sys.exit``, so Python reports it as it would
-    without this function.
+    here.  ``main`` has flushed stdout, and stderr is line-buffered, so
+    ``os._exit`` ends the process on ``main``'s code (0, or 2 for an error
+    line) without the interpreter's teardown: atexit handlers and finalisers
+    do not run, so every file a stage writes is closed, and its thread pool
+    joined, before ``main`` returns.  A stderr that refuses even the error
+    line ends it with 2.  A ``SystemExit`` from argparse and an uncaught
+    exception propagate as usual.
     """
-    code = main()
     try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:  # None when the descriptor was closed at startup
-                stream.flush()
-    except OSError:
-        sys.exit(code)
+        code = main()
+    except OSError:  # stderr, too, cannot be written
+        code = 2
     os._exit(code)
 
 

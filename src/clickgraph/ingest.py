@@ -659,9 +659,9 @@ def build_feature_table(
             raise MalformedInputError(f"{name} has {len(arr)} entries for {m} edges")
     if covered is None:
         covered = np.ones(m, dtype=bool)
-    for label in np.asarray(region, dtype=object)[covered]:
-        if label not in REGIONS:
-            raise SchemaError(f"unknown region label {label!r}")
+    labels = np.asarray(region, dtype=object)[covered]
+    if not (known := np.isin(labels, REGIONS)).all():
+        raise SchemaError(f"unknown region label {labels[np.argmin(known)]!r}")
 
     src = g.edge_sources[covered]
     trg = g.out_indices[covered]

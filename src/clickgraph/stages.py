@@ -211,7 +211,7 @@ def hurdle(cfg, g, log, table):
     return {"hurdle": (notes, lines)}, f"{binomial}/{len(rows)} binomial, {ztnb}/{len(rows)} ztnb fits"
 
 
-def build_hypotheses(cfg, g, table) -> list:
+def build_hypotheses(g, table) -> list:
     import numpy as np
     from . import evidence as evmod, graph as graphmod
 
@@ -228,7 +228,7 @@ def hyptrails(cfg, g, log, table):
 
     grid = evmod.default_kappa_grid(g, cfg.kappa_multipliers, log_spaced=cfg.log_spaced)
     baseline = evmod.structural_hypothesis(g)
-    hyps = build_hypotheses(cfg, g, table)
+    hyps = build_hypotheses(g, table)
     curves = evmod.bayes_factor_curve(hyps, baseline, log, grid)
     base_curve = evmod.bayes_factor_curve([baseline], baseline, log, grid)[0]
 
@@ -249,7 +249,7 @@ def hyptrails(cfg, g, log, table):
 def pagerank(cfg, g, log, table):
     from . import ranking as rankmod
 
-    hyps = build_hypotheses(cfg, g, table)
+    hyps = build_hypotheses(g, table)
     evals = rankmod.evaluate_all(g, hyps, log, alphas=cfg.alphas,
                                  restrict_to_viewed=cfg.restrict_to_viewed, threads=cfg.threads)
     notes = (f"alphas={','.join(_fmt(a) for a in cfg.alphas)} "

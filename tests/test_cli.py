@@ -199,10 +199,8 @@ class TestImports:
         assert "'clickgraph.stages'" in modules and "'clickgraph.cli'" not in modules
 
 
-# `python -m clickgraph.cli`, which ends the process with os._exit after main
-# returns; OLD_ENDING ends it through sys.exit and the interpreter's teardown.
+# `python -m clickgraph.cli`, which ends the process with os._exit after main returns.
 PYTHON_M = [sys.executable, "-m", "clickgraph.cli"]
-OLD_ENDING = [sys.executable, "-c", "import sys; from clickgraph.cli import main; sys.exit(main())"]
 
 
 def _run(command, argv, cwd=None, stdout=subprocess.PIPE, **env):
@@ -269,39 +267,51 @@ class TestProcessEnding:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
-    def test_full_disk_ends_as_before(self, hit_out, unbuffered):
-        ends = []
-        for command in (PYTHON_M, OLD_ENDING):
-            with open("/dev/full", "w") as full:
-                ends.append(_run(command, ["hurdle", "--out", hit_out], stdout=full,
-                                 PYTHONUNBUFFERED=unbuffered))
-        (rc, _, err), (old_rc, _, old_err) = ends
-        last = "OSError: [Errno 28] No space left on device"
-        if unbuffered:  # print itself raises: a traceback through main
-            assert (rc, err.splitlines()[-1]) == (old_rc, old_err.splitlines()[-1]) == (1, last)
-        else:  # the flush at the end fails
-            assert (rc, err) == (old_rc, old_err)
-            assert rc == 120 and err.splitlines()[-1] == last
+    def test_full_disk_is_one_error_line(self, hit_out, unbuffered):
+        # Unbuffered, print itself raises; buffered, main's flush does.  Either
+        # once ended in a traceback with exit 1 or in Python's report with exit 120.
+        with open("/dev/full", "w") as full:
+            ended = _run(PYTHON_M, ["hurdle", "--out", hit_out], stdout=full,
+                         PYTHONUNBUFFERED=unbuffered)
+        assert ended == (2, None, "error: [Errno 28] No space left on device\n")
 
-    def test_closed_pipe_ends_as_before(self, hit_out):
-        ends = []
-        for command in (PYTHON_M, OLD_ENDING):
-            read, write = os.pipe()
-            os.close(read)
-            try:
-                ends.append(_run(command, ["hurdle", "--out", hit_out], stdout=write,
-                                 PYTHONUNBUFFERED=None))
-            finally:
-                os.close(write)
-        (rc, _, err), (old_rc, _, old_err) = ends
-        assert (rc, err) == (old_rc, old_err)
-        assert rc == 120 and err.splitlines()[-1] == "BrokenPipeError: [Errno 32] Broken pipe"
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_is_one_error_line(self, hit_out, unbuffered):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            ended = _run(PYTHON_M, ["hurdle", "--out", hit_out], stdout=write,
+                         PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write)
+        assert ended == (2, None, "error: [Errno 32] Broken pipe\n")
 
     def test_stdout_closed_at_startup_ends_as_before(self, hit_out):
         # sys.stdout is None there: print writes nothing, and there is nothing to flush.
-        ends = [_run(["sh", "-c", '"$@" >&-', "sh", *command], ["hurdle", "--out", hit_out])
-                for command in (PYTHON_M, OLD_ENDING)]
-        assert ends[0] == ends[1] == (0, "", "")
+        assert _run(["sh", "-c", '"$@" >&-', "sh", *PYTHON_M],
+                    ["hurdle", "--out", hit_out]) == (0, "", "")
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "rerun"])
+    def test_artifact_that_cannot_be_written_is_one_error_line(self, toy_inputs, tmp_path,
+                                                               capsys, monkeypatch, earlier):
+        # os.replace once raised its OSError out of main as a traceback.
+        out = str(tmp_path / "out")
+        build = ["build", "--edges", toy_inputs["edges"], "--clickstream",
+                 toy_inputs["clickstream"], "--out", out]
+        if earlier:  # a different threshold makes the rerun a miss that rewrites graph.tsv
+            assert main([*build, "--threshold", "5"]) == 0
+        before = _tree(out)
+
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        capsys.readouterr()
+        assert main(build) == 2
+        monkeypatch.undo()
+        assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+        # The old files and manifest (none when fresh), and no .tmp-* file.
+        assert _tree(out) == before
 
 
 class TestHelpAndUsage:

@@ -398,6 +398,22 @@ class TestBuildFeatureTable:
                 region=np.asarray(["sidebar"] * g.n_edges, dtype=object),
             )
 
+    @pytest.mark.parametrize("odd, named", [
+        ({1: "bogus", 4: "footer", 6: "sidebar"}, "'footer'"),  # slot 1 is not covered
+        ({3: None, 5: "footer"}, "None"),
+    ], ids=["later_slot", "none"])
+    def test_first_unknown_region_in_slot_order_is_named(self, odd, named):
+        g = random_graph(20, 0.2, seed=1, labels=True)
+        log = ingest.TransitionLog.from_pairs([], [], [], graph=g)
+        region = np.asarray(["lead"] * g.n_edges, dtype=object)
+        for slot, label in odd.items():
+            region[slot] = label
+        covered = np.ones(g.n_edges, dtype=bool)
+        covered[1] = False
+        zeros = np.zeros(g.n_edges)
+        with pytest.raises(SchemaError, match=f"^unknown region label {named}$"):
+            ingest.build_feature_table(g, log, zeros, zeros, zeros, zeros, region, covered=covered)
+
     def test_covered_mask_restricts_rows(self):
         g = random_graph(20, 0.2, seed=1, labels=True)
         log = ingest.TransitionLog.from_pairs([], [], [], graph=g)

@@ -1,6 +1,8 @@
 """The package namespace: lazy re-exports of the submodules' public names."""
 
 import importlib
+import os
+import re
 
 import pytest
 
@@ -42,3 +44,14 @@ def test_exports_import_their_submodule_on_first_access():
         "print('numpy' in heavy(), 'clickgraph.graph' in sys.modules, 'clickgraph.ranking' in sys.modules)\n"
     )
     assert run_fresh(code) == "[] False\nTrue True False\n"
+
+
+def test_readme_library_session_runs_as_written(toy_inputs, monkeypatch):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        [session] = re.findall(r"^```python\n(.*?)^```", fh.read(), re.DOTALL | re.MULTILINE)
+    monkeypatch.chdir(os.path.dirname(toy_inputs["edges"]))
+    namespace: dict = {}
+    exec(session, namespace)
+    assert [c.hypothesis for c in namespace["curves"]] == ["kcore"]
+    assert len(namespace["ranks"].values) == 20
