@@ -37,16 +37,17 @@ type, then its range.  Nothing here parses a tab-separated artifact: each has
 one reader beside its writer, in :mod:`clickgraph.graph` for ``graph.tsv`` and
 :mod:`clickgraph.ingest` for the rest.
 
-``main`` flushes stdout itself, so every failure after the command line is
-parsed ends there: a ``ClickgraphError`` or an ``OSError`` (a stdout on a
-full disk or a closed pipe, an artifact, the manifest or ``--out`` that
-cannot be written) is one ``error:`` line on stderr and exit code 2.  A stage
-process (the ``clickgraph`` console script, ``python -m clickgraph.cli``)
-ends in ``entry_point``, which calls ``os._exit`` on that code, skipping the
-interpreter's teardown, which cost a stage 30-170 ms and a cache hit about a
-tenth of its time.  In that process atexit handlers and finalisers do not
-run, so every file a stage writes is closed before ``main`` returns.
-``main`` called in-process returns its exit code.
+Every command line ends in ``main``, a help and a refused flag included,
+and ``main`` flushes stdout itself, so every failure ends there: a flag the
+parser refuses, a ``ClickgraphError`` or an ``OSError`` (a stdout on a full
+disk or a closed pipe, whether a stage or a help writes it, an artifact, the
+manifest or ``--out`` that cannot be written) is one ``error:`` line on
+stderr and exit code 2.  A ``clickgraph`` process (the console script, ``python -m
+clickgraph.cli``) ends in ``entry_point``, which calls ``os._exit`` on that
+code, skipping the interpreter's teardown, which cost a stage 30-170 ms and
+a cache hit about a tenth of its time.  In that process atexit handlers and
+finalisers do not run, so every file a stage writes is closed before
+``main`` returns.  ``main`` called in-process returns its exit code.
 """
 
 from __future__ import annotations
@@ -486,8 +487,13 @@ def run_stage(name: str, cfg: RunConfig) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        # One `error:` line and exit code 2, as for a value load_config refuses.
-        self.exit(2, f"error: {message}\n")
+        # main prints it as the one `error:` line of a value load_config refuses.
+        raise ConfigError(message)
+
+    def _print_message(self, message, file=None):
+        # argparse's own drops an OSError: a help that cannot be written is main's error.
+        if message and (file := file or sys.stderr):  # None: its descriptor was closed at startup
+            file.write(message)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -509,14 +515,25 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command line ``argv`` (default: this process's) and return its exit code.
+
+    Every command line ends here, a help and a refused flag included: with 0
+    after a stage's summary or a help, or with 2 after one ``error:`` line on
+    stderr for a refused flag, a ``ClickgraphError`` or an ``OSError``, a
+    stdout that cannot be written included.  No ``SystemExit`` leaves it.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
     # A stage's own subparser parses, and prints help, usage and errors, as
     # the full parser would; the others are built only for the top-level help
     # and for a missing or unknown subcommand.
     parser = build_parser(argv[0] if argv and argv[0] in STAGES else None)
-    args = parser.parse_args(argv)
     try:
-        code = run_stage(args.command, load_config(args))
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as printed:  # the help action, once its text is written
+            code = printed.code
+        else:
+            code = run_stage(args.command, load_config(args))
         if sys.stdout is not None:  # None when the descriptor was closed at startup
             sys.stdout.flush()  # a full disk or a closed pipe raises here or in a print
         return code
@@ -531,11 +548,12 @@ def entry_point() -> None:
     The ``clickgraph`` console script and ``python -m clickgraph.cli`` end
     here.  ``main`` has flushed stdout, and stderr is line-buffered, so
     ``os._exit`` ends the process on ``main``'s code (0, or 2 for an error
-    line) without the interpreter's teardown: atexit handlers and finalisers
-    do not run, so every file a stage writes is closed, and its thread pool
-    joined, before ``main`` returns.  A stderr that refuses even the error
-    line ends it with 2.  A ``SystemExit`` from argparse and an uncaught
-    exception propagate as usual.
+    line) without the interpreter's teardown, for every command line, a help
+    and a refused flag included: atexit handlers and finalisers do not run,
+    so every file a stage writes is closed, and its thread pool joined,
+    before ``main`` returns.  A stderr that refuses even the error line ends
+    it with 2.  Only an uncaught exception, a fault in the program,
+    propagates as usual.
     """
     try:
         code = main()

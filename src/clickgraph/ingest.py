@@ -262,16 +262,12 @@ def parse_clickstream(
         if src is None:
             stats.external += 1
             continue
-        trg = name_to_id.get(fields[1])
-        if trg is None:
-            stats.non_edge += 1
-            continue
         src_ids.append(src)
-        trg_ids.append(trg)
+        trg_ids.append(name_to_id.get(fields[1], -1))  # an unknown resource is no edge's end
         counts.append(count)
 
     slots = graph.edge_slots(src_ids, trg_ids).tolist()
-    stats.non_edge += slots.count(-1)
+    stats.non_edge = slots.count(-1)
     sums: dict[int, int] = {}
     for slot, count in zip(slots, counts):
         if slot >= 0:

@@ -244,47 +244,44 @@ class TestProcessEnding:
             *([stage] for stage in ("attention", "hurdle", "hyptrails", "pagerank")),
         ]
         refused = [["pagerank", "--alphas", "1.5"], ["hurdle", "--bogus"]]
-        runs = [[*argv, "--out", "out"] for argv in stages + refused + stages]
+        runs = [[*argv, "--out", "out"]
+                for argv in stages + refused + [["hurdle", "--help"]] + stages]
+        monkeypatch.setenv("COLUMNS", "80")  # the help's width, here and in each process
         (tmp_path / "m").mkdir()
         (tmp_path / "main").mkdir()
         # Block-buffered stdout, as on a pipe: a line not flushed before the exit would be lost.
         by_python_m = [_run(PYTHON_M, argv, cwd=tmp_path / "m", PYTHONUNBUFFERED=None)
                        for argv in runs]
         monkeypatch.chdir(tmp_path / "main")
-        by_main = []
-        for argv in runs:
-            try:
-                rc = main(argv)
-            except SystemExit as exc:
-                rc = exc.code
-            captured = capsys.readouterr()
-            by_main.append((rc, captured.out, captured.err))
+        by_main = [(main(argv), *capsys.readouterr()) for argv in runs]
         assert by_python_m == by_main
-        assert [rc for rc, _, _ in by_main] == [0] * 7 + [2, 2] + [0] * 7
+        assert [rc for rc, _, _ in by_main] == [0] * 7 + [2, 2, 0] + [0] * 7
         assert "build: skipped 1 malformed" in by_main[0][2]
-        assert all(out.endswith(": cache hit, outputs unchanged\n") for _, out, _ in by_main[9:])
+        assert by_main[9][1].startswith("usage: clickgraph hurdle [-h]")
+        assert all(out.endswith(": cache hit, outputs unchanged\n") for _, out, _ in by_main[10:])
         assert _tree(str(tmp_path / "m" / "out")) == _tree(str(tmp_path / "main" / "out"))
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
     def test_full_disk_is_one_error_line(self, hit_out, unbuffered):
-        # Unbuffered, print itself raises; buffered, main's flush does.  Either
-        # once ended in a traceback with exit 1 or in Python's report with exit 120.
+        # Unbuffered, print or the help's write raises; buffered, main's flush
+        # does.  A stage once ended in a traceback with exit 1 or in Python's
+        # report with exit 120, a help in that report or silently with exit 0.
         with open("/dev/full", "w") as full:
-            ended = _run(PYTHON_M, ["hurdle", "--out", hit_out], stdout=full,
-                         PYTHONUNBUFFERED=unbuffered)
-        assert ended == (2, None, "error: [Errno 28] No space left on device\n")
+            ended = [_run(PYTHON_M, argv, stdout=full, PYTHONUNBUFFERED=unbuffered)
+                     for argv in (["hurdle", "--out", hit_out], ["hurdle", "--help"])]
+        assert ended == [(2, None, "error: [Errno 28] No space left on device\n")] * 2
 
     @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
     def test_closed_pipe_is_one_error_line(self, hit_out, unbuffered):
         read, write = os.pipe()
         os.close(read)
         try:
-            ended = _run(PYTHON_M, ["hurdle", "--out", hit_out], stdout=write,
-                         PYTHONUNBUFFERED=unbuffered)
+            ended = [_run(PYTHON_M, argv, stdout=write, PYTHONUNBUFFERED=unbuffered)
+                     for argv in (["hurdle", "--out", hit_out], ["hurdle", "--help"])]
         finally:
             os.close(write)
-        assert ended == (2, None, "error: [Errno 32] Broken pipe\n")
+        assert ended == [(2, None, "error: [Errno 32] Broken pipe\n")] * 2
 
     def test_stdout_closed_at_startup_ends_as_before(self, hit_out):
         # sys.stdout is None there: print writes nothing, and there is nothing to flush.
@@ -323,13 +320,12 @@ class TestHelpAndUsage:
     ])
     def test_main_prints_what_the_full_parser_prints(self, argv, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
-        with pytest.raises(SystemExit) as full:
-            build_parser().parse_args(argv)
-        expected = capsys.readouterr()
-        with pytest.raises(SystemExit) as one:
-            main(argv)
-        assert (one.value.code, capsys.readouterr()) == (full.value.code, expected)
-        assert expected.out or expected.err
+        with monkeypatch.context() as full:
+            full.setattr(cli, "build_parser", lambda command=None: build_parser())
+            code = main(argv)
+            printed = capsys.readouterr()
+        assert (main(argv), capsys.readouterr()) == (code, printed)
+        assert printed.out or printed.err
 
 
 class TestPipeline:
@@ -1040,9 +1036,7 @@ class TestConfigRanges:
     ])
     def test_flag_that_is_not_a_number_list_is_one_error_line(self, capsys, argv, numbers):
         # The message once read "invalid _csv_floats value: 'x'" under a usage block.
-        with pytest.raises(SystemExit) as stopped:
-            main([*argv, numbers, "--out", "o"])
-        assert stopped.value.code == 2
+        assert main([*argv, numbers, "--out", "o"]) == 2
         assert capsys.readouterr() == (
             "", f"error: argument {argv[1]}: must be comma-separated numbers, got {numbers!r}\n")
 

@@ -1,5 +1,6 @@
 """The package namespace: lazy re-exports of the submodules' public names."""
 
+import gc
 import importlib
 import os
 import re
@@ -46,6 +47,10 @@ def test_exports_import_their_submodule_on_first_access():
     assert run_fresh(code) == "[] False\nTrue True False\n"
 
 
+# A file the session leaves open raises its ResourceWarning when it is
+# collected, where no caller can catch it; pytest reports that as unraisable.
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 def test_readme_library_session_runs_as_written(toy_inputs, monkeypatch):
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
@@ -55,3 +60,5 @@ def test_readme_library_session_runs_as_written(toy_inputs, monkeypatch):
     exec(session, namespace)
     assert [c.hypothesis for c in namespace["curves"]] == ["kcore"]
     assert len(namespace["ranks"].values) == 20
+    namespace.clear()
+    gc.collect()
