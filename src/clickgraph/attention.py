@@ -86,12 +86,14 @@ def gini(values) -> float:
     """Gini coefficient of nonnegative counts, zeros included.
 
     Uses the sorted O(n log n) identity for sum_i sum_j |x_i - x_j| / (2 n^2 mu).
-    An empty vector, a negative value or an all-zero vector raises
-    :class:`DegenerateInputError`.
+    An empty vector, a value that is not finite, a negative value or an
+    all-zero vector raises :class:`DegenerateInputError`.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.size == 0:
         raise DegenerateInputError("gini of an empty vector")
+    if not np.isfinite(x).all():
+        raise DegenerateInputError("gini requires finite values")
     if (x < 0).any():
         raise DegenerateInputError("gini requires nonnegative values")
     total = x.sum()

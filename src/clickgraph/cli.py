@@ -1,24 +1,26 @@
 """Pipeline orchestrator: the run config, the stage table and its driver.
 
 Every analysis stage is a subcommand writing plot-ready delimited files into
-one output directory.  One table, ``STAGES``, names each stage's help line,
-the artifacts it reads and the ones it writes; ``run_stage`` does the rest
-for all of them.  A stage's body is the function named after it in
-:mod:`clickgraph.stages`.  A body only computes: it returns its artifacts'
-header notes and lines, its summary and its warnings.  The driver alone
-writes into the output directory, makes every header and prefixes every
-printed line with the stage name.  Writes are atomic (temp file + rename),
-a manifest records each stage's cache key so unchanged reruns are skipped
-(it is the only cache), and every output starts with a header naming the
-tool version, config hash, and seeds.  The key is the config hash and the
-sha256 of exactly what the stage reads: each artifact in its ``reads``,
-named by file name, and each input file its body reads, named by its field
+one output directory.  One table, ``STAGES``, names each stage's help line, the
+artifacts it reads and the ones it writes; ``run_stage`` does the rest for all
+of them.  An artifact has one name, its file name in the output directory
+(``graph.tsv``, ``hurdle_fits.tsv``): the table, the bodies' returns, the
+manifest, the cache keys and every error use it.  A stage's body is the
+function named after it in :mod:`clickgraph.stages`.  A body only computes: it
+returns its artifacts' header notes and lines, its summary and its warnings.
+The driver alone writes into the output directory, makes every header and
+prefixes every printed line with the stage name.  Writes are atomic (temp
+file + rename), a manifest records each stage's cache key so unchanged reruns are
+skipped (it is the only cache), and every output starts with a header naming
+the tool version, config hash, and seeds.  The key is the config hash and the
+sha256 of exactly what the stage reads: each artifact in its ``reads``, named
+by file name, and each input file its body reads, named by its field
 (``edges``, ``corpus``, ...), never by path, so equal bytes give equal keys
 and headers wherever they lie.  ``run_stage`` is the one place a file a stage
 reads is opened: each file in the key once, as UTF-8 text, hashed from that
 handle, rewound and handed to its parser, so each digest in the key is of
-exactly the bytes parsed.  The cache is checked before any input is parsed,
-so a rerun on an unchanged directory parses nothing.
+exactly the bytes parsed.  The cache is checked before any input is parsed, so
+a rerun on an unchanged directory parses nothing.
 
 A cache hit compiles and runs no stage body: :mod:`clickgraph.stages` and
 the kernels are imported on a miss alone, and ``main`` builds the subparser of
@@ -63,21 +65,6 @@ from collections import namedtuple
 
 from . import __version__
 from .errors import ClickgraphError, ConfigError, DependencyError, MalformedInputError
-
-ARTIFACTS = {
-    "graph": "graph.tsv",
-    "transitions": "transitions.tsv",
-    "features": "features.tsv",
-    "features_report": "features_report.txt",
-    "sample": "sample.tsv",
-    "attention_transitions": "attention_transition_hist.tsv",
-    "attention_outdegree": "attention_outdegree_hist.tsv",
-    "attention_gini": "attention_gini_hist.tsv",
-    "attention_fits": "attention_fits.txt",
-    "hurdle": "hurdle_fits.tsv",
-    "hyptrails": "hyptrails_evidence.tsv",
-    "pagerank": "pagerank_eval.tsv",
-}
 
 MANIFEST = "manifest.json"
 
@@ -215,7 +202,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         v = values[f.name]
         if not f.kind.test(v):
             problems.append((f.name, f"must be {f.kind.rule}, got {v!r}"))
-        elif f.kind in (_INT, _NUMBERS):
+        elif f.kind in (_INT, _NUMBER, _NUMBERS):
             numbers = v if f.kind is _NUMBERS else (v,)
             try:
                 floats = tuple(map(float, numbers))
@@ -341,10 +328,6 @@ def _record(outdir: str, name: str, entry: dict) -> None:
         os.close(fd)  # releases the lock
 
 
-def _artifact_path(cfg: RunConfig, key: str) -> str:
-    return os.path.join(cfg.out, ARTIFACTS[key])
-
-
 # ---------------------------------------------------------------------------
 # Stage table and driver
 # ---------------------------------------------------------------------------
@@ -353,25 +336,28 @@ def _artifact_path(cfg: RunConfig, key: str) -> str:
 #: One stage.  ``help``: its line in ``clickgraph --help``; ``reads``: the
 #: earlier artifacts it loads, checked in this order and hashed into its cache
 #: key beside the input files of its path fields; ``writes``: the artifacts its
-#: body returns, written in this order.  Its body is the function of the same
-#: name in :mod:`clickgraph.stages`.
+#: body returns, written in this order.  Each artifact is named by its file
+#: name alone.  Its body is the function of the same name in
+#: :mod:`clickgraph.stages`.
 Stage = namedtuple("Stage", "help reads writes")
 
-_GRAPH = ("graph", "transitions")
-_TABLE = (*_GRAPH, "features")
+_GRAPH = ("graph.tsv", "transitions.tsv")
+_TABLE = (*_GRAPH, "features.tsv")
 
 STAGES = {
     "build": Stage("parse edge list + clickstream into graph artifacts", (), _GRAPH),
     "features": Stage("assemble the per-link feature table", _GRAPH,
-                      ("features", "features_report")),
-    "sample": Stage("seeded article sample of the feature table", _TABLE, ("sample",)),
+                      ("features.tsv", "features_report.txt")),
+    "sample": Stage("seeded article sample of the feature table", _TABLE, ("sample.tsv",)),
     "attention": Stage("concentration statistics and distribution fits", _GRAPH,
-                       ("attention_transitions", "attention_outdegree", "attention_gini",
-                        "attention_fits")),
-    "hurdle": Stage("two-stage regression battery over link features", _TABLE, ("hurdle",)),
+                       ("attention_transition_hist.tsv", "attention_outdegree_hist.tsv",
+                        "attention_gini_hist.tsv", "attention_fits.txt")),
+    "hurdle": Stage("two-stage regression battery over link features", _TABLE,
+                    ("hurdle_fits.tsv",)),
     "hyptrails": Stage("Bayesian evidence curves for navigation hypotheses", _TABLE,
-                       ("hyptrails",)),
-    "pagerank": Stage("weighted pagerank evaluation against views", _TABLE, ("pagerank",)),
+                       ("hyptrails_evidence.tsv",)),
+    "pagerank": Stage("weighted pagerank evaluation against views", _TABLE,
+                      ("pagerank_eval.tsv",)),
 }
 
 _PRODUCER = {artifact: name for name, stage in STAGES.items() for artifact in stage.writes}
@@ -396,11 +382,12 @@ def run_stage(name: str, cfg: RunConfig) -> int:
     field outside them is ignored, however it is set.  The cache key hashes
     the config, the artifacts in ``STAGES[name].reads`` and these input
     files, each file by the name the manifest gives it: an artifact's file
-    name, an input's field.  Each of these files is opened here once, and
-    its parser reads the handle its digest came from.  On a miss, a stage
-    that reads earlier artifacts gets graph and log (and the feature table
-    if it reads one), then the streams of its input files; every artifact
-    the body returns is written atomically under this stage's header, then
+    name, its only name, and an input's field.  Each of these files is
+    opened here once, and its parser reads the handle its digest came from.
+    On a miss, a stage that reads earlier artifacts gets graph and log (and
+    the feature table if it reads one), then the streams of its input files;
+    every artifact the body returns, keyed by its file name, is written
+    atomically under that name in ``cfg.out`` with this stage's header, then
     the key is recorded in the manifest, and the body's summary and warnings
     are printed under the stage's name.
     """
@@ -414,11 +401,11 @@ def run_stage(name: str, cfg: RunConfig) -> int:
             f"{_OPTIONS['out']} names a file, not a directory: {cfg.out}" if existing == cfg.out
             else f"{_OPTIONS['out']} {cfg.out} lies below {existing}, which is not a directory")
     for artifact in stage.reads:
-        if not os.path.exists(_artifact_path(cfg, artifact)):
-            raise DependencyError(f"missing {ARTIFACTS[artifact]} in {cfg.out}; "
+        if not os.path.exists(os.path.join(cfg.out, artifact)):
+            raise DependencyError(f"missing {artifact} in {cfg.out}; "
                                   f"run `clickgraph {_PRODUCER[artifact]}` first")
     # A directory or a pipe here would be hashed, read or replaced: refuse it first.
-    for file in (*map(ARTIFACTS.get, stage.reads + stage.writes), MANIFEST):
+    for file in (*stage.reads, *stage.writes, MANIFEST):
         if os.path.exists(path := os.path.join(cfg.out, file)) and not os.path.isfile(path):
             raise MalformedInputError(f"{path} is not a regular file" + (
                 "; deleting it makes every stage rerun" if file == MANIFEST else ""))
@@ -427,7 +414,7 @@ def run_stage(name: str, cfg: RunConfig) -> int:
         inputs = (("feature_file",) if cfg.feature_file
                   else tuple(n for n in inputs if n != "feature_file"))
     _validate_inputs(cfg, inputs)
-    files = {ARTIFACTS[a]: _artifact_path(cfg, a) for a in stage.reads}
+    files = {a: os.path.join(cfg.out, a) for a in stage.reads}
     files.update({n: getattr(cfg, n) for n in inputs})
     handles = {}
     try:
@@ -444,10 +431,10 @@ def run_stage(name: str, cfg: RunConfig) -> int:
 
         loaded: tuple = ()
         if stage.reads:
-            g = graphmod.load_graph(handles[ARTIFACTS["graph"]])
-            loaded = g, ingest.read_transitions(handles[ARTIFACTS["transitions"]], g, cfg.threshold)
-        if "features" in stage.reads:
-            loaded += (ingest.load_feature_table(handles[ARTIFACTS["features"]], *loaded)[0],)
+            g = graphmod.load_graph(handles["graph.tsv"])
+            loaded = g, ingest.read_transitions(handles["transitions.tsv"], g, cfg.threshold)
+        if "features.tsv" in stage.reads:
+            loaded += (ingest.load_feature_table(handles["features.tsv"], *loaded)[0],)
         streams = {n: handles[n] for n in inputs}
         outputs, summary, *warnings = getattr(stages, name)(cfg, *loaded, **streams)
     except UnicodeDecodeError:
@@ -464,16 +451,16 @@ def run_stage(name: str, cfg: RunConfig) -> int:
     for artifact in stage.writes:
         notes, lines = outputs[artifact]
         header = _header(cfg, name, notes)
-        _atomic_write(_artifact_path(cfg, artifact),
+        _atomic_write(os.path.join(cfg.out, artifact),
                       lines(header) if callable(lines) else itertools.chain(header, lines))
     # A keyed input the stage has just rewritten (`features --feature-file
     # OUT/features.tsv`) is keyed as written, so the same run next is a hit.
-    written = {os.path.realpath(_artifact_path(cfg, a)) for a in stage.writes}
+    written = {os.path.realpath(os.path.join(cfg.out, a)) for a in stage.writes}
     for n, p in files.items():
         if os.path.realpath(p) in written:
             with _open(p) as fh:
                 key["inputs"][n] = _sha256(fh)
-    _record(cfg.out, name, {"key": key, "outputs": [ARTIFACTS[a] for a in stage.writes]})
+    _record(cfg.out, name, {"key": key, "outputs": list(stage.writes)})
     print(f"{name}: {summary}")
     for line in warnings:
         print(f"{name}: {line}", file=sys.stderr)

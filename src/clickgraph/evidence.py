@@ -203,9 +203,11 @@ def default_kappa_grid(
 ) -> np.ndarray:
     """Belief-strength grid: multiples of the mean out-degree.
 
-    ``log_spaced`` spreads the same range geometrically instead.  A multiple
-    beyond the float range raises :class:`PreconditionError`.
+    ``log_spaced`` spreads the same range geometrically instead.  No
+    multiple, or one beyond the float range, raises :class:`PreconditionError`.
     """
+    if not len(multipliers):
+        raise PreconditionError("a kappa grid needs at least one multiplier")
     mean_out = g.n_edges / g.n_nodes if g.n_nodes else 1.0
     mean_out = max(mean_out, 1.0)
     with np.errstate(over="ignore"):

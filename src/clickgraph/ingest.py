@@ -310,26 +310,30 @@ def read_transitions(lines: Iterable[str], g: LinkGraph, threshold: int) -> Tran
     """
     lookup = g.name_to_id()
     src, trg, count, line_nos = [], [], [], []
-    for line_no, raw in enumerate(lines, start=1):
-        if raw.startswith("#") or not raw.strip():
-            continue
-        fields = raw.rstrip("\n").split("\t")
-        if len(fields) != 3:
-            raise LineError(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
-        a, b, c = fields
-        s, t = lookup.get(a, -1), lookup.get(b, -1)
-        if s < 0 or t < 0:
-            raise LineError(line_no, f"article {a if s < 0 else b!r} is not in graph.tsv")
-        try:
-            n = int(c)
-        except ValueError:
-            raise LineError(line_no, f"non-integer count {c!r}") from None
-        if not _COUNT_MIN <= n <= _COUNT_MAX:
-            raise LineError(line_no, f"count {c!r} outside the int64 range")
-        src.append(s)
-        trg.append(t)
-        count.append(n)
-        line_nos.append(line_no)
+    fault = None
+    try:
+        for line_no, raw in enumerate(lines, start=1):
+            if raw.startswith("#") or not raw.strip():
+                continue
+            fields = raw.rstrip("\n").split("\t")
+            if len(fields) != 3:
+                raise LineError(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
+            a, b, c = fields
+            s, t = lookup.get(a, -1), lookup.get(b, -1)
+            if s < 0 or t < 0:
+                raise LineError(line_no, f"article {a if s < 0 else b!r} is not in graph.tsv")
+            try:
+                n = int(c)
+            except ValueError:
+                raise LineError(line_no, f"non-integer count {c!r}") from None
+            if not _COUNT_MIN <= n <= _COUNT_MAX:
+                raise LineError(line_no, f"count {c!r} outside the int64 range")
+            src.append(s)
+            trg.append(t)
+            count.append(n)
+            line_nos.append(line_no)
+    except LineError as exc:  # a row before it may still be bad: check those first
+        fault = exc
 
     # The first bad row: a repeated link, a count below the threshold, or no link.
     slots = g.edge_slots(src, trg)
@@ -346,6 +350,8 @@ def read_transitions(lines: Iterable[str], g: LinkGraph, threshold: int) -> Tran
         else:
             why = f"pair {pair} is not a link in graph.tsv"
         raise LineError(line_nos[i], why)
+    if fault is not None:
+        raise fault
     return TransitionLog.from_pairs(src, trg, count, threshold=threshold)
 
 
@@ -507,10 +513,13 @@ def load_feature_table(
 
     ``graph=None`` skips edge validation and interns names from the file
     itself (useful for standalone inspection of published feature files).
-    The ids are then the file's own, so ``transitions`` must be None.
+    The ids are then the file's own, so ``transitions`` must be None, and
+    ``recompute_network`` must be False: there is no graph to compute from.
     """
     if graph is None and transitions is not None:
         raise PreconditionError("a transition log needs the graph its ids refer to")
+    if graph is None and recompute_network:
+        raise PreconditionError("recomputing the network columns needs the graph")
     rows = _content_lines(lines)
     if not rows:
         raise SchemaError("feature file has no header line")

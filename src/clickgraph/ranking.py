@@ -65,12 +65,15 @@ def spearman(x, y) -> SpearmanResult:
     """Rank correlation with average ranks for ties.
 
     The p-value is the two-sided t-test with n - 2 degrees of freedom for the
-    null of no correlation.
+    null of no correlation.  Inputs of unequal length, with a value that is
+    not finite, or of fewer than 3 values raise :class:`PreconditionError`.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(x) != len(y):
         raise PreconditionError("inputs must have equal length")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise PreconditionError("inputs must be finite")
     n = len(x)
     if n < 3:
         raise PreconditionError("need at least 3 observations")

@@ -13,8 +13,9 @@ file's ``_FIELDS`` row (``edges``, ``corpus``, ...).  ``run_stage`` opens,
 hashes and closes every one of them, so no body opens a file or reads a path
 from ``cfg``.
 
-Each body returns ({artifact: (header notes, lines)}, summary, *stderr
-lines).  ``run_stage`` writes an artifact's header, then its lines, except
+Each body returns ({file name: (header notes, lines)}, summary, *stderr
+lines): an artifact is named by its file name alone, as in ``STAGES``.
+``run_stage`` writes an artifact's header, then its lines, except
 where its lines are a function: that function takes the header and returns
 every line of the file, so graph.tsv's magic line can come before it.  Only
 ``run_stage`` makes header lines and `<stage>:` prefixes; the analysis
@@ -70,8 +71,8 @@ def build(cfg, edges, clickstream):
         f"kept_pairs={stats.kept_pairs} kept_transitions={stats.kept_count}",
     )
     outputs = {
-        "graph": ((), lambda header: graphmod.save_graph(g, header)),
-        "transitions": (stat_notes, ingest.transition_lines(log, g.labels)),
+        "graph.tsv": ((), lambda header: graphmod.save_graph(g, header)),
+        "transitions.tsv": (stat_notes, ingest.transition_lines(log, g.labels)),
     }
     summary = (f"{g.n_nodes} articles, {g.n_edges} links ({g.self_loops} self-loops); "
                f"kept {stats.kept_pairs} transition pairs")
@@ -110,8 +111,8 @@ def features(cfg, g, log, feature_file=None, corpus=None, categories=None, visua
                         f"edges_without_visual_row={int((~covered).sum())}\n"]
         notes = (f"source=computed projection_dim={cfg.projection_dim} damping={cfg.damping}",
                  f"rows={len(table)}")
-    outputs = {"features": (notes, ingest.feature_table_lines(table)),
-               "features_report": ((), report_lines)}
+    outputs = {"features.tsv": (notes, ingest.feature_table_lines(table)),
+               "features_report.txt": ((), report_lines)}
     return outputs, f"{len(table)} link records written"
 
 
@@ -130,7 +131,7 @@ def sample(cfg, g, log, table):
                                   data={k: v[in_sample] for k, v in table.data.items()},
                                   labels=table.labels)
     notes = (f"sample_size={cfg.sample_size} eligible={len(eligible)} rows={len(sub)}",)
-    outputs = {"sample": (notes, ingest.feature_table_lines(sub))}
+    outputs = {"sample.tsv": (notes, ingest.feature_table_lines(sub))}
     return outputs, f"{cfg.sample_size} articles, {len(sub)} link records"
 
 
@@ -140,14 +141,14 @@ def attention(cfg, g, log):
 
     outputs = {}
     hist, conc = attmod.transition_histogram(log)
-    outputs["attention_transitions"] = (
+    outputs["attention_transition_hist.tsv"] = (
         (f"total_transitions={conc.total_transitions} "
          f"half_mass_links={_fmt(conc.top_k)} half_mass_share={_fmt(conc.top_share)}",),
         _table("count frequency", sorted(hist.items())),
     )
 
     wiki_out, trans_out = attmod.outdegree_comparison(g, log)
-    outputs["attention_outdegree"] = (
+    outputs["attention_outdegree_hist.tsv"] = (
         ("restriction=sources present in both networks",),
         _table("network out_degree frequency",
                [(network, d, f) for network, out in (("wiki", wiki_out), ("trans", trans_out))
@@ -157,7 +158,7 @@ def attention(cfg, g, log):
     ginis, skipped = attmod.per_article_gini(g, log)
     bins = np.linspace(0.0, 1.0, 21)
     freq, _ = np.histogram(ginis, bins=bins)
-    outputs["attention_gini"] = (
+    outputs["attention_gini_hist.tsv"] = (
         (f"articles={len(ginis)} excluded_all_zero={skipped}",),
         _table("bin_lo bin_hi frequency", zip(bins[:-1], bins[1:], freq)),
     )
@@ -186,7 +187,7 @@ def attention(cfg, g, log):
                 f"  {fam}: {pars} loglik={_fmt(fit.loglik)} aic={_fmt(fit.aic)} "
                 f"delta_aic={_fmt(rep.delta_aic[fam])}\n"
             )
-    outputs["attention_fits"] = (
+    outputs["attention_fits.txt"] = (
         ("model selection: AIC (2k - 2 lnL), smallest wins; xmin fixed per section, not searched",),
         lines,
     )
@@ -208,7 +209,8 @@ def hurdle(cfg, g, log, table):
     )
     binomial = sum(r.binomial_coef is not None for r in rows)
     ztnb = sum(r.ztnb_coef is not None for r in rows)
-    return {"hurdle": (notes, lines)}, f"{binomial}/{len(rows)} binomial, {ztnb}/{len(rows)} ztnb fits"
+    return ({"hurdle_fits.tsv": (notes, lines)},
+            f"{binomial}/{len(rows)} binomial, {ztnb}/{len(rows)} ztnb fits")
 
 
 def build_hypotheses(g, table) -> list:
@@ -242,7 +244,7 @@ def hyptrails(cfg, g, log, table):
     )
     last = [c.log_bayes_factor[-1] for c in curves]  # a tie for the largest names no best
     best = curves[last.index(max(last))].hypothesis if last.count(max(last)) == 1 else "none"
-    return ({"hyptrails": (notes, lines)},
+    return ({"hyptrails_evidence.tsv": (notes, lines)},
             f"{len(curves)} hypotheses; best at largest kappa: {best}")
 
 
@@ -260,5 +262,5 @@ def pagerank(cfg, g, log, table):
         [(r.hypothesis, r.alpha, r.rho, r.p, r.steiger_z, r.steiger_p, r.improved) for r in evals],
     )
     best = max((r for r in evals if r.hypothesis != "baseline"), key=lambda r: r.rho)
-    return ({"pagerank": (notes, lines)},
+    return ({"pagerank_eval.tsv": (notes, lines)},
             f"best hypothesis {best.hypothesis} (rho={best.rho:.3f} at alpha={best.alpha})")

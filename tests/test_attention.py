@@ -126,6 +126,12 @@ class TestGini:
         with pytest.raises(DegenerateInputError):
             A.gini([1, -1])
 
+    @pytest.mark.parametrize("values", [[1, math.nan], [1, math.inf]], ids=["nan", "inf"])
+    def test_non_finite_rejected(self, values):
+        # A NaN once gave a NaN coefficient.
+        with pytest.raises(DegenerateInputError, match="finite"):
+            A.gini(values)
+
     @settings(max_examples=40, deadline=None)
     @given(
         values=st.lists(st.integers(0, 10_000), min_size=2, max_size=40).filter(

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from clickgraph import __version__, cli, graph, ingest
 from clickgraph import attention as A
-from clickgraph.cli import ARTIFACTS, MANIFEST, build_parser, load_config, main
+from clickgraph.cli import MANIFEST, build_parser, load_config, main
 from clickgraph.errors import ConfigError, MalformedInputError
 
 from helpers import LEGAL_NAMES, discrete_power_law_sample, fresh_env, read_graph, run_fresh
@@ -404,7 +404,7 @@ class TestPipeline:
         run_pipeline(toy_inputs, out)
         assert main(["sample", "--sample-size", "5", "--out", out, "--threshold", "10"]) == 0
         produced = set(os.listdir(out))
-        assert produced == {MANIFEST, *ARTIFACTS.values()}
+        assert produced == {MANIFEST, *(f for stage in cli.STAGES.values() for f in stage.writes)}
         with open(os.path.join(out, MANIFEST), encoding="utf-8") as fh:
             stages = json.load(fh)["stages"]
         assert {f for entry in stages.values() for f in entry["outputs"]} == produced - {MANIFEST}
@@ -488,7 +488,7 @@ class TestCacheKey:
         fields = {"build": {"edges", "clickstream"}, "features": {"corpus", "categories", "visual"}}
         for name, entry in stages.items():
             assert set(entry["key"]["inputs"]) == (
-                {ARTIFACTS[a] for a in cli.STAGES[name].reads} | fields.get(name, set())), name
+                set(cli.STAGES[name].reads) | fields.get(name, set())), name
 
     def test_dropping_a_used_link_makes_hurdle_refit(self, toy_inputs, tmp_path, capsys):
         # hurdle's key once hashed features.tsv alone: after build dropped a
@@ -509,8 +509,8 @@ class TestCacheKey:
         for directory in (out, fresh):
             assert main(["hurdle", "--out", directory, "--threshold", "10"]) == 0
         assert capsys.readouterr().out == "hurdle: 14/15 binomial, 15/15 ztnb fits\n" * 2
-        fits = os.path.join(out, ARTIFACTS["hurdle"])
-        assert filecmp.cmp(fits, os.path.join(fresh, ARTIFACTS["hurdle"]), shallow=False)
+        fits = os.path.join(out, "hurdle_fits.tsv")
+        assert filecmp.cmp(fits, os.path.join(fresh, "hurdle_fits.tsv"), shallow=False)
         with open(fits, encoding="utf-8") as fh:
             assert "rows=77" in fh.read()
 
@@ -587,9 +587,9 @@ class TestCacheKey:
         out = str(tmp_path / "out")
         shutil.copytree(hit_out, out)
         os.remove(os.path.join(out, MANIFEST))  # so the stage is a miss
-        paths = {**toy_inputs, "feature-file": os.path.join(hit_out, ARTIFACTS["features"])}
+        paths = {**toy_inputs, "feature-file": os.path.join(hit_out, "features.tsv")}
         keyed = [paths[flag[2:]] for flag in flags]
-        keyed += [os.path.join(out, ARTIFACTS[a]) for a in cli.STAGES[name].reads]
+        keyed += [os.path.join(out, a) for a in cli.STAGES[name].reads]
         flags += unread
         opened = collections.Counter()
         real_open = builtins.open
@@ -615,7 +615,7 @@ class TestCacheKey:
         corpus = _copy_inputs(toy_inputs, tmp_path / "in")["corpus"]
         out = str(tmp_path / "out")
         shutil.copytree(hit_out, out)
-        argv = ["features", "--feature-file", os.path.join(hit_out, ARTIFACTS["features"]),
+        argv = ["features", "--feature-file", os.path.join(hit_out, "features.tsv"),
                 "--corpus", corpus, "--out", out]
         assert main(argv) == 0
         with open(corpus, "a", encoding="utf-8") as fh:
@@ -659,17 +659,19 @@ class TestDependencies:
         "stage", ["features", "sample", "attention", "hurdle", "hyptrails", "pagerank"]
     )
     def test_stage_without_build_names_producer(self, stage, tmp_path, capsys):
-        rc = main([stage, "--out", str(tmp_path / "empty")])
-        assert rc == 2
-        assert "run `clickgraph build` first" in capsys.readouterr().err
+        empty = str(tmp_path / "empty")
+        assert main([stage, "--out", empty]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: missing graph.tsv in {empty}; run `clickgraph build` first\n")
 
     def test_hurdle_without_features_names_producer(self, toy_inputs, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert main(["build", "--edges", toy_inputs["edges"],
                      "--clickstream", toy_inputs["clickstream"], "--out", out]) == 0
-        rc = main(["hurdle", "--out", out])
-        assert rc == 2
-        assert "features" in capsys.readouterr().err
+        capsys.readouterr()
+        assert main(["hurdle", "--out", out]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: missing features.tsv in {out}; run `clickgraph features` first\n")
 
     def test_config_validation_lists_problems(self, tmp_path, capsys):
         rc = main(["build", "--out", str(tmp_path / "o"),
@@ -704,7 +706,7 @@ class TestPathsRefusedBeforeReading:
         out = str(tmp_path / "out")
         shutil.copytree(hit_out, out)
         capsys.readouterr()
-        assert main(["features", "--feature-file", os.path.join(hit_out, ARTIFACTS["features"]),
+        assert main(["features", "--feature-file", os.path.join(hit_out, "features.tsv"),
                      "--visual", str(tmp_path), "--out", out]) == 0
         assert capsys.readouterr() == ("features: 78 link records written\n", "")
 
@@ -898,9 +900,14 @@ class TestConfigRanges:
         assert capsys.readouterr() == ("", f"error: {problem}\n")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    @pytest.mark.parametrize("field", [f for f in cli._FIELDS if f.kind is cli._INT],
-                             ids=lambda f: f.name)
+    @pytest.mark.parametrize("field, source", [
+        *(pytest.param(f, s, id=f"{f.name}-{s}")
+          for f in cli._FIELDS if f.kind is cli._INT for s in ("flag", "config")),
+        # A number flag reads 10**400 as inf, which its range refuses; a config
+        # file's --damping once printed all 401 digits in its range error.
+        *(pytest.param(f, "config", id=f"{f.name}-config")
+          for f in cli._FIELDS if f.kind is cli._NUMBER),
+    ])
     def test_integer_beyond_the_float_range_is_one_error_line(self, tmp_path, capsys, field,
                                                               source):
         # --xmin-degrees, --xmin-transitions, --projection-dim and --threshold
@@ -914,8 +921,8 @@ class TestConfigRanges:
             (tmp_path / "run.json").write_text(json.dumps({field.name: 10**400, "out": str(out)}))
             argv = [stage, "--config", str(tmp_path / "run.json")]
         assert main(argv) == 2
-        assert capsys.readouterr() == ("", f"error: {option} must be an integer within the float "
-                                           "range, got an integer of 401 digits\n")
+        assert capsys.readouterr() == ("", f"error: {option} must be {field.kind.rule} within the "
+                                           "float range, got an integer of 401 digits\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -1268,9 +1275,9 @@ class TestBuildInput:
         assert main(["build", "--edges", toy_inputs["edges"], "--clickstream", str(clicks),
                      "--out", out]) == 0
         assert main(["attention", "--out", out]) == 0
-        with open(os.path.join(out, ARTIFACTS["attention_fits"]), encoding="utf-8") as fh:
+        with open(os.path.join(out, "attention_fits.txt"), encoding="utf-8") as fh:
             assert sum(line.startswith("  unavailable: ") for line in fh) == 3
-        with open(os.path.join(out, ARTIFACTS["attention_outdegree"]), encoding="utf-8") as fh:
+        with open(os.path.join(out, "attention_outdegree_hist.tsv"), encoding="utf-8") as fh:
             assert [line for line in fh if not line.startswith("#")] == [
                 "network\tout_degree\tfrequency\n"]
 
@@ -1288,13 +1295,16 @@ class TestTransitionsInput:
          "pair 'Statistics' -> 'Graph_theory' is not a link in graph.tsv"),
         ("Graph_theory\tSocial_network\t99999999999999999999\n",
          "count '99999999999999999999' outside the int64 range"),
+        # A row's own fault on a later line once beat the repeat on this one.
+        ("Graph_theory\tStatistics\t90\nGraph_theory\tSocial_network\tmany\n",
+         "pair 'Graph_theory' -> 'Statistics' repeats line 6"),
     ], ids=["unknown_article", "two_fields", "non_integer_count", "repeated_pair",
-            "below_threshold", "not_a_link", "count_outside_int64"])
+            "below_threshold", "not_a_link", "count_outside_int64", "repeat_before_bad_row"])
     def test_bad_row_names_its_line(self, toy_inputs, tmp_path, capsys, row, message):
         out = tmp_path / "out"
         assert main(["build", "--edges", toy_inputs["edges"],
                      "--clickstream", toy_inputs["clickstream"], "--out", str(out)]) == 0
-        transitions = out / ARTIFACTS["transitions"]
+        transitions = out / "transitions.tsv"
         lines = transitions.read_text(encoding="utf-8").splitlines(keepends=True)
         transitions.write_text("".join(lines) + row, encoding="utf-8")
         capsys.readouterr()
@@ -1311,7 +1321,7 @@ class TestGraphInput:
         out = tmp_path / "out"
         assert main(["build", "--edges", toy_inputs["edges"],
                      "--clickstream", toy_inputs["clickstream"], "--out", str(out)]) == 0
-        path = out / ARTIFACTS["graph"]
+        path = out / "graph.tsv"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(lines) + row, encoding="utf-8")
         capsys.readouterr()
@@ -1328,7 +1338,7 @@ class TestGraphInput:
         out = tmp_path / "out"
         assert main(["build", "--edges", toy_inputs["edges"],
                      "--clickstream", toy_inputs["clickstream"], "--out", str(out)]) == 0
-        path = out / ARTIFACTS["graph"]
+        path = out / "graph.tsv"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(lines) + row, encoding="utf-8")
         capsys.readouterr()
@@ -1339,7 +1349,7 @@ class TestGraphInput:
         out = tmp_path / "out"
         assert main(["build", "--edges", toy_inputs["edges"],
                      "--clickstream", toy_inputs["clickstream"], "--out", str(out)]) == 0
-        path = out / ARTIFACTS["graph"]
+        path = out / "graph.tsv"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(line for line in lines if not line.startswith("label\t")),
                         encoding="utf-8")
@@ -1359,7 +1369,7 @@ class TestGraphInput:
         out = tmp_path / "out"
         assert main(["build", "--edges", toy_inputs["edges"],
                      "--clickstream", toy_inputs["clickstream"], "--out", str(out)]) == 0
-        path = out / ARTIFACTS["graph"]
+        path = out / "graph.tsv"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         at = next(i for i, line in enumerate(lines) if line.startswith("edges\t"))
         lines[at] = f"edges\t{int(lines[at].split()[1]) + 1}\n"
@@ -1397,7 +1407,7 @@ class TestCorpusInput:
                                   encoding="utf-8")
         assert main(["features", "--corpus", toy_inputs["corpus"], "--categories", str(categories),
                      "--visual", toy_inputs["visual"], "--projection-dim", "64", "--out", out]) == 0
-        with open(os.path.join(out, ARTIFACTS["features_report"]), encoding="utf-8") as fh:
+        with open(os.path.join(out, "features_report.txt"), encoding="utf-8") as fh:
             assert "categories_without_corpus_article=2\n" in fh.readlines()
 
 
@@ -1407,7 +1417,7 @@ class TestFeatureFileInput:
         # record it as written, so the same run again is a cache hit.
         out = str(tmp_path / "out")
         run_pipeline(toy_inputs, out)
-        path = os.path.join(out, ARTIFACTS["features"])
+        path = os.path.join(out, "features.tsv")
 
         def body():
             with open(path, encoding="utf-8") as fh:
@@ -1454,16 +1464,16 @@ class TestFeatureFileInput:
         assert main(["features", "--corpus", toy_inputs["corpus"],
                      "--categories", toy_inputs["categories"], "--visual", toy_inputs["visual"],
                      "--projection-dim", "64", "--damping", "0.5", "--out", out]) == 0
-        written = os.path.join(out, ARTIFACTS["features"])
+        written = os.path.join(out, "features.tsv")
         assert main(["features", "--feature-file", written, "--recompute-network-features",
                      "--damping", "0.5", "--out", again]) == 0
-        with open(os.path.join(again, ARTIFACTS["features_report"]), encoding="utf-8") as fh:
+        with open(os.path.join(again, "features_report.txt"), encoding="utf-8") as fh:
             report = fh.read()
         for col in ("src_pagerank", "trg_pagerank"):
             assert f"consistency {col}: 0 mismatches, max abs diff 0.000e+00\n" in report
 
         def body(directory):
-            with open(os.path.join(directory, ARTIFACTS["features"]), encoding="utf-8") as fh:
+            with open(os.path.join(directory, "features.tsv"), encoding="utf-8") as fh:
                 return [line for line in fh if not line.startswith("#")]
 
         assert body(again) == body(out)
@@ -1484,13 +1494,13 @@ class TestHurdleSummary:
 
         out = str(tmp_path / "out")
         run_pipeline(toy_inputs, out)
-        os.unlink(os.path.join(out, ARTIFACTS["hurdle"]))
+        os.unlink(os.path.join(out, "hurdle_fits.tsv"))
         monkeypatch.setattr(hurdle, "fit_ztnb", fail_on("trg_in_degree", hurdle.fit_ztnb))
         monkeypatch.setattr(hurdle, "fit_logistic", fail_on("text_sim", hurdle.fit_logistic))
         capsys.readouterr()
         assert main(["hurdle", "--out", out, "--threshold", "10"]) == 0
         assert capsys.readouterr().out == "hurdle: 14/15 binomial, 14/15 ztnb fits\n"
-        rows = {row[0]: row for row in _rows(os.path.join(out, ARTIFACTS["hurdle"]))}
+        rows = {row[0]: row for row in _rows(os.path.join(out, "hurdle_fits.tsv"))}
         assert rows["trg_in_degree"][-1] == "ConvergenceError: no optimum"
         assert rows["text_sim"][5] == "ConvergenceError: no optimum"
         assert rows["trg_in_degree"][5] == rows["text_sim"][-1] == "-"
@@ -1522,7 +1532,7 @@ class TestPagerankUniverse:
                      toy_inputs["categories"], "--visual", toy_inputs["visual"],
                      "--projection-dim", "64", "--out", out]) == 0
         assert main(["pagerank", "--viewed-only", "--out", out]) == 0
-        rows = [r for r in _rows(os.path.join(out, ARTIFACTS["pagerank"]))[1:] if r[0] == "kcore"]
+        rows = [r for r in _rows(os.path.join(out, "pagerank_eval.tsv"))[1:] if r[0] == "kcore"]
         assert [r[1] for r in rows] == ["0.8", "0.85", "0.9"]
         assert rows[0][4:] != ["NA", "NA", "false"]
         assert [r[4:] for r in rows[1:]] == [["NA", "NA", "false"]] * 2
@@ -1624,7 +1634,7 @@ class TestNonUtf8Input:
         out = tmp_path / "out"
         assert main(["build", "--edges", toy_inputs["edges"],
                      "--clickstream", toy_inputs["clickstream"], "--out", str(out)]) == 0
-        graph_tsv = str(out / ARTIFACTS["graph"])
+        graph_tsv = str(out / "graph.tsv")
         os.replace(_undecodable(graph_tsv, tmp_path), graph_tsv)
         self._refused(capsys, ["attention", "--out", str(out)], graph_tsv)
 
@@ -1728,11 +1738,11 @@ class TestNamesThroughTheStages:
             sources = {a for (a, _), on in zip(links, clicked) if on}
             assert main(["sample", "--sample-size", str(len(sources)), *args]) == 0
 
-            with open(os.path.join(out, ARTIFACTS["transitions"]), encoding="utf-8") as fh:
+            with open(os.path.join(out, "transitions.tsv"), encoding="utf-8") as fh:
                 kept = int(fh.read().split("kept_transitions=")[1].split("\n")[0])
-            assert read_graph(os.path.join(out, ARTIFACTS["graph"])).labels == tuple(seen)
-            features = _rows(os.path.join(out, ARTIFACTS["features"]))
-            sample = _rows(os.path.join(out, ARTIFACTS["sample"]))
+            assert read_graph(os.path.join(out, "graph.tsv")).labels == tuple(seen)
+            features = _rows(os.path.join(out, "features.tsv"))
+            sample = _rows(os.path.join(out, "sample.tsv"))
         column = ingest.FEATURE_COLUMNS.index("transitions")
         assert sorted((row[0], row[1]) for row in features) == sorted(links)
         assert sorted((row[0], row[1]) for row in sample) == sorted(l for l in links if l[0] in sources)

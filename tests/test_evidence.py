@@ -15,6 +15,7 @@ from clickgraph.errors import (
     AlignmentError,
     DegenerateInputError,
     ElicitationError,
+    PreconditionError,
     SchemaError,
     SupportError,
 )
@@ -505,3 +506,9 @@ class TestKappaGrid:
         assert grid[-1] == pytest.approx(6.25)
         ratios = grid[1:] / grid[:-1]
         np.testing.assert_allclose(ratios, ratios[0])
+
+    @pytest.mark.parametrize("log_spaced", [False, True], ids=["linear", "log_spaced"])
+    def test_no_multiplier_is_refused(self, log_spaced):
+        # It once gave an empty grid, or an IndexError when log-spaced.
+        with pytest.raises(PreconditionError, match="at least one multiplier"):
+            E.default_kappa_grid(fan_graph(), (), log_spaced=log_spaced)

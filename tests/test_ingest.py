@@ -848,6 +848,15 @@ class TestLoadFeatureTableMatchesReference:
         with pytest.raises(PreconditionError):
             ingest.load_feature_table(feature_file_lines(g, log), None, log)
 
+    def test_recompute_without_graph_is_refused(self):
+        # It once skipped the network columns, recomputed nothing and handed
+        # feature_table_lines a table without them: KeyError 'src_degree'.
+        g, _ = small_graph()
+        log = ingest.TransitionLog.from_pairs([0], [1], [25], graph=g)
+        lines = feature_file_lines(g, log, drop_cols=ingest.NETWORK_COLUMNS)
+        with pytest.raises(PreconditionError, match="needs the graph"):
+            ingest.load_feature_table(lines, None, recompute_network=True)
+
 
 # Coordinates float and np.loadtxt read alike; ones only float reads
 # (underscores, Arabic-Indic digits, a carriage return, which ends loadtxt's

@@ -187,6 +187,14 @@ class TestSpearman:
         with pytest.raises(PreconditionError):
             R.spearman([1, 2], [2, 1])
 
+    @pytest.mark.parametrize("x, y", [([1, 2, 3, math.nan], [1, 2, 3, 4]),
+                                      ([1, 2, 3, 4], [1, 2, math.inf, 4])],
+                             ids=["nan_in_x", "inf_in_y"])
+    def test_non_finite_input_rejected(self, x, y):
+        # A NaN once ranked last: rho=1.0, p=0.0.
+        with pytest.raises(PreconditionError, match="finite"):
+            R.spearman(x, y)
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_invariant_under_strictly_monotone_transforms(self, seed):
