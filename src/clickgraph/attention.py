@@ -8,7 +8,10 @@ of candidate count distributions compared by AIC.
 The truncated power-law and log-normal normalisers sum the first 20,000
 terms of the discrete series exactly, over a support grid cached per xmin,
 and add the rest as a tail term: a midpoint-corrected integral for the
-truncated power law, a closed-form Gaussian tail for the log-normal.
+truncated power law, a closed-form Gaussian tail for the log-normal.  The
+integral is QUADPACK's, through ``quad`` with ``full_output``: a failed
+integration hands back its message with the value instead of issuing a
+warning, so no call swaps the process-wide warning filter.
 
 Each family's log-likelihood is written once, in ``_loglik``:
 ``family_loglik`` returns it, and every fit minimises its negation.  The
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +88,11 @@ def gini(values) -> float:
     """Gini coefficient of nonnegative counts, zeros included.
 
     Uses the sorted O(n log n) identity for sum_i sum_j |x_i - x_j| / (2 n^2 mu).
-    An empty vector, a value that is not finite, a negative value or an
-    all-zero vector raises :class:`DegenerateInputError`.
+    Only where the sum or the rank product of finite values overflows is the
+    identity taken on the values divided by their maximum, so every result
+    that does not overflow keeps its bits.  An empty vector, a value that is
+    not finite, a negative value or an all-zero vector raises
+    :class:`DegenerateInputError`.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.size == 0:
@@ -96,13 +101,16 @@ def gini(values) -> float:
         raise DegenerateInputError("gini requires finite values")
     if (x < 0).any():
         raise DegenerateInputError("gini requires nonnegative values")
-    total = x.sum()
-    if total == 0:
+    xs = np.sort(x)
+    if xs[-1] == 0:
         raise DegenerateInputError("gini of an all-zero vector is undefined")
     n = x.size
-    xs = np.sort(x)
     ranks = np.arange(1, n + 1, dtype=np.float64)
-    return float(2.0 * np.dot(ranks, xs) / (n * total) - (n + 1.0) / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = 2.0 * np.dot(ranks, xs) / (n * x.sum()) - (n + 1.0) / n
+    if not np.isfinite(g):  # the sum or the rank product overflowed
+        return gini(x / xs[-1])
+    return float(g)
 
 
 def per_article_gini(g: LinkGraph, log: TransitionLog) -> tuple[np.ndarray, int]:
@@ -150,12 +158,13 @@ class FitReport:
 
 
 def _tail_integral(alpha: float, lam: float, a: float) -> float:
-    """Integral of t^-alpha e^(-lam t) over [a, inf), the truncated power law's tail."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _err = integrate.quad(lambda t: math.exp(-alpha * math.log(t) - lam * t),
-                                   a, np.inf, limit=200)
-    return val
+    """Integral of t^-alpha e^(-lam t) over [a, inf), the truncated power law's tail.
+
+    ``full_output`` makes quad return QUADPACK's message for a failed
+    integration instead of issuing a warning; the value is the same.
+    """
+    return integrate.quad(lambda t: math.exp(-alpha * math.log(t) - lam * t),
+                          a, np.inf, limit=200, full_output=1)[0]
 
 
 def _log_norm_pl(alpha: float, xmin: int) -> float:
@@ -180,7 +189,7 @@ def _logsumexp(a: np.ndarray, out: np.ndarray | None = None) -> np.float64:
     tied maxima are split out of the shifted sum and added back as
     ``log(m)``. A non-finite maximum is returned at once: it is scipy's
     answer (NaN, +inf, or -inf when every term is -inf), and the shifted
-    sum would only add invalid-value warnings.  The shifted terms go to
+    sum would only trip NumPy's invalid-value flag.  The shifted terms go to
     ``out``, a float64 array of ``a``'s shape that may be ``a`` itself;
     without it they go to a new array and ``a`` is left alone.
 
@@ -270,8 +279,8 @@ def _loglik(family: str, x: np.ndarray, xmin: int):
         return lambda p: (-p["alpha"] * logs - p["lambda"] * total
                           - n * _log_norm_tpl(p["alpha"], p["lambda"], xmin))
     if family == "lognormal":
-        _distinct, first, row_of = np.unique(x, return_index=True, return_inverse=True)
-        lu = np.log(x)[first]  # the logs of the distinct counts
+        distinct, row_of = np.unique(x, return_inverse=True)
+        lu = np.log(distinct)
         return lambda p: ((-0.5 * ((lu - p["mu"]) / p["sigma"]) ** 2 - lu)[row_of].sum()
                           - n * _log_norm_lognormal(p["mu"], p["sigma"], xmin))
     if family == "exponential":

@@ -139,6 +139,22 @@ def elicit_prior(h: HypothesisMatrix, kappa: float) -> np.ndarray:
     return 1.0 + kappa * h.values / row_sum[src]
 
 
+def _gamma_gaps(a: np.ndarray, n: np.ndarray) -> float:
+    """The pairwise sum of gammaln(a + n) - gammaln(a), with gammaln taken
+    only where ``n > 0``.
+
+    Every other term is gammaln(a) - gammaln(a + 0.0), which is exactly +0.0
+    when gammaln(a) is finite, so it stays a zero in an array of full length
+    and the sum adds the same values in the same order as the sum over every
+    term: the result is bit-equal to it.
+    """
+    gaps = np.zeros(len(a))
+    seen = np.flatnonzero(n > 0)
+    a = a[seen]
+    gaps[seen] = gammaln(a + n[seen]) - gammaln(a)
+    return float(gaps.sum())
+
+
 def log_evidence(g: LinkGraph, alpha, counts) -> float:
     """Log marginal likelihood of grouped transition counts on ``g`` under
     the per-edge Dirichlet parameters ``alpha`` (see :func:`elicit_prior`).
@@ -148,14 +164,13 @@ def log_evidence(g: LinkGraph, alpha, counts) -> float:
     Dirichlet-multinomial terms; the multinomial coefficient is omitted,
     identically for all hypotheses.
 
-    ``gammaln`` runs only on the slots and rows that saw transitions.  Every
-    other term is gammaln(a) - gammaln(a + 0.0), which is exactly +0.0 when
-    gammaln(a) is finite, so those terms stay zeros in arrays of full length
-    and both sums add the same values in the same order: the result is
-    bit-equal to the sum over all slots and rows.  Parameters or row sums
-    outside gammaln's finite range [``ALPHA_MIN``, ``ALPHA_MAX``) raise
-    :class:`ElicitationError`; there the full sums are NaN or meaningless
-    anyway.
+    It is one gamma-gap sum (:func:`_gamma_gaps`) over the slots less one over
+    the rows with out-edges, so ``gammaln`` runs only on the slots and rows
+    that saw transitions.  Rounding and pairwise summation are symmetric in
+    sign, so the negated row sum is bit-equal to the sum of the negated row
+    terms.  Parameters or row sums outside gammaln's finite range
+    [``ALPHA_MIN``, ``ALPHA_MAX``) raise :class:`ElicitationError`; there the
+    full sums are NaN or meaningless anyway.
     """
     if isinstance(counts, TransitionLog):
         n = counts.aligned_counts(g)
@@ -180,20 +195,7 @@ def log_evidence(g: LinkGraph, alpha, counts) -> float:
         )
     row_n = np.bincount(src, weights=n, minlength=g.n_nodes)
     rows = g.out_degrees() > 0
-    row_a, row_n = row_a[rows], row_n[rows]
-
-    terms = np.zeros(len(row_a))
-    seen = np.flatnonzero(row_n > 0)
-    a = row_a[seen]
-    terms[seen] = gammaln(a) - gammaln(a + row_n[seen])
-    total = float(terms.sum())
-
-    terms = np.zeros(len(n))
-    seen = np.flatnonzero(n > 0)
-    a = alpha[seen]
-    terms[seen] = gammaln(a + n[seen]) - gammaln(a)
-    total += float(terms.sum())
-    return total
+    return -_gamma_gaps(row_a[rows], row_n[rows]) + _gamma_gaps(alpha, n)
 
 
 def default_kappa_grid(
@@ -204,14 +206,19 @@ def default_kappa_grid(
     """Belief-strength grid: multiples of the mean out-degree.
 
     ``log_spaced`` spreads the same range geometrically instead.  No
-    multiple, or one beyond the float range, raises :class:`PreconditionError`.
+    multiple, multiples that are not strictly increasing and above 0, or
+    one beyond the float range raise :class:`PreconditionError`.
     """
-    if not len(multipliers):
+    multiples = np.asarray(multipliers, dtype=np.float64)
+    if not len(multiples):
         raise PreconditionError("a kappa grid needs at least one multiplier")
+    if not (multiples[0] > 0 and (multiples[1:] > multiples[:-1]).all()):  # NaN fails both
+        raise PreconditionError("kappa multipliers must be strictly increasing and above 0, "
+                                f"got {tuple(multipliers)!r}")
     mean_out = g.n_edges / g.n_nodes if g.n_nodes else 1.0
     mean_out = max(mean_out, 1.0)
     with np.errstate(over="ignore"):
-        kappas = np.asarray(multipliers, dtype=np.float64) * mean_out
+        kappas = multiples * mean_out
     finite = np.isfinite(kappas)
     if not finite.all():
         m = multipliers[int(np.argmin(finite))]

@@ -223,10 +223,10 @@ def parse_clickstream(
     not graph edges are dropped, duplicate pairs are summed, and only pairs
     with a summed count of at least ``threshold`` are kept.
 
-    Malformed rows (a count that is no integer or lies outside int64 among
-    them) raise :class:`LineError` when ``fail_fast`` is set and are
-    otherwise skipped and counted in the returned :class:`DropStats`.  A
-    kept pair whose summed count lies outside int64 raises
+    Malformed rows (a count that is no integer, lies outside int64 or is
+    negative among them) raise :class:`LineError` when ``fail_fast`` is set
+    and are otherwise skipped and counted in the returned :class:`DropStats`.
+    A kept pair whose summed count lies outside int64 raises
     :class:`MalformedInputError` naming both articles.
     """
     stats = DropStats()
@@ -252,6 +252,8 @@ def parse_clickstream(
             else:
                 if not _COUNT_MIN <= count <= _COUNT_MAX:
                     malformed = f"count {count_text!r} outside the int64 range"
+                elif count < 0:
+                    malformed = f"negative count {count_text!r}"
         if malformed is not None:
             if fail_fast:
                 raise LineError(line_no, malformed)

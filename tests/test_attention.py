@@ -1,6 +1,7 @@
 """Concentration statistics, Gini coefficients, and distribution fitting."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -131,6 +132,14 @@ class TestGini:
         # A NaN once gave a NaN coefficient.
         with pytest.raises(DegenerateInputError, match="finite"):
             A.gini(values)
+
+    @pytest.mark.parametrize("values, want", [([1e308, 1e308], 0.0), ([1e308, 0, 1e308], 1 / 3),
+                                              ([1.7e308, 0], 0.5)], ids=["equal", "two", "one"])
+    def test_values_whose_sum_overflows(self, values, want):
+        # Their sum and rank product once reached inf, and the coefficient NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert A.gini(values) == pytest.approx(want, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -371,8 +380,8 @@ def reference_logsumexp_every_lane(a, out=None):
 
 
 def reference_tail_integral(log_f, a):
-    with A.warnings.catch_warnings():
-        A.warnings.simplefilter("ignore", A.integrate.IntegrationWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", A.integrate.IntegrationWarning)
         val, _err = A.integrate.quad(lambda t: math.exp(log_f(t)), a, np.inf, limit=200)
     return val
 
@@ -458,6 +467,18 @@ class TestNormaliserMatchesReference:
         lam = math.exp(log_lam)
         want = reference_log_norm_tpl(np.float64(alpha), lam, xmin).hex()
         assert A._log_norm_tpl(alpha, lam, xmin).hex() == want
+
+    def test_failed_tail_integral_neither_warns_nor_swaps_the_filter(self):
+        # A point a truncated-power-law fit visits, where QUADPACK gives up
+        # and quad, without full_output, issues an IntegrationWarning.
+        alpha, lam, a = 2.506054687499996, 1.1378730299295378e-08, 10 + A._NORM_EXACT_TERMS - 0.5
+        want = reference_tail_integral(lambda t: -alpha * math.log(t) - lam * t, a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with mock.patch.object(warnings, "catch_warnings",
+                                   side_effect=AssertionError("warnings filter swapped")):
+                got = A._tail_integral(alpha, lam, a)
+        assert got.hex() == want.hex()
 
     @settings(max_examples=200, deadline=None)
     @given(mu=st.floats(-2e6, 60.0), log_sigma=st.floats(-7.0, 7.0), xmin=st.integers(1, 60))

@@ -512,3 +512,14 @@ class TestKappaGrid:
         # It once gave an empty grid, or an IndexError when log-spaced.
         with pytest.raises(PreconditionError, match="at least one multiplier"):
             E.default_kappa_grid(fan_graph(), (), log_spaced=log_spaced)
+
+    @pytest.mark.parametrize("log_spaced", [False, True], ids=["linear", "log_spaced"])
+    @pytest.mark.parametrize("multipliers", [(5, 1, 3), (-1, 2), (0, 1), (1, 1), (math.nan,)],
+                             ids=["descending", "negative", "zero", "repeated", "nan"])
+    def test_multipliers_not_increasing_above_0_are_refused(self, multipliers, log_spaced):
+        # (5, 1, 3) once gave a descending grid without multiplier 1 when
+        # log-spaced, and (-1, 2) a negative kappa.
+        g = G.build_graph([(0, 1), (1, 2)], n_nodes=3)
+        with pytest.raises(PreconditionError, match="^kappa multipliers must be strictly "
+                                                    "increasing and above 0, got "):
+            E.default_kappa_grid(g, multipliers, log_spaced=log_spaced)

@@ -119,10 +119,20 @@ class TestParseClickstream:
 
     def test_int64_extremes_are_counts(self):
         g, names = small_graph()
-        lines = [f"A\tB\t{2**63 - 1}\n", f"B\tA\t{-(2**63)}\n"]
+        lines = [f"A\tB\t{2**63 - 1}\n", "B\tA\t0\n"]  # the smallest count is 0
         log, stats = ingest.parse_clickstream(lines, names, g, fail_fast=True)
         assert log.count.tolist() == [2**63 - 1]
         assert (stats.malformed, stats.below_threshold_pairs) == (0, 1)
+
+    def test_negative_count_is_a_malformed_row(self):
+        # It once summed with the pair's other row, 30 - 25 = 5, below the threshold.
+        g, names = small_graph()
+        lines = ["A\tB\t30\n", "A\tB\t-25\n"]
+        log, stats = ingest.parse_clickstream(lines, names, g)
+        assert (stats.malformed, stats.below_threshold_pairs, stats.kept_pairs) == (1, 0, 1)
+        assert log.count.tolist() == [30]
+        with pytest.raises(LineError, match="^line 2: negative count '-25'$"):
+            ingest.parse_clickstream(lines, names, g, fail_fast=True)
 
     def test_summed_count_outside_int64_names_both_articles(self):
         g, names = small_graph()
@@ -491,6 +501,11 @@ def reference_parse_clickstream(lines, name_to_id, graph, threshold=10, fail_fas
         except ValueError:
             if fail_fast:
                 raise LineError(line_no, f"non-numeric count {count_text!r}")
+            stats.malformed += 1
+            continue
+        if count < 0:
+            if fail_fast:
+                raise LineError(line_no, f"negative count {count_text!r}")
             stats.malformed += 1
             continue
         src = name_to_id.get(ref)
